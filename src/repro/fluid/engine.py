@@ -38,6 +38,17 @@ CSR block (``_il``/``_il_off``) additionally tracks each flow's INT
 telemetry links (switch egress with capacity > 0) for schemes that
 read per-hop state, rebuilt whenever dynamics change capacities.
 
+One per-step input is a *row-change invariant*: the touched-link set
+(links carrying at least one live flow) with its switch-egress subset
+moves only when a flow is admitted, completes or reroutes, so
+``_retouch`` recomputes it on those steps alone.  The touched links'
+capacities and buffers are gathered per step, not cached beside it: at
+k=16 some flow is admitted or completes on all but a handful of steps,
+so a cache would be refreshed every step anyway.  Path queueing delay
+is summed only for the rows that finish or fire in a step.  Routing
+state (the distance rows ``FluidGraph.path`` walks) is described in
+:mod:`repro.fluid.state`.
+
 CC adapters fire once per accumulated RTT: arrival- and
 event-shortened mini-steps accumulate ``elapsed``/``delivered``/
 ``marked`` per flow, and the adapter sees one aggregated
@@ -82,7 +93,7 @@ from ..sim.units import MB
 from ..topology.base import Topology
 from .adapters import FluidClock, FlowProxy, RateAdapter, StepSignals, adapter_for
 from .goodput import GoodputRecorder
-from .state import FluidGraph, FluidPath
+from .state import FluidGraph, FluidPath, NoRoute
 
 _EPS = 1e-9
 _INF = float("inf")
@@ -273,8 +284,10 @@ class FluidEngine:
     # -- flow admission ----------------------------------------------------------
 
     def add_flow(self, spec: FlowSpec) -> None:
-        line_rate = self.topology.host_rate(spec.src)
+        # Routing first: it rejects endpoints outside the topology with
+        # an error naming the flow.
         path = self._route(spec)
+        line_rate = self.topology.host_rate(spec.src)
         env = CcEnv(
             sim=self.clock, line_rate=line_rate, base_rtt=self.base_rtt,
             mtu=self.mtu, header=self.header,
@@ -312,7 +325,7 @@ class FluidEngine:
                 spec.flow_id, spec.src, spec.dst,
                 mtu_wire=self.mtu + self.header, ack_size=ACK_SIZE,
             )
-        except ValueError:
+        except NoRoute:
             return None
 
     # -- row bookkeeping ---------------------------------------------------------
@@ -673,8 +686,9 @@ class FluidEngine:
                 self._ext_bytes = np.zeros(L)
             self._ext_bytes += ext[:L] * dt
         flat = hopm.ravel()
-        req_h = np.broadcast_to(req[:, None], hopm.shape)
-        arrival = np.bincount(flat, weights=req_h.ravel(), minlength=L + 1)
+        arrival = np.bincount(
+            flat, weights=req.repeat(hopm.shape[1]), minlength=L + 1
+        )
         scale = np.ones(L + 1)
         over = arrival[:L] > cap
         np.divide(cap, arrival[:L], out=scale[:L], where=over)
@@ -720,9 +734,10 @@ class FluidEngine:
         done &= alive
         extq = self.ext_qlen
         qc = A.queue if extq is None else A.queue + extq[:L]
+        # Per-link queueing delay; summed along the path only for the
+        # rows that need it this step (those finishing or firing).
         qdiv = np.zeros(L + 1)
         np.divide(qc, cap, out=qdiv[:L], where=cap > 0.0)
-        qdelay = qdiv[hopm].sum(axis=1)
         goodput = self._goodput
         flows = self._flows
         any_done = done.any()
@@ -730,7 +745,7 @@ class FluidEngine:
             idxs = np.flatnonzero(done)
             ach_l = achieved[idxs].tolist()
             rem_l = remaining[idxs].tolist()
-            qd_l = qdelay[idxs].tolist()
+            qd_l = qdiv[hopm[idxs]].sum(axis=1).tolist()
             brtt_l = self._brtt[idxs].tolist()
             for i, ach, rem, qd, brtt in zip(
                 idxs.tolist(), ach_l, rem_l, qd_l, brtt_l
@@ -768,11 +783,13 @@ class FluidEngine:
         elapsed = self._elapsed[:n]
         dacc = self._dacc[:n]
         macc = self._macc[:n]
-        first = elapsed == 0.0          # single-mini-step window so far
+        marking = self._ecn_policy is not None
+        # Single-mini-step window so far; only the mark average reads it.
+        first = elapsed == 0.0 if marking else None
         elapsed += dt
         dacc += delivered
         mark_flow = None
-        if self._ecn_policy is not None:
+        if marking:
             if self._ecn_stale:
                 self._refresh_ecn()
             one_minus = np.ones(L + 1)
@@ -790,8 +807,9 @@ class FluidEngine:
             macc += mark_flow * delivered
         fire = alive & (elapsed >= self._fire_at)
         if fire.any():
+            fidx = np.flatnonzero(fire)
             self._fire(
-                np.flatnonzero(fire), qdelay, mark_flow, first,
+                fidx, qdiv[hopm[fidx]].sum(axis=1), mark_flow, first,
                 elapsed, dacc, macc,
             )
         self.steps += 1
@@ -815,22 +833,25 @@ class FluidEngine:
         fidx: np.ndarray,
         qdelay: np.ndarray,
         mark_flow: np.ndarray | None,
-        first: np.ndarray,
+        first: np.ndarray | None,
         elapsed: np.ndarray,
         dacc: np.ndarray,
         macc: np.ndarray,
     ) -> None:
         """Replay one accumulated RTT through each fired flow's adapter.
 
-        ``sig.mark_prob`` is the delivered-weighted mean mark probability
-        over the window; for a single-mini-step window it is the step's
-        instantaneous value, bit-identical to the scalar engine's.
+        ``qdelay`` is per fired flow (aligned with ``fidx``), the other
+        vectors per row; ``mark_flow`` and ``first`` are ``None`` for a
+        scheme without an ECN policy.  ``sig.mark_prob`` is the
+        delivered-weighted mean mark probability over the window; for a
+        single-mini-step window it is the step's instantaneous value,
+        bit-identical to the scalar engine's.
         """
         A = self.arrays
         flows = self._flows
         now = self.now
         fl = fidx.tolist()
-        rtt_l = (self._brtt[fidx] + qdelay[fidx]).tolist()
+        rtt_l = (self._brtt[fidx] + qdelay).tolist()
         del_l = dacc[fidx].tolist()
         dt_l = elapsed[fidx].tolist()
         if mark_flow is not None:
@@ -908,19 +929,6 @@ class FluidEngine:
         macc[fidx] = 0.0
 
     # -- results -----------------------------------------------------------------
-
-    def ideal_fct(self, spec: FlowSpec) -> float:
-        """Uncontended FCT, the packet path's formula: line-rate transmit
-        plus the pair's base RTT (store-and-forward out, ACK back).
-        Admitted flows carry this precomputed as ``FluidFlow.ideal``."""
-        rate = min(
-            self.topology.host_rate(spec.src), self.topology.host_rate(spec.dst)
-        )
-        path = self.graph.path(
-            spec.flow_id, spec.src, spec.dst,
-            mtu_wire=self.mtu + self.header, ack_size=ACK_SIZE,
-        )
-        return spec.size * self.wire_factor / rate + path.base_rtt
 
     @property
     def goodput_bins(self) -> dict[int, dict[int, float]]:

@@ -38,7 +38,7 @@ from ..topology.base import Topology
 from .adapters import FluidClock, FlowProxy, StepSignals, adapter_for
 from .engine import FluidFlow
 from .goodput import GoodputRecorder
-from .state import FluidGraph, FluidPath
+from .state import FluidGraph, FluidPath, NoRoute
 
 _EPS = 1e-9
 
@@ -123,8 +123,8 @@ class ScalarFluidEngine:
     # -- flow admission ----------------------------------------------------------
 
     def add_flow(self, spec: FlowSpec) -> None:
+        path = self._route(spec)    # first: rejects unknown endpoints
         line_rate = self.topology.host_rate(spec.src)
-        path = self._route(spec)
         env = CcEnv(
             sim=self.clock, line_rate=line_rate, base_rtt=self.base_rtt,
             mtu=self.mtu, header=self.header,
@@ -159,7 +159,7 @@ class ScalarFluidEngine:
                 spec.flow_id, spec.src, spec.dst,
                 mtu_wire=self.mtu + self.header, ack_size=ACK_SIZE,
             )
-        except ValueError:
+        except NoRoute:
             return None
 
     # -- network dynamics --------------------------------------------------------
@@ -452,19 +452,6 @@ class ScalarFluidEngine:
         )
 
     # -- results -----------------------------------------------------------------
-
-    def ideal_fct(self, spec: FlowSpec) -> float:
-        """Uncontended FCT, the packet path's formula: line-rate transmit
-        plus the pair's base RTT (store-and-forward out, ACK back).
-        Admitted flows carry this precomputed as ``FluidFlow.ideal``."""
-        rate = min(
-            self.topology.host_rate(spec.src), self.topology.host_rate(spec.dst)
-        )
-        path = self.graph.path(
-            spec.flow_id, spec.src, spec.dst,
-            mtu_wire=self.mtu + self.header, ack_size=ACK_SIZE,
-        )
-        return spec.size * self.wire_factor / rate + path.base_rtt
 
     @property
     def goodput_bins(self) -> dict[int, dict[int, float]]:

@@ -27,24 +27,48 @@ src, dst, node)``.  Parallel links between the same node pair are
 aggregated into one fluid link with the summed capacity — fluid rates
 have no notion of per-member hashing.
 
+Routing state is compact.  Per topology version the graph holds one
+CSR adjacency of the *alive* subgraph (links with capacity > 0) and, per
+destination routed so far, one **distance row**: a ``bytes`` object of
+length ``n_nodes`` whose entry ``row[node]`` is ``node``'s hop count to
+that destination (255 = unreachable), filled by a level-synchronous BFS
+over the CSR arrays.  Rows are built lazily on the first
+:meth:`FluidGraph.path` toward a destination and cost one byte per node:
+at most ``hosts x nodes`` bytes in total — 1024 x 1344 = 1.3 MiB on the
+k=16 FatTree, 8192 x 9472 = 74 MiB at k=32 (a ``dict`` per destination,
+the previous layout, took 37 MiB and ~2 GiB respectively).
+
 The graph is *live*: the network-dynamics subsystem fails, restores and
-degrades individual link members mid-run.  Pooled capacities move, the
-BFS distance cache invalidates, and subsequent :meth:`FluidGraph.path`
-calls route over the alive subgraph only — the fluid analogue of
-routing reconvergence (the engine decides *when* to recompute paths,
-honouring the timeline's detection delay).
+degrades individual link members mid-run.  Pooled capacities move,
+every distance row and the CSR adjacency are dropped
+(:meth:`FluidGraph.invalidate`, called by each mutation), and subsequent
+:meth:`FluidGraph.path` calls route over the alive subgraph only — the
+fluid analogue of routing reconvergence (the engine decides *when* to
+recompute paths, honouring the timeline's detection delay).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 
 import numpy as np
 
 from ..sim.routing import ecmp_hash
 from ..topology.base import Topology
 
-__all__ = ["FluidGraph", "FluidLink", "FluidPath", "LinkArrays"]
+__all__ = ["FluidGraph", "FluidLink", "FluidPath", "LinkArrays", "NoRoute"]
+
+#: Distance-row entry of a node the destination cannot be reached from.
+_UNREACHED = 255
+
+
+class NoRoute(ValueError):
+    """No path between two nodes over the links currently up.
+
+    A transient condition (a restore brings the route back), which is
+    why the engines catch exactly this and park the flow; a plain
+    ``ValueError`` from :meth:`FluidGraph.path` means a malformed flow.
+    """
 
 
 class _Member:
@@ -222,13 +246,15 @@ class FluidGraph:
         self._egress_links: list[FluidLink] = [
             l for l in self.link_list if l.is_switch_egress
         ]
-        self._neighbors: dict[int, list[int]] = {
-            n: [] for n in range(topology.n_hosts + topology.n_switches)
-        }
+        self._n_nodes = topology.n_hosts + topology.n_switches
+        self._neighbors: list[list[int]] = [[] for _ in range(self._n_nodes)]
         for a, b in self.links:
             self._neighbors[a].append(b)
-        self._dist_to: dict[int, dict[int, int]] = {}
-        self._alive_neighbors: dict[int, list[int]] | None = None
+        #: dst -> distance row (see the module docstring).
+        self._dist_rows: dict[int, bytes] = {}
+        #: ``(peers, indptr, indices)`` of the alive subgraph, or ``None``
+        #: until :meth:`_alive_adjacency` next builds it.
+        self._adjacency = None
 
     def link_arrays(self) -> LinkArrays:
         """A fresh struct-of-arrays block over :attr:`link_list`."""
@@ -238,8 +264,8 @@ class FluidGraph:
 
     def invalidate(self) -> None:
         """Drop the routing caches (after any member state change)."""
-        self._dist_to.clear()
-        self._alive_neighbors = None
+        self._dist_rows.clear()
+        self._adjacency = None
 
     def _refresh_pair(self, a: int, b: int) -> None:
         members = self._members[(a, b)]
@@ -321,56 +347,83 @@ class FluidGraph:
 
     # -- routing -----------------------------------------------------------------
 
-    def _alive(self, a: int, b: int) -> bool:
-        return self.links[(a, b)].capacity > 0.0
+    def _alive_adjacency(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+        """The alive subgraph, rebuilt lazily per topology version.
 
-    def _up_neighbors(self) -> dict[int, list[int]]:
-        """``node -> sorted alive peers``; rebuilt lazily per topology
-        version so BFS and ECMP selection skip per-edge capacity checks."""
-        alive = self._alive_neighbors
-        if alive is None:
-            alive = {
-                node: sorted(
-                    peer for peer in peers if self._alive(node, peer)
-                )
-                for node, peers in self._neighbors.items()
-            }
-            self._alive_neighbors = alive
-        return alive
+        ``peers[node]`` is the node's sorted alive neighbours as a list
+        (what ECMP selection iterates); ``indptr``/``indices`` are the
+        same lists flattened into CSR arrays (what the BFS gathers).
+        """
+        adjacency = self._adjacency
+        if adjacency is None:
+            links = self.links
+            peers = [
+                sorted(p for p in around if links[(node, p)].capacity > 0.0)
+                for node, around in enumerate(self._neighbors)
+            ]
+            indptr = np.zeros(self._n_nodes + 1, dtype=np.intp)
+            np.cumsum([len(p) for p in peers], out=indptr[1:])
+            indices = np.fromiter(
+                chain.from_iterable(peers), dtype=np.intp, count=int(indptr[-1])
+            )
+            adjacency = self._adjacency = (peers, indptr, indices)
+        return adjacency
 
-    def _distances(self, dst: int) -> dict[int, int]:
-        dist = self._dist_to.get(dst)
-        if dist is None:
-            neighbors = self._up_neighbors()
-            dist = {dst: 0}
-            frontier = deque([dst])
-            while frontier:
-                node = frontier.popleft()
-                d = dist[node] + 1
-                for peer in neighbors[node]:
-                    if peer not in dist:
-                        dist[peer] = d
-                        frontier.append(peer)
-            self._dist_to[dst] = dist
-        return dist
+    def _distances(self, dst: int) -> bytes:
+        """``dst``'s distance row, by level-synchronous BFS on first use."""
+        row = self._dist_rows.get(dst)
+        if row is None:
+            _, indptr, indices = self._alive_adjacency()
+            dist = np.full(self._n_nodes, _UNREACHED, dtype=np.uint8)
+            dist[dst] = 0
+            frontier = np.array([dst], dtype=np.intp)
+            for d in range(1, _UNREACHED + 1):
+                # Concatenate the frontier nodes' CSR slices in one gather.
+                starts = indptr[frontier]
+                counts = indptr[frontier + 1] - starts
+                ends = counts.cumsum()
+                reached = indices[
+                    np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+                ]
+                reached = reached[dist[reached] == _UNREACHED]
+                if not reached.size:
+                    break
+                if d == _UNREACHED:
+                    raise ValueError(
+                        f"node {dst} is more than {_UNREACHED - 1} hops from "
+                        "another node: too far for one-byte distance rows"
+                    )
+                dist[reached] = d
+                frontier = (dist == d).nonzero()[0]
+            row = self._dist_rows[dst] = dist.tobytes()
+        return row
 
     def path(self, flow_id: int, src: int, dst: int,
              mtu_wire: int, ack_size: int) -> FluidPath:
-        """The flow's ECMP route over the links currently up."""
+        """The flow's ECMP route over the links currently up.
+
+        Raises :class:`NoRoute` while ``dst`` is unreachable from
+        ``src``, and a plain ``ValueError`` naming the flow for an
+        endpoint that is not a node of the topology (a negative id
+        would otherwise index the distance row from its end).
+        """
+        for node in (src, dst):
+            if not 0 <= node < self._n_nodes:
+                raise ValueError(
+                    f"flow {flow_id}: endpoint {node} is not a node of the "
+                    f"topology (nodes are 0..{self._n_nodes - 1})"
+                )
         dist = self._distances(dst)
-        if src not in dist:
-            raise ValueError(f"no route from {src} to {dst}")
-        neighbors = self._up_neighbors()
+        if dist[src] == _UNREACHED:
+            raise NoRoute(f"no route from {src} to {dst}")
+        peers = self._alive_adjacency()[0]
         links: list[FluidLink] = []
         node = src
         while node != dst:
             d_next = dist[node] - 1
-            candidates = [
-                peer for peer in neighbors[node]
-                if dist.get(peer, -1) == d_next
-            ]
+            candidates = [peer for peer in peers[node] if dist[peer] == d_next]
             if not candidates:
-                raise ValueError(f"no route from {src} to {dst} at {node}")
+                raise NoRoute(f"no route from {src} to {dst} at {node}")
             if len(candidates) == 1:
                 peer = candidates[0]
             else:
