@@ -17,11 +17,8 @@ from .execute import (
     CDFS,
     PROGRAMS,
     TOPOLOGIES,
-    SweepRunner,
-    SweepTimeout,
     build_topology,
     execute_spec,
-    execute_spec_guarded,
     validate_specs,
     workload_cdf,
 )
@@ -43,6 +40,7 @@ from .spec import (
     cc_axis,
     seed_axis,
 )
+from .sweep import SweepRunner, SweepTimeout, execute_spec_guarded
 
 __all__ = [
     "BACKENDS",
