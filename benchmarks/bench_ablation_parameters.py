@@ -12,31 +12,34 @@ This bench sweeps eta and maxStage on an 8-to-1 incast and asserts the
 claimed directions (and footnote 5's insensitivity for maxStage).
 """
 
-from repro.experiments.common import CcChoice, run_workload, setup_network
 from repro.metrics.fct import percentile
+from repro.runner import CcChoice, ScenarioSpec, execute_spec
 from repro.sim.units import MS, US
-from repro.topology.simple import star
 
 from conftest import run_once
 
 
-def _run_incast(cc_params, goodput=False):
-    topo = star(9, host_rate="100Gbps", link_delay="1us")
-    net = setup_network(
-        topo, CcChoice("hpcc", params=cc_params),
-        base_rtt=9 * US, goodput_bin=100 * US if goodput else None,
-    )
-    bottleneck = {"b": net.port_between(9, 8)}
-    specs = [net.make_flow(src=s, dst=8, size=6_000_000) for s in range(8)]
-    result = run_workload(net, specs, deadline=15 * MS,
-                          sample_interval=2 * US, sample_ports=bottleneck)
-    t, q = result.sampler.series("b")
-    steady = [v for tt, v in zip(t, q) if tt > 1.5 * MS]
-    fcts = [r.fct for r in result.records]
+def _run_incast(cc_params):
+    record = execute_spec(ScenarioSpec(
+        program="flows",
+        topology="star",
+        topology_params={"n_hosts": 9, "host_rate": "100Gbps",
+                         "link_delay": "1us"},
+        cc=CcChoice("hpcc", params=cc_params),
+        workload={"flows": [[s, 8, 6_000_000] for s in range(8)],
+                  "deadline": 15 * MS},
+        measure={"sample_interval": 2 * US,
+                 "sample_ports": [["b", "to_host", 8]]},
+        config={"base_rtt": 9 * US},
+    ))
+    series = record.queues["b"]
+    steady = [v for tt, v in zip(series["times"], series["qlens"])
+              if tt > 1.5 * MS]
+    fcts = [r.fct for r in record.fct_records()]
     return {
         "queue_p95": percentile(steady, 95) if steady else 0.0,
         "mean_fct": sum(fcts) / len(fcts) if fcts else float("inf"),
-        "done": result.completed,
+        "done": record.completed,
     }
 
 

@@ -27,11 +27,8 @@ from . import (
     flapping,
     linkfail,
 )
-from .common import CcChoice, RunResult, load_experiment, run_workload, setup_network
 
 __all__ = [
-    "CcChoice",
-    "RunResult",
     "appendix_a",
     "common",
     "failover",
@@ -47,7 +44,4 @@ __all__ = [
     "figure14",
     "flapping",
     "linkfail",
-    "load_experiment",
-    "run_workload",
-    "setup_network",
 ]

@@ -1,12 +1,9 @@
-"""Shared experiment harness (now a facade over ``repro.runner``).
+"""Conventions shared by the experiment modules.
 
 Each ``figureNN`` module describes one figure of the paper as *data*: a
 :class:`~repro.runner.ScenarioSpec` grid built in its ``scenarios()``
 function, executed by a :class:`~repro.runner.SweepRunner`, and
-post-processed from :class:`~repro.runner.RunRecord` payloads.  The
-execution primitives (``setup_network``/``run_workload``/
-``load_experiment``) live in ``repro.runner.harness`` and are re-exported
-here for compatibility.
+post-processed from :class:`~repro.runner.RunRecord` payloads.
 
 Every driver takes a ``scale`` argument:
 
@@ -18,23 +15,6 @@ Every driver takes a ``scale`` argument:
 """
 
 from __future__ import annotations
-
-from ..runner.harness import (
-    RunResult,
-    load_experiment,
-    run_workload,
-    setup_network,
-)
-from ..runner.spec import CcChoice
-
-__all__ = [
-    "CcChoice",
-    "RunResult",
-    "load_experiment",
-    "require_scale",
-    "run_workload",
-    "setup_network",
-]
 
 
 def require_scale(

@@ -1,13 +1,12 @@
-"""Fluid-backend scenario programs: the same specs, a different engine.
+"""The fluid engine behind the backend contract.
 
-These mirror the ``load`` and ``flows`` programs of
-``repro.runner.execute`` but run on :class:`FluidEngine`.  Everything
-upstream (topology factory, workload CDF, Poisson/incast flow
-generation, the dynamics timeline) and downstream (the
-:class:`RunRecord` payload shape) is shared with the packet path, so
-figure post-processing — slowdown buckets, queue series, goodput
-trajectories, link-event accounting, summary CSVs — works unchanged on
-fluid records.
+:class:`FluidBackend` runs the same ``load``/``flows`` program as the
+packet engine (``repro.runner.execute``) on :class:`FluidEngine`.
+Everything upstream (topology factory, workload CDF, Poisson/incast
+flow generation, the dynamics timeline, burst materialisation) and
+downstream (the :class:`RunRecord` payload shape) is shared, so figure
+post-processing — slowdown buckets, queue series, goodput trajectories,
+link-event accounting, summary CSVs — works unchanged on fluid records.
 
 Network-dynamics timelines run natively: the
 :class:`~repro.dynamics.fluid.FluidDynamicsDriver` applies link events
@@ -27,202 +26,122 @@ What fluid cannot express is zeroed or approximated openly, never faked:
 
 from __future__ import annotations
 
-from ..dynamics import FluidDynamicsDriver, burst_flow_specs
+from contextlib import contextmanager
+
+from ..dynamics import FluidDynamicsDriver, Timeline
 from ..obs import current as current_telemetry
 from ..obs import instrument_fluid, maybe_span
-from ..runner.execute import build_topology, spec_timeline, workload_cdf
-from ..runner.harness import generate_load_flows
-from ..runner.results import RunRecord
-from ..runner.spec import ScenarioSpec
+from ..runner.results import RunRecord, fct_rows
+from ..runner.spec import ScenarioSpec, require_known
 from ..sim.flow import FlowSpec
 from ..sim.units import MB
 from ..topology.base import Topology
 from .engine import FluidEngine
 from .reference import ScalarFluidEngine
 
-#: ``config["fluid_engine"]`` values -> engine implementations.  The
-#: default (key absent) is the vectorized array engine; ``"scalar"``
-#: selects the loop-per-flow reference implementation — same semantics,
-#: kept for equivalence testing and as the speedup baseline.
-_ENGINES = {"array": FluidEngine, "scalar": ScalarFluidEngine}
 
+class FluidBackend:
+    """One scenario on the flow-level fluid engine.
 
-def _make_engine(
-    topology: Topology, spec: ScenarioSpec
-) -> tuple[FluidEngine, list[str]]:
-    config = dict(spec.config)
-    engine_cls = _ENGINES[config.pop("fluid_engine", "array")]
-    engine = engine_cls(
-        topology,
-        cc_name=spec.cc.name,
-        cc_params=spec.cc.params,
-        base_rtt=config.pop("base_rtt", None),
-        mtu=config.pop("mtu", 1000),
-        buffer_bytes=config.pop("buffer_bytes", 32 * MB),
-        step=config.pop("fluid_step", None),
-        sample_interval=spec.measure.get("sample_interval"),
-        goodput_bin=config.pop("goodput_bin", None),
-    )
-    tel = current_telemetry()
-    if tel is not None and tel.decisions is not None:
-        engine.decision_tap = tel.decisions
-    return engine, sorted(config)       # leftovers have no fluid meaning
-
-
-def _make_driver(
-    engine: FluidEngine, spec: ScenarioSpec, flow_specs: list[FlowSpec]
-) -> tuple[FluidDynamicsDriver | None, list[FlowSpec]]:
-    """Install the spec's dynamics timeline (if any) on the engine.
-
-    Burst flows are materialized with the *same* helper and flow-id
-    sequence as the packet program, so both backends inject the
-    identical population.
+    ``config`` (default ``spec.config``) is what the engine is built
+    from; keys it has no use for land in ``fluid_ignored_config``.
+    ``config["fluid_engine"]`` picks the implementation: the vectorized
+    array engine by default, ``"scalar"`` for the loop-per-flow
+    reference — same semantics, kept for equivalence testing and as the
+    speedup baseline.  The hybrid backend passes its fluid half's share
+    of the config and, in mixed mode, ``sampled=False``: queue series
+    then come from the packet half alone (one coherent label set).
     """
-    timeline = spec_timeline(spec)
-    if not timeline:
-        return None, flow_specs
-    next_id = max((fs.flow_id for fs in flow_specs), default=0) + 1
-    bursts, burst_entries = burst_flow_specs(
-        timeline, engine.topology.hosts, spec.seed, next_id
-    )
-    driver = FluidDynamicsDriver(engine, timeline, burst_entries)
-    driver.install()
-    return driver, flow_specs + bursts
 
-
-def _timed_run(engine, deadline: float) -> bool:
-    """Run the engine under the ambient telemetry context, if any.
-
-    Attaches the :class:`~repro.obs.probes.FluidProbe` (array engine
-    only — the scalar reference has no array registers to sample) and
-    times the whole run as the ``run`` span; with no ambient telemetry
-    this is a plain ``engine.run``.
-    """
-    tel = current_telemetry()
-    probe = instrument_fluid(engine, tel) if tel is not None else None
-    try:
-        with maybe_span("run"):
-            return engine.run(deadline=deadline)
-    finally:
-        if probe is not None:
-            probe.finish(engine)
-            engine.telemetry = None
-
-
-def _record(
-    spec: ScenarioSpec,
-    engine: FluidEngine,
-    completed: bool,
-    ignored_config: list[str],
-    driver: FluidDynamicsDriver | None = None,
-) -> RunRecord:
-    packet_wire = engine.mtu + engine.header
-    extras: dict = {
-        "n_hosts": engine.topology.n_hosts,
-        "header_bytes": engine.header,
-        "drops": int(engine.dropped_bytes() / packet_wire),
-        "pause_count": 0,
-        "pause_total_ns": 0.0,
-        "switch_queued_bytes": {
-            str(sw): int(q) for sw, q in engine.switch_queued_bytes().items()
-        },
-        "fluid_steps": engine.steps,
-        "fluid_flow_steps": engine.flow_steps,
-    }
-    goodput = engine.goodput_payload()
-    if goodput is not None:
-        extras["goodput"] = goodput
-    if driver is not None:
-        extras["link_events"] = driver.report()
-    if ignored_config:
-        extras["fluid_ignored_config"] = ignored_config
-    return RunRecord(
-        spec=spec,
-        fct=[
-            {
-                "flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
-                "size": r.spec.size, "start_time": r.spec.start_time,
-                "tag": r.spec.tag, "start": r.start, "finish": r.finish,
-                "ideal": r.ideal,
-            }
-            for r in engine.fct_records
-        ],
-        queues={
-            label: {"times": list(s["times"]), "qlens": list(s["qlens"])}
-            for label, s in engine.queue_samples.items()
-        },
-        extras=extras,
-        events_processed=engine.steps,
-        duration_ns=engine.now,
-        completed=completed,
-    )
-
-
-def _run_load_fluid(spec: ScenarioSpec) -> RunRecord:
-    """Fluid twin of the packet ``load`` program.
-
-    The flow population (Poisson background + incast bursts) is generated
-    by the *same* code with the same seed, so a packet and a fluid run of
-    one spec simulate the identical offered workload.
-    """
-    with maybe_span("setup"):
-        topology = build_topology(spec)
-        engine, ignored = _make_engine(topology, spec)
-        workload = spec.workload
-        flows, duration = generate_load_flows(
-            topology, workload_cdf(workload),
-            load=workload["load"], n_flows=workload["n_flows"],
-            seed=spec.seed, wire_overhead=engine.wire_factor,
-            incast=workload.get("incast"),
+    def __init__(self, spec: ScenarioSpec, topology: Topology,
+                 config: dict | None = None, sampled: bool = True) -> None:
+        self.spec = spec
+        config = dict(spec.config if config is None else config)
+        engines = {"array": FluidEngine, "scalar": ScalarFluidEngine}
+        engine_cls = engines[require_known(
+            "config.fluid_engine", config.pop("fluid_engine", "array"),
+            engines)]
+        self.engine = engine = engine_cls(
+            topology,
+            cc_name=spec.cc.name,
+            cc_params=spec.cc.params,
+            base_rtt=config.pop("base_rtt", None),
+            mtu=config.pop("mtu", 1000),
+            buffer_bytes=config.pop("buffer_bytes", 32 * MB),
+            step=config.pop("fluid_step", None),
+            sample_interval=spec.measure.get("sample_interval")
+            if sampled else None,
+            goodput_bin=config.pop("goodput_bin", None),
         )
-        driver, flows = _make_driver(engine, spec, flows)
-        engine.add_flows(flows)
-    completed = _timed_run(
-        engine, deadline=duration * workload.get("deadline_factor", 2.5)
-    )
-    with maybe_span("collect"):
-        record = _record(spec, engine, completed, ignored, driver)
-        if driver is not None:
-            # The load population is anonymous bg flows, but injected
-            # bursts are selectable by tag — mirror the packet program.
-            from ..runner.execute import _merge_burst_flow_ids
+        engine.decision_tap = getattr(current_telemetry(), "decisions", None)
+        self.ignored = sorted(config)   # leftovers have no fluid meaning
+        self.wire_factor = engine.wire_factor
+        self.driver: FluidDynamicsDriver | None = None
 
-            _merge_burst_flow_ids(record.extras)
-    return record
+    def admit(self, flows: list[FlowSpec], timeline: Timeline,
+              burst_entries: list[dict]) -> None:
+        if timeline:
+            self.driver = FluidDynamicsDriver(
+                self.engine, timeline, burst_entries)
+            self.driver.install()
+        self.engine.add_flows(flows)
 
+    @contextmanager
+    def running(self):
+        """The run phase's instrumentation: a
+        :class:`~repro.obs.probes.FluidProbe` while an ambient telemetry
+        context is active (array engine only — the scalar reference has
+        no array registers to sample)."""
+        engine = self.engine
+        tel = current_telemetry()
+        probe = instrument_fluid(engine, tel) if tel is not None else None
+        try:
+            yield
+        finally:
+            if probe is not None:
+                probe.finish(engine)
+                engine.telemetry = None
 
-def _run_flows_fluid(spec: ScenarioSpec) -> RunRecord:
-    """Fluid twin of the packet ``flows`` program, dynamics included."""
-    with maybe_span("setup"):
-        topology = build_topology(spec)
-        engine, ignored = _make_engine(topology, spec)
-        flow_specs = [
-            FlowSpec(
-                flow_id=i, src=entry[0], dst=entry[1], size=entry[2],
-                start_time=entry[3] if len(entry) > 3 else 0.0,
-                tag=entry[4] if len(entry) > 4 else "bg",
-            )
-            for i, entry in enumerate(spec.workload["flows"], start=1)
-        ]
-        driver, flow_specs = _make_driver(engine, spec, flow_specs)
-        engine.add_flows(flow_specs)
-    completed = _timed_run(engine, deadline=spec.workload["deadline"])
-    with maybe_span("collect"):
-        record = _record(spec, engine, completed, ignored, driver)
-        flow_ids: dict[str, list[int]] = {}
-        for fs in flow_specs:
-            flow_ids.setdefault(fs.tag, []).append(fs.flow_id)
-        record.extras["flow_ids"] = flow_ids
-        if spec.measure.get("windows"):
-            record.extras["final_windows"] = {
-                str(f.spec.flow_id): f.proxy.window for f in engine._starts
-            }
-    return record
+    def run(self, deadline: float) -> bool:
+        with self.running(), maybe_span("run"):
+            return self.engine.run(deadline=deadline)
 
+    def record(self, completed: bool) -> RunRecord:
+        engine = self.engine
+        extras: dict = {
+            "n_hosts": engine.topology.n_hosts,
+            "header_bytes": engine.header,
+            "drops": int(engine.dropped_bytes() / (engine.mtu + engine.header)),
+            "pause_count": 0,
+            "pause_total_ns": 0.0,
+            "switch_queued_bytes": {
+                str(sw): int(q)
+                for sw, q in engine.switch_queued_bytes().items()
+            },
+            "fluid_steps": engine.steps,
+            "fluid_flow_steps": engine.flow_steps,
+        }
+        goodput = engine.goodput_payload()
+        if goodput is not None:
+            extras["goodput"] = goodput
+        if self.driver is not None:
+            extras["link_events"] = self.driver.report()
+        if self.ignored:
+            extras["fluid_ignored_config"] = self.ignored
+        return RunRecord(
+            spec=self.spec,
+            fct=fct_rows(engine.fct_records),
+            queues={
+                label: {"times": list(s["times"]), "qlens": list(s["qlens"])}
+                for label, s in engine.queue_samples.items()
+            },
+            extras=extras,
+            events_processed=engine.steps,
+            duration_ns=engine.now,
+            completed=completed,
+        )
 
-#: Program name -> fluid implementation.  The analytic appendix programs
-#: are backend-independent; ``execute_spec`` reuses the packet entries.
-FLUID_PROGRAMS = {
-    "load": _run_load_fluid,
-    "flows": _run_flows_fluid,
-}
+    def windows(self) -> dict[str, float | None]:
+        return {
+            str(f.spec.flow_id): f.proxy.window for f in self.engine._starts
+        }

@@ -11,9 +11,9 @@ flows keep packet-level fidelity while "millions of users" of
 background load cost near-fluid time.
 
 Degenerate limits are exact by construction: an all-foreground
-partition delegates to the pure packet program and an all-background
-partition to the pure fluid program, so both are bit-identical to the
-single-engine backends (pinned by ``tests/test_hybrid.py``).
+partition builds the packet half alone and an all-background partition
+the fluid half alone, so both are bit-identical to the single-engine
+backends (pinned by ``tests/test_hybrid.py``).
 """
 
 from .coupling import BgLinkView, HybridCoupler

@@ -28,8 +28,8 @@ class HybridEngine:
     before construction; the constructor attaches the coupler's link
     views, so a freshly constructed ``HybridEngine`` already alters the
     packet half's ECN/INT/serialization inputs.  Degenerate partitions
-    never construct one — ``repro.hybrid.programs`` delegates those
-    straight to the pure backends.
+    never construct one — ``HybridBackend`` then runs its one half
+    as the pure backend it is.
     """
 
     def __init__(

@@ -1,21 +1,18 @@
-"""Hybrid-backend scenario programs: packet foreground, fluid background.
+"""The hybrid backend: a packet foreground composed with a fluid background.
 
-These mirror the ``load`` and ``flows`` programs of
-``repro.runner.execute``: the same topology factory, workload CDF,
-Poisson/incast generation and dynamics timeline produce the *identical*
-flow population, which is then split by the spec's
-``workload["foreground"]`` selector (:mod:`repro.hybrid.select`).  The
-foreground half runs on the packet ``Network``, the background half on
-the :class:`~repro.fluid.engine.FluidEngine`, and
+:class:`HybridBackend` implements the backend contract of
+``repro.runner.execute`` by *composition*: the population the shared
+program offers is split by the spec's ``workload["foreground"]``
+selector (:mod:`repro.hybrid.select`), the foreground half is admitted
+to a :class:`~repro.runner.harness.PacketBackend`, the background half
+to a :class:`~repro.fluid.programs.FluidBackend`, and
 :class:`~repro.hybrid.engine.HybridEngine` advances both in lockstep
 epochs.
 
-Degenerate partitions delegate wholesale: an all-foreground spec runs
-the pure packet program and an all-background spec the pure fluid
-program (only ``record.spec`` and the ``hybrid_mode`` extras marker
-differ), which is what makes the equivalence suite's bit-identity
-pins (``tests/test_hybrid.py``) hold by construction rather than by
-tolerance.
+A degenerate partition builds one half only and simply *is* that pure
+backend — which is what makes the equivalence suite's bit-identity pins
+(``tests/test_hybrid.py``) hold by construction rather than by
+tolerance.  Only the ``hybrid_mode`` and partition-size extras differ.
 
 Config keys by consumer — the contract documented in
 ``docs/architecture.md``:
@@ -24,365 +21,136 @@ Config keys by consumer — the contract documented in
 * packet half only: ``transport``, ``pfc_enabled``, ``int_enabled``,
   ``pfc``, ``ecn``, ``rto``, ``gbn_recovery_cap`` (and every other
   ``NetworkConfig`` knob);
-* fluid half only: ``fluid_step`` (``fluid_engine`` is ignored — the
+* fluid half only: ``fluid_step``, and ``fluid_engine`` when the
+  partition is all-background (mixed mode ignores and records it — the
   coupler needs the array registers);
 * hybrid only: ``hybrid_epoch`` (default: the fluid step, one base
   RTT), ``hybrid_min_residual`` (serialization floor, default 0.05).
 
 Mixed-mode records carry both halves: merged FCTs (sorted by finish
 time), packet-half queue samples, merged goodput bins, packet events
-plus fluid steps as ``events_processed``, and a ``hybrid`` extras block
-with the partition sizes and epoch count.
+plus fluid steps as ``events_processed``, and the partition sizes and
+epoch count in the extras.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..dynamics import FluidDynamicsDriver, PacketDynamicsDriver, burst_flow_specs
-from ..fluid.engine import FluidEngine
-from ..metrics.queuestats import QueueSampler
-from ..obs import current as current_telemetry
-from ..obs import instrument_fluid, instrument_simulator, maybe_span
-from ..runner.execute import (
-    _base_extras,
-    _fct_payload,
-    _merge_burst_flow_ids,
-    _resolve_ports,
-    build_topology,
-    spec_timeline,
-    workload_cdf,
-)
-from ..runner.harness import RunResult, generate_load_flows, setup_network
+from ..dynamics import Timeline
+from ..fluid.programs import FluidBackend
+from ..network import header_bytes
+from ..obs import maybe_span
+from ..runner.harness import PacketBackend
 from ..runner.results import RunRecord
 from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
-from ..sim.units import MB
+from ..topology.base import Topology
 from .engine import HybridEngine
 from .select import partition_specs
 
-#: Config keys no half of a hybrid run consumes directly.
+#: Config keys only the hybrid coupling consumes.
 _HYBRID_KEYS = ("hybrid_epoch", "hybrid_min_residual")
 #: Config keys only the fluid half understands (stripped before the
 #: packet ``NetworkConfig`` sees them).
 _FLUID_KEYS = ("fluid_step", "fluid_engine")
 
 
-class _HybridConfig:
-    """The spec's config, split by consuming half."""
+class HybridBackend:
+    """Packet foreground + fluid background, coupled per epoch."""
 
-    def __init__(self, spec: ScenarioSpec) -> None:
-        config = dict(spec.config)
-        self.epoch = config.pop("hybrid_epoch", None)
-        self.min_residual = config.pop("hybrid_min_residual", 0.05)
-        self.fluid_step = config.pop("fluid_step", None)
-        self.ignored: list[str] = []
-        if config.pop("fluid_engine", None) is not None:
-            # The coupler reads/writes the array registers, so the
-            # scalar reference engine cannot back a hybrid run.
-            self.ignored.append("fluid_engine")
-        self.base_rtt = config.pop("base_rtt", None)
-        self.goodput_bin = config.pop("goodput_bin", None)
-        self.mtu = config.get("mtu", 1000)
-        self.buffer_bytes = config.get("buffer_bytes", 32 * MB)
-        self.packet = config          # remaining NetworkConfig overrides
+    def __init__(self, spec: ScenarioSpec, topology: Topology) -> None:
+        self.spec = spec
+        self.topology = topology
+        # The packet half's wire overhead, known before either half
+        # exists: the partition needs the population, which needs this.
+        mtu = spec.config.get("mtu", 1000)
+        header = header_bytes(spec.cc.name, spec.config.get("int_enabled"))
+        self.wire_factor = (mtu + header) / mtu
+        self.packet: PacketBackend | None = None
+        self.fluid: FluidBackend | None = None
+        self.engine: HybridEngine | None = None
+        self.foreground: list[FlowSpec] = []
+        self.background: list[FlowSpec] = []
 
+    def _config(self, *dropped: str) -> dict:
+        return {k: v for k, v in self.spec.config.items() if k not in dropped}
 
-def _strip_config(spec: ScenarioSpec, keys: tuple[str, ...]) -> ScenarioSpec:
-    """A copy of ``spec`` with the named config keys removed."""
-    config = {k: v for k, v in spec.config.items() if k not in keys}
-    if config == spec.config:
-        return spec
-    return replace(spec, config=config)
+    def admit(self, flows: list[FlowSpec], timeline: Timeline,
+              burst_entries: list[dict]) -> None:
+        """Partition, then build and populate only the halves needed.
 
+        Each half applies fail/restore/degrade natively; the burst
+        accounting entries go to the first half that exists, so
+        ``link_events`` reports them once.
+        """
+        spec = self.spec
+        fg, bg = partition_specs(flows, spec.workload.get("foreground"))
+        self.foreground, self.background = fg, bg
+        if fg or not bg:
+            self.packet = PacketBackend(
+                spec, self.topology, self._config(*_HYBRID_KEYS, *_FLUID_KEYS))
+            self.packet.admit(fg, timeline, burst_entries)
+            burst_entries = []
+        if bg:
+            mixed = self.packet is not None
+            dropped = _HYBRID_KEYS + (("fluid_engine",) if mixed else ())
+            self.fluid = FluidBackend(
+                spec, self.topology, self._config(*dropped),
+                sampled=not mixed,
+            )
+            self.fluid.admit(bg, timeline, burst_entries)
+        if self.packet is not None and self.fluid is not None:
+            self.engine = HybridEngine(
+                self.packet.net, self.fluid.engine,
+                epoch=spec.config.get("hybrid_epoch"),
+                min_residual=spec.config.get("hybrid_min_residual", 0.05),
+            )
 
-def _delegate(
-    spec: ScenarioSpec, program, strip: tuple[str, ...],
-    mode: str, n_fg: int, n_bg: int,
-) -> RunRecord:
-    """Run a degenerate partition on the pure backend it collapses to.
+    def run(self, deadline: float) -> bool:
+        if self.engine is None:
+            return (self.packet or self.fluid).run(deadline)
+        with self.packet.running(), self.fluid.running(), maybe_span("run"):
+            return self.engine.run(deadline)
 
-    The delegated program sees a spec stripped of the config keys it
-    would reject (or noisily ignore); the returned record is re-stamped
-    with the original hybrid spec so caching and reporting key off the
-    right identity.
-    """
-    record = program(_strip_config(spec, strip))
-    record.spec = spec
-    record.extras["hybrid_mode"] = mode
-    record.extras["foreground_flows"] = n_fg
-    record.extras["background_flows"] = n_bg
-    return record
+    def record(self, completed: bool) -> RunRecord:
+        if self.engine is None:
+            record = (self.packet or self.fluid).record(completed)
+            mode = "all_foreground" if self.fluid is None else "all_background"
+        else:
+            record = self._merged(
+                self.packet.record(completed), self.fluid.record(completed))
+            mode = "mixed"
+        record.extras["hybrid_mode"] = mode
+        record.extras["foreground_flows"] = len(self.foreground)
+        record.extras["background_flows"] = len(self.background)
+        return record
 
+    def _merged(self, record: RunRecord, bg: RunRecord) -> RunRecord:
+        """The packet half's record with the fluid half folded in.
 
-def _delegate_packet(spec, n_fg):
-    from ..runner.execute import PROGRAMS
-
-    return _delegate(
-        spec, PROGRAMS[spec.program], _HYBRID_KEYS + _FLUID_KEYS,
-        "all_foreground", n_fg, 0,
-    )
-
-
-def _delegate_fluid(spec, n_bg):
-    from ..fluid.programs import FLUID_PROGRAMS
-
-    return _delegate(
-        spec, FLUID_PROGRAMS[spec.program], _HYBRID_KEYS,
-        "all_background", 0, n_bg,
-    )
-
-
-def _make_fluid_half(topology, spec: ScenarioSpec, cfg: _HybridConfig):
-    """The background engine: always the array implementation.
-
-    Queue sampling stays on the packet half (one coherent label set in
-    the record), so the fluid half never gets a ``sample_interval``.
-    """
-    engine = FluidEngine(
-        topology,
-        cc_name=spec.cc.name,
-        cc_params=spec.cc.params,
-        base_rtt=cfg.base_rtt,
-        mtu=cfg.mtu,
-        buffer_bytes=cfg.buffer_bytes,
-        step=cfg.fluid_step,
-        goodput_bin=cfg.goodput_bin,
-    )
-    tel = current_telemetry()
-    if tel is not None and tel.decisions is not None:
-        engine.decision_tap = tel.decisions
-    return engine
-
-
-def _install_dynamics(net, engine, timeline, burst_entries):
-    """Mirror the timeline onto both halves.
-
-    Each half applies fail/restore/degrade natively (the packet driver
-    on the calendar queue, the fluid driver on the event heap); burst
-    flows were already materialized into the partitioned population, so
-    only the packet driver carries the accounting entries (one report,
-    no double counting).
-    """
-    drivers = []
-    if timeline:
-        packet_driver = PacketDynamicsDriver(net, timeline, burst_entries)
-        packet_driver.install()
-        fluid_driver = FluidDynamicsDriver(engine, timeline, [])
-        fluid_driver.install()
-        drivers = [packet_driver, fluid_driver]
-    return drivers
-
-
-def _run_mixed(
-    spec: ScenarioSpec,
-    topology,
-    cfg: _HybridConfig,
-    net,
-    foreground: list[FlowSpec],
-    background: list[FlowSpec],
-    timeline,
-    burst_entries: list[dict],
-    deadline: float,
-    sample_ports: dict | None,
-) -> RunRecord:
-    """Build, couple and run both halves; assemble the merged record."""
-    with maybe_span("setup"):
-        engine = _make_fluid_half(topology, spec, cfg)
-        drivers = _install_dynamics(net, engine, timeline, burst_entries)
-        net.add_flows(foreground)
-        engine.add_flows(background)
-        sampler = None
-        interval = spec.measure.get("sample_interval")
-        if interval is not None:
-            ports = sample_ports if sample_ports is not None \
-                else net.switch_port_labels()
-            sampler = QueueSampler(net.sim, ports, interval)
-        hybrid = HybridEngine(
-            net, engine, epoch=cfg.epoch, min_residual=cfg.min_residual,
-        )
-
-    tel = current_telemetry()
-    sim_probe = instrument_simulator(net.sim, tel) if tel is not None else None
-    fluid_probe = instrument_fluid(engine, tel) if tel is not None else None
-    try:
-        with maybe_span("run"):
-            completed = hybrid.run(deadline)
-    finally:
-        if sim_probe is not None:
-            sim_probe.finish(net.sim)
-            net.sim.telemetry = None
-        if fluid_probe is not None:
-            fluid_probe.finish(engine)
-            engine.telemetry = None
-    if sampler is not None:
-        sampler.stop()
-
-    with maybe_span("collect"):
-        result = RunResult(
-            net=net, records=net.metrics.fct_records, sampler=sampler,
-            duration=hybrid.now, completed=completed,
-        )
-        extras = _base_extras(spec, result, net)
-        packet_wire = engine.mtu + engine.header
-        extras["drops"] += int(engine.dropped_bytes() / packet_wire)
-        extras["fluid_steps"] = engine.steps
-        extras["fluid_flow_steps"] = engine.flow_steps
-        extras["hybrid_mode"] = "mixed"
-        extras["foreground_flows"] = len(foreground)
-        extras["background_flows"] = len(background)
-        extras["hybrid_epoch"] = hybrid.epoch
-        extras["hybrid_epochs"] = hybrid.epochs
+        Queue series, pause accounting, ``switch_queued_bytes`` and
+        ``link_events`` stay the packet half's; FCT rows, goodput bins,
+        drops and the work counters are summed or unioned.
+        """
+        record.fct = sorted(
+            record.fct + bg.fct, key=lambda r: (r["finish"], r["flow_id"]))
+        record.events_processed += bg.events_processed
+        record.duration_ns = max(record.duration_ns, bg.duration_ns)
+        extras = record.extras
+        extras["drops"] += bg.extras["drops"]
+        extras["fluid_steps"] = bg.extras["fluid_steps"]
+        extras["fluid_flow_steps"] = bg.extras["fluid_flow_steps"]
+        extras["hybrid_epoch"] = self.engine.epoch
+        extras["hybrid_epochs"] = self.engine.epochs
         extras["foreground_flow_ids"] = sorted(
-            fs.flow_id for fs in foreground
-        )
-        if cfg.ignored:
-            extras["fluid_ignored_config"] = cfg.ignored
-        if drivers:
-            extras["link_events"] = drivers[0].report()
-        fluid_goodput = engine.goodput_payload()
-        if fluid_goodput is not None:
-            if "goodput" in extras:
-                extras["goodput"]["bins"].update(fluid_goodput["bins"])
-            else:
-                extras["goodput"] = fluid_goodput
-        if spec.measure.get("windows"):
-            windows: dict[str, float | None] = {}
-            for fs in foreground:
-                flow = net.nics[fs.src].flows.get(fs.flow_id)
-                windows[str(fs.flow_id)] = getattr(flow, "window", None) \
-                    if flow is not None else None
-            for f in engine._starts:
-                windows[str(f.spec.flow_id)] = f.proxy.window
-            extras["final_windows"] = windows
-        fct = _fct_payload(result) + [
-            {
-                "flow_id": r.spec.flow_id, "src": r.spec.src,
-                "dst": r.spec.dst, "size": r.spec.size,
-                "start_time": r.spec.start_time, "tag": r.spec.tag,
-                "start": r.start, "finish": r.finish, "ideal": r.ideal,
-            }
-            for r in engine.fct_records
-        ]
-        fct.sort(key=lambda r: (r["finish"], r["flow_id"]))
-        queues = {}
-        if sampler is not None:
-            queues = {
-                label: {"times": list(sampler.times), "qlens": list(values)}
-                for label, values in sampler.samples.items()
-            }
-        return RunRecord(
-            spec=spec,
-            fct=fct,
-            queues=queues,
-            extras=extras,
-            events_processed=hybrid.events_processed,
-            duration_ns=hybrid.now,
-            completed=completed,
-        )
+            fs.flow_id for fs in self.foreground)
+        if self.spec.config.get("fluid_engine") is not None:
+            extras["fluid_ignored_config"] = ["fluid_engine"]
+        if "goodput" in bg.extras:
+            extras["goodput"]["bins"].update(bg.extras["goodput"]["bins"])
+        return record
 
-
-def _run_load_hybrid(spec: ScenarioSpec) -> RunRecord:
-    """Hybrid twin of the packet ``load`` program.
-
-    The Poisson/incast population is generated by the same helper with
-    the packet half's wire overhead (exactly as the packet program
-    does), then partitioned; degenerate partitions delegate to the pure
-    backends.
-    """
-    with maybe_span("setup"):
-        topology = build_topology(spec)
-        cfg = _HybridConfig(spec)
-        net = setup_network(
-            topology, spec.cc, base_rtt=cfg.base_rtt,
-            goodput_bin=cfg.goodput_bin, seed=spec.seed, **cfg.packet,
-        )
-        workload = spec.workload
-        wire = (net.config.mtu + net.header) / net.config.mtu
-        flows, duration = generate_load_flows(
-            topology, workload_cdf(workload),
-            load=workload["load"], n_flows=workload["n_flows"],
-            seed=spec.seed, wire_overhead=wire,
-            incast=workload.get("incast"),
-        )
-        timeline = spec_timeline(spec)
-        bursts: list[FlowSpec] = []
-        burst_entries: list[dict] = []
-        if timeline:
-            next_id = max((fs.flow_id for fs in flows), default=0) + 1
-            bursts, burst_entries = burst_flow_specs(
-                timeline, topology.hosts, spec.seed, next_id
-            )
-        population = flows + bursts
-        foreground, background = partition_specs(
-            population, workload.get("foreground")
-        )
-    if not background:
-        return _delegate_packet(spec, len(foreground))
-    if not foreground:
-        return _delegate_fluid(spec, len(background))
-    record = _run_mixed(
-        spec, topology, cfg, net, foreground, background,
-        timeline, burst_entries,
-        deadline=duration * workload.get("deadline_factor", 2.5),
-        sample_ports=None,
-    )
-    _merge_burst_flow_ids(record.extras)
-    return record
-
-
-def _run_flows_hybrid(spec: ScenarioSpec) -> RunRecord:
-    """Hybrid twin of the packet ``flows`` program, dynamics included."""
-    with maybe_span("setup"):
-        topology = build_topology(spec)
-        cfg = _HybridConfig(spec)
-        workload = spec.workload
-        flow_specs = [
-            FlowSpec(
-                flow_id=i, src=entry[0], dst=entry[1], size=entry[2],
-                start_time=entry[3] if len(entry) > 3 else 0.0,
-                tag=entry[4] if len(entry) > 4 else "bg",
-            )
-            for i, entry in enumerate(workload["flows"], start=1)
-        ]
-        timeline = spec_timeline(spec)
-        bursts: list[FlowSpec] = []
-        burst_entries: list[dict] = []
-        if timeline:
-            next_id = max((fs.flow_id for fs in flow_specs), default=0) + 1
-            bursts, burst_entries = burst_flow_specs(
-                timeline, topology.hosts, spec.seed, next_id
-            )
-        population = flow_specs + bursts
-        foreground, background = partition_specs(
-            population, workload.get("foreground")
-        )
-    if not background:
-        return _delegate_packet(spec, len(foreground))
-    if not foreground:
-        return _delegate_fluid(spec, len(background))
-    with maybe_span("setup"):
-        net = setup_network(
-            topology, spec.cc, base_rtt=cfg.base_rtt,
-            goodput_bin=cfg.goodput_bin, seed=spec.seed, **cfg.packet,
-        )
-        sample_ports = _resolve_ports(net, spec.measure.get("sample_ports"))
-    record = _run_mixed(
-        spec, topology, cfg, net, foreground, background,
-        timeline, burst_entries,
-        deadline=workload["deadline"], sample_ports=sample_ports,
-    )
-    flow_ids: dict[str, list[int]] = {}
-    for fs in population:
-        flow_ids.setdefault(fs.tag, []).append(fs.flow_id)
-    record.extras["flow_ids"] = flow_ids
-    return record
-
-
-#: Program name -> hybrid implementation.  The analytic appendix
-#: programs are backend-independent; ``execute_spec`` reuses the packet
-#: entries.
-HYBRID_PROGRAMS = {
-    "load": _run_load_hybrid,
-    "flows": _run_flows_hybrid,
-}
+    def windows(self) -> dict[str, float | None]:
+        return {
+            **(self.packet.windows() if self.packet is not None else {}),
+            **(self.fluid.windows() if self.fluid is not None else {}),
+        }

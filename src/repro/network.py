@@ -63,6 +63,14 @@ class NetworkConfig:
     seed: int = 1
 
 
+def header_bytes(cc_name: str, int_enabled: bool | None = None) -> int:
+    """Per-packet header on the wire: the INT stack rides along when
+    enabled (default: whenever the scheme needs it)."""
+    if int_enabled is None:
+        int_enabled = get_scheme(cc_name).needs_int
+    return BASE_HEADER + (INT_OVERHEAD if int_enabled else 0)
+
+
 class Network:
     """A live, runnable network simulation."""
 
@@ -82,7 +90,7 @@ class Network:
             else self.scheme.needs_int
         )
         self.int_enabled = int_enabled
-        header = BASE_HEADER + (INT_OVERHEAD if int_enabled else 0)
+        header = header_bytes(config.cc_name, int_enabled)
         self.header = header
         self.base_rtt = (
             config.base_rtt

@@ -22,13 +22,7 @@ from .execute import (
     validate_specs,
     workload_cdf,
 )
-from .harness import (
-    RunResult,
-    generate_load_flows,
-    load_experiment,
-    run_workload,
-    setup_network,
-)
+from .harness import generate_load_flows
 from .journal import SweepJournal, plan_resume
 from .results import RunCache, RunRecord, write_records_csv
 from .spec import (
@@ -49,7 +43,6 @@ __all__ = [
     "PROGRAMS",
     "RunCache",
     "RunRecord",
-    "RunResult",
     "ScenarioGrid",
     "ScenarioSpec",
     "SweepJournal",
@@ -65,9 +58,6 @@ __all__ = [
     "plan_resume",
     "validate_specs",
     "workload_cdf",
-    "load_experiment",
-    "run_workload",
     "seed_axis",
-    "setup_network",
     "write_records_csv",
 ]

@@ -1,34 +1,57 @@
-"""Scenario execution: programs and the spec interpreter.
+"""Scenario execution: registries, the backend contract, the programs.
 
-The **programs** are the generic execution recipes every figure is built
-from.  A program takes a :class:`ScenarioSpec` (pure data), builds its
-own ``Network``, runs it, and returns a :class:`RunRecord` (pure data
-again) — nothing live crosses the boundary, which is what lets
-:class:`~repro.runner.sweep.SweepRunner` fan specs out over a
-``ProcessPoolExecutor``.
+A **program** takes a :class:`ScenarioSpec` (pure data), runs it, and
+returns a :class:`RunRecord` (pure data again) — nothing live crosses
+the boundary, which is what lets :class:`~repro.runner.sweep.SweepRunner`
+fan specs out over a ``ProcessPoolExecutor``.
 
-Telemetry (``repro.obs``) is opt-in per sweep: :func:`execute_spec`
-builds a run-scoped memory-sink :class:`~repro.obs.Telemetry` when
-asked, and programs mark their setup/run/collect phases through the
-ambient :func:`~repro.obs.maybe_span` context (a no-op otherwise).
+``load`` and ``flows`` are one program, :func:`_run_network`, over a
+:class:`Backend`: build the topology, construct the backend, generate
+the flow population (the only step the two differ in), materialise the
+timeline's bursts, ``admit``, ``run``, ``record``, stamp
+``flow_ids``/``final_windows``.  Every backend is therefore offered the
+identical traffic.  The contract's fine print:
+
+1. The packet half installs the timeline driver, *then* creates the
+   queue sampler, *then* admits flows: calendar-queue sequence numbers
+   break same-time ties, so the order is part of the record.
+2. The hybrid's packet half follows that same order in mixed mode.
+3. Flow ids are ``1..n`` by position; burst ids start at ``max(id) + 1``.
+4. A degenerate hybrid partition builds one half only: all-foreground
+   the packet half from ``spec.config`` minus the ``hybrid_*`` and
+   ``fluid_*`` keys, all-background the fluid half from ``spec.config``
+   minus ``hybrid_*`` (so ``fluid_engine="scalar"`` is honoured there;
+   mixed mode needs the array registers, records the key under
+   ``fluid_ignored_config`` and gives the fluid half no queue sampling).
+5. Only the first half that exists carries the burst accounting
+   entries, so ``link_events`` reports each burst once.
+6. The hybrid can only choose its halves once it has the population,
+   which is why ``admit`` takes the timeline along with the flows.
+
+Telemetry (``repro.obs``) is opt-in: :func:`execute_spec` builds a
+run-scoped memory-sink :class:`~repro.obs.Telemetry` when asked, and the
+program marks its setup/run/collect phases through the ambient
+:func:`~repro.obs.maybe_span` context (a no-op otherwise).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from importlib import import_module
+from typing import Callable, Protocol
 
-from ..dynamics import PacketDynamicsDriver, Timeline, burst_flow_specs
+from ..dynamics import Timeline, burst_flow_specs
 from ..obs import Telemetry, maybe_span, using
+from ..sim.flow import FlowSpec
 from ..topology.base import Topology
 from ..topology.fattree import FatTreeSpec, fattree
 from ..topology.simple import dual_trunk, dumbbell, intree, parking_lot, star
 from ..topology.testbed import testbed
 from ..workloads.fbhadoop import fbhadoop
 from ..workloads.websearch import websearch
-from .harness import RunResult, load_experiment, run_workload, setup_network
+from .harness import generate_load_flows
 from .results import RunRecord
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, require_known
 
 # -- registries (resolved by name inside worker processes) -----------------------
 
@@ -47,93 +70,28 @@ CDFS: dict[str, Callable] = {
     "fbhadoop": fbhadoop,
 }
 
+#: Backend name -> ``module:class`` implementing :class:`Backend`
+#: (imported on first use: those modules import ``repro.runner``).  A
+#: name missing here raises instead of falling through to the packet
+#: engine, so a new ``BACKENDS`` entry without a class is loud.
+_BACKENDS: dict[str, str] = {
+    "packet": "repro.runner.harness:PacketBackend",
+    "fluid": "repro.fluid.programs:FluidBackend",
+    "hybrid": "repro.hybrid.programs:HybridBackend",
+}
+
 
 def build_topology(spec: ScenarioSpec) -> Topology:
     """Instantiate the spec's topology (cheap: no simulator involved)."""
-    try:
-        factory = TOPOLOGIES[spec.topology]
-    except KeyError:
-        known = ", ".join(sorted(TOPOLOGIES))
-        raise ValueError(
-            f"unknown topology {spec.topology!r}; known: {known}"
-        ) from None
+    factory = TOPOLOGIES[require_known("topology", spec.topology, TOPOLOGIES)]
     return factory(**spec.topology_params)
 
 
 def workload_cdf(workload: dict):
-    cdf = CDFS[workload["cdf"]]()
+    """The workload's size CDF, scaled by ``size_scale``."""
+    cdf = CDFS[require_known("workload.cdf", workload.get("cdf"), CDFS)]()
     return cdf.scaled(workload.get("size_scale", 1.0))
 
-
-# -- payload builders -------------------------------------------------------------
-
-def _fct_payload(result: RunResult) -> list[dict]:
-    return [
-        {
-            "flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
-            "size": r.spec.size, "start_time": r.spec.start_time,
-            "tag": r.spec.tag, "start": r.start, "finish": r.finish,
-            "ideal": r.ideal,
-        }
-        for r in result.records
-    ]
-
-
-def _queue_payload(result: RunResult) -> dict[str, dict]:
-    if result.sampler is None:
-        return {}
-    return {
-        label: {"times": list(result.sampler.times), "qlens": list(values)}
-        for label, values in result.sampler.samples.items()
-    }
-
-
-def _base_extras(spec: ScenarioSpec, result: RunResult, net) -> dict:
-    tracker = net.metrics.pause_tracker
-    extras: dict = {
-        "n_hosts": net.topology.n_hosts,
-        "header_bytes": net.header,
-        "drops": net.metrics.drop_count,
-        "pause_count": tracker.pause_count(),
-        "pause_total_ns": tracker.total_pause_time(None),
-        "switch_queued_bytes": {
-            str(sw): switch.total_queued_bytes()
-            for sw, switch in net.switches.items()
-        },
-    }
-    if spec.measure.get("pause_intervals"):
-        extras["pause_intervals"] = [
-            [iv.device, iv.port, iv.start, iv.end] for iv in tracker.intervals
-        ]
-        extras["origin_of"] = [
-            [device, port, peer]
-            for (device, port), peer in net.origin_of.items()
-        ]
-    if net.metrics.goodput is not None:
-        extras["goodput"] = {
-            "bin_ns": net.metrics.goodput.bin_ns,
-            "bins": {
-                str(flow_id): {str(idx): n for idx, n in bins.items()}
-                for flow_id, bins in net.metrics.goodput._bins.items()
-            },
-        }
-    return extras
-
-
-def _finish_record(spec: ScenarioSpec, result: RunResult, net,
-                   extras: dict) -> RunRecord:
-    return RunRecord(
-        spec=spec,
-        fct=_fct_payload(result),
-        queues=_queue_payload(result),
-        extras=extras,
-        events_processed=net.sim.events_processed,
-        duration_ns=result.duration,
-        completed=result.completed,
-    )
-
-
-# -- programs ---------------------------------------------------------------------
 
 def spec_timeline(spec: ScenarioSpec) -> Timeline:
     """The spec's dynamics timeline, legacy ``workload["events"]`` included.
@@ -148,140 +106,112 @@ def spec_timeline(spec: ScenarioSpec) -> Timeline:
     return Timeline.for_spec(spec.dynamics, spec.workload.get("events"))
 
 
-def _run_load(spec: ScenarioSpec) -> RunRecord:
-    """Poisson background traffic from a size CDF, optional incast bursts.
+# -- the backend contract -----------------------------------------------------------
 
-    workload: ``{"cdf", "size_scale", "load", "n_flows", "incast"?,
-    "deadline_factor"?}``; measure: ``{"sample_interval"?,
+class Backend(Protocol):
+    """What :func:`_run_network` needs from an execution engine.
+
+    Constructed from ``(spec, topology)``; the calls come once each, in
+    the order below.
+    """
+
+    #: Wire bytes per payload byte; sizes the ``load`` population.
+    wire_factor: float
+
+    def admit(self, flows: list[FlowSpec], timeline: Timeline,
+              burst_entries: list[dict]) -> None:
+        """Install the timeline and offer the whole flow population."""
+
+    def run(self, deadline: float) -> bool:
+        """Advance to completion or ``deadline``; True when all finished."""
+
+    def record(self, completed: bool) -> RunRecord:
+        """Collect FCT rows, queue series, extras and run accounting."""
+
+    def windows(self) -> dict[str, float | None]:
+        """Each admitted flow's final congestion window, by flow id."""
+
+
+def backend_class(name: str) -> type[Backend]:
+    """The :class:`Backend` implementation registered under ``name``."""
+    module, _, cls = _BACKENDS[require_known("backend", name, _BACKENDS)] \
+        .partition(":")
+    return getattr(import_module(module), cls)
+
+
+# -- programs ---------------------------------------------------------------------
+
+def _run_network(spec: ScenarioSpec) -> RunRecord:
+    """The ``load`` and ``flows`` programs, on any backend.
+
+    ``load`` — Poisson background traffic from a size CDF, optional
+    incast bursts.  workload: ``{"cdf", "size_scale", "load", "n_flows",
+    "incast"?, "deadline_factor"?}``.
+
+    ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
+    dst, size, start?, tag?], ...], "deadline", "events"?: the legacy
+    fail/restore shim}``.
+
+    Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
     "pause_intervals"?}``; config: ``NetworkConfig`` overrides
-    (``base_rtt`` required for paper fidelity); dynamics: a timeline of
-    mid-run events (see ``repro.dynamics``).
+    (``base_rtt`` required for paper fidelity) plus the backend's own
+    keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
+    Hybrid specs add ``workload["foreground"]``.
     """
-    topo = build_topology(spec)
     workload = spec.workload
-    config = dict(spec.config)
-    base_rtt = config.pop("base_rtt", None)
-    result = load_experiment(
-        topo, spec.cc, workload_cdf(workload),
-        load=workload["load"], n_flows=workload["n_flows"],
-        base_rtt=base_rtt, seed=spec.seed,
-        incast=workload.get("incast"),
-        deadline_factor=workload.get("deadline_factor", 2.5),
-        sample_interval=spec.measure.get("sample_interval"),
-        timeline=spec_timeline(spec),
-        **config,
-    )
-    net = result.net
-    with maybe_span("collect"):
-        extras = _base_extras(spec, result, net)
-        if result.dynamics is not None:
-            extras["link_events"] = result.dynamics.report()
-            _merge_burst_flow_ids(extras)
-        return _finish_record(spec, result, net, extras)
-
-
-def _merge_burst_flow_ids(extras: dict) -> None:
-    """Surface dynamics-injected burst flows under ``extras["flow_ids"]``.
-
-    The load program has no per-tag flow map of its own (the Poisson
-    population is thousands of anonymous ``bg`` flows), but injected
-    bursts are few and analyses select them by tag.
-    """
-    flow_ids: dict[str, list[int]] = extras.get("flow_ids", {})
-    for entry in extras.get("link_events", ()):
-        if entry.get("type") == "inject_burst":
-            flow_ids.setdefault(entry["tag"], []).extend(entry["flow_ids"])
-    if flow_ids:
-        extras["flow_ids"] = flow_ids
-
-
-def _resolve_ports(net, declarations) -> dict | None:
-    """Resolve a declarative port list to live egress ports.
-
-    Each entry is ``[label, "between", a, b]`` (egress of device ``a``
-    toward ``b``) or ``[label, "to_host", h]`` (the switch egress feeding
-    host ``h`` — the usual bottleneck probe).
-    """
-    if declarations is None:
-        return None
-    ports = {}
-    for entry in declarations:
-        label, kind = entry[0], entry[1]
-        if kind == "between":
-            ports[label] = net.port_between(entry[2], entry[3])
-        elif kind == "to_host":
-            host = entry[2]
-            feeder = next(
-                peer for (node, peer) in net.port_map if node == host
-            )
-            ports[label] = net.port_between(feeder, host)
-        else:
-            raise ValueError(f"unknown sample-port kind {kind!r}")
-    return ports
-
-
-def _run_flows(spec: ScenarioSpec) -> RunRecord:
-    """An explicit flow list, optionally with mid-run network dynamics.
-
-    workload: ``{"flows": [[src, dst, size, start?, tag?], ...],
-    "deadline", "events"?: the legacy fail/restore shim}``; dynamics: a
-    timeline of mid-run events (see ``repro.dynamics``); measure:
-    ``{"sample_interval"?, "sample_ports"?, "windows"?,
-    "pause_intervals"?}``.
-    """
+    explicit = spec.program == "flows"
     with maybe_span("setup"):
-        topo = build_topology(spec)
-        config = dict(spec.config)
-        base_rtt = config.pop("base_rtt", None)
-        goodput_bin = config.pop("goodput_bin", None)
-        net = setup_network(
-            topo, spec.cc, base_rtt=base_rtt, goodput_bin=goodput_bin,
-            seed=spec.seed, **config,
-        )
-        workload = spec.workload
-        flow_specs = [
-            net.make_flow(
-                src=entry[0], dst=entry[1], size=entry[2],
-                start_time=entry[3] if len(entry) > 3 else 0.0,
-                tag=entry[4] if len(entry) > 4 else "bg",
+        topology = build_topology(spec)
+        backend = backend_class(spec.backend)(spec, topology)
+        if explicit:
+            if "deadline" not in workload:
+                raise ValueError(
+                    "workload.deadline is required by the 'flows' program; "
+                    f"got workload keys: {', '.join(sorted(workload))}"
+                )
+            deadline = workload["deadline"]
+            flows = [
+                FlowSpec(
+                    flow_id=i, src=entry[0], dst=entry[1], size=entry[2],
+                    start_time=entry[3] if len(entry) > 3 else 0.0,
+                    tag=entry[4] if len(entry) > 4 else "bg",
+                )
+                for i, entry in enumerate(workload["flows"], start=1)
+            ]
+        else:
+            flows, duration = generate_load_flows(
+                topology, workload_cdf(workload),
+                load=workload["load"], n_flows=workload["n_flows"],
+                seed=spec.seed, wire_overhead=backend.wire_factor,
+                incast=workload.get("incast"),
             )
-            for entry in workload["flows"]
-        ]
-
-        driver = None
+            deadline = duration * workload.get("deadline_factor", 2.5)
         timeline = spec_timeline(spec)
+        bursts: list[FlowSpec] = []
+        burst_entries: list[dict] = []
         if timeline:
             bursts, burst_entries = burst_flow_specs(
-                timeline, topo.hosts, spec.seed,
-                next_flow_id=len(flow_specs) + 1,
+                timeline, topology.hosts, spec.seed,
+                next_flow_id=max((fs.flow_id for fs in flows), default=0) + 1,
             )
-            flow_specs = flow_specs + bursts
-            driver = PacketDynamicsDriver(net, timeline, burst_entries)
-            driver.install()
+            flows = flows + bursts
+        backend.admit(flows, timeline, burst_entries)
 
-    result = run_workload(
-        net, flow_specs, deadline=workload["deadline"],
-        sample_interval=spec.measure.get("sample_interval"),
-        sample_ports=_resolve_ports(net, spec.measure.get("sample_ports")),
-    )
+    completed = backend.run(deadline)
 
     with maybe_span("collect"):
-        extras = _base_extras(spec, result, net)
+        record = backend.record(completed)
+        # The load population is thousands of anonymous ``bg`` flows, so
+        # only an explicit list is stamped whole; injected bursts are few
+        # and analyses select them by tag, so they always are.
         flow_ids: dict[str, list[int]] = {}
-        for fs in flow_specs:
+        for fs in flows if explicit else bursts:
             flow_ids.setdefault(fs.tag, []).append(fs.flow_id)
-        extras["flow_ids"] = flow_ids
-        if driver is not None:
-            extras["link_events"] = driver.report()
+        if flow_ids or explicit:
+            record.extras["flow_ids"] = flow_ids
         if spec.measure.get("windows"):
-            windows: dict[str, float | None] = {}
-            for fs in flow_specs:
-                flow = net.nics[fs.src].flows.get(fs.flow_id)
-                window = getattr(flow, "window", None) \
-                    if flow is not None else None
-                windows[str(fs.flow_id)] = window
-            extras["final_windows"] = windows
-        return _finish_record(spec, result, net, extras)
+            record.extras["final_windows"] = backend.windows()
+    return record
 
 
 def _run_appendix_a1(spec: ScenarioSpec) -> RunRecord:
@@ -353,77 +283,29 @@ def _run_appendix_a2(spec: ScenarioSpec) -> RunRecord:
 
 
 PROGRAMS: dict[str, Callable[[ScenarioSpec], RunRecord]] = {
-    "load": _run_load,
-    "flows": _run_flows,
+    "load": _run_network,
+    "flows": _run_network,
     "appendix_a1": _run_appendix_a1,
     "appendix_a2": _run_appendix_a2,
 }
 
 
-def _packet_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """The packet backend runs the base table as-is (no overrides)."""
-    return {}
+def validate_specs(specs: list[ScenarioSpec]) -> None:
+    """Reject malformed specs before any worker starts.
 
-
-def _fluid_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """Fluid twins of the network programs (lazy: keeps ``repro.runner``
-    importable without ``repro.fluid``)."""
-    from ..fluid.programs import FLUID_PROGRAMS
-
-    return FLUID_PROGRAMS
-
-
-def _hybrid_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """Hybrid (packet-in-fluid) twins of the network programs."""
-    from ..hybrid.programs import HYBRID_PROGRAMS
-
-    return HYBRID_PROGRAMS
-
-
-#: Backend name -> loader returning that backend's program *overrides*
-#: (programs absent from the override table — the analytic appendix
-#: programs — fall back to the shared packet implementations).  Dispatch
-#: is table-driven on purpose: a backend name missing from this table
-#: raises instead of silently falling through to the packet engine, so
-#: adding a backend to ``BACKENDS`` without wiring its programs is loud.
-BACKEND_PROGRAMS: dict[
-    str, Callable[[], dict[str, Callable[[ScenarioSpec], RunRecord]]]
-] = {
-    "packet": _packet_overrides,
-    "fluid": _fluid_overrides,
-    "hybrid": _hybrid_overrides,
-}
-
-
-def backend_programs(
-    backend: str,
-) -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """The full program table for ``backend``; raises on unknown names."""
-    if backend not in BACKEND_PROGRAMS:
-        known = ", ".join(sorted(BACKEND_PROGRAMS))
-        raise ValueError(
-            f"unknown backend {backend!r}; known: {known}"
-        )
-    table = dict(PROGRAMS)
-    table.update(BACKEND_PROGRAMS[backend]())
-    return table
-
-
-def _resolve_program(spec: ScenarioSpec) -> Callable[[ScenarioSpec], RunRecord]:
-    """The implementation of ``spec.program`` on ``spec.backend``.
-
-    The fluid and hybrid backends override the network programs
-    (``load``/``flows``) with their own twins; the analytic appendix
-    programs never touch the packet engine, so all backends share them.
-    Imported lazily to keep ``repro.runner`` importable without
-    ``repro.fluid``/``repro.hybrid`` (and vice versa).
+    Input errors — unknown program, backend, topology or CDF names — are
+    bugs in the calling experiment, not runtime faults, so they raise
+    immediately under *every* failure policy: quarantine must never
+    silently eat a typo.  The checks are registry-membership only (no
+    simulator work), and this is the one place they are spelled.
     """
-    if spec.program not in PROGRAMS:
-        known = ", ".join(sorted(PROGRAMS))
-        raise ValueError(
-            f"unknown program {spec.program!r}; known: {known}"
-        )
-    return backend_programs(spec.backend)[spec.program]
+    for spec in specs:
+        require_known("program", spec.program, PROGRAMS)
+        require_known("backend", spec.backend, _BACKENDS)
+        if PROGRAMS[spec.program] is _run_network:
+            require_known("topology", spec.topology, TOPOLOGIES)
+            if spec.program == "load":
+                require_known("workload.cdf", spec.workload.get("cdf"), CDFS)
 
 
 def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
@@ -442,7 +324,8 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
     whichever engine the spec selects — and exports one ``decision``
     record per CC control decision into the telemetry stream.
     """
-    program = _resolve_program(spec)
+    validate_specs([spec])
+    program = PROGRAMS[spec.program]
     started = time.perf_counter()
     if not (telemetry or decisions):
         record = program(spec)
@@ -477,30 +360,3 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
         tel.export_decisions(tel.decisions)
     record.telemetry = tel.drain()
     return record
-
-
-def validate_specs(specs: list[ScenarioSpec]) -> None:
-    """Reject malformed specs before any worker starts.
-
-    Input errors — unknown program or topology names — are bugs in the
-    calling experiment, not runtime faults, so they raise immediately
-    under *every* failure policy: quarantine must never silently eat a
-    typo.  The checks are registry-membership only (no simulator work).
-    """
-    for spec in specs:
-        if spec.program not in PROGRAMS:
-            known = ", ".join(sorted(PROGRAMS))
-            raise ValueError(
-                f"unknown program {spec.program!r}; known: {known}"
-            )
-        if spec.backend not in BACKEND_PROGRAMS:
-            known = ", ".join(sorted(BACKEND_PROGRAMS))
-            raise ValueError(
-                f"unknown backend {spec.backend!r}; known: {known}"
-            )
-        if spec.program in ("load", "flows") \
-                and spec.topology not in TOPOLOGIES:
-            known = ", ".join(sorted(TOPOLOGIES))
-            raise ValueError(
-                f"unknown topology {spec.topology!r}; known: {known}"
-            )

@@ -1,100 +1,170 @@
-"""Execution primitives shared by every scenario program.
+"""The packet engine behind the backend contract, and the load workload.
 
-Moved here from ``repro.experiments.common`` so the sweep runner (which
-experiment modules import) sits below the experiments in the layering;
-``repro.experiments.common`` re-exports everything for compatibility.
+:class:`PacketBackend` is the packet :class:`~repro.network.Network`
+driven through the call sequence of
+:class:`~repro.runner.execute.Backend`; :func:`generate_load_flows` is
+the flow population every backend's ``load`` run is offered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 
+from ..dynamics import PacketDynamicsDriver, Timeline
 from ..metrics.queuestats import QueueSampler
 from ..network import Network, NetworkConfig
 from ..obs import current as current_telemetry
 from ..obs import instrument_simulator, maybe_span
-from ..sim.flow import FctRecord, FlowSpec
+from ..sim.flow import FlowSpec
 from ..topology.base import Topology
-from .spec import CcChoice
+from .results import RunRecord, fct_rows
+from .spec import ScenarioSpec
 
 
-@dataclass
-class RunResult:
-    """Everything an experiment driver needs after one run."""
+class PacketBackend:
+    """One scenario on the discrete-event packet simulator.
 
-    net: Network
-    records: list[FctRecord]
-    sampler: QueueSampler | None
-    duration: float
-    completed: bool
-    dynamics: object | None = None      # PacketDynamicsDriver, if any
-
-    @property
-    def metrics(self):
-        return self.net.metrics
-
-
-def setup_network(
-    topology: Topology,
-    cc: CcChoice,
-    base_rtt: float | None = None,
-    goodput_bin: float | None = None,
-    seed: int = 1,
-    **config_kwargs,
-) -> Network:
-    """Build a network running one CC choice."""
-    config = NetworkConfig(
-        cc_name=cc.name,
-        cc_params=dict(cc.params),
-        base_rtt=base_rtt,
-        goodput_bin=goodput_bin,
-        seed=seed,
-        **config_kwargs,
-    )
-    net = Network(topology, config)
-    tel = current_telemetry()
-    if tel is not None and tel.decisions is not None:
-        net.decision_tap = tel.decisions
-    return net
-
-
-def run_workload(
-    net: Network,
-    specs: list[FlowSpec],
-    deadline: float,
-    sample_interval: float | None = None,
-    sample_ports: dict | None = None,
-) -> RunResult:
-    """Offer flows, optionally sample queues, run to completion/deadline.
-
-    When an ambient telemetry context is active (``repro.obs``), the
-    simulator gets a :class:`~repro.obs.probes.SimProbe` for the
-    duration of the run and the whole thing is timed as the ``run``
-    span; otherwise this path is telemetry-free.
+    ``config`` (default ``spec.config``) holds the ``NetworkConfig``
+    overrides; the hybrid backend passes its packet half's share.
     """
-    sampler = None
-    if sample_interval is not None:
-        ports = sample_ports if sample_ports is not None else net.switch_port_labels()
-        sampler = QueueSampler(net.sim, ports, sample_interval)
-    net.add_flows(specs)
-    tel = current_telemetry()
-    probe = instrument_simulator(net.sim, tel) if tel is not None else None
-    try:
-        with maybe_span("run"):
-            completed = net.run_until_done(deadline=deadline)
-    finally:
-        if probe is not None:
-            probe.finish(net.sim)
-            net.sim.telemetry = None
-    if sampler is not None:
-        sampler.stop()
-    return RunResult(
-        net=net,
-        records=net.metrics.fct_records,
-        sampler=sampler,
-        duration=net.sim.now,
-        completed=completed,
-    )
+
+    def __init__(self, spec: ScenarioSpec, topology: Topology,
+                 config: dict | None = None) -> None:
+        self.spec = spec
+        self.net = net = Network(topology, NetworkConfig(
+            cc_name=spec.cc.name, cc_params=dict(spec.cc.params),
+            seed=spec.seed, **(spec.config if config is None else config),
+        ))
+        net.decision_tap = getattr(current_telemetry(), "decisions", None)
+        self.wire_factor = (net.config.mtu + net.header) / net.config.mtu
+        self.driver: PacketDynamicsDriver | None = None
+        self.sampler: QueueSampler | None = None
+        self.flows: list[FlowSpec] = []
+
+    def admit(self, flows: list[FlowSpec], timeline: Timeline,
+              burst_entries: list[dict]) -> None:
+        """Driver, then sampler, then flows: same-time events fire in
+        scheduling order, so this order is part of the record."""
+        net = self.net
+        if timeline:
+            self.driver = PacketDynamicsDriver(net, timeline, burst_entries)
+            self.driver.install()
+        interval = self.spec.measure.get("sample_interval")
+        if interval is not None:
+            self.sampler = QueueSampler(net.sim, self._sample_ports(), interval)
+        net.add_flows(flows)
+        self.flows = flows
+
+    def _sample_ports(self) -> dict:
+        """``measure["sample_ports"]`` as live egress ports (default:
+        every switch port).
+
+        Each entry is ``[label, "between", a, b]`` (egress of device
+        ``a`` toward ``b``) or ``[label, "to_host", h]`` (the switch
+        egress feeding host ``h`` — the usual bottleneck probe).
+        """
+        net = self.net
+        declarations = self.spec.measure.get("sample_ports")
+        if declarations is None:
+            return net.switch_port_labels()
+        ports = {}
+        for entry in declarations:
+            try:
+                label, kind = entry[0], entry[1]
+                if kind == "between":
+                    a, b = entry[2], entry[3]
+                elif kind == "to_host":
+                    b = entry[2]
+                    a = next(peer for (node, peer) in net.port_map
+                             if node == b)
+                else:
+                    raise LookupError(f"unknown kind {kind!r}")
+                ports[label] = net.port_between(a, b)
+            except (LookupError, StopIteration) as exc:
+                topo = net.topology
+                raise ValueError(
+                    f"measure.sample_ports: {str(exc) or 'no such host'} in "
+                    f"{entry!r}; known kinds: between, to_host; known "
+                    f"nodes: hosts 0..{topo.n_hosts - 1}, switches "
+                    f"{topo.n_hosts}..{topo.n_hosts + topo.n_switches - 1}"
+                ) from None
+        return ports
+
+    @contextmanager
+    def running(self):
+        """The run phase's instrumentation: a
+        :class:`~repro.obs.probes.SimProbe` while an ambient telemetry
+        context is active, and the queue sampler stopped afterwards."""
+        sim = self.net.sim
+        tel = current_telemetry()
+        probe = instrument_simulator(sim, tel) if tel is not None else None
+        try:
+            yield
+        finally:
+            if probe is not None:
+                probe.finish(sim)
+                sim.telemetry = None
+        if self.sampler is not None:
+            self.sampler.stop()
+
+    def run(self, deadline: float) -> bool:
+        with self.running(), maybe_span("run"):
+            return self.net.run_until_done(deadline=deadline)
+
+    def record(self, completed: bool) -> RunRecord:
+        net = self.net
+        tracker = net.metrics.pause_tracker
+        extras: dict = {
+            "n_hosts": net.topology.n_hosts,
+            "header_bytes": net.header,
+            "drops": net.metrics.drop_count,
+            "pause_count": tracker.pause_count(),
+            "pause_total_ns": tracker.total_pause_time(None),
+            "switch_queued_bytes": {
+                str(sw): switch.total_queued_bytes()
+                for sw, switch in net.switches.items()
+            },
+        }
+        if self.spec.measure.get("pause_intervals"):
+            extras["pause_intervals"] = [
+                [iv.device, iv.port, iv.start, iv.end]
+                for iv in tracker.intervals
+            ]
+            extras["origin_of"] = [
+                [device, port, peer]
+                for (device, port), peer in net.origin_of.items()
+            ]
+        if net.metrics.goodput is not None:
+            extras["goodput"] = {
+                "bin_ns": net.metrics.goodput.bin_ns,
+                "bins": {
+                    str(flow_id): {str(idx): n for idx, n in bins.items()}
+                    for flow_id, bins in net.metrics.goodput._bins.items()
+                },
+            }
+        if self.driver is not None:
+            extras["link_events"] = self.driver.report()
+        sampler = self.sampler
+        return RunRecord(
+            spec=self.spec,
+            fct=fct_rows(net.metrics.fct_records),
+            queues={} if sampler is None else {
+                label: {"times": list(sampler.times), "qlens": list(values)}
+                for label, values in sampler.samples.items()
+            },
+            extras=extras,
+            events_processed=net.sim.events_processed,
+            duration_ns=net.sim.now,
+            completed=completed,
+        )
+
+    def windows(self) -> dict[str, float | None]:
+        nics = self.net.nics
+        return {
+            str(fs.flow_id):
+                getattr(nics[fs.src].flows.get(fs.flow_id), "window", None)
+            for fs in self.flows
+        }
 
 
 def generate_load_flows(
@@ -135,52 +205,3 @@ def generate_load_flows(
             start_offset=period / 2,
         )
     return specs, duration
-
-
-def load_experiment(
-    topology: Topology,
-    cc: CcChoice,
-    cdf,
-    load: float,
-    n_flows: int,
-    base_rtt: float,
-    seed: int = 1,
-    incast: dict | None = None,
-    deadline_factor: float = 2.5,
-    sample_interval: float | None = None,
-    timeline=None,
-    **config_kwargs,
-) -> RunResult:
-    """One background-load run: Poisson flows from ``cdf`` at ``load``.
-
-    The duration follows from the target flow count; ``incast`` optionally
-    adds synchronized bursts (keys: fan_in, flow_size, load).  The run gets
-    ``deadline_factor`` times the workload duration to drain.  ``timeline``
-    (a :class:`~repro.dynamics.events.Timeline`) schedules mid-run network
-    events; its driver rides back on ``RunResult.dynamics``.
-    """
-    with maybe_span("setup"):
-        net = setup_network(topology, cc, base_rtt=base_rtt, seed=seed,
-                            **config_kwargs)
-        wire = (net.config.mtu + net.header) / net.config.mtu
-        specs, duration = generate_load_flows(
-            topology, cdf, load=load, n_flows=n_flows,
-            seed=seed, wire_overhead=wire, incast=incast,
-        )
-        driver = None
-        if timeline:
-            from ..dynamics import PacketDynamicsDriver, burst_flow_specs
-
-            next_id = max((s.flow_id for s in specs), default=0) + 1
-            bursts, burst_entries = burst_flow_specs(
-                timeline, topology.hosts, seed, next_id
-            )
-            specs = specs + bursts
-            driver = PacketDynamicsDriver(net, timeline, burst_entries)
-            driver.install()
-    result = run_workload(
-        net, specs, deadline=duration * deadline_factor,
-        sample_interval=sample_interval,
-    )
-    result.dynamics = driver
-    return result

@@ -38,6 +38,20 @@ _READABLE_FORMATS = frozenset({1, RECORD_FORMAT})
 RECORD_STATUSES = ("ok", "error", "timeout")
 
 
+def fct_rows(records: Iterable[FctRecord]) -> list[dict]:
+    """Finished flows as ``RunRecord.fct`` rows — every backend's FCT
+    payload, and the inverse of :meth:`RunRecord.fct_records`."""
+    return [
+        {
+            "flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
+            "size": r.spec.size, "start_time": r.spec.start_time,
+            "tag": r.spec.tag, "start": r.start, "finish": r.finish,
+            "ideal": r.ideal,
+        }
+        for r in records
+    ]
+
+
 @dataclass
 class RunRecord:
     """One executed scenario: the spec, its results, and run accounting."""

@@ -68,6 +68,16 @@ _IDENTITY_FIELDS = (
 BACKENDS = ("packet", "fluid", "hybrid")
 
 
+def require_known(field: str, value, known: Iterable[str]):
+    """``value`` if it is one of ``known``; else a ``ValueError`` naming
+    the spec field, the rejected value and the accepted ones."""
+    if value not in known:
+        raise ValueError(
+            f"unknown {field} {value!r}; known: {', '.join(sorted(known))}"
+        )
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """One cell of an evaluation grid, as pure data.
@@ -119,11 +129,7 @@ class ScenarioSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            known = ", ".join(BACKENDS)
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: {known}"
-            )
+        require_known("backend", self.backend, BACKENDS)
         dynamics = self.dynamics
         if dynamics:
             from ..dynamics.events import Timeline

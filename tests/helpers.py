@@ -16,7 +16,7 @@ import signal
 import time
 from pathlib import Path
 
-from repro.runner.execute import backend_programs, execute_spec
+from repro.runner.execute import backend_class, execute_spec
 from repro.sim.packet import IntHop, Packet, PacketType
 
 
@@ -43,7 +43,7 @@ def chaos_execute_spec(spec, telemetry: bool = False):
     # backend name raises here instead of silently falling through to
     # the packet engine (chaos records must misbehave on the *intended*
     # backend, or resume-determinism comparisons are meaningless).
-    backend_programs(spec.backend)
+    backend_class(spec.backend)
     mode = (spec.meta or {}).get("chaos")
     if mode == "raise":
         raise ChaosError(f"injected failure for {spec.label}")

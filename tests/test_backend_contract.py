@@ -1,0 +1,238 @@
+"""The backend contract: one ``load``/``flows`` program, three backends.
+
+* **whole-record digests** — ``events_processed``, FCT rows, queue
+  series, extras, duration and the completed flag, hashed together.
+  The pinned values were captured on the commit *before* the three
+  program copies were folded into one, so they hold the refactor to
+  bit-identical records — including mixed-mode hybrid, which the rest
+  of the suite holds only to tolerances.
+* **dispatch** — every backend runs the same program callable.
+* **composition** — a degenerate hybrid partition builds exactly the
+  one half it needs.
+* **record shape** — the extras keys the docs promise on every backend.
+* **rejections** — a malformed spec is refused with an error that names
+  the offending field, the rejected value and the accepted ones.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+import repro.fluid.programs as fluid_programs
+import repro.runner.harness as harness
+from repro.dynamics import FailLink, InjectBurst, RestoreLink, Timeline
+from repro.runner import (
+    BACKENDS,
+    PROGRAMS,
+    ScenarioSpec,
+    SweepRunner,
+    execute_spec,
+    validate_specs,
+)
+from repro.runner.execute import backend_class
+from repro.sim.units import US
+
+LOAD = ScenarioSpec(
+    program="load",
+    topology="star",
+    topology_params={"n_hosts": 6, "host_rate": "10Gbps"},
+    workload={
+        "cdf": "fbhadoop", "size_scale": 0.1, "load": 0.3, "n_flows": 30,
+        "incast": {"fan_in": 3, "flow_size": 20_000, "load": 0.02},
+    },
+    dynamics=Timeline([
+        InjectBurst(at=40 * US, dst=2, fan_in=3, flow_size=15_000,
+                    tag="burst"),
+    ]),
+    measure={"sample_interval": 10 * US},
+    config={"base_rtt": 9 * US},
+    seed=2,
+)
+
+FLOWS = ScenarioSpec(
+    program="flows",
+    topology="dual_trunk",
+    topology_params={"n_pairs": 2},
+    workload={
+        "flows": [[0, 2, 400_000, 0.0, "a"], [1, 3, 400_000, 5_000.0, "b"]],
+        "deadline": 2e6,
+    },
+    dynamics=Timeline(
+        [FailLink(at=60 * US, a=4, b=5), RestoreLink(at=160 * US, a=4, b=5)],
+        detection_delay=10 * US,
+    ),
+    measure={
+        "sample_interval": 10 * US,
+        "sample_ports": [["trunk", "between", 4, 5], ["rx", "to_host", 2]],
+        "windows": True,
+    },
+    config={"base_rtt": 9 * US, "goodput_bin": 20 * US, "rto": 500 * US},
+)
+
+#: variant name -> (backend, foreground selector)
+VARIANTS = {
+    "packet": ("packet", None),
+    "fluid": ("fluid", None),
+    "hybrid_mixed": ("hybrid", {"kind": "frac", "x": 0.5}),
+    "hybrid_all": ("hybrid", {"kind": "all"}),
+    "hybrid_none": ("hybrid", {"kind": "none"}),
+}
+
+#: Captured on the parent of the backend-contract refactor (97002d7).
+PINNED = {
+    ("load", "packet"):
+        "84c9973af37b9d01f232c5d2e2b00c60ae102dc35a44c7d0cbbdad3c0520031d",
+    ("load", "fluid"):
+        "2ffb0e6cb029e76ae596f95e55220e76bdf9c17f29d22d533de09e4aa13ac381",
+    ("load", "hybrid_mixed"):
+        "340e9da761c1d1db02afe19cbbfd1db88e4b6505ca10f20c9d34e27793147924",
+    ("load", "hybrid_all"):
+        "71e4d8ca266129a681785e347eed5dc5358aa22b211b1b63187eaafca707520e",
+    ("load", "hybrid_none"):
+        "fd505623d0d97b7402f2f044a2ff751220bafff1f5754b89830b55dac017eca1",
+    ("flows", "packet"):
+        "8135142a0439bb0dfbafeb0ef8092244c718f38efb637f2b44c9e166374b5d66",
+    ("flows", "fluid"):
+        "40287dc988b65351aaca56b313816a341793dddf8f321eba46009652bfc160ef",
+    ("flows", "hybrid_mixed"):
+        "c714e4fc8a457efea7738191dde10523c97dadd5d1166c9901e9da1bef4f6b71",
+    ("flows", "hybrid_all"):
+        "e8811cbc0d670e16e707bf999a78f284843c19070b74a1b150a98195e8b91c29",
+    ("flows", "hybrid_none"):
+        "3babc060859c378454f1ae32f1cd3da844e0bcce8b1bb6627873eb95a5b7f5c3",
+}
+
+
+def variant(spec: ScenarioSpec, name: str) -> ScenarioSpec:
+    backend, selector = VARIANTS[name]
+    updates: dict = {"backend": backend}
+    if selector is not None:
+        updates["workload.foreground"] = selector
+    return spec.replaced(**updates)
+
+
+def record_digest(record) -> str:
+    payload = json.dumps(
+        [record.events_processed, record.fct, record.queues, record.extras,
+         record.duration_ns, record.completed],
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestWholeRecordDigests:
+    @pytest.mark.parametrize("program,name", sorted(PINNED))
+    def test_record_is_bit_identical_to_the_pinned_parent(self, program, name):
+        spec = variant(LOAD if program == "load" else FLOWS, name)
+        record = execute_spec(spec)
+        assert record.fct, "the cell must finish some flows to pin anything"
+        assert record_digest(record) == PINNED[program, name]
+
+
+class TestDispatch:
+    def test_one_program_serves_load_and_flows(self):
+        assert PROGRAMS["load"] is PROGRAMS["flows"]
+
+    def test_every_backend_resolves_to_a_contract_class(self):
+        classes = {backend_class(name) for name in BACKENDS}
+        assert len(classes) == len(BACKENDS)
+        for cls in classes:
+            for method in ("admit", "run", "record", "windows"):
+                assert callable(getattr(cls, method))
+
+
+class TestDegenerateComposition:
+    """A degenerate hybrid cell *is* the one pure backend it collapses to."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"Network": 0, "FluidEngine": 0}
+
+        def counting(cls, key):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    counts[key] += 1
+                    super().__init__(*args, **kwargs)
+            return Counted
+
+        monkeypatch.setattr(
+            harness, "Network", counting(harness.Network, "Network"))
+        monkeypatch.setattr(
+            fluid_programs, "FluidEngine",
+            counting(fluid_programs.FluidEngine, "FluidEngine"))
+        return counts
+
+    def test_all_foreground_builds_one_network_and_no_engine(self, built):
+        record = execute_spec(variant(LOAD, "hybrid_all"))
+        assert record.extras["hybrid_mode"] == "all_foreground"
+        assert built == {"Network": 1, "FluidEngine": 0}
+
+    def test_all_background_builds_one_engine_and_no_network(self, built):
+        record = execute_spec(variant(LOAD, "hybrid_none"))
+        assert record.extras["hybrid_mode"] == "all_background"
+        assert built == {"Network": 0, "FluidEngine": 1}
+
+    def test_mixed_builds_one_of_each(self, built):
+        record = execute_spec(variant(LOAD, "hybrid_mixed"))
+        assert record.extras["hybrid_mode"] == "mixed"
+        assert built == {"Network": 1, "FluidEngine": 1}
+
+
+class TestCommonRecordShape:
+    COMMON = {"n_hosts", "header_bytes", "drops", "pause_count",
+              "pause_total_ns", "switch_queued_bytes"}
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_common_extras_on_every_backend(self, name):
+        record = execute_spec(variant(FLOWS, name))
+        assert self.COMMON <= set(record.extras)
+        assert set(record.extras["flow_ids"]) == {"a", "b"}
+        assert set(record.extras["final_windows"]) == {"1", "2"}
+
+
+class TestDiagnosableRejections:
+    #: name -> (malformed spec, fragments the error message must carry)
+    MALFORMED = {
+        "sample_port": (
+            FLOWS.replaced(**{"measure.sample_ports": [["b", "to_host", 77]]}),
+            ("measure.sample_ports", "77", "hosts 0..3"),
+        ),
+        "cdf": (
+            LOAD.replaced(**{"workload.cdf": "nope"}),
+            ("workload.cdf", "'nope'", "fbhadoop, websearch"),
+        ),
+        "fluid_engine": (
+            LOAD.replaced(backend="fluid",
+                          **{"config.fluid_engine": "quantum"}),
+            ("config.fluid_engine", "'quantum'", "array, scalar"),
+        ),
+        "deadline": (
+            FLOWS.replaced(workload={"flows": FLOWS.workload["flows"]}),
+            ("workload.deadline", "flows"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_error_names_field_value_and_known_values(self, name):
+        spec, fragments = self.MALFORMED[name]
+        with pytest.raises(ValueError) as err:
+            execute_spec(spec)
+        for fragment in fragments:
+            assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("name", ["sample_port", "fluid_engine",
+                                      "deadline"])
+    def test_quarantined_record_carries_the_message(self, name):
+        spec, fragments = self.MALFORMED[name]
+        [record] = SweepRunner(failures="quarantine").run([spec])
+        assert record.status == "error"
+        assert record.error["type"] == "ValueError"
+        assert fragments[0] in record.error["message"]
+
+    def test_unknown_cdf_is_rejected_before_any_worker_starts(self):
+        spec, _ = self.MALFORMED["cdf"]
+        with pytest.raises(ValueError, match=r"workload\.cdf 'nope'"):
+            validate_specs([spec])

@@ -8,13 +8,12 @@ real bench-scale versions.
 import pytest
 
 from repro.experiments import appendix_a
-from repro.experiments.common import CcChoice, load_experiment, require_scale
+from repro.experiments.common import require_scale
 from repro.experiments.figure06 import run_figure06
 from repro.experiments.figure13 import run_figure13
 from repro.experiments.figure14 import run_figure14
+from repro.runner import ScenarioSpec, execute_spec
 from repro.sim.units import MS, US
-from repro.topology.simple import star
-from repro.workloads.fbhadoop import fbhadoop
 
 
 class TestCommon:
@@ -23,25 +22,27 @@ class TestCommon:
         with pytest.raises(ValueError):
             require_scale("huge")
 
-    def test_load_experiment_runs(self):
-        result = load_experiment(
-            star(4, host_rate="10Gbps"),
-            CcChoice("hpcc"),
-            fbhadoop().scaled(0.1),
-            load=0.2, n_flows=20, base_rtt=9 * US, seed=2,
+    @staticmethod
+    def load_spec(n_hosts, n_flows, incast=None):
+        return ScenarioSpec(
+            program="load",
+            topology="star",
+            topology_params={"n_hosts": n_hosts, "host_rate": "10Gbps"},
+            workload={"cdf": "fbhadoop", "size_scale": 0.1, "load": 0.2,
+                      "n_flows": n_flows, "incast": incast},
+            config={"base_rtt": 9 * US},
+            seed=2,
         )
-        assert result.records
-        assert result.duration > 0
+
+    def test_load_experiment_runs(self):
+        record = execute_spec(self.load_spec(4, 20))
+        assert record.fct
+        assert record.duration_ns > 0
 
     def test_load_experiment_with_incast(self):
-        result = load_experiment(
-            star(6, host_rate="10Gbps"),
-            CcChoice("hpcc"),
-            fbhadoop().scaled(0.1),
-            load=0.2, n_flows=15, base_rtt=9 * US, seed=2,
-            incast={"fan_in": 3, "flow_size": 20_000, "load": 0.02},
-        )
-        tags = {r.spec.tag for r in result.records}
+        record = execute_spec(self.load_spec(
+            6, 15, incast={"fan_in": 3, "flow_size": 20_000, "load": 0.02}))
+        tags = {r["tag"] for r in record.fct}
         assert "incast" in tags
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.fluid import FluidEngine, GoodputRecorder, ScalarFluidEngine
-from repro.fluid.programs import _make_engine
+from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
@@ -284,21 +284,21 @@ class TestEngineSelection:
         )
 
     def test_default_is_array_engine(self):
-        engine, _ = _make_engine(
-            star(n_hosts=4), self._spec(base_rtt=BASE_RTT)
-        )
-        assert type(engine) is FluidEngine
+        backend = FluidBackend(self._spec(base_rtt=BASE_RTT), star(n_hosts=4))
+        assert type(backend.engine) is FluidEngine
 
     def test_scalar_knob_selects_reference(self):
-        engine, ignored = _make_engine(
-            star(n_hosts=4), self._spec(base_rtt=BASE_RTT, fluid_engine="scalar")
+        backend = FluidBackend(
+            self._spec(base_rtt=BASE_RTT, fluid_engine="scalar"),
+            star(n_hosts=4),
         )
-        assert type(engine) is ScalarFluidEngine
-        assert "fluid_engine" not in ignored     # consumed, not "ignored"
+        assert type(backend.engine) is ScalarFluidEngine
+        assert "fluid_engine" not in backend.ignored    # consumed
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(KeyError):
-            _make_engine(star(n_hosts=4), self._spec(fluid_engine="quantum"))
+        with pytest.raises(ValueError, match=r"config\.fluid_engine 'quantum'; "
+                                             "known: array, scalar"):
+            FluidBackend(self._spec(fluid_engine="quantum"), star(n_hosts=4))
 
 
 class TestArrayInternals:

@@ -36,7 +36,7 @@ from repro.runner import (
     execute_spec,
     plan_resume,
 )
-from repro.runner.execute import backend_programs, validate_specs
+from repro.runner.execute import backend_class, validate_specs
 from repro.sim.flow import FlowSpec
 from repro.sim.units import MS, US
 
@@ -181,12 +181,11 @@ class TestForegroundSelector:
 
 class TestBackendDispatch:
     def test_hybrid_is_a_known_backend(self):
-        table = backend_programs("hybrid")
-        assert {"load", "flows"} <= set(table)
+        assert backend_class("hybrid").__name__ == "HybridBackend"
 
     def test_unknown_backend_raises_with_known_list(self):
         with pytest.raises(ValueError, match="fluid, hybrid, packet"):
-            backend_programs("quantum")
+            backend_class("quantum")
 
     def test_spec_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
