@@ -7,51 +7,45 @@
   leave senders at ~1/65 of Winit, with no PFC.
 """
 
-from repro.experiments.appendix_a import run_a1, run_a2, run_a4
+from repro.experiments import appendix_a
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_appendix_a1_queueing(benchmark):
-    result = run_once(benchmark, run_a1, n_sources=50, rho=0.95)
+    fig = run_figure(
+        benchmark, appendix_a,
+        scenarios=lambda: [appendix_a.a1_scenario(n_sources=50, rho=0.95)],
+    )
+    _, analytic_mean_full_load = fig.panel("a1-queueing").series[0].y
 
-    print()
-    print(f"A.1: sim mean {result.simulated_mean:.2f} pkts "
-          f"(analytic rho=1 bound {result.analytic_mean_full_load:.2f}); "
-          f"P(Q>20) sim {result.simulated_tail:.2e} "
-          f"analytic {result.analytic_tail:.2e}")
-
-    assert result.simulated_mean < result.analytic_mean_full_load + 1
-    assert result.simulated_tail < 1e-3
-    assert result.analytic_tail < 1e-7
+    assert fig.stats["a1_sim_mean"] < analytic_mean_full_load + 1
+    assert fig.stats["a1_sim_tail"] < 1e-3
+    assert fig.stats["a1_analytic_tail"] < 1e-7
 
 
 def test_appendix_a2_convergence(benchmark):
-    result = run_once(benchmark, run_a2, n_trials=50)
+    stats = run_figure(
+        benchmark, appendix_a,
+        scenarios=lambda: [appendix_a.a2_scenario(n_trials=50)],
+    ).stats
 
-    print()
-    print(f"A.2: feasible {result.feasible_after_one}/{result.n_trials}, "
-          f"monotone {result.monotone}/{result.n_trials}, Pareto within I "
-          f"(1% tol) {result.pareto_within_i}, by 5I {result.pareto_asymptotic}")
-
-    assert result.feasible_after_one == result.n_trials
-    assert result.monotone == result.n_trials
-    assert result.pareto_within_i >= 0.7 * result.n_trials
-    assert result.pareto_asymptotic >= 0.8 * result.n_trials
+    assert stats["a2_feasible_frac"] == 1.0
+    assert stats["a2_monotone_frac"] == 1.0
+    assert stats["a2_pareto_within_i_frac"] >= 0.7
+    assert stats["a2_pareto_frac"] >= 0.8
 
 
 def test_appendix_a4_window_limits(benchmark):
-    result = run_once(benchmark, run_a4)
-
-    print()
-    print(f"A.4: peak root queue {result.peak_queue / 1000:.0f}KB, drained "
-          f"in {result.drain_time_us:.0f}us, final window "
-          f"{result.final_window_fraction:.3f} x Winit "
-          f"(theory 1/65 = {1 / 65:.3f}), PFC pauses {result.pfc_pauses}")
+    stats = run_figure(
+        benchmark, appendix_a,
+        scenarios=lambda: [appendix_a.a4_scenario()],
+    ).stats
+    print(f"theory: final window 1/65 = {1 / 65:.3f} x Winit")
 
     # The initial burst queues ~63 x BDP, then drains without PFC.
-    assert result.peak_queue > 1_000_000
-    assert result.drain_time_us < 2_000
+    assert stats["a4_peak_queue_kb"] > 1_000_000 / 1000
+    assert stats["a4_drain_us"] < 2_000
     # Senders settle near the theoretical 1/65 of Winit.
-    assert result.final_window_fraction < 3.0 / 65
-    assert result.pfc_pauses == 0
+    assert stats["a4_window_frac"] < 3.0 / 65
+    assert stats["a4_pfc_pauses"] == 0

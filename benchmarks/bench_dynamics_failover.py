@@ -65,12 +65,11 @@ def run_dual_trunk_smoke() -> dict:
     out = {}
     for backend in ("packet", "fluid"):
         started = time.perf_counter()
-        result = failover.run_failover(
-            schemes=(CcChoice("hpcc", label="HPCC"),), backend=backend
-        )
+        specs = failover.scenarios(schemes=SCHEMES, backend=backend)
+        stats = failover.render(specs, SweepRunner().run(specs)).stats
         out[f"{backend}_s"] = time.perf_counter() - started
-        out[f"{backend}_recovery_us"] = result.recovery_time_us["HPCC"]
-        out[f"{backend}_after_gbps"] = result.goodput_after["HPCC"]
+        out[f"{backend}_recovery_us"] = stats["recovery_us/HPCC"]
+        out[f"{backend}_after_gbps"] = stats["after_gbps/HPCC"]
     out["speedup"] = out["packet_s"] / out["fluid_s"]
     return out
 

@@ -6,35 +6,23 @@ scheme re-converges onto the surviving trunk, that HPCC recovers quickly
 not melt down (bounded packet loss, no stuck flows).
 """
 
-from repro.experiments.failover import run_failover
-from repro.metrics.reporter import format_table
+from repro.experiments import failover
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_failover_recovery(benchmark):
-    result = run_once(benchmark, run_failover)
-
-    print()
-    rows = [
-        (s, f"{result.goodput_before[s]:.1f}", f"{result.goodput_after[s]:.1f}",
-         f"{result.recovery_time_us[s]:.0f}us", result.lost_packets[s])
-        for s in result.goodput_before
-    ]
-    print(format_table(
-        ["scheme", "before (G)", "after (G)", "recovery", "lost pkts"],
-        rows, title="Failover: one of two 50G trunks cut",
-    ))
+    stats = run_figure(benchmark, failover).stats
 
     surviving_payload = 50 * (1000 / 1090)     # ~45.9G max after the cut
     for scheme in ("HPCC", "DCQCN", "DCTCP"):
         # Everyone must re-converge onto the surviving trunk.
-        assert result.goodput_after[scheme] > 0.7 * surviving_payload
-        assert result.drained[scheme]
+        assert stats[f"after_gbps/{scheme}"] > 0.7 * surviving_payload
+        assert stats[f"drained/{scheme}"]
     # HPCC: fast recovery, minimal loss (the window caps the damage; at
     # most ~1 BDP of packets can be in flight into the cut).
-    assert result.recovery_time_us["HPCC"] < 1_000
-    assert result.lost_packets["HPCC"] < 100
+    assert stats["recovery_us/HPCC"] < 1_000
+    assert stats["lost_packets/HPCC"] < 100
     # Nobody keeps blasting into the cut indefinitely after reroute.
-    for scheme, lost in result.lost_packets.items():
-        assert lost < 5_000, scheme
+    for scheme in ("HPCC", "DCQCN", "DCTCP"):
+        assert stats[f"lost_packets/{scheme}"] < 5_000, scheme

@@ -2,27 +2,22 @@
 
 Paper (production data): ~10% of pause events propagate 3 hops; the worst
 events suppress up to 25% of network capacity.  Here: DCQCN + incast on a
-synthetic PoD (DESIGN.md substitution 5).
+synthetic PoD (the substitution ``figure01``'s docstring describes).
 """
 
-from repro.experiments.figure01 import run_figure01
+from repro.experiments import figure01
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig01_pause_trees(benchmark):
-    result = run_once(benchmark, run_figure01, scale="bench")
-
-    print()
-    print(f"pause trees: {len(result.trees)}")
-    for depth, frac in sorted(result.depth_ccdf.items()):
-        print(f"  P(depth >= {depth}) = {frac * 100:.1f}%")
-    if result.suppressed:
-        print(f"  worst suppressed capacity: {result.suppressed[0] * 100:.1f}%")
+    fig = run_figure(benchmark, figure01, scale="bench")
+    ccdf = fig.panel("depth-ccdf").series[0]
+    depth_ccdf = dict(zip(ccdf.x, ccdf.y))
 
     # Shape: pauses happen, a meaningful share propagates multiple hops,
     # and the worst event silences a double-digit share of host capacity.
-    assert result.pause_events > 10
-    assert result.depth_ccdf.get(1, 0) == 1.0
-    assert result.depth_ccdf.get(2, 0) > 0.05
-    assert result.suppressed and result.suppressed[0] > 0.10
+    assert fig.stats["pause_events"] > 10
+    assert depth_ccdf.get(1, 0) == 1.0
+    assert fig.stats["depth2_frac"] > 0.05
+    assert fig.stats["worst_suppressed_pct"] > 0.10 * 100

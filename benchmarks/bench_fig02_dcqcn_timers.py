@@ -5,33 +5,24 @@ the most/longest PFC pauses; conservative timers (Ti=900,Td=4) the
 opposite.
 """
 
-from repro.experiments.figure02 import run_figure02
-from repro.metrics.reporter import format_bucket_table, format_table
+from repro.experiments import figure02
 
-from conftest import run_once
+from conftest import run_figure
 
 AGGRESSIVE = "Ti=55,Td=50"
 CONSERVATIVE = "Ti=900,Td=4"
 
 
 def test_fig02_timer_tradeoff(benchmark):
-    result = run_once(benchmark, run_figure02, scale="bench")
-
-    print()
-    print(format_bucket_table(result.buckets, "p95",
-                              title="Fig 2a: p95 slowdown per bucket"))
-    rows = [(k, f"{v * 100:.3f}%", f"{result.short_flow_p95_us[k]:.1f}us")
-            for k, v in result.pause_time_fraction.items()]
-    print(format_table(["timers", "pause time", "short p95"], rows,
-                       title="Fig 2b: pauses + latency"))
+    fig = run_figure(benchmark, figure02, scale="bench")
 
     # 2a shape: aggressive timers serve large flows far better.
     def large_flow_p95(label):
-        return result.buckets[label][-1].p95
+        return fig.panel("p95-buckets").series_named(label).y[-1]
 
     assert large_flow_p95(AGGRESSIVE) < large_flow_p95(CONSERVATIVE)
 
     # 2b shape: aggressive timers pay with more pause time.
-    assert result.pause_time_fraction[AGGRESSIVE] > \
-        result.pause_time_fraction[CONSERVATIVE]
-    assert result.pause_time_fraction[AGGRESSIVE] > 0.001
+    assert fig.stats[f"pause_frac/{AGGRESSIVE}"] > \
+        fig.stats[f"pause_frac/{CONSERVATIVE}"]
+    assert fig.stats[f"pause_frac/{AGGRESSIVE}"] > 0.001

@@ -5,30 +5,20 @@ large (bandwidth-sensitive) flows; high thresholds do the reverse; the
 tension worsens at 50% load.
 """
 
-from repro.experiments.figure03 import run_figure03, short_vs_long_p95
-from repro.metrics.reporter import format_bucket_table
+from repro.experiments import figure03
 
-from conftest import run_once
+from conftest import run_figure
 
 HIGH = "Kmin=400K,Kmax=1600K"
 LOW = "Kmin=12K,Kmax=50K"
 
 
 def test_fig03_ecn_tradeoff(benchmark):
-    result = run_once(benchmark, run_figure03, scale="bench",
-                      loads=(0.30, 0.50))
-
-    for load, by_setting in result.buckets.items():
-        print()
-        print(format_bucket_table(
-            by_setting, "p95",
-            title=f"Fig 3 ({load:.0%}): p95 slowdown per bucket",
-        ))
+    fig = run_figure(benchmark, figure03, scale="bench", loads=(0.30, 0.50))
 
     # Shape at 50% load: low thresholds beat high thresholds for short
-    # flows; high thresholds beat low for the large-flow tail.
-    by_setting = result.buckets[0.50]
-    low_short, low_long = short_vs_long_p95(by_setting[LOW])
-    high_short, high_long = short_vs_long_p95(by_setting[HIGH])
-    assert low_short < high_short
-    assert high_long < low_long
+    # flows; high thresholds beat low for the large-flow tail
+    # (``figure03.short_vs_long_p95`` defines the two summaries).
+    stats = fig.stats
+    assert stats[f"short_p95/0.50/{LOW}"] < stats[f"short_p95/0.50/{HIGH}"]
+    assert stats[f"long_p95/0.50/{HIGH}"] < stats[f"long_p95/0.50/{LOW}"]

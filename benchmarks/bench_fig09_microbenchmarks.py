@@ -1,71 +1,49 @@
 """Figure 9: the four testbed micro-benchmarks, HPCC versus DCQCN."""
 
-from repro.experiments.figure09 import (
-    run_elephant_mice,
-    run_fairness,
-    run_incast,
-    run_long_short,
-)
+from repro.experiments import figure09
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig09ab_long_short_recovery(benchmark):
     """9a/9b: HPCC recovers the long flow immediately; DCQCN does not
     recover within the window (paper: >350 RTTs)."""
-    result = run_once(benchmark, run_long_short)
+    stats = run_figure(benchmark, figure09,
+                       scenarios=figure09.long_short_scenarios).stats
 
-    print()
-    for scheme, gbps in result.recovery_gbps.items():
-        print(f"{scheme}: long-flow goodput after short leaves = {gbps:.1f}G")
-
-    assert result.recovery_gbps["HPCC"] > 18       # ~line rate (25G - eta/hdr)
-    assert result.recovery_gbps["DCQCN"] < 0.5 * result.recovery_gbps["HPCC"]
+    assert stats["recovery_gbps/HPCC"] > 18       # ~line rate (25G - eta/hdr)
+    assert stats["recovery_gbps/DCQCN"] < 0.5 * stats["recovery_gbps/HPCC"]
 
 
 def test_fig09cd_incast_queue(benchmark):
     """9c/9d: HPCC drains the incast queue in ~1 RTT; DCQCN piles up
     hundreds of KB (paper: 550KB)."""
-    result = run_once(benchmark, run_incast)
+    stats = run_figure(benchmark, figure09,
+                       scenarios=figure09.incast_scenarios).stats
 
-    print()
-    for scheme in result.queue_peak:
-        print(f"{scheme}: peak {result.queue_peak[scheme] / 1000:.0f}KB, "
-              f"after 10 RTTs {result.queue_after_2rtt[scheme] / 1000:.0f}KB")
-
-    assert result.queue_peak["HPCC"] < 0.25 * result.queue_peak["DCQCN"]
-    assert result.queue_after_2rtt["HPCC"] < \
-        0.25 * result.queue_after_2rtt["DCQCN"]
+    assert stats["incast_peak_kb/HPCC"] < 0.25 * stats["incast_peak_kb/DCQCN"]
+    assert stats["incast_settled_kb/HPCC"] < \
+        0.25 * stats["incast_settled_kb/DCQCN"]
 
 
 def test_fig09ef_elephant_mice_latency(benchmark):
     """9e/9f: mice latency ~base RTT under HPCC; DCQCN's standing queue
     (around the ECN threshold) multiplies the tail latency."""
-    result = run_once(benchmark, run_elephant_mice)
+    stats = run_figure(benchmark, figure09,
+                       scenarios=figure09.elephant_mice_scenarios).stats
 
-    print()
-    for scheme in result.mice_p50_us:
-        print(f"{scheme}: mice p50 {result.mice_p50_us[scheme]:.1f}us "
-              f"p95 {result.mice_p95_us[scheme]:.1f}us; queue p95 "
-              f"{result.queue_p95[scheme] / 1000:.1f}KB")
-
-    assert result.mice_p95_us["HPCC"] < 15             # ~8.5us base RTT
-    assert result.mice_p95_us["DCQCN"] > 2 * result.mice_p95_us["HPCC"]
-    assert result.queue_p95["HPCC"] < 5_000
-    assert result.queue_p95["DCQCN"] > 20_000
+    assert stats["mice_p95_us/HPCC"] < 15             # ~8.5us base RTT
+    assert stats["mice_p95_us/DCQCN"] > 2 * stats["mice_p95_us/HPCC"]
+    assert stats["queue_p95_kb/HPCC"] < 5_000 / 1000
+    assert stats["queue_p95_kb/DCQCN"] > 20_000 / 1000
 
 
 def test_fig09gh_fairness(benchmark):
     """9g/9h: HPCC shares fairly at full utilization even on short
     timescales."""
-    result = run_once(benchmark, run_fairness)
+    stats = run_figure(benchmark, figure09,
+                       scenarios=figure09.fairness_scenarios).stats
 
-    print()
-    for scheme, jain in result.jain_all_active.items():
-        rates = " ".join(f"{r:.1f}" for r in result.rates_all_active[scheme])
-        print(f"{scheme}: Jain {jain:.3f}, rates [{rates}] Gbps")
-
-    assert result.jain_all_active["HPCC"] > 0.95
-    hpcc_total = sum(result.rates_all_active["HPCC"])
-    dcqcn_total = sum(result.rates_all_active["DCQCN"])
-    assert hpcc_total > 2 * dcqcn_total       # DCQCN's slow recovery
+    assert stats["jain/HPCC"] > 0.95
+    # DCQCN's slow recovery
+    assert stats["total_gbps/HPCC"] > 2 * stats["total_gbps/DCQCN"]

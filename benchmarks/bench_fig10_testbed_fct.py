@@ -5,42 +5,27 @@ short flows by 95% (53.9 -> 2.70) and keeps p99 queues at 22.9KB versus
 DCQCN's 2.1MB.
 """
 
-from repro.experiments.figure10 import run_figure10
-from repro.metrics.reporter import format_bucket_table
+from repro.experiments import figure10
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig10_websearch_loads(benchmark):
-    result = run_once(benchmark, run_figure10, scale="bench",
-                      loads=(0.30, 0.50))
-
-    for load in result.buckets:
-        print()
-        print(format_bucket_table(
-            result.buckets[load], "p99",
-            title=f"Fig 10 ({load:.0%}): p99 slowdown per bucket",
-        ))
-        for cc in result.queue_p99[load]:
-            print(f"  {cc}: queue p50/p95/p99 = "
-                  f"{result.queue_p50[load][cc] / 1000:.1f}/"
-                  f"{result.queue_p95[load][cc] / 1000:.1f}/"
-                  f"{result.queue_p99[load][cc] / 1000:.1f} KB; "
-                  f"short-flow p99 slowdown {result.short_p99[load][cc]:.2f}")
+    fig = run_figure(benchmark, figure10, scale="bench", loads=(0.30, 0.50))
 
     for load in (0.30, 0.50):
+        panel = fig.panel(f"p99-{load:.0%}".replace("%", ""))
+        hpcc = panel.series_named("HPCC").y
+        dcqcn = panel.series_named("DCQCN").y
         # Short flows (first decile bucket, which has enough samples for a
         # stable p99): HPCC's tail is a small multiple of ideal; DCQCN's
         # is substantially worse (95% reduction at full scale).
-        hpcc_short = result.buckets[load]["HPCC"][0].p99
-        dcqcn_short = result.buckets[load]["DCQCN"][0].p99
-        assert hpcc_short < 3.0
-        assert dcqcn_short > 1.3 * hpcc_short
+        assert hpcc[0] < 3.0
+        assert dcqcn[0] > 1.3 * hpcc[0]
         # HPCC wins the p99 of every size bucket.
-        for h, d in zip(result.buckets[load]["HPCC"],
-                        result.buckets[load]["DCQCN"]):
-            assert h.p99 <= d.p99 * 1.05
+        for h, d in zip(hpcc, dcqcn):
+            assert h <= d * 1.05
         # Queues: both median ~0; HPCC's p99 much smaller than DCQCN's.
-        assert result.queue_p50[load]["HPCC"] == 0
-        assert result.queue_p99[load]["HPCC"] < \
-            0.25 * result.queue_p99[load]["DCQCN"]
+        assert fig.stats[f"queue_p50_kb/{load:.2f}/HPCC"] == 0
+        assert fig.stats[f"queue_p99_kb/{load:.2f}/HPCC"] < \
+            0.25 * fig.stats[f"queue_p99_kb/{load:.2f}/DCQCN"]

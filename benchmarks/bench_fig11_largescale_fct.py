@@ -10,41 +10,36 @@ Paper shapes asserted:
 * DCTCP beats DCQCN/TIMELY but HPCC at least halves DCTCP's latency.
 """
 
-from repro.experiments.figure11 import run_figure11
-from repro.metrics.reporter import format_bucket_table
+from repro.experiments import figure11
 
-from conftest import run_once
+from conftest import run_figure
 
-CASE = "30%+incast"
+CASE = "30incast"          # render's key for the "30%+incast" case
 
 
 def test_fig11_six_schemes(benchmark):
-    result = run_once(
-        benchmark, run_figure11, scale="bench", cases=(CASE,),
+    fig = run_figure(
+        benchmark, figure11, scale="bench", cases=("30%+incast",),
         overrides={"n_flows": 450},
     )
-
-    print()
-    print(format_bucket_table(result.buckets[CASE], "p95",
-                              title=f"Fig 11 ({CASE}): p95 slowdown"))
-    for scheme in result.pause_fraction[CASE]:
-        print(f"  {scheme}: pauses {result.pause_fraction[CASE][scheme] * 100:.3f}%"
-              f"  short p95 {result.short_p95_us[CASE][scheme]:.1f}us")
-
-    buckets = result.buckets[CASE]
-    pauses = result.pause_fraction[CASE]
-    latency = result.short_p95_us[CASE]
+    buckets = fig.panel(f"p95-{CASE}")
 
     def short_p95(scheme):
-        return max(s.p95 for s in buckets[scheme][:3])
+        return max(buckets.series_named(scheme).y[:3])
 
     def large_p95(scheme):
-        return buckets[scheme][-1].p95
+        return buckets.series_named(scheme).y[-1]
+
+    def latency(scheme):
+        return fig.stats[f"short_p95_us/{CASE}/{scheme}"]
+
+    def pauses(scheme):
+        return fig.stats[f"pause_frac/{CASE}/{scheme}"]
 
     # HPCC wins short flows against every baseline.
     for scheme in ("DCQCN", "TIMELY", "DCQCN+win", "TIMELY+win", "DCTCP"):
         assert short_p95("HPCC") < short_p95(scheme)
-        assert latency["HPCC"] <= latency[scheme]
+        assert latency("HPCC") <= latency(scheme)
 
     # The bandwidth-headroom tax: HPCC's largest bucket is not the best.
     assert large_p95("HPCC") > min(
@@ -52,12 +47,12 @@ def test_fig11_six_schemes(benchmark):
     )
 
     # PFC: uncapped schemes pause orders of magnitude more.
-    capped_worst = max(pauses["DCQCN+win"], pauses["TIMELY+win"],
-                       pauses["DCTCP"], pauses["HPCC"])
-    assert pauses["DCQCN"] > 5 * max(capped_worst, 1e-6)
-    assert pauses["TIMELY"] > 5 * max(capped_worst, 1e-6)
+    capped_worst = max(pauses("DCQCN+win"), pauses("TIMELY+win"),
+                       pauses("DCTCP"), pauses("HPCC"))
+    assert pauses("DCQCN") > 5 * max(capped_worst, 1e-6)
+    assert pauses("TIMELY") > 5 * max(capped_worst, 1e-6)
 
     # DCTCP outperforms DCQCN/TIMELY; HPCC at least halves DCTCP latency.
-    assert latency["DCTCP"] < latency["DCQCN"]
-    assert latency["DCTCP"] < latency["TIMELY"]
-    assert latency["HPCC"] < 0.7 * latency["DCTCP"]
+    assert latency("DCTCP") < latency("DCQCN")
+    assert latency("DCTCP") < latency("TIMELY")
+    assert latency("HPCC") < 0.7 * latency("DCTCP")

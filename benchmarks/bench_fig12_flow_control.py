@@ -5,27 +5,18 @@ DCQCN the flow-control choice visibly matters (IRN's implicit window cap
 helps most), and even DCQCN+IRN cannot match HPCC.
 """
 
-from repro.experiments.figure12 import run_figure12
-from repro.metrics.reporter import format_table
+from repro.experiments import figure12
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig12_flow_control_choices(benchmark):
-    result = run_once(
-        benchmark, run_figure12, scale="bench",
-        overrides={"n_flows": 450},
-    )
+    stats = run_figure(
+        benchmark, figure12, scale="bench", overrides={"n_flows": 450},
+    ).stats
 
-    print()
-    rows = [(label, f"{result.overall_p95[label]:.2f}", result.drops[label])
-            for label in result.overall_p95]
-    print(format_table(["scheme-fc", "p95 slowdown", "drops"], rows,
-                       title="Fig 12: flow-control sweep (30% + incast)"))
-
-    p95 = result.overall_p95
-    hpcc = [p95["HPCC-PFC"], p95["HPCC-GBN"], p95["HPCC-IRN"]]
-    dcqcn = [p95["DCQCN-PFC"], p95["DCQCN-GBN"], p95["DCQCN-IRN"]]
+    hpcc = [stats[f"overall_p95/HPCC-{fc}"] for fc in ("PFC", "GBN", "IRN")]
+    dcqcn = [stats[f"overall_p95/DCQCN-{fc}"] for fc in ("PFC", "GBN", "IRN")]
 
     # HPCC: flow control barely matters (within 1.5x of each other).
     assert max(hpcc) < 1.5 * min(hpcc)
@@ -34,4 +25,4 @@ def test_fig12_flow_control_choices(benchmark):
     # Even DCQCN's best flow control cannot match HPCC.
     assert min(dcqcn) > max(hpcc)
     # HPCC keeps the fabric effectively lossless even without PFC.
-    assert result.drops["HPCC-GBN"] < result.drops["DCQCN-GBN"] / 10 + 5
+    assert stats["drops/HPCC-GBN"] < stats["drops/DCQCN-GBN"] / 10 + 5

@@ -5,28 +5,18 @@ per-RTT reaction leaves the startup queue standing far longer; HPCC's
 reference-window design drains fast at high throughput.
 """
 
-from repro.experiments.figure13 import run_figure13
+from repro.experiments import figure13
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig13_reaction_strategies(benchmark):
-    result = run_once(benchmark, run_figure13, scale="bench")
-
-    print()
-    for label in ("per-ACK", "per-RTT", "HPCC"):
-        drain = result.drain_time[label]
-        drain_txt = f"{drain / 1000:.0f}us" if drain != float("inf") else "never"
-        print(f"{label}: min tput {result.min_throughput_after_start[label]:.1f}G,"
-              f" queue<50KB at {drain_txt}")
-
-    tput = result.min_throughput_after_start
-    drain = result.drain_time
+    stats = run_figure(benchmark, figure13, scale="bench").stats
 
     # Overreaction: per-ACK's throughput floor collapses far below HPCC's.
-    assert tput["per-ACK"] < 0.5 * tput["HPCC"]
+    assert stats["min_tput/per-ACK"] < 0.5 * stats["min_tput/HPCC"]
     # Slow reaction: per-RTT holds the startup queue longest.
-    assert drain["per-RTT"] > drain["HPCC"]
-    assert drain["per-RTT"] > drain["per-ACK"]
+    assert stats["drain_us/per-RTT"] > stats["drain_us/HPCC"]
+    assert stats["drain_us/per-RTT"] > stats["drain_us/per-ACK"]
     # HPCC: no collapse and a fast drain.
-    assert tput["HPCC"] > 40
+    assert stats["min_tput/HPCC"] > 40

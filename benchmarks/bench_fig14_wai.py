@@ -5,26 +5,20 @@ queue tiny (<=4KB); WAI=300B exceeds the headroom and builds ~13KB —
 graceful degradation, still only ~1us of queueing.
 """
 
-from repro.experiments.figure14 import run_figure14
+from repro.experiments import figure14
 
-from conftest import run_once
+from conftest import run_figure
 
 
 def test_fig14_wai_tuning(benchmark):
-    result = run_once(benchmark, run_figure14, scale="bench")
-
-    print()
-    for wai in sorted(result.queue_p95):
-        print(f"WAI={wai:.0f}B: queue p95 {result.queue_p95[wai] / 1000:.1f}KB"
-              f" p99 {result.queue_p99[wai] / 1000:.1f}KB"
-              f" Jain {result.fairness[wai]:.3f}")
+    stats = run_figure(benchmark, figure14, scale="bench").stats
 
     # Within the stability bound: near-zero queues (paper: <=4KB).
-    for wai in (25.0, 75.0, 150.0):
-        assert result.queue_p95[wai] < 5_000
+    for wai in (25, 75, 150):
+        assert stats[f"queue_p95_kb/{wai}"] < 5_000 / 1000
     # Beyond the bound: a visible but graceful queue (paper: ~13KB).
-    assert result.queue_p95[300.0] > 2 * result.queue_p95[25.0]
-    assert result.queue_p95[300.0] < 40_000
+    assert stats["queue_p95_kb/300"] > 2 * stats["queue_p95_kb/25"]
+    assert stats["queue_p95_kb/300"] < 40_000 / 1000
     # Fairness is good across the board for symmetric flows.
-    for wai, jain in result.fairness.items():
-        assert jain > 0.9
+    for wai in (25, 75, 150, 300):
+        assert stats[f"fairness/{wai}"] > 0.9

@@ -74,39 +74,35 @@ def _sweep_resilience():
     return run_resilience_overhead()
 
 
-def _appendix_a1():
-    from repro.experiments.appendix_a import run_a1
-    return run_a1(n_sources=50, rho=0.95)
+def _figure(*parts, **grid):
+    """A workload that expands an experiment grid, runs it and renders
+    it.  ``parts`` name ``repro.experiments`` modules (``"figure13"``:
+    its ``scenarios``) or partial grids (``"figure09.incast_scenarios"``);
+    each part is swept and rendered on its own."""
+    def run():
+        from repro import experiments
+        from repro.runner import SweepRunner
 
-
-def _appendix_a2():
-    from repro.experiments.appendix_a import run_a2
-    return run_a2(n_trials=50)
+        renders = []
+        for part in parts:
+            name, _, fn = part.partition(".")
+            module = getattr(experiments, name)
+            specs = getattr(module, fn or "scenarios")(**grid)
+            if not isinstance(specs, list):      # appendix a*_scenario
+                specs = [specs]
+            renders.append(module.render(specs, SweepRunner().run(specs)))
+        return renders
+    return run
 
 
 def _dynamics_failover():
     """Dynamics smoke: the FatTree failure sweep and the dual-trunk
     failover, both on the fluid backend (the packet-vs-fluid comparison
     with the >=10x assertion lives in bench_dynamics_failover.py)."""
-    from repro.experiments.failover import run_failover
-    from repro.experiments.linkfail import run_linkfail
     from repro.runner import CcChoice
 
-    schemes = (CcChoice("hpcc", label="HPCC"),)
-    return (
-        run_linkfail(schemes=schemes, backend="fluid"),
-        run_failover(schemes=schemes, backend="fluid"),
-    )
-
-
-def _fig06():
-    from repro.experiments.figure06 import run_figure06
-    return run_figure06(scale="bench")
-
-
-def _fig13():
-    from repro.experiments.figure13 import run_figure13
-    return run_figure13(scale="bench")
+    return _figure("linkfail", "failover", backend="fluid",
+                   schemes=(CcChoice("hpcc", label="HPCC"),))()
 
 
 def _fig11_fluid():
@@ -117,51 +113,6 @@ def _fig11_fluid():
         for spec in figure11.scenarios(scale="bench")
     ]
     return SweepRunner().run(specs)
-
-
-def _fig14():
-    from repro.experiments.figure14 import run_figure14
-    return run_figure14(scale="bench")
-
-
-def _fig02():
-    from repro.experiments.figure02 import run_figure02
-    return run_figure02(scale="bench")
-
-
-def _fig03():
-    from repro.experiments.figure03 import run_figure03
-    return run_figure03(scale="bench")
-
-
-def _fig01():
-    from repro.experiments.figure01 import run_figure01
-    return run_figure01(scale="bench")
-
-
-def _fig09():
-    from repro.experiments.figure09 import run_incast, run_long_short
-    return run_long_short(), run_incast()
-
-
-def _fig10():
-    from repro.experiments.figure10 import run_figure10
-    return run_figure10(scale="bench")
-
-
-def _fig12():
-    from repro.experiments.figure12 import run_figure12
-    return run_figure12(scale="bench")
-
-
-def _fig11():
-    from repro.experiments.figure11 import run_figure11
-    return run_figure11(scale="bench")
-
-
-def _failover():
-    from repro.experiments.failover import run_failover
-    return run_failover()
 
 
 def _fluid_vs_packet():
@@ -188,28 +139,32 @@ def _fig11_large():
 # tracks raw substrate throughput alongside the cheapest experiment.
 REGISTRY: dict[str, tuple] = {
     "engine_events": (_engine_events, {"events": 200_000}),
-    "appendix_a1": (_appendix_a1, {"n_sources": 50, "rho": 0.95}),
+    "appendix_a1": (_figure("appendix_a.a1_scenario", n_sources=50, rho=0.95),
+                    {"n_sources": 50, "rho": 0.95}),
     "dynamics_failover": (_dynamics_failover,
                           {"backend": "fluid", "scenarios": ["linkfail",
                                                              "failover"]}),
     "telemetry_overhead": (_telemetry_overhead,
                            {"engines": ["packet", "fluid"],
                             "limit_pct": 2, "decisions_limit_pct": 3}),
-    "appendix_a2": (_appendix_a2, {"n_trials": 50}),
+    "appendix_a2": (_figure("appendix_a.a2_scenario", n_trials=50),
+                    {"n_trials": 50}),
     "sweep_resilience": (_sweep_resilience,
                          {"backend": "fluid", "limit_pct": 3}),
-    "fig06": (_fig06, {"scale": "bench"}),
-    "fig13": (_fig13, {"scale": "bench"}),
+    "fig06": (_figure("figure06", scale="bench"), {"scale": "bench"}),
+    "fig13": (_figure("figure13", scale="bench"), {"scale": "bench"}),
     "fig11_fluid": (_fig11_fluid, {"scale": "bench", "backend": "fluid"}),
-    "fig14": (_fig14, {"scale": "bench"}),
-    "fig02": (_fig02, {"scale": "bench"}),
-    "fig03": (_fig03, {"scale": "bench"}),
-    "fig01": (_fig01, {"scale": "bench"}),
-    "fig09": (_fig09, {"parts": ["long_short", "incast"]}),
-    "fig10": (_fig10, {"scale": "bench"}),
-    "fig12": (_fig12, {"scale": "bench"}),
-    "fig11": (_fig11, {"scale": "bench"}),
-    "failover": (_failover, {}),
+    "fig14": (_figure("figure14", scale="bench"), {"scale": "bench"}),
+    "fig02": (_figure("figure02", scale="bench"), {"scale": "bench"}),
+    "fig03": (_figure("figure03", scale="bench"), {"scale": "bench"}),
+    "fig01": (_figure("figure01", scale="bench"), {"scale": "bench"}),
+    "fig09": (_figure("figure09.long_short_scenarios",
+                      "figure09.incast_scenarios"),
+              {"parts": ["long_short", "incast"]}),
+    "fig10": (_figure("figure10", scale="bench"), {"scale": "bench"}),
+    "fig12": (_figure("figure12", scale="bench"), {"scale": "bench"}),
+    "fig11": (_figure("figure11", scale="bench"), {"scale": "bench"}),
+    "failover": (_figure("failover"), {}),
     "fig11_large": (_fig11_large,
                     {"scale": "large", "backend": "fluid", "k": 16,
                      "hosts": 1024, "schemes": ["hpcc"]}),

@@ -19,6 +19,13 @@ Examples::
     hpcc-repro cache clear --dir results/
     hpcc-repro schemes
 
+``run FIG`` has one path on every backend: it expands the figure's grid,
+hands it to :func:`repro.report.build.build_figure` — the function
+``report`` builds each figure with — and prints that result: the
+figure's ``stats`` as a table (one row per scenario label), every panel
+(short series as rows of values, long ones as ASCII charts) and the
+fidelity verdict with one line per reference check.
+
 ``sweep`` expands each experiment's declared scenario grid
 (``scenarios()``), executes it on a process pool, and persists one
 ``RunRecord`` JSON per scenario (content-addressed by spec hash) plus a
@@ -60,65 +67,7 @@ import time
 from pathlib import Path
 
 from .core.registry import available_schemes
-from .experiments import (
-    appendix_a,
-    failover,
-    figure01,
-    figure02,
-    figure03,
-    figure06,
-    figure09,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    flapping,
-    linkfail,
-)
-
-# name -> (description, module). Modules expose main(scale=...) and
-# scenarios(scale=..., seed=...).
-EXPERIMENTS = {
-    "fig1": ("PFC pause propagation and suppressed bandwidth", figure01),
-    "fig2": ("DCQCN timer trade-off (throughput vs stability)", figure02),
-    "fig3": ("DCQCN ECN-threshold trade-off (bandwidth vs latency)", figure03),
-    "fig6": ("txRate vs rxRate feedback", figure06),
-    "fig9": ("testbed micro-benchmarks: HPCC vs DCQCN", figure09),
-    "fig10": ("testbed WebSearch FCT + queue CDF", figure10),
-    "fig11": ("large-scale FatTree, six CC schemes", figure11),
-    "fig12": ("flow-control choices (PFC / GBN / IRN)", figure12),
-    "fig13": ("per-ACK vs per-RTT vs HPCC reaction", figure13),
-    "fig14": ("WAI tuning", figure14),
-    "appendix": ("Appendix A: A.1 queueing, A.2 lemma, A.4 window limits",
-                 appendix_a),
-    "failover": ("extension: CC behaviour across a link failure",
-                 failover),
-    "linkfail": ("extension: FatTree link-failure sweep (dynamics "
-                 "timelines, fluid-first)", linkfail),
-    "flapping": ("extension: flapping-trunk oscillation study "
-                 "(HPCC vs DCQCN)", flapping),
-}
-
-_ALIASES = {
-    "figure1": "fig1", "fig01": "fig1", "figure01": "fig1",
-    "figure2": "fig2", "fig02": "fig2", "figure02": "fig2",
-    "figure3": "fig3", "fig03": "fig3", "figure03": "fig3",
-    "figure6": "fig6", "fig06": "fig6", "figure06": "fig6",
-    "figure9": "fig9", "fig09": "fig9", "figure09": "fig9",
-    "figure10": "fig10", "figure11": "fig11", "figure12": "fig12",
-    "figure13": "fig13", "figure14": "fig14",
-    "a": "appendix", "appendix_a": "appendix",
-}
-
-
-def _resolve(name: str) -> str:
-    key = name.lower()
-    key = _ALIASES.get(key, key)
-    if key not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise SystemExit(f"unknown experiment {name!r}; known: {known}")
-    return key
+from .experiments import EXPERIMENTS, resolve
 
 
 def _positive_int(text: str) -> int:
@@ -238,7 +187,7 @@ def _cmd_sweep(args) -> int:
     specs = []
     try:
         for name in args.experiments:
-            module = EXPERIMENTS[_resolve(name)][1]
+            module = EXPERIMENTS[resolve(name)][1]
             if seeds is None:
                 specs.extend(module.scenarios(scale=args.scale))
             else:
@@ -352,55 +301,39 @@ def _cmd_run(args) -> int:
 
 
 def _run_experiment(args) -> int:
-    key = _resolve(args.experiment)
-    module = EXPERIMENTS[key][1]
-    if args.backend == "packet" and args.telemetry is None:
-        _apply_foreground(args, [])   # --foreground must still be rejected
-        module.main(scale=args.scale)
-        return 0
-    # Fluid backend (or a telemetry-instrumented run on either engine):
-    # run the experiment's declared grid through the spec path and print
-    # a backend-neutral summary (the packet ``main`` tables read
-    # packet-only telemetry).
-    from .metrics.fct import percentile, slowdowns
-    from .metrics.reporter import format_table
+    """One path for every backend: expand the grid, hand it to the
+    report's :func:`~repro.report.build.build_figure`, print the
+    result — so ``run FIG`` and ``report`` answer the same question
+    through the same code."""
+    from .report.build import build_figure
+    from .report.text import format_render, format_score
     from .runner import SweepRunner
 
+    key = resolve(args.experiment)
     try:
-        specs = [
-            spec.replaced(backend=args.backend)
-            for spec in module.scenarios(scale=args.scale)
-        ]
+        specs = _apply_foreground(
+            args, EXPERIMENTS[key][1].scenarios(scale=args.scale)
+        )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    specs = _apply_foreground(args, specs)
     tel, tel_path = _make_telemetry(
         args, Path("telemetry.jsonl"), run_id=f"run:{key}"
     )
+    runner = SweepRunner(progress=_progress_ticker(args), telemetry=tel)
     try:
-        records = SweepRunner(
-            progress=_progress_ticker(args), telemetry=tel
-        ).run(specs)
+        fig = build_figure(key, args.backend, args.scale, runner,
+                           telemetry=tel, specs=specs)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     finally:
         if tel is not None:
             tel.close()
-    rows = []
-    for spec, record in zip(specs, records):
-        slows = slowdowns(record.fct_records())
-        rows.append((
-            spec.label or spec.spec_hash,
-            len(record.fct),
-            f"{percentile(slows, 50):.2f}" if slows else "-",
-            f"{percentile(slows, 95):.2f}" if slows else "-",
-            f"{record.wall_time_s:.2f}",
-        ))
-    print(format_table(
-        ["scenario", "flows", "p50 slowdown", "p95 slowdown", "wall (s)"],
-        rows, title=f"{key} on the {args.backend} backend "
-                    f"({args.scale} scale)",
-    ))
+    print(f"{key} on the {fig.backend} backend ({fig.scale} scale): "
+          f"{fig.n_specs} scenarios in {fig.wall_time_s:.2f}s")
+    print()
+    print(format_render(fig.render))
+    print()
+    print(format_score(key, fig.score))
     if tel_path is not None:
         print(f"telemetry -> {tel_path}")
     return 0
@@ -511,7 +444,7 @@ def _load_trace_spec(args):
             return ScenarioSpec.from_json(json.loads(path.read_text()))
         except (ValueError, TypeError, KeyError) as exc:
             raise SystemExit(f"error: cannot load spec from {path}: {exc}")
-    module = EXPERIMENTS[_resolve(args.spec)][1]
+    module = EXPERIMENTS[resolve(args.spec)][1]
     try:
         specs = module.scenarios(scale=args.scale)
     except ValueError as exc:
@@ -621,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument(
         "--quiet", action="store_true",
-        help="suppress the per-scenario progress ticker (fluid backend)",
+        help="suppress the per-scenario stderr progress ticker",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -638,8 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument(
         "--telemetry", nargs="?", const="", default=None, metavar="PATH",
-        help="record run telemetry JSONL (default PATH: telemetry.jsonl); "
-             "routes the run through the sweep path on either backend",
+        help="record run telemetry JSONL (default PATH: telemetry.jsonl)",
     )
 
     sweep = sub.add_parser(

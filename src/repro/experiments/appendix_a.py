@@ -16,20 +16,8 @@ sweep appendix`` caches them like any figure cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..runner import CcChoice, ScenarioSpec, SweepRunner, build_topology
+from ..runner import CcChoice, ScenarioSpec, build_topology
 from ..sim.units import MS, US
-
-
-@dataclass
-class A1Result:
-    n_sources: int
-    rho: float
-    analytic_mean_full_load: float
-    simulated_mean: float
-    analytic_tail: float
-    simulated_tail: float
 
 
 def a1_scenario(n_sources: int = 50, rho: float = 0.95, threshold: int = 20,
@@ -43,30 +31,6 @@ def a1_scenario(n_sources: int = 50, rho: float = 0.95, threshold: int = 20,
     )
 
 
-def run_a1(n_sources: int = 50, rho: float = 0.95, threshold: int = 20,
-           seed: int = 5, runner: SweepRunner | None = None) -> A1Result:
-    spec = a1_scenario(n_sources, rho, threshold, seed)
-    [record] = (runner or SweepRunner()).run([spec])
-    e = record.extras
-    return A1Result(
-        n_sources=e["n_sources"],
-        rho=e["rho"],
-        analytic_mean_full_load=e["analytic_mean_full_load"],
-        simulated_mean=e["simulated_mean"],
-        analytic_tail=e["analytic_tail"],
-        simulated_tail=e["simulated_tail"],
-    )
-
-
-@dataclass
-class A2Result:
-    n_trials: int
-    feasible_after_one: int
-    monotone: int
-    pareto_within_i: int          # within I steps at 1% saturation tolerance
-    pareto_asymptotic: int        # within 5I steps at 1e-6 tolerance
-
-
 def a2_scenario(n_trials: int = 50, seed: int = 11) -> ScenarioSpec:
     """Check the Lemma numerically.
 
@@ -74,7 +38,7 @@ def a2_scenario(n_trials: int = 50, seed: int = 11) -> ScenarioSpec:
     *exactly* only when no path through the new bottleneck is already
     clamped by an earlier one; otherwise saturation is geometric (fast but
     asymptotic).  We therefore check Pareto optimality within I steps at a
-    1% saturation tolerance and within 5I steps at 1e-6 (EXPERIMENTS.md).
+    1% saturation tolerance and within 5I steps at 1e-6.
     """
     return ScenarioSpec(
         program="appendix_a2",
@@ -83,29 +47,6 @@ def a2_scenario(n_trials: int = 50, seed: int = 11) -> ScenarioSpec:
         label=f"A.2 {n_trials} trials",
         meta={"figure": "appendix"},
     )
-
-
-def run_a2(n_trials: int = 50, seed: int = 11,
-           runner: SweepRunner | None = None) -> A2Result:
-    spec = a2_scenario(n_trials, seed)
-    [record] = (runner or SweepRunner()).run([spec])
-    e = record.extras
-    return A2Result(
-        n_trials=e["n_trials"],
-        feasible_after_one=e["feasible_after_one"],
-        monotone=e["monotone"],
-        pareto_within_i=e["pareto_within_i"],
-        pareto_asymptotic=e["pareto_asymptotic"],
-    )
-
-
-@dataclass
-class A4Result:
-    fan_in: int
-    peak_queue: int
-    drain_time_us: float                 # time from incast start to <1% peak
-    final_window_fraction: float         # mean sender window / Winit
-    pfc_pauses: int
 
 
 A4_BASE_RTT = 9 * US
@@ -144,32 +85,6 @@ def a4_scenario(fan_in: int = 64, seed: int = 1) -> ScenarioSpec:
     )
 
 
-def run_a4(fan_in: int = 64, seed: int = 1,
-           runner: SweepRunner | None = None) -> A4Result:
-    spec = a4_scenario(fan_in, seed)
-    [record] = (runner or SweepRunner()).run([spec])
-    t, q = record.queue_series("root")
-    peak = max(q)
-    drain_time = next(
-        (tt for tt, v in zip(t, q) if v > 0.5 * peak), 0.0
-    )
-    drained_at = next(
-        (tt for tt, v in zip(t, q) if tt > drain_time and v < 0.01 * peak),
-        float("inf"),
-    )
-    windows = [w for w in record.final_windows().values() if w is not None]
-    topo = build_topology(spec)
-    winit = topo.host_rate(0) * A4_BASE_RTT
-    mean_window = sum(windows) / len(windows) if windows else winit
-    return A4Result(
-        fan_in=64,
-        peak_queue=peak,
-        drain_time_us=(drained_at - drain_time) / US,
-        final_window_fraction=mean_window / winit,
-        pfc_pauses=record.extras["pause_count"],
-    )
-
-
 def scenarios(scale: str = "bench", seed: int | None = None) -> list[ScenarioSpec]:
     """All Appendix A cells (for ``hpcc-repro sweep``); seeds follow the
     per-experiment defaults unless overridden."""
@@ -193,6 +108,9 @@ def render(specs, records):
                 e["simulated_mean"] / e["analytic_mean_full_load"]
                 if e["analytic_mean_full_load"] else float("nan")
             )
+            stats["a1_sim_mean"] = e["simulated_mean"]
+            stats["a1_sim_tail"] = e["simulated_tail"]
+            stats["a1_analytic_tail"] = e["analytic_tail"]
             panels.append(Panel(
                 key="a1-queueing",
                 title="A.1: mean queue, simulation vs analytic bound",
@@ -209,6 +127,9 @@ def render(specs, records):
             stats["a2_feasible_frac"] = e["feasible_after_one"] / n
             stats["a2_monotone_frac"] = e["monotone"] / n
             stats["a2_pareto_frac"] = e["pareto_asymptotic"] / n
+            # Within I steps at 1% saturation tolerance (a2_pareto_frac
+            # is the asymptotic 5I-step, 1e-6 variant).
+            stats["a2_pareto_within_i_frac"] = e["pareto_within_i"] / n
             panels.append(Panel(
                 key="a2-lemma",
                 title="A.2: Pareto-convergence lemma, fraction of trials",
@@ -241,38 +162,20 @@ def render(specs, records):
                 sum(windows) / len(windows) / winit if windows else float("nan")
             )
             stats["a4_pfc_pauses"] = float(record.extras.get("pause_count", 0))
+            # Drain time: from the burst crossing half its peak until the
+            # root queue is back under 1% of it.
+            peak = max(q, default=0.0)
+            rose_at = next((tt for tt, v in zip(t, q) if v > 0.5 * peak), 0.0)
+            drained_at = next(
+                (tt for tt, v in zip(t, q)
+                 if tt > rose_at and v < 0.01 * peak),
+                float("inf"),
+            )
+            stats["a4_peak_queue_kb"] = peak / 1000
+            stats["a4_drain_us"] = (drained_at - rose_at) / US
     return FigureRender(
         figure="appendix",
         title="Appendix A: the theory, executed",
         panels=panels,
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    runner = SweepRunner()
-    a1 = run_a1(runner=runner)
-    print(
-        f"A.1  N={a1.n_sources} rho={a1.rho}: simulated mean queue "
-        f"{a1.simulated_mean:.2f} pkts (analytic bound at rho=1: "
-        f"{a1.analytic_mean_full_load:.2f}); P(Q>20) sim {a1.simulated_tail:.2e} "
-        f"analytic {a1.analytic_tail:.2e}"
-    )
-    a2 = run_a2(runner=runner)
-    print(
-        f"A.2  {a2.n_trials} random networks: feasible after 1 step "
-        f"{a2.feasible_after_one}, monotone {a2.monotone}, Pareto within I "
-        f"steps (1% tol) {a2.pareto_within_i}, Pareto by 5I steps "
-        f"{a2.pareto_asymptotic}"
-    )
-    a4 = run_a4(runner=runner)
-    print(
-        f"A.4  64-to-1 incast: peak root queue {a4.peak_queue / 1000:.0f}KB, "
-        f"drained in {a4.drain_time_us:.0f}us, mean window at end "
-        f"{a4.final_window_fraction:.3f} x Winit (1/65 = {1 / 65:.3f}), "
-        f"PFC pauses: {a4.pfc_pauses}"
-    )
-
-
-if __name__ == "__main__":
-    main()

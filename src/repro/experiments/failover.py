@@ -21,26 +21,13 @@ lost to the cut, time to regain 80% of the surviving capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dynamics import FailLink, Timeline
-from ..runner import CcChoice, RunRecord, ScenarioGrid, ScenarioSpec, \
-    SweepRunner, cc_axis
+from ..runner import CcChoice, RunRecord, ScenarioGrid, ScenarioSpec, cc_axis
 from ..sim.units import MS, US
 from ..topology.simple import dual_trunk
 
-__all__ = ["BENCH", "SCHEMES", "TRUNK_GBPS", "FailoverResult", "dual_trunk",
-           "goodput_summary", "recovery_time_us", "run_failover",
-           "scenarios", "surviving_payload_gbps", "main"]
-
-
-@dataclass
-class FailoverResult:
-    goodput_before: dict[str, float]       # Gbps, aggregate
-    goodput_after: dict[str, float]        # Gbps, after recovery window
-    recovery_time_us: dict[str, float]     # to 80% of surviving capacity
-    lost_packets: dict[str, int]
-    drained: dict[str, bool]
+__all__ = ["BENCH", "SCHEMES", "TRUNK_GBPS", "dual_trunk", "goodput_summary",
+           "recovery_time_us", "render", "scenarios", "surviving_payload_gbps"]
 
 
 BENCH = {
@@ -67,8 +54,7 @@ def surviving_payload_gbps(record: RunRecord) -> float:
 def goodput_summary(record: RunRecord, p: dict) -> dict:
     """Per-record failover accounting: aggregate goodput before the cut
     and near the end, recovery time to 80% of the surviving capacity,
-    packets lost to the down period.  Shared by :func:`run_failover`
-    and the report's ``render`` hook so the two never diverge."""
+    packets lost to the down period."""
     goodput = record.goodput()
     ids = record.flow_ids("bg")
 
@@ -161,35 +147,6 @@ def recovery_time_us(
     return (rec - fail_at) / US
 
 
-def run_failover(
-    schemes: tuple[CcChoice, ...] = SCHEMES,
-    params: dict | None = None,
-    seed: int = 1,
-    runner: SweepRunner | None = None,
-    backend: str = "packet",
-) -> FailoverResult:
-    specs = scenarios(seed=seed, schemes=schemes, params=params,
-                      backend=backend)
-    records = (runner or SweepRunner()).run(specs)
-    before: dict[str, float] = {}
-    after: dict[str, float] = {}
-    recovery: dict[str, float] = {}
-    lost: dict[str, int] = {}
-    drained: dict[str, bool] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        summary = goodput_summary(record, spec.meta["params"])
-        before[label] = summary["before_gbps"]
-        after[label] = summary["after_gbps"]
-        recovery[label] = summary["recovery_us"]
-        lost[label] = summary["lost_packets"]
-        # Fluid records omit queue-free switches, hence the default.
-        drained[label] = (
-            record.switch_queued_bytes().get(spec.meta["sw_a"], 0) < 10_000_000
-        )
-    return FailoverResult(before, after, recovery, lost, drained)
-
-
 def render(specs, records):
     """Report hook: aggregate goodput through the cut, per scheme."""
     from ..report.figures import FigureRender, Panel, Series
@@ -207,6 +164,10 @@ def render(specs, records):
         for metric, value in goodput_summary(record,
                                              spec.meta["params"]).items():
             stats[f"{metric}/{label}"] = float(value)
+        # Fluid records omit queue-free switches, hence the default.
+        stats[f"drained/{label}"] = float(
+            record.switch_queued_bytes().get(spec.meta["sw_a"], 0) < 10_000_000
+        )
     return FigureRender(
         figure="failover",
         title="Extension: CC behaviour across a link failure",
@@ -222,28 +183,3 @@ def render(specs, records):
             "pools the two trunk members (no ECMP hash imbalance)."
         ],
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_failover()
-    rows = [
-        (scheme,
-         f"{result.goodput_before[scheme]:.1f}",
-         f"{result.goodput_after[scheme]:.1f}",
-         ("%.0fus" % result.recovery_time_us[scheme])
-         if result.recovery_time_us[scheme] != float("inf") else "never",
-         result.lost_packets[scheme])
-        for scheme in result.goodput_before
-    ]
-    print(format_table(
-        ["scheme", "goodput before (G)", "after (G)", "recovery to 80%",
-         "pkts lost to cut"],
-        rows,
-        title="Failover: one of two 50G trunks cut at 2ms (4x25G senders)",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -2,7 +2,7 @@
 
 The paper's Figure 1 is *production telemetry*: (a) how many hops PFC
 pause trees propagate, (b) how much host bandwidth they suppress.  Our
-substitution (DESIGN.md): drive a PoD with DCQCN under repeated large
+substitution: drive a PoD with DCQCN under repeated large
 incasts — the regime the paper identifies as the pause trigger — trace
 every pause interval, chain overlapping intervals into cause-effect trees
 (``repro.metrics.pfcstats``), and report the same two distributions.
@@ -14,12 +14,14 @@ and the worst events suppress a double-digit percentage of host capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..metrics.pfcstats import PauseTreeStats, analyze_pause_trees, depth_ccdf
-from ..runner import ScenarioSpec, SweepRunner, build_topology, CcChoice
+from ..metrics.pfcstats import analyze_pause_trees, depth_ccdf
+from ..runner import ScenarioSpec, build_topology, CcChoice
 from ..sim.units import US
 from .common import require_scale
+
+#: PFC pause trees only exist on the packet engine (README "Simulation
+#: backends"); ``build_figure`` keeps this figure there.
+PACKET_ONLY = True
 
 SCALES = {
     "bench": {
@@ -44,14 +46,6 @@ SCALES = {
         "load": 0.30,
     },
 }
-
-
-@dataclass
-class Figure1Result:
-    trees: list[PauseTreeStats]
-    depth_ccdf: dict[int, float]                  # P(depth >= d)
-    suppressed: list[float]                       # per-tree capacity fraction
-    pause_events: int
 
 
 def scenarios(scale: str = "bench", seed: int = 3,
@@ -86,27 +80,6 @@ def scenarios(scale: str = "bench", seed: int = 3,
         label="fig1/DCQCN",
         meta={"figure": "fig1"},
     )]
-
-
-def run_figure01(scale: str = "bench", seed: int = 3,
-                 overrides: dict | None = None,
-                 runner: SweepRunner | None = None) -> Figure1Result:
-    specs = scenarios(scale, seed=seed, overrides=overrides)
-    [record] = (runner or SweepRunner()).run(specs)
-    topo = build_topology(specs[0])
-    trees = analyze_pause_trees(
-        record.pause_tracker(),
-        origin_of=record.origin_map(),
-        host_ids=set(topo.hosts),
-        host_rate=topo.min_host_rate(),
-    )
-    suppressed = sorted((t.suppressed_fraction for t in trees), reverse=True)
-    return Figure1Result(
-        trees=trees,
-        depth_ccdf=depth_ccdf(trees),
-        suppressed=suppressed,
-        pause_events=record.extras["pause_count"],
-    )
 
 
 def render(specs, records):
@@ -157,28 +130,3 @@ def render(specs, records):
         ],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_figure01(scale)
-    print(f"pause intervals recorded: {result.pause_events}; "
-          f"pause trees: {len(result.trees)}")
-    rows = [
-        (d, f"{frac * 100:.1f}%") for d, frac in sorted(result.depth_ccdf.items())
-    ]
-    print(format_table(
-        ["depth >=", "fraction of events"],
-        rows, title="Figure 1a: pause propagation depth CCDF",
-    ))
-    if result.suppressed:
-        top = result.suppressed[: min(5, len(result.suppressed))]
-        print(
-            "Figure 1b: worst suppressed host capacity per event: "
-            + ", ".join(f"{s * 100:.1f}%" for s in top)
-        )
-
-
-if __name__ == "__main__":
-    main()

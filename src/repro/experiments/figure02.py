@@ -14,14 +14,11 @@ Sweep the DCQCN timers on the testbed PoD with WebSearch traffic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..metrics.fct import BucketStats, percentile, slowdown_by_bucket
 from ..runner import (
     CcChoice,
     ScenarioGrid,
     ScenarioSpec,
-    SweepRunner,
     workload_cdf,
 )
 from ..sim.units import US
@@ -54,15 +51,6 @@ SCALES = {
         "buffer_bytes": 32_000_000,
     },
 }
-
-
-@dataclass
-class Figure2Result:
-    buckets: dict[str, list[BucketStats]]          # 2a: per timer setting
-    pause_time_fraction: dict[str, float]          # 2b
-    short_flow_p95_us: dict[str, float]            # 2b
-    pause_events: dict[str, int]
-    bucket_edges: list[int]
 
 
 def scenarios(
@@ -107,41 +95,6 @@ def scenarios(
          "label": label}
         for label, timers in TIMER_SETTINGS
     ]).expand()
-
-
-def run_figure02(
-    scale: str = "bench",
-    load: float = 0.30,
-    with_incast: bool = True,
-    seed: int = 1,
-    overrides: dict | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure2Result:
-    specs = scenarios(scale, seed=seed, load=load,
-                      with_incast=with_incast, overrides=overrides)
-    records = (runner or SweepRunner()).run(specs)
-    size_scale = specs[0].meta["size_scale"]
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
-    short_cut = max(3000 * size_scale, 2 * 1000)
-    buckets: dict[str, list[BucketStats]] = {}
-    pause_frac: dict[str, float] = {}
-    short_p95: dict[str, float] = {}
-    pause_events: dict[str, int] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        fct = record.fct_records()
-        buckets[label] = slowdown_by_bucket(fct, edges, tag="bg")
-        short = [
-            r.fct / US for r in fct
-            if r.spec.size <= short_cut and r.spec.tag == "bg"
-        ]
-        short_p95[label] = percentile(short, 95) if short else float("nan")
-        pause_frac[label] = (
-            record.extras["pause_total_ns"]
-            / (record.duration_ns * record.extras["n_hosts"])
-        )
-        pause_events[label] = record.extras["pause_count"]
-    return Figure2Result(buckets, pause_frac, short_p95, pause_events, edges)
 
 
 def render(specs, records):
@@ -197,29 +150,3 @@ def render(specs, records):
         ],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_bucket_table, format_table
-
-    result = run_figure02(scale)
-    print(format_bucket_table(
-        result.buckets, "p95",
-        title="Figure 2a: p95 FCT slowdown, DCQCN timer settings (WebSearch 30%)",
-    ))
-    print()
-    rows = [
-        (label,
-         f"{result.pause_time_fraction[label] * 100:.3f}%",
-         result.pause_events[label],
-         f"{result.short_flow_p95_us[label]:.1f}")
-        for label, _ in TIMER_SETTINGS
-    ]
-    print(format_table(
-        ["timers", "pause time", "pause events", "short-flow p95 (us)"],
-        rows, title="Figure 2b: PFC pauses and tail latency (with incast)",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,10 +9,8 @@ which is the paper's motivation for queue-free feedback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..metrics.fct import BucketStats, slowdown_by_bucket
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, workload_cdf
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, workload_cdf
 from ..sim.units import KB, US
 from .common import require_scale
 
@@ -40,12 +38,6 @@ SCALES = {
         "buffer_bytes": 32_000_000,
     },
 }
-
-
-@dataclass
-class Figure3Result:
-    buckets: dict[float, dict[str, list[BucketStats]]]   # load -> setting -> stats
-    bucket_edges: list[int]
 
 
 def scenarios(
@@ -88,25 +80,6 @@ def scenarios(
     ).expand()
 
 
-def run_figure03(
-    scale: str = "bench",
-    loads: tuple[float, ...] = (0.30, 0.50),
-    seed: int = 1,
-    overrides: dict | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure3Result:
-    specs = scenarios(scale, seed=seed, loads=loads, overrides=overrides)
-    records = (runner or SweepRunner()).run(specs)
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
-    by_load: dict[float, dict[str, list[BucketStats]]] = {}
-    for spec, record in zip(specs, records):
-        load = spec.meta["load"]
-        by_load.setdefault(load, {})[spec.label] = slowdown_by_bucket(
-            record.fct_records(), edges
-        )
-    return Figure3Result(by_load, edges)
-
-
 def short_vs_long_p95(stats: list[BucketStats]) -> tuple[float, float]:
     """(short-flow, long-flow) p95 summary used by the benchmark asserts."""
     if not stats:
@@ -146,19 +119,3 @@ def render(specs, records):
         panels=panels,
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_bucket_table
-
-    result = run_figure03(scale)
-    for load, by_setting in result.buckets.items():
-        print(format_bucket_table(
-            by_setting, "p95",
-            title=f"Figure 3 ({load:.0%} load): p95 FCT slowdown, ECN thresholds",
-        ))
-        print()
-
-
-if __name__ == "__main__":
-    main()

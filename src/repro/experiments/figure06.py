@@ -4,12 +4,12 @@ A 2-to-1 congestion scenario on a single switch.  HPCC (txRate) converges
 to a near-empty queue without oscillation; HPCC-rxRate double-counts
 congestion (rxRate and qlen overlap) and oscillates before converging.
 
-The driver reports the bottleneck queue time series for both variants plus
-two summary numbers used by the benchmark: the post-transient mean queue
-and the oscillation amplitude (std-dev of the queue after the initial
-drain).
+``render`` reports the bottleneck queue time series for both variants plus
+the summary numbers the benchmark asserts on: the post-transient mean
+queue, the oscillation amplitude (std-dev of the queue after the initial
+drain) and the transient peak.
 
-Reproduction note (recorded in EXPERIMENTS.md): under Algorithm 1's
+Reproduction note: under Algorithm 1's
 published safeguards — the min(qlen) filter, the parameterless EWMA and
 the per-RTT reference window — the rxRate variant *also* converges in our
 simulator; the oscillation the paper shows is damped by exactly these
@@ -20,9 +20,7 @@ and arrival rate double-count the same congestion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec
 from ..sim.units import MS, US
 
 BENCH = {
@@ -35,14 +33,6 @@ BENCH = {
 }
 
 VARIANTS = (("HPCC (txRate)", "hpcc"), ("HPCC-rxRate", "hpcc-rxrate"))
-
-
-@dataclass
-class Figure6Result:
-    series: dict[str, tuple[list[float], list[int]]]   # label -> (t, qlen)
-    steady_mean: dict[str, float]                      # bytes
-    steady_std: dict[str, float]                       # bytes
-    peak: dict[str, int]
 
 
 def _steady_stats(times: list[float], qlens: list[int], t_from: float):
@@ -90,27 +80,6 @@ def scenarios(scale: str = "bench", seed: int = 1,
     ]).expand()
 
 
-def run_figure06(scale: str = "bench", params: dict | None = None,
-                 seed: int = 1,
-                 runner: SweepRunner | None = None) -> Figure6Result:
-    specs = scenarios(scale, seed=seed, params=params)
-    records = (runner or SweepRunner()).run(specs)
-    series: dict[str, tuple[list[float], list[int]]] = {}
-    steady_mean: dict[str, float] = {}
-    steady_std: dict[str, float] = {}
-    peak: dict[str, int] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        t, q = record.queue_series("bneck")
-        series[label] = (t, q)
-        # Steady window: after 25% of the run (past the line-rate transient).
-        mean, std = _steady_stats(t, q, spec.meta["duration"] * 0.25)
-        steady_mean[label] = mean
-        steady_std[label] = std
-        peak[label] = max(q) if q else 0
-    return Figure6Result(series, steady_mean, steady_std, peak)
-
-
 def render(specs, records):
     """Report hook: bottleneck-queue trajectory for both feedback variants."""
     from ..report.figures import FigureRender, Panel, Series, queue_series
@@ -140,27 +109,3 @@ def render(specs, records):
         )],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import ascii_series, format_table
-
-    result = run_figure06(scale)
-    rows = [
-        (label,
-         f"{result.steady_mean[label] / 1000:.1f}",
-         f"{result.steady_std[label] / 1000:.1f}",
-         f"{result.peak[label] / 1000:.1f}")
-        for label in result.series
-    ]
-    print(format_table(
-        ["variant", "steady mean (KB)", "steady std (KB)", "peak (KB)"],
-        rows, title="Figure 6: queue at the 2-to-1 bottleneck",
-    ))
-    for label, (t, q) in result.series.items():
-        print()
-        print(ascii_series(t, [v / 1000 for v in q], label=f"{label} queue (KB)", t_unit=US))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,16 +17,14 @@ DCQCN's additive increase is glacial by design (the paper's own Figure 9b
 shows no recovery within 2ms); the elephant-mice scenario therefore uses a
 raised ``rai`` so DCQCN reaches its ECN-threshold equilibrium within the
 scaled warm-up — the accelerant changes time-to-equilibrium, not the
-equilibrium queue itself (recorded in EXPERIMENTS.md).
+equilibrium queue itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..metrics.fct import percentile
 from ..metrics.timeseries import jain_fairness
-from ..runner import CcChoice, ScenarioSpec, SweepRunner
+from ..runner import CcChoice, ScenarioSpec
 from ..sim.units import MS, US, gbps
 from .common import require_scale
 
@@ -53,14 +51,6 @@ def _testbed_spec(cc: CcChoice, scenario: str, **kwargs) -> ScenarioSpec:
 
 
 # -- 9a/9b: long-short -------------------------------------------------------------
-
-@dataclass
-class LongShortResult:
-    goodput: dict[str, dict[str, tuple[list[float], list[float]]]]
-    queue: dict[str, tuple[list[float], list[int]]]
-    recovery_gbps: dict[str, float]      # long-flow goodput after short left
-    line_gbps: float = 25.0
-
 
 def long_short_scenarios(params: dict | None = None,
                          seed: int = 1) -> list[ScenarioSpec]:
@@ -91,40 +81,7 @@ def long_short_scenarios(params: dict | None = None,
     ]
 
 
-def run_long_short(params: dict | None = None, seed: int = 1,
-                   runner: SweepRunner | None = None) -> LongShortResult:
-    specs = long_short_scenarios(params, seed=seed)
-    records = (runner or SweepRunner()).run(specs)
-    goodput: dict[str, dict[str, tuple]] = {}
-    queue: dict[str, tuple] = {}
-    recovery: dict[str, float] = {}
-    for spec, record in zip(specs, records):
-        p = spec.meta["params"]
-        tracker = record.goodput()
-        [long_id] = record.flow_ids("long")
-        [short_id] = record.flow_ids("short")
-        goodput[spec.label] = {
-            "long": tracker.series(long_id),
-            "short": tracker.series(short_id),
-        }
-        queue[spec.label] = record.queue_series("bneck")
-        short_end = record.finish_times().get(short_id, p["duration"])
-        window_from = min(short_end + 200 * US, p["duration"] - 500 * US)
-        recovery[spec.label] = tracker.mean_gbps(
-            long_id, window_from, p["duration"]
-        )
-    return LongShortResult(goodput, queue, recovery)
-
-
 # -- 9c/9d: incast -----------------------------------------------------------------
-
-@dataclass
-class IncastResult:
-    queue_peak: dict[str, int]
-    queue_after_2rtt: dict[str, int]     # queue once reactions took hold
-    queue: dict[str, tuple[list[float], list[int]]]
-    total_goodput: dict[str, tuple[list[float], list[float]]]
-
 
 def incast_scenarios(params: dict | None = None,
                      seed: int = 1) -> list[ScenarioSpec]:
@@ -155,40 +112,7 @@ def incast_scenarios(params: dict | None = None,
     ]
 
 
-def run_incast(params: dict | None = None, seed: int = 1,
-               runner: SweepRunner | None = None) -> IncastResult:
-    specs = incast_scenarios(params, seed=seed)
-    records = (runner or SweepRunner()).run(specs)
-    peak: dict[str, int] = {}
-    settled: dict[str, int] = {}
-    queue: dict[str, tuple] = {}
-    tput: dict[str, tuple] = {}
-    for spec, record in zip(specs, records):
-        p = spec.meta["params"]
-        t, q = record.queue_series("bneck")
-        queue[spec.label] = (t, q)
-        tput[spec.label] = record.goodput().total_series()
-        in_event = [
-            (tt, v) for tt, v in zip(t, q) if tt >= p["incast_at"]
-        ]
-        peak[spec.label] = max(v for _, v in in_event)
-        probe = p["incast_at"] + 10 * T_TESTBED
-        settled[spec.label] = next(
-            (v for tt, v in in_event if tt >= probe), 0
-        )
-    return IncastResult(peak, settled, queue, tput)
-
-
 # -- 9e/9f: elephant-mice ----------------------------------------------------------
-
-@dataclass
-class ElephantMiceResult:
-    mice_fct_us: dict[str, list[float]]
-    mice_p50_us: dict[str, float]
-    mice_p95_us: dict[str, float]
-    queue_p50: dict[str, float]
-    queue_p95: dict[str, float]
-
 
 def elephant_mice_scenarios(params: dict | None = None,
                             seed: int = 1) -> list[ScenarioSpec]:
@@ -228,38 +152,7 @@ def elephant_mice_scenarios(params: dict | None = None,
     return specs
 
 
-def run_elephant_mice(params: dict | None = None, seed: int = 1,
-                      runner: SweepRunner | None = None) -> ElephantMiceResult:
-    specs = elephant_mice_scenarios(params, seed=seed)
-    records = (runner or SweepRunner()).run(specs)
-    fcts: dict[str, list[float]] = {}
-    q50: dict[str, float] = {}
-    q95: dict[str, float] = {}
-    p50: dict[str, float] = {}
-    p95: dict[str, float] = {}
-    for spec, record in zip(specs, records):
-        p = spec.meta["params"]
-        mice = [
-            r.fct / US for r in record.fct_records() if r.spec.tag == "mice"
-        ]
-        fcts[spec.label] = mice
-        p50[spec.label] = percentile(mice, 50)
-        p95[spec.label] = percentile(mice, 95)
-        t_q, q = record.queue_series("bneck")
-        steady = [v for tt, v in zip(t_q, q) if tt >= p["warmup"]]
-        q50[spec.label] = percentile(steady, 50)
-        q95[spec.label] = percentile(steady, 95)
-    return ElephantMiceResult(fcts, p50, p95, q50, q95)
-
-
 # -- 9g/9h: fairness ---------------------------------------------------------------
-
-@dataclass
-class FairnessResult:
-    goodput: dict[str, dict[int, tuple[list[float], list[float]]]]
-    jain_all_active: dict[str, float]
-    rates_all_active: dict[str, list[float]] = field(default_factory=dict)
-
 
 def fairness_scenarios(params: dict | None = None,
                        seed: int = 1) -> list[ScenarioSpec]:
@@ -288,33 +181,6 @@ def fairness_scenarios(params: dict | None = None,
             seed=seed,
         ).replaced(**{"meta.params": p}))
     return specs
-
-
-def run_fairness(params: dict | None = None, seed: int = 1,
-                 runner: SweepRunner | None = None) -> FairnessResult:
-    specs = fairness_scenarios(params, seed=seed)
-    records = (runner or SweepRunner()).run(specs)
-    goodput: dict[str, dict[int, tuple]] = {}
-    jain: dict[str, float] = {}
-    rates_out: dict[str, list[float]] = {}
-    for spec, record in zip(specs, records):
-        p = spec.meta["params"]
-        tracker = record.goodput()
-        ids = [record.flow_ids(f"flow{i}")[0] for i in range(4)]
-        goodput[spec.label] = {fid: tracker.series(fid) for fid in ids}
-        # All four flows are active from the last join until the first finish.
-        window_from = 3 * p["join_gap"] + 1 * MS
-        finish_times = record.finish_times()
-        finishes = [finish_times[fid] for fid in ids if fid in finish_times]
-        window_to = min(finishes) if finishes else p["duration"]
-        window_to = min(window_to - 100 * US, p["duration"])
-        window_to = max(window_to, window_from + 500 * US)
-        rates = [
-            tracker.mean_gbps(fid, window_from, window_to) for fid in ids
-        ]
-        rates_out[spec.label] = rates
-        jain[spec.label] = jain_fairness(rates)
-    return FairnessResult(goodput, jain, rates_out)
 
 
 def scenarios(scale: str = "bench", seed: int = 1) -> list[ScenarioSpec]:
@@ -394,6 +260,7 @@ def render(specs, records):
 
     mice_series = []
     for spec, record in groups.get("elephant-mice", []):
+        p = spec.meta["params"]
         mice = [
             r.fct / US for r in record.fct_records() if r.spec.tag == "mice"
         ]
@@ -403,6 +270,11 @@ def render(specs, records):
         )
         stats[f"mice_p95_us/{spec.label}"] = (
             percentile(mice, 95) if mice else float("nan")
+        )
+        t_q, q = queue_series(record, "bneck")
+        steady = [v for tt, v in zip(t_q, q) if tt >= p["warmup"]]
+        stats[f"queue_p95_kb/{spec.label}"] = (
+            percentile(steady, 95) / 1000 if steady else float("nan")
         )
     if mice_series:
         panels.append(Panel(
@@ -430,6 +302,7 @@ def render(specs, records):
         fairness_labels.append(spec.label)
         fairness_values.append(jain_fairness(rates))
         stats[f"jain/{spec.label}"] = fairness_values[-1]
+        stats[f"total_gbps/{spec.label}"] = sum(rates)
     if fairness_labels:
         panels.append(Panel(
             key="fairness",
@@ -448,45 +321,3 @@ def render(specs, records):
         panels=panels,
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    runner = SweepRunner()
-    ls = run_long_short(runner=runner)
-    print(format_table(
-        ["scheme", "long-flow goodput after short leaves (Gbps)"],
-        [(k, f"{v:.1f}") for k, v in ls.recovery_gbps.items()],
-        title="Figure 9a/9b: long-short rate recovery (line rate 25G)",
-    ))
-    print()
-    inc = run_incast(runner=runner)
-    print(format_table(
-        ["scheme", "incast queue peak (KB)", "queue 10 RTTs later (KB)"],
-        [(k, f"{inc.queue_peak[k] / 1000:.0f}", f"{inc.queue_after_2rtt[k] / 1000:.0f}")
-         for k in inc.queue_peak],
-        title="Figure 9c/9d: 7-to-1 incast on a busy receiver",
-    ))
-    print()
-    em = run_elephant_mice(runner=runner)
-    print(format_table(
-        ["scheme", "mice p50 (us)", "mice p95 (us)", "queue p50 (KB)", "queue p95 (KB)"],
-        [(k, f"{em.mice_p50_us[k]:.1f}", f"{em.mice_p95_us[k]:.1f}",
-          f"{em.queue_p50[k] / 1000:.1f}", f"{em.queue_p95[k] / 1000:.1f}")
-         for k in em.mice_p50_us],
-        title="Figure 9e/9f: elephant-mice latency and queue",
-    ))
-    print()
-    fair = run_fairness(runner=runner)
-    print(format_table(
-        ["scheme", "Jain index (4 active)", "rates (Gbps)"],
-        [(k, f"{fair.jain_all_active[k]:.3f}",
-          " ".join(f"{r:.1f}" for r in fair.rates_all_active[k]))
-         for k in fair.jain_all_active],
-        title="Figure 9g/9h: fairness as flows join",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -12,14 +12,11 @@ WebSearch at 30% and 50% average load on the testbed PoD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..metrics.fct import BucketStats, percentile, slowdown_by_bucket
 from ..runner import (
     CcChoice,
     ScenarioGrid,
     ScenarioSpec,
-    SweepRunner,
     cc_axis,
     workload_cdf,
 )
@@ -47,16 +44,6 @@ SCALES = {
         "sample_interval": 10 * US,
     },
 }
-
-
-@dataclass
-class Figure10Result:
-    buckets: dict[float, dict[str, list[BucketStats]]]
-    queue_p50: dict[float, dict[str, float]]
-    queue_p95: dict[float, dict[str, float]]
-    queue_p99: dict[float, dict[str, float]]
-    short_p99: dict[float, dict[str, float]]       # <3KB-equivalent flows
-    bucket_edges: list[int]
 
 
 def scenarios(
@@ -95,39 +82,6 @@ def scenarios(
     ).expand()
 
 
-def run_figure10(
-    scale: str = "bench",
-    loads: tuple[float, ...] = (0.30, 0.50),
-    seed: int = 1,
-    overrides: dict | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure10Result:
-    specs = scenarios(scale, seed=seed, loads=loads, overrides=overrides)
-    records = (runner or SweepRunner()).run(specs)
-    size_scale = specs[0].meta["size_scale"]
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
-    short_cut = 3000 * size_scale
-    buckets: dict[float, dict[str, list[BucketStats]]] = {}
-    q50: dict[float, dict[str, float]] = {}
-    q95: dict[float, dict[str, float]] = {}
-    q99: dict[float, dict[str, float]] = {}
-    s99: dict[float, dict[str, float]] = {}
-    for spec, record in zip(specs, records):
-        load = spec.meta["load"]
-        label = spec.label
-        for table in (buckets, q50, q95, q99, s99):
-            table.setdefault(load, {})
-        fct = record.fct_records()
-        buckets[load][label] = slowdown_by_bucket(fct, edges)
-        samples = record.all_queue_samples()
-        q50[load][label] = percentile(samples, 50)
-        q95[load][label] = percentile(samples, 95)
-        q99[load][label] = percentile(samples, 99)
-        shorts = [r.slowdown for r in fct if r.spec.size <= short_cut]
-        s99[load][label] = percentile(shorts, 99) if shorts else float("nan")
-    return Figure10Result(buckets, q50, q95, q99, s99, edges)
-
-
 def render(specs, records):
     """Report hook: per-load p99 bucket curves + switch-queue CDFs."""
     from ..report.figures import FigureRender, Panel, bucket_panel, cdf_series
@@ -146,6 +100,9 @@ def render(specs, records):
         samples = [s / 1000 for s in record.all_queue_samples()]
         queue_cdfs.setdefault(load, []).append(cdf_series(label, samples))
         key = f"{load:.2f}/{label}"
+        stats[f"queue_p50_kb/{key}"] = (
+            percentile(samples, 50) if samples else 0.0
+        )
         stats[f"queue_p99_kb/{key}"] = (
             percentile(samples, 99) if samples else 0.0
         )
@@ -179,32 +136,3 @@ def render(specs, records):
         panels=panels,
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_bucket_table, format_table
-
-    result = run_figure10(scale)
-    for load in result.buckets:
-        print(format_bucket_table(
-            result.buckets[load], "p99",
-            title=f"Figure 10 ({load:.0%} load): p99 FCT slowdown per size bucket",
-        ))
-        rows = [
-            (cc,
-             f"{result.queue_p50[load][cc] / 1000:.1f}",
-             f"{result.queue_p95[load][cc] / 1000:.1f}",
-             f"{result.queue_p99[load][cc] / 1000:.1f}",
-             f"{result.short_p99[load][cc]:.2f}")
-            for cc in result.queue_p50[load]
-        ]
-        print(format_table(
-            ["scheme", "queue p50 (KB)", "queue p95 (KB)", "queue p99 (KB)",
-             "short-flow p99 slowdown"],
-            rows, title=f"Figure 10 ({load:.0%} load): queue CDF summary",
-        ))
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -15,14 +15,13 @@ DCQCN+win, TIMELY+win, DCTCP and HPCC.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from ..metrics.fct import BucketStats, percentile, slowdown_by_bucket
 from ..runner import (
     CcChoice,
     ScenarioGrid,
     ScenarioSpec,
-    SweepRunner,
     cc_axis,
     workload_cdf,
 )
@@ -78,14 +77,6 @@ SCALES = {
 }
 
 
-@dataclass
-class Figure11Result:
-    buckets: dict[str, dict[str, list[BucketStats]]]     # case -> scheme -> stats
-    pause_fraction: dict[str, dict[str, float]]
-    short_p95_us: dict[str, dict[str, float]]
-    bucket_edges: list[int]
-
-
 def _case_updates(case: str, p: dict) -> dict:
     load = 0.30 if case.startswith("30") else 0.50
     updates = {"workload.load": load, "meta.case": case}
@@ -135,42 +126,6 @@ def scenarios(
     ).expand()
 
 
-def run_figure11(
-    scale: str = "bench",
-    cases: tuple[str, ...] = ("30%+incast", "50%"),
-    schemes: tuple[CcChoice, ...] = SCHEMES,
-    seed: int = 1,
-    overrides: dict | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure11Result:
-    specs = scenarios(scale, seed=seed, cases=cases, schemes=schemes,
-                      overrides=overrides)
-    records = (runner or SweepRunner()).run(specs)
-    size_scale = specs[0].meta["size_scale"]
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
-    short_cut = 1000 * size_scale
-    buckets: dict[str, dict[str, list[BucketStats]]] = {}
-    pauses: dict[str, dict[str, float]] = {}
-    lat: dict[str, dict[str, float]] = {}
-    for spec, record in zip(specs, records):
-        case = spec.meta["case"]
-        label = spec.label
-        for table in (buckets, pauses, lat):
-            table.setdefault(case, {})
-        fct = record.fct_records()
-        buckets[case][label] = slowdown_by_bucket(fct, edges, tag="bg")
-        pauses[case][label] = (
-            record.extras["pause_total_ns"]
-            / (record.duration_ns * record.extras["n_hosts"])
-        )
-        shorts = [
-            r.fct / US for r in fct
-            if r.spec.size <= short_cut and r.spec.tag == "bg"
-        ]
-        lat[case][label] = percentile(shorts, 95) if shorts else float("nan")
-    return Figure11Result(buckets, pauses, lat, edges)
-
-
 _CASE_KEYS = {"30%+incast": "30incast", "50%": "50"}
 
 
@@ -184,12 +139,14 @@ def render(specs, records):
     from ..report.figures import FigureRender, bucket_panel
 
     edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
+    short_cut = 1000 * specs[0].meta["size_scale"]
     buckets: dict[str, dict[str, list[BucketStats]]] = {}
     stats: dict[str, float] = {}
     for spec, record in zip(specs, records):
         case = _CASE_KEYS.get(spec.meta["case"], spec.meta["case"])
         label = spec.label
-        stats_list = slowdown_by_bucket(record.fct_records(), edges, tag="bg")
+        fct = record.fct_records()
+        stats_list = slowdown_by_bucket(fct, edges, tag="bg")
         buckets.setdefault(case, {})[label] = stats_list
         key = f"{case}/{label}"
         short = [b.p95 for b in stats_list[:-1]]
@@ -203,6 +160,13 @@ def render(specs, records):
             record.extras["pause_total_ns"]
             / (record.duration_ns * record.extras["n_hosts"])
             if record.duration_ns else 0.0
+        )
+        shorts = [
+            r.fct / US for r in fct
+            if r.spec.size <= short_cut and r.spec.tag == "bg"
+        ]
+        stats[f"short_p95_us/{key}"] = (
+            percentile(shorts, 95) if shorts else float("nan")
         )
     panels = [
         bucket_panel(
@@ -218,29 +182,3 @@ def render(specs, records):
         panels=panels,
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_bucket_table, format_table
-
-    result = run_figure11(scale)
-    for case in result.buckets:
-        print(format_bucket_table(
-            result.buckets[case], "p95",
-            title=f"Figure 11 ({case}): p95 FCT slowdown per size bucket",
-        ))
-        rows = [
-            (scheme,
-             f"{result.pause_fraction[case][scheme] * 100:.3f}%",
-             f"{result.short_p95_us[case][scheme]:.1f}")
-            for scheme in result.pause_fraction[case]
-        ]
-        print(format_table(
-            ["scheme", "pause-time fraction", "short-flow p95 latency (us)"],
-            rows, title=f"Figure 11 ({case}): PFC pauses and tail latency",
-        ))
-        print()
-
-
-if __name__ == "__main__":
-    main()

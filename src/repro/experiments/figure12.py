@@ -14,10 +14,10 @@ losses barely happen); DCQCN's performance depends visibly on the choice.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
-from ..metrics.fct import BucketStats, percentile, slowdown_by_bucket
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, workload_cdf
+from ..metrics.fct import percentile
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec
 from .common import require_scale
 from .figure11 import SCALES
 
@@ -29,13 +29,9 @@ FLOW_CONTROLS = (
 
 CCS = (CcChoice("hpcc", label="HPCC"), CcChoice("dcqcn", label="DCQCN"))
 
-
-@dataclass
-class Figure12Result:
-    buckets: dict[str, list[BucketStats]]      # "HPCC-PFC" etc.
-    overall_p95: dict[str, float]
-    drops: dict[str, int]
-    bucket_edges: list[int]
+#: Transport and PFC choices only exist on the packet engine (README
+#: "Simulation backends"); ``build_figure`` keeps this figure there.
+PACKET_ONLY = True
 
 
 def scenarios(
@@ -91,36 +87,10 @@ def scenarios(
     return specs
 
 
-def run_figure12(
-    scale: str = "bench",
-    load: float = 0.30,
-    with_incast: bool = True,
-    seed: int = 1,
-    overrides: dict | None = None,
-    runner: SweepRunner | None = None,
-) -> Figure12Result:
-    specs = scenarios(scale, seed=seed, load=load,
-                      with_incast=with_incast, overrides=overrides)
-    records = (runner or SweepRunner()).run(specs)
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
-    buckets: dict[str, list[BucketStats]] = {}
-    overall: dict[str, float] = {}
-    drops: dict[str, int] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        fct = record.fct_records()
-        buckets[label] = slowdown_by_bucket(fct, edges, tag="bg")
-        slowdowns = [r.slowdown for r in fct if r.spec.tag == "bg"]
-        overall[label] = percentile(slowdowns, 95) if slowdowns else float("nan")
-        drops[label] = record.extras["drops"]
-    return Figure12Result(buckets, overall, drops, edges)
-
-
 def render(specs, records):
     """Report hook: overall p95 slowdown bars per scheme x flow control."""
     from ..report.figures import FigureRender, Panel, Series
 
-    edges = [0] + [int(d) for d in workload_cdf(specs[0].workload).deciles()]
     stats: dict[str, float] = {}
     per_scheme: dict[str, list[float]] = {}
     fc_labels: list[str] = []
@@ -157,21 +127,3 @@ def render(specs, records):
         )],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_figure12(scale)
-    rows = [
-        (label, f"{result.overall_p95[label]:.2f}", result.drops[label])
-        for label in result.overall_p95
-    ]
-    print(format_table(
-        ["scheme-flowcontrol", "overall p95 slowdown", "drops"],
-        rows, title="Figure 12: CC x flow-control choices (30% + incast)",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,9 +14,7 @@ time for the queue to drain below a threshold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec
 from ..sim.units import US
 
 BENCH = {
@@ -38,7 +36,7 @@ STRATEGIES = (
 
 
 #: Queue level (bytes) under which the startup queue counts as drained
-#: (shared by the result dataclass, the render hook and the benchmark).
+#: (shared by the render hook and the benchmark).
 DRAIN_THRESHOLD = 50_000
 
 
@@ -67,14 +65,6 @@ def drain_time(t_q, qlens, threshold: float = DRAIN_THRESHOLD) -> float:
         elif peaked and v <= threshold:
             return t
     return float("inf") if peaked else 0.0
-
-
-@dataclass
-class Figure13Result:
-    throughput: dict[str, tuple[list[float], list[float]]]  # (t, Gbps)
-    queue: dict[str, tuple[list[float], list[int]]]
-    min_throughput_after_start: dict[str, float]             # Gbps
-    drain_time: dict[str, float]                             # ns (inf if never)
 
 
 def scenarios(scale: str = "bench", seed: int = 1,
@@ -113,27 +103,6 @@ def scenarios(scale: str = "bench", seed: int = 1,
         {"cc": CcChoice(cc_name, label=label), "label": label}
         for label, cc_name in STRATEGIES
     ]).expand()
-
-
-def run_figure13(scale: str = "bench", params: dict | None = None,
-                 seed: int = 1,
-                 runner: SweepRunner | None = None) -> Figure13Result:
-    specs = scenarios(scale, seed=seed, params=params)
-    records = (runner or SweepRunner()).run(specs)
-    throughput: dict[str, tuple[list[float], list[float]]] = {}
-    queue: dict[str, tuple[list[float], list[int]]] = {}
-    min_tput: dict[str, float] = {}
-    drain: dict[str, float] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        p = spec.meta["params"]
-        t_q, q = record.queue_series("bneck")
-        queue[label] = (t_q, q)
-        t_g, gbps = record.goodput().total_series()
-        throughput[label] = (t_g, gbps)
-        min_tput[label] = min_tput_after_start(t_g, gbps, p)
-        drain[label] = drain_time(t_q, q)
-    return Figure13Result(throughput, queue, min_tput, drain)
 
 
 def render(specs, records):
@@ -190,28 +159,3 @@ def render(specs, records):
         ],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import ascii_series, format_table
-
-    result = run_figure13(scale)
-    rows = [
-        (label,
-         f"{result.min_throughput_after_start[label]:.1f}",
-         f"{result.drain_time[label] / US:.0f}us"
-         if result.drain_time[label] != float("inf") else "never")
-        for label, _ in STRATEGIES
-    ]
-    print(format_table(
-        ["strategy", "min tput after start (Gbps)", "queue drained below 50KB at"],
-        rows, title="Figure 13: 16-to-1 incast reaction strategies",
-    ))
-    for label, _ in STRATEGIES:
-        t, g = result.throughput[label]
-        print()
-        print(ascii_series(t, g, label=f"{label} total goodput (Gbps)", t_unit=US))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,11 +10,9 @@ graceful degradation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..metrics.fct import percentile
 from ..metrics.timeseries import jain_fairness
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec
 from ..sim.units import MS, US
 
 BENCH = {
@@ -28,14 +26,6 @@ BENCH = {
     "goodput_bin": 100 * US,
     "wai_values": (25.0, 75.0, 150.0, 300.0),
 }
-
-
-@dataclass
-class Figure14Result:
-    queue_p95: dict[float, float]        # WAI -> bytes
-    queue_p99: dict[float, float]
-    fairness: dict[float, float]         # WAI -> Jain index (steady window)
-    throughput: dict[float, dict[int, tuple[list[float], list[float]]]]
 
 
 def scenarios(scale: str = "bench", seed: int = 1,
@@ -75,35 +65,6 @@ def scenarios(scale: str = "bench", seed: int = 1,
          "label": f"WAI={wai:.0f}B", "meta.wai": wai}
         for wai in p["wai_values"]
     ]).expand()
-
-
-def run_figure14(scale: str = "bench", params: dict | None = None,
-                 seed: int = 1,
-                 runner: SweepRunner | None = None) -> Figure14Result:
-    specs = scenarios(scale, seed=seed, params=params)
-    records = (runner or SweepRunner()).run(specs)
-    queue_p95: dict[float, float] = {}
-    queue_p99: dict[float, float] = {}
-    fairness: dict[float, float] = {}
-    tput: dict[float, dict[int, tuple[list[float], list[float]]]] = {}
-    for spec, record in zip(specs, records):
-        wai = spec.meta["wai"]
-        p = spec.meta["params"]
-        # Skip the startup transient (first 10%) when reading the queue.
-        t_q, q = record.queue_series("bneck")
-        steady = [v for t, v in zip(t_q, q) if t >= p["duration"] * 0.1]
-        queue_p95[wai] = percentile(steady, 95) if steady else 0.0
-        queue_p99[wai] = percentile(steady, 99) if steady else 0.0
-        # Fairness over the second half of the run.
-        half = p["duration"] / 2
-        tracker = record.goodput()
-        ids = record.flow_ids("bg")
-        rates = [
-            tracker.mean_gbps(fid, half, p["duration"]) for fid in ids
-        ]
-        fairness[wai] = jain_fairness(rates)
-        tput[wai] = {fid: tracker.series(fid) for fid in ids[:4]}
-    return Figure14Result(queue_p95, queue_p99, fairness, tput)
 
 
 def render(specs, records):
@@ -149,24 +110,3 @@ def render(specs, records):
         ],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_figure14(scale)
-    rows = [
-        (f"{wai:.0f}B",
-         f"{result.queue_p95[wai] / 1000:.1f}",
-         f"{result.queue_p99[wai] / 1000:.1f}",
-         f"{result.fairness[wai]:.3f}")
-        for wai in sorted(result.queue_p95)
-    ]
-    print(format_table(
-        ["WAI", "queue p95 (KB)", "queue p99 (KB)", "Jain fairness"],
-        rows, title="Figure 14: WAI tuning, 16 flows on 100Gbps",
-    ))
-
-
-if __name__ == "__main__":
-    main()

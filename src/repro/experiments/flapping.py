@@ -25,16 +25,13 @@ interactive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dynamics import FlapLink, Timeline
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, cc_axis
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, cc_axis
 from ..sim.units import MS, US
 from ..topology.simple import dual_trunk
 from .failover import recovery_time_us
 
-__all__ = ["BENCH", "SCHEMES", "FlappingResult", "flap_summary",
-           "run_flapping", "scenarios", "main"]
+__all__ = ["BENCH", "SCHEMES", "flap_summary", "render", "scenarios"]
 
 BENCH = {
     "n_pairs": 4,
@@ -54,20 +51,10 @@ SCHEMES = (
 )
 
 
-@dataclass
-class FlappingResult:
-    steady_gbps: dict[str, float]
-    dip_fraction: dict[str, float]         # worst flap-window bin / steady
-    recovery_us: dict[str, float]          # after the last restore, to 90%
-    lost_packets: dict[str, int]
-
-
 def flap_summary(record, p: dict) -> dict:
     """Per-record flapping accounting: steady goodput before the first
     flap, the worst in-flap dip as a fraction of it, recovery to 90%
-    after the final restore, packets lost across all down periods.
-    Shared by :func:`run_flapping` and the report's ``render`` hook so
-    the two never diverge."""
+    after the final restore, packets lost across all down periods."""
     goodput = record.goodput()
     ids = record.flow_ids("bg")
     bin_ns = p["goodput_bin"]
@@ -141,30 +128,6 @@ def scenarios(
     return ScenarioGrid(base, cc_axis(schemes)).expand()
 
 
-def run_flapping(
-    schemes: tuple[CcChoice, ...] = SCHEMES,
-    params: dict | None = None,
-    seed: int = 1,
-    runner: SweepRunner | None = None,
-    backend: str = "packet",
-) -> FlappingResult:
-    specs = scenarios(seed=seed, schemes=schemes, params=params,
-                      backend=backend)
-    records = (runner or SweepRunner()).run(specs)
-    steady: dict[str, float] = {}
-    dip: dict[str, float] = {}
-    recovery: dict[str, float] = {}
-    lost: dict[str, int] = {}
-    for spec, record in zip(specs, records):
-        label = spec.label
-        summary = flap_summary(record, spec.meta["params"])
-        steady[label] = summary["steady_gbps"]
-        dip[label] = summary["dip_fraction"]
-        recovery[label] = summary["recovery_us"]
-        lost[label] = summary["lost_packets"]
-    return FlappingResult(steady, dip, recovery, lost)
-
-
 def render(specs, records):
     """Report hook: goodput through the flap train, per scheme."""
     from ..report.figures import FigureRender, Panel, Series
@@ -191,29 +154,3 @@ def render(specs, records):
         )],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_flapping()
-    rows = [
-        (scheme,
-         f"{result.steady_gbps[scheme]:.1f}",
-         f"{result.dip_fraction[scheme] * 100:.0f}%",
-         ("%.0fus" % result.recovery_us[scheme])
-         if result.recovery_us[scheme] != float("inf") else "never",
-         result.lost_packets[scheme])
-        for scheme in result.steady_gbps
-    ]
-    print(format_table(
-        ["scheme", "steady (G)", "worst dip", "recovery to 90%",
-         "pkts lost (all flaps)"],
-        rows,
-        title="Flapping trunk: 3 outages of 0.8ms every 2ms on one of two "
-              "50G trunks",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,15 +20,12 @@ reroute counts from the event accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dynamics import FailLink, RestoreLink, Timeline, dynamics_axis
-from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, cc_axis
+from ..runner import CcChoice, ScenarioGrid, ScenarioSpec, cc_axis
 from ..sim.units import US
 from .common import require_scale
 
-__all__ = ["BENCH", "SCHEMES", "LinkFailResult", "failed_links",
-           "scenarios", "run_linkfail", "main"]
+__all__ = ["BENCH", "SCHEMES", "failed_links", "render", "scenarios"]
 
 SCHEMES = (
     CcChoice("hpcc", label="HPCC"),
@@ -180,45 +177,6 @@ def scenarios(
     return specs
 
 
-@dataclass
-class LinkFailResult:
-    slowdown_p50: dict[str, float]         # per "scheme/cut" label
-    slowdown_p99: dict[str, float]
-    flows_finished: dict[str, int]
-    reroutes: dict[str, int]
-    completed: dict[str, bool]
-
-
-def run_linkfail(
-    scale: str = "bench",
-    seed: int = 1,
-    schemes: tuple[CcChoice, ...] = SCHEMES,
-    backend: str = "fluid",
-    runner: SweepRunner | None = None,
-    params: dict | None = None,
-) -> LinkFailResult:
-    from ..metrics.fct import percentile, slowdowns
-
-    specs = scenarios(scale=scale, seed=seed, schemes=schemes,
-                      backend=backend, params=params)
-    records = (runner or SweepRunner()).run(specs)
-    p50: dict[str, float] = {}
-    p99: dict[str, float] = {}
-    finished: dict[str, int] = {}
-    reroutes: dict[str, int] = {}
-    completed: dict[str, bool] = {}
-    for spec, record in zip(specs, records):
-        slows = slowdowns(record.fct_records())
-        p50[spec.label] = percentile(slows, 50) if slows else float("nan")
-        p99[spec.label] = percentile(slows, 99) if slows else float("nan")
-        finished[spec.label] = len(record.fct)
-        reroutes[spec.label] = sum(
-            e.get("reroutes", 0) for e in record.link_events()
-        )
-        completed[spec.label] = record.completed
-    return LinkFailResult(p50, p99, finished, reroutes, completed)
-
-
 def render(specs, records):
     """Report hook: slowdown bars per (scheme, failed link) cell."""
     from ..metrics.fct import percentile, slowdowns
@@ -259,27 +217,3 @@ def render(specs, records):
         )],
         stats=stats,
     )
-
-
-def main(scale: str = "bench") -> None:
-    from ..metrics.reporter import format_table
-
-    result = run_linkfail(scale=scale)
-    rows = [
-        (label,
-         f"{result.slowdown_p50[label]:.2f}",
-         f"{result.slowdown_p99[label]:.2f}",
-         result.flows_finished[label],
-         result.reroutes[label])
-        for label in result.slowdown_p50
-    ]
-    print(format_table(
-        ["scheme/cut", "p50 slowdown", "p99 slowdown", "flows", "reroutes"],
-        rows,
-        title="FatTree link-failure sweep (fluid backend, cut at 30% / "
-              "restore at 70% of the workload)",
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -19,7 +19,7 @@ into a self-contained reproduction report (``hpcc-repro report``):
 
 This package deliberately does not import ``repro.experiments`` at
 import time (the experiment modules import :mod:`repro.report.figures`
-for their render hooks; ``build`` resolves modules lazily).
+for their render hooks); only ``build`` does, for the figure table.
 """
 
 from .fidelity import (

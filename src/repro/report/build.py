@@ -25,59 +25,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runner import RunCache, SweepRunner
+from ..experiments import EXPERIMENTS, resolve
+from ..runner import RunCache, ScenarioSpec, SweepRunner
 from .fidelity import FidelityScore, score_figure
 from .figures import FigureRender, Panel, Series
 from .html import render_index
 from .refdata import RefFigure, available_refdata, load_refdata
 from .svg import render_panel
 
-
-@dataclass(frozen=True)
-class ReportEntry:
-    """One reportable figure: its module and backend eligibility."""
-
-    key: str
-    title: str
-    fluid_ok: bool = True
-
-    @property
-    def module(self):
-        from .. import experiments
-
-        return getattr(experiments, _MODULE_NAMES[self.key])
-
-
-_MODULE_NAMES = {
-    "fig1": "figure01", "fig2": "figure02", "fig3": "figure03",
-    "fig6": "figure06", "fig9": "figure09", "fig10": "figure10",
-    "fig11": "figure11", "fig12": "figure12", "fig13": "figure13",
-    "fig14": "figure14", "appendix": "appendix_a", "failover": "failover",
-    "linkfail": "linkfail", "flapping": "flapping",
-}
-
-#: Every figure the report can build, in paper order.  ``fluid_ok``
-#: mirrors README "Simulation backends": fig1 (PFC pause trees) and
-#: fig12 (flow-control/transport choices) are packet-only and silently
-#: stay on the packet engine when a fluid report is requested.
-REPORT_FIGURES: dict[str, ReportEntry] = {
-    "fig1": ReportEntry("fig1", "Figure 1: PFC pause propagation",
-                        fluid_ok=False),
-    "fig2": ReportEntry("fig2", "Figure 2: DCQCN timer trade-off"),
-    "fig3": ReportEntry("fig3", "Figure 3: DCQCN ECN-threshold trade-off"),
-    "fig6": ReportEntry("fig6", "Figure 6: txRate vs rxRate feedback"),
-    "fig9": ReportEntry("fig9", "Figure 9: testbed micro-benchmarks"),
-    "fig10": ReportEntry("fig10", "Figure 10: testbed WebSearch FCT"),
-    "fig11": ReportEntry("fig11", "Figure 11: large-scale FatTree"),
-    "fig12": ReportEntry("fig12", "Figure 12: flow-control choices",
-                         fluid_ok=False),
-    "fig13": ReportEntry("fig13", "Figure 13: reaction strategies"),
-    "fig14": ReportEntry("fig14", "Figure 14: WAI tuning"),
-    "appendix": ReportEntry("appendix", "Appendix A: the theory, executed"),
-    "failover": ReportEntry("failover", "Extension: dual-trunk failover"),
-    "linkfail": ReportEntry("linkfail", "Extension: FatTree link-failure sweep"),
-    "flapping": ReportEntry("flapping", "Extension: flapping-trunk study"),
-}
 
 #: The ``--fastest`` subset: cheap fluid-eligible grids that still carry
 #: refdata (what CI builds on every PR).
@@ -209,17 +164,8 @@ def resolve_figures(names: list[str] | None, fastest: bool) -> list[str]:
             )
         return list(FASTEST_FIGURES)
     if not names:
-        return list(REPORT_FIGURES)
-    from ..cli import _resolve
-
-    keys = []
-    for name in names:
-        key = _resolve(name)
-        if key not in REPORT_FIGURES:
-            raise SystemExit(f"experiment {key!r} has no report entry")
-        if key not in keys:
-            keys.append(key)
-    return keys
+        return list(EXPERIMENTS)
+    return list(dict.fromkeys(resolve(name) for name in names))
 
 
 def _ref_panels(ref) -> list[Panel]:
@@ -246,18 +192,27 @@ def build_figure(
     backend: str,
     scale: str,
     runner: SweepRunner,
-    seed: int = 1,
     telemetry=None,
+    specs: list[ScenarioSpec] | None = None,
 ) -> FigureReport:
     """Sweep + render + score one figure (no files written).
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, usually the runner's
-    own) adds per-figure ``figure`` and ``score`` spans around the
-    sweep and the render/score phases.
+    The one function that turns a figure key into a result: ``report``
+    calls it per figure, ``hpcc-repro run`` calls it once and prints
+    the outcome.  ``specs`` replaces the module's default
+    ``scenarios(scale=scale)`` grid with a pre-expanded one (the CLI's
+    ``--foreground``, a test's shrunk ``overrides=``); the backend
+    mapping below still applies to it.  ``telemetry`` (a
+    :class:`repro.obs.Telemetry`, usually the runner's own) adds
+    per-figure ``figure`` and ``score`` spans around the sweep and the
+    render/score phases.
     """
-    entry = REPORT_FIGURES[key]
-    effective_backend = backend if entry.fluid_ok else "packet"
-    specs = entry.module.scenarios(scale=scale)
+    description, module = EXPERIMENTS[key]
+    effective_backend = (
+        "packet" if getattr(module, "PACKET_ONLY", False) else backend
+    )
+    if specs is None:
+        specs = module.scenarios(scale=scale)
     if effective_backend != "packet":
         # Cells that already carry a non-packet backend (a grid mixing
         # fluid and hybrid cells) keep it; only default-packet cells are
@@ -284,14 +239,14 @@ def build_figure(
     with telemetry.span("score", figure=key) if telemetry is not None \
             else nullcontext():
         try:
-            render = entry.module.render(ok_specs, ok_records)
+            render = module.render(ok_specs, ok_records)
         except Exception as exc:
             if not failed:
                 raise         # a real render bug, not missing cells
             # The failures starved the render of cells it requires:
             # degrade to an empty figure carrying the failure note.
             render = FigureRender(
-                figure=key, title=entry.title, panels=[],
+                figure=key, title=f"{key}: {description}", panels=[],
                 notes=[f"render skipped: {type(exc).__name__}: {exc}"],
             )
         if failed:

@@ -2,10 +2,10 @@
 
 One Agg switch, four ToRs on 100Gbps uplinks, eight servers per ToR at
 25Gbps.  The paper's servers are dual-homed for availability; we model
-single-homed servers (same per-flow line rate, same oversubscription —
-see DESIGN.md substitution 4).  Propagation delays are chosen so the base
-RTTs land near the paper's 5.4us intra-rack / 8.5us cross-rack, and the
-paper's ``T = 9us`` remains slightly above the maximum.
+single-homed servers (same per-flow line rate, same oversubscription).
+Propagation delays are chosen so the base RTTs land near the paper's
+5.4us intra-rack / 8.5us cross-rack, and the paper's ``T = 9us`` remains
+slightly above the maximum.
 """
 
 from __future__ import annotations

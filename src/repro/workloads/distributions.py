@@ -86,7 +86,7 @@ class EmpiricalCdf:
         """The same shape with every size multiplied by ``factor``.
 
         Used to shrink workloads for Python-speed runs while preserving
-        the distribution's shape (DESIGN.md substitution 3); bucket edges
+        the distribution's shape (README "`bench` vs `full` scale"); bucket edges
         scale with it.
         """
         if factor <= 0:

@@ -5,24 +5,26 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _resolve, main
+from repro.cli import main
+from repro.experiments import EXPERIMENTS, figure01, figure13, resolve
+from repro.report.figures import FigureRender
 from repro.runner import ScenarioSpec
 
 
 class TestResolve:
     def test_canonical_names(self):
         for name in EXPERIMENTS:
-            assert _resolve(name) == name
+            assert resolve(name) == name
 
     def test_aliases(self):
-        assert _resolve("figure13") == "fig13"
-        assert _resolve("fig06") == "fig6"
-        assert _resolve("FIGURE9") == "fig9"
-        assert _resolve("appendix_a") == "appendix"
+        assert resolve("figure13") == "fig13"
+        assert resolve("fig06") == "fig6"
+        assert resolve("FIGURE9") == "fig9"
+        assert resolve("appendix_a") == "appendix"
 
     def test_unknown_exits_with_known_list(self):
         with pytest.raises(SystemExit, match="fig13"):
-            _resolve("fig99")
+            resolve("fig99")
 
 
 class TestCommands:
@@ -41,20 +43,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "hpcc" in out and "dcqcn" in out
 
-    def test_run_dispatches(self, monkeypatch):
-        called = []
-        stub = SimpleNamespace(main=lambda scale: called.append(scale))
-        monkeypatch.setitem(EXPERIMENTS, "fig13", ("stub", stub))
-        assert main(["run", "fig13"]) == 0
-        assert called == ["bench"]
-
-    def test_run_passes_scale_through(self, monkeypatch):
+    def test_run_passes_scale_through(self, capsys, monkeypatch):
         """The documented ``hpcc-repro run fig11 --scale full`` spelling."""
-        called = []
-        stub = SimpleNamespace(main=lambda scale: called.append(scale))
-        monkeypatch.setitem(EXPERIMENTS, "fig11", ("stub", stub))
-        assert main(["run", "fig11", "--scale", "full"]) == 0
-        assert called == ["full"]
+        monkeypatch.setitem(EXPERIMENTS, "tiny", ("stub grid", _tiny_grid_module()))
+        assert main(["run", "tiny", "--scale", "full", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "(full scale)" in out             # what build_figure was told
+        assert "tiny grid at full" in out        # what scenarios() was told
 
     def test_run_rejects_bad_scale(self):
         with pytest.raises(SystemExit):
@@ -63,7 +58,7 @@ class TestCommands:
     def test_every_experiment_has_description_and_grid(self):
         for name, (desc, module) in EXPERIMENTS.items():
             assert isinstance(desc, str) and desc
-            assert callable(module.main)
+            assert callable(module.render)
             specs = module.scenarios(scale="bench")
             assert specs and all(isinstance(s, ScenarioSpec) for s in specs)
 
@@ -87,7 +82,14 @@ def _tiny_grid_module():
         return [base, base.replaced(**{"workload.flows": [[0, 2, 80_000]],
                                        "label": "tiny2"})]
 
-    return SimpleNamespace(scenarios=scenarios, main=lambda scale: None)
+    def render(specs, records):
+        return FigureRender(
+            figure="tiny", title=f"tiny grid at {specs[0].scale}", panels=[],
+            stats={f"flows/{s.label}": float(len(r.fct))
+                   for s, r in zip(specs, records)},
+        )
+
+    return SimpleNamespace(scenarios=scenarios, render=render)
 
 
 class TestSweep:
@@ -219,22 +221,126 @@ class TestRunBackend:
         assert "fluid backend" in out
         assert "tiny" in out and "tiny2" in out
 
-    def test_run_packet_still_dispatches_to_main(self, monkeypatch):
-        called = []
-        stub = SimpleNamespace(main=lambda scale: called.append(scale))
-        monkeypatch.setitem(EXPERIMENTS, "fig13", ("stub", stub))
-        assert main(["run", "fig13", "--backend", "packet"]) == 0
-        assert called == ["bench"]
-
-    def test_run_rejects_foreground_on_packet_fast_path(self, monkeypatch):
-        # The packet backend short-circuits to module.main(); --foreground
-        # must still be rejected there, not silently ignored.
-        called = []
-        stub = SimpleNamespace(main=lambda scale: called.append(scale))
-        monkeypatch.setitem(EXPERIMENTS, "fig13", ("stub", stub))
+    def test_run_rejects_foreground_off_hybrid(self, capsys, monkeypatch):
+        # --foreground must be rejected, not silently ignored, before
+        # any cell runs (no progress tick reaches stderr).
+        monkeypatch.setitem(EXPERIMENTS, "tiny", ("stub grid", _tiny_grid_module()))
         with pytest.raises(SystemExit, match="--backend hybrid"):
-            main(["run", "fig13", "--foreground", "frac:0.5"])
-        assert called == []
+            main(["run", "tiny", "--foreground", "frac:0.5"])
+        assert "[1/" not in capsys.readouterr().err
+
+
+#: fig13's strategy comparison shrunk so a packet run takes well under a
+#: second (the fluid run uses the real bench grid).
+FIG13_SMALL = {"fan_in": 8, "flow_size": 600_000, "duration": 300_000.0}
+
+
+def _table_columns(out: str, title: str) -> list[str]:
+    """Header cells of the stats table printed under ``title``."""
+    lines = out.splitlines()
+    header = lines[lines.index(title) + 1]
+    return [cell.strip() for cell in header.split("|")]
+
+
+class TestRunPrintsTheFigure:
+    """``run FIG`` prints the figure's own stats on every backend — at
+    the parent, fixed-horizon figures (fig6/9/13/14, failover, flapping)
+    printed an empty FCT-slowdown table off the packet fast path."""
+
+    TITLE = "Figure 13: fast reaction without overreaction"
+
+    def test_fluid_prints_strategy_rows_and_verdict(self, capsys):
+        from repro.report import load_refdata
+
+        assert main(["run", "fig13", "--backend", "fluid", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        columns = _table_columns(out, self.TITLE)
+        assert "min_tput" in columns and "drain_us" in columns
+        rows = [line.split("|")[0].strip() for line in out.splitlines()]
+        for strategy in ("per-ACK", "per-RTT", "HPCC"):
+            assert strategy in rows
+        assert any(line.startswith("fig13: verdict=")
+                   for line in out.splitlines())
+        for check in load_refdata("fig13").checks:
+            assert f"] {check.id}: " in out      # one line per refdata check
+
+    def test_same_columns_on_every_path(self, tmp_path, capsys, monkeypatch):
+        real = figure13.scenarios
+        monkeypatch.setattr(
+            figure13, "scenarios",
+            lambda scale: real(scale=scale, params=FIG13_SMALL),
+        )
+        columns = {}
+        for name, argv in {
+            "packet": [],
+            "telemetry": ["--telemetry", str(tmp_path / "tel.jsonl")],
+            "fluid": ["--backend", "fluid"],
+        }.items():
+            assert main(["run", "fig13", "--quiet", *argv]) == 0
+            columns[name] = _table_columns(capsys.readouterr().out,
+                                           self.TITLE)
+        assert columns["packet"] == columns["telemetry"] == columns["fluid"]
+        assert (tmp_path / "tel.jsonl").is_file()
+
+    def test_packet_only_figure_stays_on_packet(self, capsys, monkeypatch):
+        real = figure01.scenarios
+        monkeypatch.setattr(
+            figure01, "scenarios",
+            lambda scale: real(scale=scale, overrides={"n_flows": 120}),
+        )
+        assert main(["run", "fig1", "--backend", "fluid", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "fig1 on the packet backend" in out
+        assert "packet-only" in out and "overridden" in out
+
+
+class TestOneFigureTable:
+    """One entry in ``repro.experiments.EXPERIMENTS`` is all a figure
+    needs: every command resolves through that dict."""
+
+    def test_every_command_sees_a_registered_figure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from repro.report.build import resolve_figures
+
+        monkeypatch.setitem(EXPERIMENTS, "tiny", ("stub grid", _tiny_grid_module()))
+        assert resolve_figures(["tiny"], fastest=False) == ["tiny"]
+        assert "tiny" in resolve_figures(None, fastest=False)
+        assert main(["list"]) == 0
+        assert "stub grid" in capsys.readouterr().out
+        assert main(["run", "tiny", "--quiet"]) == 0
+        assert "flows" in _table_columns(capsys.readouterr().out,
+                                         "tiny grid at bench")
+        assert main(["sweep", "tiny", "--quiet",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["trace", "diff", "tiny"]) == 0
+        capsys.readouterr()
+        # At the parent a figure registered as the docs said (CLI table
+        # + experiments package) died here: "has no report entry".
+        assert main(["report", "--figures", "tiny", "--quiet",
+                     "--out", str(tmp_path / "report")]) == 0
+        assert "tiny" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert summary["figures"]["tiny"]["stats"] == {
+            "flows/tiny": 2.0, "flows/tiny2": 1.0,
+        }
+
+    def test_report_package_does_not_import_the_cli(self):
+        import ast
+        from pathlib import Path
+
+        import repro.report
+
+        for path in Path(repro.report.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""] + [
+                        a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    imported = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(name.split(".")[-1] == "cli"
+                               for name in imported), path.name
 
 
 class TestTelemetryFlag:
@@ -280,7 +386,7 @@ class TestTelemetryFlag:
         assert main(["run", "tiny", "--quiet",
                      "--telemetry", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "packet backend" in out           # spec path, not module.main
+        assert "packet backend" in out
         assert path.is_file()
 
     def test_tele_summarize_roundtrip(self, tmp_path, capsys, monkeypatch):

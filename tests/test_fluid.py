@@ -180,40 +180,45 @@ class TestFailoverCrossValidation:
     BOUNDS = {"after_rel": 0.20, "recovery_slack_us": 200.0}
 
     @pytest.fixture(scope="class")
-    def results(self):
-        from repro.experiments.failover import SCHEMES, run_failover
+    def stats(self):
+        """``failover.render(...).stats`` per backend."""
+        from repro.experiments import failover
+        from repro.runner import SweepRunner
 
         schemes = tuple(
-            cc for cc in SCHEMES if cc.name in ("hpcc", "dctcp")
+            cc for cc in failover.SCHEMES if cc.name in ("hpcc", "dctcp")
         )
-        return {
-            backend: run_failover(schemes=schemes, backend=backend)
-            for backend in ("packet", "fluid")
-        }
+        out = {}
+        for backend in ("packet", "fluid"):
+            specs = failover.scenarios(schemes=schemes, backend=backend)
+            out[backend] = failover.render(
+                specs, SweepRunner().run(specs)).stats
+        return out
 
     @pytest.mark.parametrize("scheme", ["HPCC", "DCTCP"])
-    def test_post_cut_goodput_agrees(self, results, scheme):
-        packet = results["packet"].goodput_after[scheme]
-        fluid = results["fluid"].goodput_after[scheme]
+    def test_post_cut_goodput_agrees(self, stats, scheme):
+        packet = stats["packet"][f"after_gbps/{scheme}"]
+        fluid = stats["fluid"][f"after_gbps/{scheme}"]
         assert fluid == pytest.approx(packet, rel=self.BOUNDS["after_rel"])
 
     @pytest.mark.parametrize("scheme", ["HPCC", "DCTCP"])
-    def test_recovery_time_agrees(self, results, scheme):
-        packet = results["packet"].recovery_time_us[scheme]
-        fluid = results["fluid"].recovery_time_us[scheme]
+    def test_recovery_time_agrees(self, stats, scheme):
+        packet = stats["packet"][f"recovery_us/{scheme}"]
+        fluid = stats["fluid"][f"recovery_us/{scheme}"]
         assert packet != float("inf") and fluid != float("inf")
         assert abs(fluid - packet) <= self.BOUNDS["recovery_slack_us"]
 
     @pytest.mark.parametrize("scheme", ["HPCC", "DCTCP"])
-    def test_pre_cut_goodput_bounded_by_pooling(self, results, scheme):
-        packet = results["packet"].goodput_before[scheme]
-        fluid = results["fluid"].goodput_before[scheme]
+    def test_pre_cut_goodput_bounded_by_pooling(self, stats, scheme):
+        packet = stats["packet"][f"before_gbps/{scheme}"]
+        fluid = stats["fluid"][f"before_gbps/{scheme}"]
         payload_capacity = 100 * (1000 / 1048)      # 2 trunks, wire factor
         assert packet * 0.95 <= fluid <= payload_capacity * 1.01
 
-    def test_fluid_failover_runs_and_drains(self, results):
-        fluid = results["fluid"]
-        assert all(fluid.drained.values())
+    def test_fluid_failover_runs_and_drains(self, stats):
+        drained = {k: v for k, v in stats["fluid"].items()
+                   if k.startswith("drained/")}
+        assert drained and all(drained.values())
 
 
 def load_spec(backend: str = "fluid", **updates) -> ScenarioSpec:

@@ -11,12 +11,16 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import EXPERIMENTS
 from repro.report.build import (
     FASTEST_FIGURES,
-    REPORT_FIGURES,
     load_bench_trajectory,
     resolve_figures,
 )
+
+
+def packet_only(key: str) -> bool:
+    return getattr(EXPERIMENTS[key][1], "PACKET_ONLY", False)
 
 
 class TestResolveFigures:
@@ -24,7 +28,7 @@ class TestResolveFigures:
         assert resolve_figures(None, fastest=True) == list(FASTEST_FIGURES)
 
     def test_default_is_all(self):
-        assert resolve_figures(None, fastest=False) == list(REPORT_FIGURES)
+        assert resolve_figures(None, fastest=False) == list(EXPERIMENTS)
 
     def test_aliases_resolve(self):
         assert resolve_figures(["figure11", "fig13"], False) == [
@@ -45,12 +49,13 @@ class TestResolveFigures:
 
         refdata = set(available_refdata())
         for key in FASTEST_FIGURES:
-            assert REPORT_FIGURES[key].fluid_ok, key
+            assert not packet_only(key), key
             assert key in refdata, key
 
     def test_packet_only_figures_flagged(self):
-        assert not REPORT_FIGURES["fig1"].fluid_ok
-        assert not REPORT_FIGURES["fig12"].fluid_ok
+        assert [key for key in EXPERIMENTS if packet_only(key)] == [
+            "fig1", "fig12",
+        ]
 
 
 class TestBenchTrajectory:
