@@ -120,20 +120,6 @@ def _fluid_vs_packet():
     return run_comparison()
 
 
-def _fluid_engine():
-    """Array vs scalar fluid engine on the k=16 FatTree (>=10x bar
-    lives in bench_fluid_engine.py; this records the raw timings)."""
-    from bench_fluid_engine import run_comparison
-    return run_comparison()
-
-
-def _fig11_large():
-    """The capability unlocked by the array engine: the full large-tier
-    (1024-host) Figure-11 scenario, one scheme, fluid backend."""
-    from bench_fluid_engine import run_scale
-    return run_scale()
-
-
 # name -> (workload, parameter note).  Ordered cheapest-first — except
 # engine_events, pinned to the front so CI's `--fastest N` smoke always
 # tracks raw substrate throughput alongside the cheapest experiment.
@@ -165,13 +151,7 @@ REGISTRY: dict[str, tuple] = {
     "fig12": (_figure("figure12", scale="bench"), {"scale": "bench"}),
     "fig11": (_figure("figure11", scale="bench"), {"scale": "bench"}),
     "failover": (_figure("failover"), {}),
-    "fig11_large": (_fig11_large,
-                    {"scale": "large", "backend": "fluid", "k": 16,
-                     "hosts": 1024, "schemes": ["hpcc"]}),
     "fluid_vs_packet": (_fluid_vs_packet, {"grid": "fig11-style"}),
-    "fluid_engine": (_fluid_engine,
-                     {"scale": "large", "k": 16, "hosts": 1024,
-                      "engines": ["array", "scalar"]}),
 }
 
 

@@ -33,6 +33,12 @@ class Hpcc(CcAlgorithm):
 
     needs_int = True
 
+    #: The two design choices of Section 3.2 that Figure 13 ablates
+    #: (``hpcc_variants``): react to the ACKs between two W^c syncs, and
+    #: sync W^c once per RTT rather than on every ACK.
+    react_between_syncs = True
+    sync_every_ack = False
+
     def __init__(
         self,
         env: CcEnv,
@@ -126,10 +132,10 @@ class Hpcc(CcAlgorithm):
         """Lines 21-27 (procedure NewAck)."""
         if ack.int_hops is None:
             return
-        update_wc = ack.seq > self.last_update_seq
+        update_wc = self.sync_every_ack or ack.seq > self.last_update_seq
         tap = self.tap
         u = self.measure_inflight(ack)
-        if u is not None:
+        if u is not None and (update_wc or self.react_between_syncs):
             if tap is not None:
                 rate0, win0 = flow.rate, flow.window
                 branch = ("MI" if u >= self.eta

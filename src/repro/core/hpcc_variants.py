@@ -18,62 +18,18 @@ from .hpcc import Hpcc
 
 
 class HpccPerAck(Hpcc):
-    """Adjust on every ACK with W itself as the base: overreacts."""
+    """Adjust on every ACK with W itself as the base: overreacts.
 
-    def on_ack(self, flow, ack: Packet, now: float) -> None:
-        if ack.int_hops is None:
-            return
-        tap = self.tap
-        u = self.measure_inflight(ack)
-        if u is not None:
-            if tap is not None:
-                rate0, win0 = flow.rate, flow.window
-                branch = ("MI" if u >= self.eta
-                          or self.inc_stage >= self.max_stage else "AI")
-            # The reference window tracks the live window on *every* ACK,
-            # so reactions to ACKs describing the same queue compound.
-            w = self.compute_wind(u, update_wc=True)
-            flow.window = self.clamp_window(w)
-            flow.rate = self.clamp_rate(flow.window / self.env.base_rtt)
-            if tap is not None:
-                inputs = self._bn_inputs or {}
-                inputs["u"] = u
-                inputs["wc"] = self.wc
-                inputs["inc_stage"] = self.inc_stage
-                inputs["wc_synced"] = 1
-                tap.record(now, "ack", branch, rate0, win0,
-                           flow.rate, flow.window, inputs)
-        self._remember_hops(ack.int_hops)
+    The reference window tracks the live window on *every* ACK, so
+    reactions to ACKs describing the same queue compound."""
+
+    sync_every_ack = True
 
 
 class HpccPerRtt(Hpcc):
     """Adjust only once per RTT: wastes the information in other ACKs."""
 
-    def on_ack(self, flow, ack: Packet, now: float) -> None:
-        if ack.int_hops is None:
-            return
-        update = ack.seq > self.last_update_seq
-        tap = self.tap
-        u = self.measure_inflight(ack)
-        if u is not None and update:
-            if tap is not None:
-                rate0, win0 = flow.rate, flow.window
-                branch = ("MI" if u >= self.eta
-                          or self.inc_stage >= self.max_stage else "AI")
-            w = self.compute_wind(u, update_wc=True)
-            flow.window = self.clamp_window(w)
-            flow.rate = self.clamp_rate(flow.window / self.env.base_rtt)
-            if tap is not None:
-                inputs = self._bn_inputs or {}
-                inputs["u"] = u
-                inputs["wc"] = self.wc
-                inputs["inc_stage"] = self.inc_stage
-                inputs["wc_synced"] = 1
-                tap.record(now, "ack", branch, rate0, win0,
-                           flow.rate, flow.window, inputs)
-        if update:
-            self.last_update_seq = flow.snd_nxt
-        self._remember_hops(ack.int_hops)
+    react_between_syncs = False
 
 
 class HpccRxRate(Hpcc):

@@ -13,9 +13,8 @@ control plane react at different times, as in a real fabric:
   event's accounting entry.
 
 With ``detection_delay == 0`` cut and reconvergence share one scheduled
-callback, so runs driven through the legacy ``workload["events"]`` shim
-replay the exact event structure (and therefore ``events_processed``)
-of the pre-dynamics hook — the golden determinism fixtures pin that.
+callback: the event structure (and therefore ``events_processed``) the
+golden determinism fixtures pin.
 """
 
 from __future__ import annotations

@@ -108,11 +108,13 @@ def scenarios(scale: str = "bench", seed: int = 1,
 def render(specs, records):
     """Report hook: total-goodput and queue trajectories per strategy.
 
-    Stats are ratio-based so they hold on both backends: the packet
-    engine resolves the sub-RTT per-ACK collapse the paper shows, while
-    the fluid engine smooths sub-RTT transients (all three strategies
-    converge; see README "Simulation backends") — the HPCC drain/recover
-    shape is the backend-neutral core of the figure.
+    Stats are ratio-based so they hold on both backends.  The packet
+    engine resolves the sub-RTT per-ACK collapse the paper shows; on
+    fluid the three strategies are one: the INT replay syncs W^c on
+    every fire, so ``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all run
+    the per-RTT ablation and return bit-identical records (ROADMAP
+    item 2; README "Simulation backends").  The HPCC drain/recover shape
+    is the backend-neutral core of the figure.
     """
     from ..report.figures import FigureRender, Panel, Series, queue_series
 

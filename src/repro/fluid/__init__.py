@@ -21,7 +21,6 @@ from .adapters import (
 )
 from .engine import FluidEngine, FluidFlow
 from .goodput import GoodputRecorder
-from .reference import ScalarFluidEngine
 from .state import FluidGraph, FluidLink, FluidPath, LinkArrays
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "FluidFlow",
     "GoodputRecorder",
     "LinkArrays",
-    "ScalarFluidEngine",
     "FluidGraph",
     "FluidLink",
     "FluidPath",

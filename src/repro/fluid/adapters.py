@@ -127,9 +127,11 @@ class IntAdapter(RateAdapter):
         proxy.window = self.env.bdp             # Winit = B_nic x T
 
     def update(self, proxy: FlowProxy, sig: StepSignals) -> None:
-        # Advancing snd_nxt before the ACK makes every step a Wc-update
-        # step (ack.seq > last_update_seq): one reaction per RTT, which
-        # is exactly the reference-window cadence of Algorithm 1.
+        # Advancing snd_nxt before the ACK makes every fire a Wc-update
+        # step (ack.seq > last_update_seq): one reaction per RTT against
+        # a freshly synced Wc.  That is the per-RTT ablation, not
+        # Algorithm 1 (react to every ACK, sync once per RTT), so hpcc,
+        # hpcc-perack and hpcc-perrtt coincide on fluid (ROADMAP item 2).
         proxy.snd_nxt += max(1.0, sig.delivered)
         ack = self._ack()
         ack.seq = proxy.snd_nxt

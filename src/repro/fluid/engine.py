@@ -7,8 +7,8 @@ struct-of-arrays block, every link as a row in
 :class:`~repro.fluid.state.LinkArrays`, and the five sub-steps of the
 fluid model run as numpy operations over all flows at once.
 
-The model per step (semantics identical to the scalar reference in
-:mod:`repro.fluid.reference`):
+The model per step (semantics identical to the scalar test oracle,
+``tests/fluid_reference.py``):
 
 1. every active flow requests its CC-controlled rate (window-limited
    schemes request ``min(rate, W/T)``) — one ``np.minimum`` chain;
@@ -21,7 +21,7 @@ The model per step (semantics identical to the scalar reference in
 4. link queues integrate ``(arrival - capacity) x dt`` and the
    cumulative ``tx/rx`` byte registers advance — element-wise over the
    links currently touched by live flows (untouched queues freeze,
-   exactly as in the scalar engine);
+   exactly as in ``tests/fluid_reference.py``);
 5. flows deliver ``achieved_rate x dt`` bytes, complete mid-step by
    interpolation, and — once per accumulated RTT — each flow's adapter
    replays one RTT of its scheme's packet events (synthetic INT ACK,
@@ -52,10 +52,14 @@ state (the distance rows ``FluidGraph.path`` walks) is described in
 CC adapters fire once per accumulated RTT: arrival- and
 event-shortened mini-steps accumulate ``elapsed``/``delivered``/
 ``marked`` per flow, and the adapter sees one aggregated
-:class:`StepSignals` when a full ``step`` has elapsed.  That is the
-cadence every scheme in the paper is defined at (the scalar engine
-fires on every mini-step; on runs whose steps are never shortened the
-two engines produce bit-identical trajectories).
+:class:`StepSignals` when a full ``step`` has elapsed
+(``tests/fluid_reference.py`` fires on every mini-step; on runs whose
+steps are never shortened the two produce bit-identical trajectories).
+That is *not* Algorithm 1's cadence — react to every ACK against W^c,
+sync W^c once per RTT: ``IntAdapter.update`` advances ``snd_nxt`` before
+its one synthetic ACK, so ``update_wc`` is true on every fire and fluid
+``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute the per-RTT
+ablation, with bit-identical records (ROADMAP item 2).
 
 Network dynamics run at *event boundaries*: scheduled timeline events
 (link cuts, recoveries, degradations) shorten the step so they fire at
@@ -71,9 +75,8 @@ frozen) until a restore re-routes it.
 Cost per step is a handful of ``O(flows x path length)`` numpy kernels
 — independent of bandwidth, flow size and packet count, and amortizing
 the Python interpreter across every active flow.  That is what makes
-k=16 FatTrees (1024+ hosts) tractable; see
-``benchmarks/bench_fluid_engine.py`` for the measured speedup over the
-scalar reference.
+k=16 FatTrees (1024+ hosts) tractable; the ``fluid_large`` workload of
+``benchmarks/ledger/`` tracks that tier's wall time.
 """
 
 from __future__ import annotations
@@ -147,9 +150,9 @@ class FluidEngine:
     Mirrors the :class:`~repro.network.Network` surface where it makes
     sense: ``add_flows`` then ``run(deadline)``; results land in
     ``fct_records`` (live :class:`FctRecord` objects, same as the packet
-    path's metrics hub would produce).  The scalar reference
-    implementation with identical semantics is
-    :class:`repro.fluid.reference.ScalarFluidEngine`.
+    path's metrics hub would produce).  The scalar implementation with
+    identical semantics, ``tests/fluid_reference.py``, is the oracle the
+    equivalence tests compare this engine against.
     """
 
     def __init__(
@@ -175,8 +178,8 @@ class FluidEngine:
             if base_rtt is not None
             else 1.05 * topology.base_rtt_estimate(mtu + self.header)
         )
-        #: Step length: one base RTT by default — the cadence at which
-        #: every scheme in the paper reacts to feedback anyway.
+        #: Step length: one base RTT by default — the cadence the CC
+        #: adapters fire at (see the module docstring).
         self.step = step if step is not None else self.base_rtt
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
@@ -536,8 +539,8 @@ class FluidEngine:
         trunk gets its old flows back), parked flows re-admit if a route
         reappeared, and newly routeless flows park.  Returns the number
         of flows whose path changed (the reroute count) — a function of
-        topology and the ECMP hash only, hence identical to the scalar
-        reference engine's.
+        topology and the ECMP hash only, hence identical to
+        ``tests/fluid_reference.py``'s.
         """
         self._topo_version += 1
         self.graph.invalidate()
@@ -670,7 +673,8 @@ class FluidEngine:
         req *= alive
         # 2. per-link offered arrivals -> proportional throttle factors.
         #    Row-major ravel order means per-link accumulation order is
-        #    flow-major — the same order as the scalar engine's loops.
+        #    flow-major — the same order as the loops of
+        #    tests/fluid_reference.py.
         # Effective capacity: pure-fluid runs keep ``A.capacity`` itself
         # (``ext_rates is None`` — same array object, bit-identical);
         # under hybrid coupling the background half sees only the
@@ -702,10 +706,10 @@ class FluidEngine:
         achieved = req * cum[:, -1]
         throttled = np.bincount(flat, weights=w.ravel(), minlength=L + 1)
         # 4. integrate link state on the touched subset (untouched queues
-        #    freeze, matching the scalar engine).  Only switch egress
-        #    queues grow: a host's own uplink is paced at the source, so
-        #    it never queues or drops — matching the packet NIC, which
-        #    contributes no INT hop either.
+        #    freeze, matching tests/fluid_reference.py).  Only switch
+        #    egress queues grow: a host's own uplink is paced at the
+        #    source, so it never queues or drops — matching the packet
+        #    NIC, which contributes no INT hop either.
         ti = self._touched_idx
         te = self._touched_eg_idx
         em = self._touched_eg_mask
@@ -801,8 +805,8 @@ class FluidEngine:
             p[qc >= self._ecn_kmax] = 1.0
             np.subtract(1.0, p, out=one_minus[:L])
             # Host links and dead links carry p == 0, so the product
-            # over *all* path hops equals the scalar engine's product
-            # over telemetry links only (1.0 factors are exact).
+            # over *all* path hops equals tests/fluid_reference.py's
+            # product over telemetry links only (1.0 factors are exact).
             mark_flow = 1.0 - one_minus[hopm].prod(axis=1)
             macc += mark_flow * delivered
         fire = alive & (elapsed >= self._fire_at)
@@ -845,7 +849,7 @@ class FluidEngine:
         scheme without an ECN policy.  ``sig.mark_prob`` is the
         delivered-weighted mean mark probability over the window; for a
         single-mini-step window it is the step's instantaneous value,
-        bit-identical to the scalar engine's.
+        bit-identical to ``tests/fluid_reference.py``'s.
         """
         A = self.arrays
         flows = self._flows

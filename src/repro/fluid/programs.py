@@ -32,12 +32,11 @@ from ..dynamics import FluidDynamicsDriver, Timeline
 from ..obs import current as current_telemetry
 from ..obs import instrument_fluid, maybe_span
 from ..runner.results import RunRecord, fct_rows
-from ..runner.spec import ScenarioSpec, require_known
+from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
 from ..sim.units import MB
 from ..topology.base import Topology
 from .engine import FluidEngine
-from .reference import ScalarFluidEngine
 
 
 class FluidBackend:
@@ -45,23 +44,16 @@ class FluidBackend:
 
     ``config`` (default ``spec.config``) is what the engine is built
     from; keys it has no use for land in ``fluid_ignored_config``.
-    ``config["fluid_engine"]`` picks the implementation: the vectorized
-    array engine by default, ``"scalar"`` for the loop-per-flow
-    reference — same semantics, kept for equivalence testing and as the
-    speedup baseline.  The hybrid backend passes its fluid half's share
-    of the config and, in mixed mode, ``sampled=False``: queue series
-    then come from the packet half alone (one coherent label set).
+    The hybrid backend passes its fluid half's share of the config and,
+    in mixed mode, ``sampled=False``: queue series then come from the
+    packet half alone (one coherent label set).
     """
 
     def __init__(self, spec: ScenarioSpec, topology: Topology,
                  config: dict | None = None, sampled: bool = True) -> None:
         self.spec = spec
         config = dict(spec.config if config is None else config)
-        engines = {"array": FluidEngine, "scalar": ScalarFluidEngine}
-        engine_cls = engines[require_known(
-            "config.fluid_engine", config.pop("fluid_engine", "array"),
-            engines)]
-        self.engine = engine = engine_cls(
+        self.engine = engine = FluidEngine(
             topology,
             cc_name=spec.cc.name,
             cc_params=spec.cc.params,
@@ -90,8 +82,7 @@ class FluidBackend:
     def running(self):
         """The run phase's instrumentation: a
         :class:`~repro.obs.probes.FluidProbe` while an ambient telemetry
-        context is active (array engine only — the scalar reference has
-        no array registers to sample)."""
+        context is active."""
         engine = self.engine
         tel = current_telemetry()
         probe = instrument_fluid(engine, tel) if tel is not None else None

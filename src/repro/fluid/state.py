@@ -101,8 +101,10 @@ class FluidLink:
 
     __slots__ = (
         "a", "b", "capacity", "delay", "is_switch_egress", "buffer_bytes",
-        "queue", "tx_bytes", "rx_bytes", "dropped_bytes",
-        "arrival", "throttled", "scale", "label", "index",
+        "queue", "tx_bytes", "rx_bytes", "dropped_bytes", "label", "index",
+        # The test oracle (tests/fluid_reference.py) integrates on these
+        # objects and keeps its per-step scratch registers on them.
+        "__dict__",
     )
 
     def __init__(
@@ -124,10 +126,6 @@ class FluidLink:
         self.tx_bytes = 0.0             # cumulative bytes emitted
         self.rx_bytes = 0.0             # cumulative bytes offered
         self.dropped_bytes = 0.0        # fluid lost to overflow or link cuts
-        # Per-step scratch registers (owned by the scalar engine's loop).
-        self.arrival = 0.0
-        self.throttled = 0.0
-        self.scale = 1.0
         self.label = f"sw{a}->{b}"
         self.index = -1                 # row in LinkArrays, set by the graph
 

@@ -69,6 +69,12 @@ class _Binding:
         self.prev_bg_tx = 0.0       # fluid arrays.tx at last epoch
 
 
+#: Floor of the capacity share left for packet serialization, so a
+#: background-saturated link degrades gracefully instead of stalling the
+#: packet half.
+MIN_RESIDUAL = 0.05
+
+
 class HybridCoupler:
     """Builds and drives the per-link bindings between the two halves.
 
@@ -76,19 +82,12 @@ class HybridCoupler:
     that also exists in the fluid graph: switch egress ports get their
     view registered on the owning switch (INT/ECN fold-in) *and* on the
     port (residual serialization); host NIC uplinks get the port-side
-    view only (hosts stamp no INT hops).  ``min_residual`` floors the
-    serialization share so a background-saturated link degrades
-    gracefully instead of stalling the packet half.
+    view only (hosts stamp no INT hops).
     """
 
-    def __init__(self, net, engine, min_residual: float = 0.05) -> None:
-        if not 0.0 < min_residual <= 1.0:
-            raise ValueError(
-                f"min_residual must be in (0, 1], got {min_residual}"
-            )
+    def __init__(self, net, engine) -> None:
         self.net = net
         self.engine = engine
-        self.min_residual = min_residual
         self.bindings: list[_Binding] = []
         self.ext_rates = np.zeros(engine.arrays.n)
         self.ext_qlen = np.zeros(engine.arrays.n)
@@ -125,7 +124,6 @@ class HybridCoupler:
         queue = A.queue
         tx = A.tx
         capacity = A.capacity
-        min_residual = self.min_residual
         for binding in self.bindings:
             i = binding.index
             view = binding.view
@@ -138,7 +136,7 @@ class HybridCoupler:
             view.t0 = t0
             cap = float(capacity[i])
             if cap > 0.0:
-                view.residual = max(min_residual, 1.0 - rate / cap)
+                view.residual = max(MIN_RESIDUAL, 1.0 - rate / cap)
             else:
                 # A failed link carries no fluid; the packet half's own
                 # dynamics driver handles the outage.

@@ -32,19 +32,13 @@ class HybridEngine:
     as the pure backend it is.
     """
 
-    def __init__(
-        self,
-        net,
-        engine,
-        epoch: float | None = None,
-        min_residual: float = 0.05,
-    ) -> None:
+    def __init__(self, net, engine, epoch: float | None = None) -> None:
         self.net = net
         self.engine = engine
         self.epoch = epoch if epoch is not None else engine.step
         if self.epoch <= 0:
             raise ValueError(f"epoch must be positive, got {self.epoch}")
-        self.coupler = HybridCoupler(net, engine, min_residual=min_residual)
+        self.coupler = HybridCoupler(net, engine)
         self.epochs = 0
 
     @property

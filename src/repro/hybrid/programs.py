@@ -21,11 +21,9 @@ Config keys by consumer — the contract documented in
 * packet half only: ``transport``, ``pfc_enabled``, ``int_enabled``,
   ``pfc``, ``ecn``, ``rto``, ``gbn_recovery_cap`` (and every other
   ``NetworkConfig`` knob);
-* fluid half only: ``fluid_step``, and ``fluid_engine`` when the
-  partition is all-background (mixed mode ignores and records it — the
-  coupler needs the array registers);
+* fluid half only: ``fluid_step``;
 * hybrid only: ``hybrid_epoch`` (default: the fluid step, one base
-  RTT), ``hybrid_min_residual`` (serialization floor, default 0.05).
+  RTT).
 
 Mixed-mode records carry both halves: merged FCTs (sorted by finish
 time), packet-half queue samples, merged goodput bins, packet events
@@ -48,10 +46,10 @@ from .engine import HybridEngine
 from .select import partition_specs
 
 #: Config keys only the hybrid coupling consumes.
-_HYBRID_KEYS = ("hybrid_epoch", "hybrid_min_residual")
+_HYBRID_KEYS = ("hybrid_epoch",)
 #: Config keys only the fluid half understands (stripped before the
 #: packet ``NetworkConfig`` sees them).
-_FLUID_KEYS = ("fluid_step", "fluid_engine")
+_FLUID_KEYS = ("fluid_step",)
 
 
 class HybridBackend:
@@ -91,18 +89,15 @@ class HybridBackend:
             self.packet.admit(fg, timeline, burst_entries)
             burst_entries = []
         if bg:
-            mixed = self.packet is not None
-            dropped = _HYBRID_KEYS + (("fluid_engine",) if mixed else ())
             self.fluid = FluidBackend(
-                spec, self.topology, self._config(*dropped),
-                sampled=not mixed,
+                spec, self.topology, self._config(*_HYBRID_KEYS),
+                sampled=self.packet is None,
             )
             self.fluid.admit(bg, timeline, burst_entries)
         if self.packet is not None and self.fluid is not None:
             self.engine = HybridEngine(
                 self.packet.net, self.fluid.engine,
                 epoch=spec.config.get("hybrid_epoch"),
-                min_residual=spec.config.get("hybrid_min_residual", 0.05),
             )
 
     def run(self, deadline: float) -> bool:
@@ -143,8 +138,6 @@ class HybridBackend:
         extras["hybrid_epochs"] = self.engine.epochs
         extras["foreground_flow_ids"] = sorted(
             fs.flow_id for fs in self.foreground)
-        if self.spec.config.get("fluid_engine") is not None:
-            extras["fluid_ignored_config"] = ["fluid_engine"]
         if "goodput" in bg.extras:
             extras["goodput"]["bins"].update(bg.extras["goodput"]["bins"])
         return record

@@ -141,15 +141,8 @@ def instrument_simulator(sim, tel: Telemetry, every: int = 64) -> SimProbe:
 
 
 def instrument_fluid(engine, tel: Telemetry,
-                     every: int = 256) -> FluidProbe | None:
-    """Attach a :class:`FluidProbe` to an array fluid engine.
-
-    The scalar reference engine has no struct-of-arrays registers (and
-    is not the production path), so it only gets phase spans — this
-    returns ``None`` for it.
-    """
-    if getattr(engine, "arrays", None) is None:
-        return None
+                     every: int = 256) -> FluidProbe:
+    """Attach a :class:`FluidProbe`; detach with ``engine.telemetry = None``."""
     probe = FluidProbe(tel, every=every)
     engine.telemetry = probe
     return probe

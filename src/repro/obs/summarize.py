@@ -23,7 +23,12 @@ from .schema import json_number, validate_record
 
 
 def read_jsonl(path: str | Path) -> tuple[list[dict], list[tuple[int, str]]]:
-    """Parse + validate ``path``; return (records, [(lineno, error)])."""
+    """Parse + validate ``path``; return (records, [(lineno, error)]).
+
+    A rejected ``meta`` line is not skipped but raised as ``ValueError``:
+    it declares a schema or version this reader does not read, so every
+    record after it would be interpreted under the wrong layout.
+    """
     records: list[dict] = []
     errors: list[tuple[int, str]] = []
     with open(path) as handle:
@@ -38,6 +43,8 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], list[tuple[int, str]]]:
                 continue
             err = validate_record(obj)
             if err is not None:
+                if isinstance(obj, dict) and obj.get("kind") == "meta":
+                    raise ValueError(f"line {lineno}: {err}")
                 errors.append((lineno, err))
                 continue
             records.append(obj)
@@ -197,7 +204,7 @@ def summarize_file(path: str | Path,
     """
     try:
         records, errors = read_jsonl(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         if as_json:
             return json.dumps({"path": str(path), "error": str(exc)}), 1
         return f"cannot read {path}: {exc}", 1

@@ -20,9 +20,8 @@ identical traffic.  The contract's fine print:
 4. A degenerate hybrid partition builds one half only: all-foreground
    the packet half from ``spec.config`` minus the ``hybrid_*`` and
    ``fluid_*`` keys, all-background the fluid half from ``spec.config``
-   minus ``hybrid_*`` (so ``fluid_engine="scalar"`` is honoured there;
-   mixed mode needs the array registers, records the key under
-   ``fluid_ignored_config`` and gives the fluid half no queue sampling).
+   minus ``hybrid_*`` (mixed mode gives the fluid half no queue
+   sampling).
 5. Only the first half that exists carries the burst accounting
    entries, so ``link_events`` reports each burst once.
 6. The hybrid can only choose its halves once it has the population,
@@ -36,6 +35,7 @@ program marks its setup/run/collect phases through the ambient
 
 from __future__ import annotations
 
+import json
 import time
 from importlib import import_module
 from typing import Callable, Protocol
@@ -93,19 +93,6 @@ def workload_cdf(workload: dict):
     return cdf.scaled(workload.get("size_scale", 1.0))
 
 
-def spec_timeline(spec: ScenarioSpec) -> Timeline:
-    """The spec's dynamics timeline, legacy ``workload["events"]`` included.
-
-    The legacy list (``[["fail_link"|"restore_link", t, a, b], ...]``) is
-    a deprecation shim over the timeline DSL: old JSON specs keep hashing
-    identically (the ``dynamics`` field stays empty) and keep running
-    identically (a shimmed fail/restore fires as one scheduled callback
-    with immediate reconvergence — the pre-dynamics behaviour, pinned by
-    the golden determinism fixtures).
-    """
-    return Timeline.for_spec(spec.dynamics, spec.workload.get("events"))
-
-
 # -- the backend contract -----------------------------------------------------------
 
 class Backend(Protocol):
@@ -149,8 +136,7 @@ def _run_network(spec: ScenarioSpec) -> RunRecord:
     "incast"?, "deadline_factor"?}``.
 
     ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
-    dst, size, start?, tag?], ...], "deadline", "events"?: the legacy
-    fail/restore shim}``.
+    dst, size, start?, tag?], ...], "deadline"}``.
 
     Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
     "pause_intervals"?}``; config: ``NetworkConfig`` overrides
@@ -186,7 +172,8 @@ def _run_network(spec: ScenarioSpec) -> RunRecord:
                 incast=workload.get("incast"),
             )
             deadline = duration * workload.get("deadline_factor", 2.5)
-        timeline = spec_timeline(spec)
+        timeline = (Timeline.from_json(spec.dynamics) if spec.dynamics
+                    else Timeline())
         bursts: list[FlowSpec] = []
         burst_entries: list[dict] = []
         if timeline:
@@ -293,17 +280,26 @@ PROGRAMS: dict[str, Callable[[ScenarioSpec], RunRecord]] = {
 def validate_specs(specs: list[ScenarioSpec]) -> None:
     """Reject malformed specs before any worker starts.
 
-    Input errors — unknown program, backend, topology or CDF names — are
+    Input errors — unknown program, backend, topology or CDF names, or
+    a link schedule under the retired ``workload["events"]`` key — are
     bugs in the calling experiment, not runtime faults, so they raise
     immediately under *every* failure policy: quarantine must never
-    silently eat a typo.  The checks are registry-membership only (no
-    simulator work), and this is the one place they are spelled.
+    silently eat a typo, and a run must never silently drop a link
+    failure.  The checks do no simulator work, and this is the one place
+    they are spelled.
     """
     for spec in specs:
         require_known("program", spec.program, PROGRAMS)
         require_known("backend", spec.backend, _BACKENDS)
         if PROGRAMS[spec.program] is _run_network:
             require_known("topology", spec.topology, TOPOLOGIES)
+            if "events" in spec.workload:
+                rows = [dict(zip(("type", "at", "a", "b"), row))
+                        for row in spec.workload["events"]]
+                raise ValueError(
+                    'workload["events"] is not read; declare the schedule '
+                    f'as dynamics={json.dumps({"events": rows})}'
+                )
             if spec.program == "load":
                 require_known("workload.cdf", spec.workload.get("cdf"), CDFS)
 

@@ -148,7 +148,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             out[name] = value.to_json() if isinstance(value, CcChoice) else value
         if not out["dynamics"]:
-            del out["dynamics"]         # legacy hash compatibility
+            del out["dynamics"]         # pre-dynamics hashes stay stable
         return out
 
     def canonical(self) -> str:

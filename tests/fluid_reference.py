@@ -1,26 +1,31 @@
-"""The scalar reference fluid engine (pre-array implementation).
+"""The scalar reference fluid engine: the array engine's test oracle.
 
 This is the original per-flow/per-link Python implementation of the
 fluid step loop, kept verbatim as the semantic baseline for the
-array-native :class:`~repro.fluid.engine.FluidEngine`:
-
-* the scalar-vs-array equivalence tests (``tests/test_fluid_array.py``)
-  pin the vectorized engine's FCTs, goodput bins, reroute counts and
-  queue trajectories against this implementation per scheme;
-* ``benchmarks/bench_fluid_engine.py`` measures the array engine's
-  speedup against it (the "PR 5 tip" baseline);
-* ``ScenarioSpec(config={"fluid_engine": "scalar"})`` selects it for
-  any run, so regressions can be bisected to the data plane.
+array-native :class:`~repro.fluid.engine.FluidEngine`.  It lives under
+``tests/`` because comparing against it is its only job: the
+scalar-vs-array equivalence tests (``tests/test_fluid_array.py``,
+``tests/test_fluid_routing.py``) pin the vectorized engine's FCTs,
+goodput bins, reroute counts and queue trajectories against this
+implementation per scheme.  No spec, CLI flag or config key selects it.
 
 Semantics are documented in :mod:`repro.fluid.engine`; the two engines
 share :class:`~repro.fluid.engine.FluidFlow`, the adapters, the graph
 and the goodput recorder, and differ only in how the five sub-steps of
-``_advance`` are executed.  One deliberate difference: the scalar
-engine fires every flow's CC adapter on *every* mini-step (even
+``_advance`` are executed.  One deliberate difference: this engine
+fires every flow's CC adapter on *every* mini-step (even
 arrival-shortened ones), while the array engine batches adapter fires
-to once per accumulated RTT — the cadence the schemes are defined at.
-On runs whose steps are never shortened the two are numerically
-identical.
+to once per accumulated RTT.  On runs whose steps are never shortened
+the two are numerically identical.
+
+Neither cadence is Algorithm 1's: ``IntAdapter.update`` advances
+``snd_nxt`` before its one synthetic ACK, so ``update_wc`` is true on
+every fire and ``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute
+the per-RTT ablation on both fluid engines (ROADMAP item 2).
+
+The per-step scratch registers (``arrival``, ``throttled``, ``scale``)
+live in the link objects' ``__dict__``; ``_advance`` sets each one
+before it reads it, so nothing initialises them.
 """
 
 from __future__ import annotations
@@ -28,17 +33,17 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from ..core.base import CcEnv
-from ..core.registry import get_scheme
-from ..sim.ecn import EcnConfig
-from ..sim.flow import FctRecord, FlowSpec
-from ..sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop
-from ..sim.units import MB
-from ..topology.base import Topology
-from .adapters import FluidClock, FlowProxy, StepSignals, adapter_for
-from .engine import FluidFlow
-from .goodput import GoodputRecorder
-from .state import FluidGraph, FluidPath, NoRoute
+from repro.core.base import CcEnv
+from repro.core.registry import get_scheme
+from repro.sim.ecn import EcnConfig
+from repro.sim.flow import FctRecord, FlowSpec
+from repro.sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop
+from repro.sim.units import MB
+from repro.topology.base import Topology
+from repro.fluid.adapters import FluidClock, FlowProxy, StepSignals, adapter_for
+from repro.fluid.engine import FluidFlow
+from repro.fluid.goodput import GoodputRecorder
+from repro.fluid.state import FluidGraph, FluidPath, NoRoute
 
 _EPS = 1e-9
 

@@ -204,10 +204,14 @@ class TestDiagnosableRejections:
             LOAD.replaced(**{"workload.cdf": "nope"}),
             ("workload.cdf", "'nope'", "fbhadoop, websearch"),
         ),
-        "fluid_engine": (
-            LOAD.replaced(backend="fluid",
-                          **{"config.fluid_engine": "quantum"}),
-            ("config.fluid_engine", "'quantum'", "array, scalar"),
+        "events": (
+            FLOWS.replaced(**{"workload.events": [
+                ["fail_link", 60_000.0, 4, 5], ["restore_link", 160_000.0, 4, 5],
+            ]}),
+            ('workload["events"]',
+             'dynamics={"events": ['
+             '{"type": "fail_link", "at": 60000.0, "a": 4, "b": 5}, '
+             '{"type": "restore_link", "at": 160000.0, "a": 4, "b": 5}]}'),
         ),
         "deadline": (
             FLOWS.replaced(workload={"flows": FLOWS.workload["flows"]}),
@@ -223,8 +227,7 @@ class TestDiagnosableRejections:
         for fragment in fragments:
             assert fragment in str(err.value)
 
-    @pytest.mark.parametrize("name", ["sample_port", "fluid_engine",
-                                      "deadline"])
+    @pytest.mark.parametrize("name", ["sample_port", "deadline"])
     def test_quarantined_record_carries_the_message(self, name):
         spec, fragments = self.MALFORMED[name]
         [record] = SweepRunner(failures="quarantine").run([spec])
@@ -236,3 +239,11 @@ class TestDiagnosableRejections:
         spec, _ = self.MALFORMED["cdf"]
         with pytest.raises(ValueError, match=r"workload\.cdf 'nope'"):
             validate_specs([spec])
+
+    def test_workload_events_raise_under_quarantine_too(self):
+        """A retired link schedule is an input error, not a run fault:
+        dropping it silently would run the scenario without its cut."""
+        spec, fragments = self.MALFORMED["events"]
+        with pytest.raises(ValueError) as err:
+            SweepRunner(failures="quarantine").run([spec])
+        assert fragments[1] in str(err.value)

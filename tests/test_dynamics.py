@@ -9,9 +9,9 @@ Covers the three layers plus the compatibility contract:
   from-scratch ``build_routing_tables`` over the alive subgraph after
   any sequence of failures/restores;
 * drivers — detection delay, symmetric fail/restore accounting, degrade,
-  burst injection, fluid parking, and the legacy ``workload["events"]``
-  shim regression (same spec hash, same FCTs, same event count as the
-  pre-dynamics hook — values captured at the PR-3 tip).
+  burst injection, fluid parking, and the zero-detection-delay
+  fail/restore golden (same FCTs, same event count as the pre-dynamics
+  hook — values captured at the PR-3 tip).
 """
 
 import hashlib
@@ -90,21 +90,12 @@ class TestTimelineDsl:
         ]
         assert all(i == 0 for i, _e in prims)     # all from event 0
 
-    def test_legacy_events_merge(self):
-        tl = Timeline.for_spec(
-            {"events": [{"type": "degrade_link", "at": 5.0, "a": 0, "b": 1,
-                         "rate_factor": 0.5}]},
-            [["fail_link", 1.0, 4, 5], ["restore_link", 2.0, 4, 5]],
-        )
-        assert [e.kind for e in tl] == ["fail_link", "restore_link",
-                                       "degrade_link"]
-        with pytest.raises(ValueError, match="unknown link event"):
-            Timeline.for_spec(None, [["explode_link", 1.0, 4, 5]])
-
 
 class TestSpecIntegration:
     # The failover HPCC spec hash at the PR-3 tip, before the dynamics
-    # field existed.  Empty dynamics must not change any legacy hash.
+    # field existed.  Empty dynamics must not change any legacy hash
+    # (the spec still hashes; ``validate_specs`` refuses to *run* its
+    # ``workload["events"]`` list).
     LEGACY_FAILOVER_HASH = "7979982bd2e9634f"
 
     def legacy_spec(self):
@@ -304,18 +295,19 @@ def fct_digest(fct_rows) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class TestLegacyShimRegression:
-    """The ``workload["events"]`` shim replays the pre-dynamics hook
+class TestFailRestoreGolden:
+    """A zero-detection-delay fail/restore replays the pre-dynamics hook
     exactly.  Golden values captured at the PR-3 tip (before the
-    subsystem existed): the shimmed run must keep the same event count
-    and bit-identical FCT records."""
+    subsystem existed, through the since-retired ``workload["events"]``
+    list, which ran bit-identically to this timeline): the run must keep
+    the same event count and bit-identical FCT records."""
 
     GOLDEN_EVENTS = 51960
     GOLDEN_DIGEST = (
         "8f3a587bb0d1a35dd97c8c7897d749d7ad1c87d38ed9d6587d3a6432b8fadfae"
     )
 
-    def legacy_spec(self):
+    def spec(self):
         return ScenarioSpec(
             program="flows",
             topology="dual_trunk",
@@ -324,37 +316,22 @@ class TestLegacyShimRegression:
                 "flows": [[0, 2, 2_000_000, 0.0, "bg"],
                           [1, 3, 2_000_000, 3.0, "bg"]],
                 "deadline": 50 * MS,
-                "events": [["fail_link", 0.2 * MS, 4, 5],
-                           ["restore_link", 0.6 * MS, 4, 5]],
             },
+            dynamics=Timeline([FailLink(at=0.2 * MS, a=4, b=5),
+                               RestoreLink(at=0.6 * MS, a=4, b=5)]),
             config={"base_rtt": 9 * US, "rto": 300 * US,
                     "goodput_bin": 50 * US},
             seed=3,
         )
 
-    def test_shim_is_bit_identical_to_pre_dynamics_hook(self):
-        record = execute_spec(self.legacy_spec())
+    def test_bit_identical_to_pre_dynamics_hook(self):
+        record = execute_spec(self.spec())
         assert record.completed
         assert record.events_processed == self.GOLDEN_EVENTS
         assert fct_digest(record.fct) == self.GOLDEN_DIGEST
 
-    def test_shim_equals_first_class_timeline(self):
-        legacy = execute_spec(self.legacy_spec())
-        timeline = Timeline([FailLink(at=0.2 * MS, a=4, b=5),
-                             RestoreLink(at=0.6 * MS, a=4, b=5)])
-        spec = self.legacy_spec()
-        spec = spec.replaced(
-            dynamics=timeline,
-            workload={k: v for k, v in spec.workload.items()
-                      if k != "events"},
-        )
-        first_class = execute_spec(spec)
-        assert fct_digest(first_class.fct) == fct_digest(legacy.fct)
-        assert first_class.events_processed == legacy.events_processed
-        assert first_class.spec_hash != legacy.spec_hash
-
-    def test_shim_entry_shape(self):
-        record = execute_spec(self.legacy_spec())
+    def test_entry_shape(self):
+        record = execute_spec(self.spec())
         fail, restore = record.link_events()
         assert fail["type"] == "fail_link" and fail["fired"]
         assert restore["type"] == "restore_link" and restore["fired"]

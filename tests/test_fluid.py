@@ -281,14 +281,13 @@ class TestFluidPrograms:
         label, series = next(iter(record.queues.items()))
         assert len(series["times"]) == len(series["qlens"]) > 0
 
-    def test_legacy_link_events_run_on_fluid(self):
-        """The legacy ``workload["events"]`` shim executes on fluid now
-        (pre-dynamics PRs it raised ValueError): cutting the receiver's
-        uplink parks both flows, so the run ends incomplete — blackholed,
-        not crashed, like the packet backend."""
-        spec = flows_spec(
-            **{"workload.events": [["fail_link", 1.0, 3, 2]]}
-        )
+    def test_link_events_run_on_fluid(self):
+        """A link cut executes on fluid: cutting the receiver's uplink
+        parks both flows, so the run ends incomplete — blackholed, not
+        crashed, like the packet backend."""
+        spec = flows_spec(dynamics={"events": [
+            {"type": "fail_link", "at": 1.0, "a": 3, "b": 2},
+        ]})
         record = execute_spec(spec)
         [event] = record.link_events()
         assert event["type"] == "fail_link" and event["fired"]

@@ -1,7 +1,8 @@
 """Array engine vs scalar reference: numerical equivalence contracts.
 
 The vectorized :class:`~repro.fluid.FluidEngine` and the loop-per-flow
-:class:`~repro.fluid.ScalarFluidEngine` implement the same fluid model;
+:class:`tests.fluid_reference.ScalarFluidEngine` (the oracle, which
+lives beside these tests) implement the same fluid model;
 this module pins *how* equal they must stay:
 
 * **Bit-exact** when steps are never shortened (simultaneous starts, no
@@ -11,8 +12,8 @@ this module pins *how* equal they must stay:
   goodput bins must match to the last bit.
 * **Pinned tolerances** when arrivals shorten steps: the engines then
   fire CC at different cadences (the reference fires every mini-step,
-  the array engine once per accumulated RTT — the cadence the schemes
-  are defined at), so trajectories drift by a bounded, *pinned* amount.
+  the array engine once per accumulated RTT), so trajectories drift by
+  a bounded, *pinned* amount.
   A tolerance regression here means the engines diverged beyond the
   documented cadence effect.
 * **Identical dynamics decisions**: fail/restore + reconvergence must
@@ -21,8 +22,7 @@ this module pins *how* equal they must stay:
 
 Plus regression tests for the supporting cast: the O(1) goodput
 recorder against a brute-force bin fill across thousands of bins, the
-cached link labels/egress list, the k-ary FatTree builder, and the
-``fluid_engine`` config knob that selects the implementation per spec.
+cached link labels/egress list, and the k-ary FatTree builder.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ import random
 import numpy as np
 import pytest
 
-from repro.fluid import FluidEngine, GoodputRecorder, ScalarFluidEngine
+from repro.fluid import FluidEngine, GoodputRecorder
 from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
 from repro.topology import star
 from repro.topology.fattree import bench_fattree, fattree_k
+
+from tests.fluid_reference import ScalarFluidEngine
 
 BASE_RTT = 9 * US
 DEADLINE = 200e6
@@ -287,18 +289,13 @@ class TestEngineSelection:
         backend = FluidBackend(self._spec(base_rtt=BASE_RTT), star(n_hosts=4))
         assert type(backend.engine) is FluidEngine
 
-    def test_scalar_knob_selects_reference(self):
+    def test_retired_knob_selects_nothing_and_is_reported(self):
         backend = FluidBackend(
             self._spec(base_rtt=BASE_RTT, fluid_engine="scalar"),
             star(n_hosts=4),
         )
-        assert type(backend.engine) is ScalarFluidEngine
-        assert "fluid_engine" not in backend.ignored    # consumed
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match=r"config\.fluid_engine 'quantum'; "
-                                             "known: array, scalar"):
-            FluidBackend(self._spec(fluid_engine="quantum"), star(n_hosts=4))
+        assert type(backend.engine) is FluidEngine
+        assert backend.ignored == ["fluid_engine"]  # -> fluid_ignored_config
 
 
 class TestArrayInternals:

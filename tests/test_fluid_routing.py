@@ -20,12 +20,14 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fluid import FluidEngine, ScalarFluidEngine
+from repro.fluid import FluidEngine
 from repro.fluid.state import FluidGraph, NoRoute
 from repro.sim.flow import FlowSpec
 from repro.sim.routing import ecmp_hash
 from repro.topology import LinkSpec, Topology, dual_trunk, star
 from repro.topology.fattree import fattree_k
+
+from tests.fluid_reference import ScalarFluidEngine
 
 MTU_WIRE, ACK = 1048, 60
 

@@ -50,6 +50,34 @@ class TestPerAck:
         assert cc.wc < wc1
 
 
+class TestOneNewAck:
+    """The three classes share ``Hpcc.on_ack``; the tap shows which ACKs
+    each reacts to and on which it syncs W^c."""
+
+    class Tap:
+        def __init__(self):
+            self.synced = []
+
+        def record(self, now, kind, branch, rate0, win0, rate, window, inputs):
+            self.synced.append(inputs["wc_synced"])
+
+    @pytest.mark.parametrize("cls, synced", [
+        (Hpcc, [1, 0, 0, 0]),           # every ACK reacts, the first syncs
+        (HpccPerAck, [1, 1, 1, 1]),     # every ACK reacts and syncs
+        (HpccPerRtt, [1]),              # only the syncing ACK reacts
+    ])
+    def test_reactions_and_syncs_within_one_round(self, env, cls, synced):
+        cc, flow = install(cls, env, wai=0.0)
+        cc.tap = tap = self.Tap()
+        flow.snd_nxt = 1_000_000        # all ACKs fall inside one RTT round
+        cc.on_ack(flow, make_int_ack(0, [(gbps(100), 0.0, 0, 0)]), now=0.0)
+        for k in range(1, 5):
+            cc.on_ack(flow, congested_ack(env, 1000 * k, 1000.0 * k,
+                                          12_500 * k), now=1000.0 * k)
+        assert tap.synced == synced
+        assert HpccPerAck.on_ack is HpccPerRtt.on_ack is Hpcc.on_ack
+
+
 class TestPerRtt:
     def test_mid_rtt_acks_ignored(self, env):
         cc, flow = install(HpccPerRtt, env, wai=0.0)

@@ -87,6 +87,17 @@ class TestSchema:
         bad = meta_record("r1")
         bad["version"] = SCHEMA_VERSION + 1
         assert "version" in validate_record(bad)
+        bad["version"] = 1          # the retired schema is not read either
+        assert validate_record(bad) == "meta version 1 not in [2]"
+
+    def test_retired_version_stream_fails_summarize(self, tmp_path):
+        """A v1 stream is refused whole, not read minus its meta line."""
+        path = tmp_path / "v1.jsonl"
+        lines = [{**meta_record("r1"), "version": 1},
+                 {"kind": "event", "name": "e", "run_id": "r1", "t": 0.0}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        text, status = summarize_file(path)
+        assert status == 1 and "meta version 1 not in [2]" in text
 
     def test_unknown_kind_rejected(self):
         assert "kind" in validate_record({"kind": "tracepoint"})

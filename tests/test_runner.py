@@ -178,20 +178,20 @@ class TestExecution:
     def test_link_event_after_completion_still_yields_complete_entry(self):
         """A fail_link scheduled past the last flow's finish never fires;
         the record must still carry a complete (no-op) event entry."""
-        spec = tiny_flows_spec(
-            **{"workload.events": [["fail_link", 4.9e6, 3, 0]]}
-        )
+        spec = tiny_flows_spec(dynamics={"events": [
+            {"type": "fail_link", "at": 4.9e6, "a": 3, "b": 0},
+        ]})
         record = execute_spec(spec)
         [entry] = record.link_events()
         assert entry["fired"] is False
         assert entry["packets_lost_down"] == 0
 
     def test_unknown_link_event_rejected_eagerly(self):
-        spec = tiny_flows_spec(
-            **{"workload.events": [["melt_link", 1.0, 3, 0]]}
-        )
-        with pytest.raises(ValueError, match="unknown link event"):
-            execute_spec(spec)
+        with pytest.raises(ValueError,
+                           match="unknown dynamics event 'melt_link'"):
+            tiny_flows_spec(dynamics={"events": [
+                {"type": "melt_link", "at": 1.0, "a": 3, "b": 0},
+            ]})
 
     def test_worker_execution_error_propagates_from_pool(self):
         """A broken spec must fail the sweep loudly, not silently degrade."""
@@ -267,16 +267,27 @@ class TestRunCache:
         assert cache.get(spec) is None
         assert path.with_suffix(".corrupt").exists()
 
-    def test_schema_mismatch_is_quarantined(self, tmp_path):
+    @pytest.mark.parametrize("fmt", [999, 1, None])
+    def test_schema_mismatch_is_quarantined(self, tmp_path, fmt):
+        """One readable format: a future one, the retired format 1 and a
+        payload with no ``format`` are all refused by name, sidelined,
+        and recomputed."""
         cache = RunCache(tmp_path)
         spec = tiny_flows_spec()
         SweepRunner(cache=cache).run([spec])
         path = cache.path_for(spec)
         data = json.loads(path.read_text())
-        data["format"] = 999
+        if fmt is None:
+            del data["format"]
+        else:
+            data["format"] = fmt
+        with pytest.raises(ValueError, match="reads format 2"):
+            RunRecord.from_json(data)
         path.write_text(json.dumps(data))
         assert cache.get(spec) is None
         assert path.with_suffix(".corrupt").exists()
+        [record] = SweepRunner(cache=cache).run([spec])
+        assert not record.cached and cache.get(spec).cached
 
     def test_non_ok_record_refused_by_put(self, tmp_path):
         cache = RunCache(tmp_path)
