@@ -43,4 +43,6 @@ def test_packet_forwarding_throughput(benchmark):
         return net.sim.events_processed
 
     events = benchmark(run_transfer)
-    assert events > 10_000
+    # The scenario is deterministic, so the count is pinned exactly
+    # (captured on 296a431): this smoke doubles as a determinism check.
+    assert events == 17_887

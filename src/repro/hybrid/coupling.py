@@ -41,8 +41,10 @@ class BgLinkView:
     """One link's background share, as seen by the packet half.
 
     Updated in place once per epoch by :class:`HybridCoupler`; the
-    packet hot paths (``Switch.receive``/``_on_emit``,
-    ``EgressPort._kick``) read it through a single ``is None`` gate.
+    packet hot paths read it through a single ``is None`` gate:
+    ``Switch.receive`` (ECN mark, and on its one-frame hop also the INT
+    stamp and the ``residual`` serialization), ``Switch._on_emit`` (INT
+    stamp of a queued packet) and ``EgressPort._kick`` (``residual``).
     """
 
     __slots__ = ("qlen", "tx0", "rate", "t0", "residual")

@@ -91,7 +91,10 @@ class PfcController:
 
     The owning switch calls :meth:`on_ingress_change` after every ingress
     admission or release; the controller decides whether to send PAUSE or
-    RESUME frames on the corresponding input port.
+    RESUME frames on the corresponding input port.  (A packet admitted
+    and released in one go — ``Switch.receive``'s one-frame hop — leaves
+    the occupancy as it found it, so the switch asks once, and only when
+    an answer other than "nothing" is possible.)
     """
 
     def __init__(self, switch, config: PfcConfig, tracker: PauseTracker | None) -> None:
@@ -100,7 +103,7 @@ class PfcController:
         self.tracker = tracker
         self._pausing: set[tuple[int, int]] = set()
         # PfcConfig is frozen: snapshot the knobs the per-packet path reads
-        # (on_ingress_change runs twice per forwarded packet).
+        # (on_ingress_change runs twice per queued packet).
         self._enabled = config.enabled
         self._alpha = config.dynamic_alpha
         self._xon_fraction = config.xon_fraction

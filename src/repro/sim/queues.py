@@ -24,6 +24,18 @@ still counted in ``events_processed`` (see the engine's event-count
 contract), so the counter — and with it the golden determinism fixtures —
 is invariant to this optimization.
 
+A switch goes one step further when a packet finds its egress port free
+(``Switch.receive``'s one-frame hop, ``sim/switch.py``): enqueue, dequeue
+and emission all happen in the ``receive`` frame, which writes this
+port's ``rx_bytes``/``tx_bytes``/``packets_emitted``/``_busy_until`` and
+books the fused credit itself instead of calling ``enqueue``.  The
+selection predicate is exactly "``_kick`` would dequeue this packet at
+once" (no ``_done_event``, ``now >= _busy_until``, not paused, both
+deques empty, link up), and it keeps ``_kick``'s ordering: busy-until and
+credit first, then whatever may re-enter ``enqueue_control`` (the PFC
+check), then the arrival event.  Everything else still comes through
+``enqueue``/``_kick``/``_tx_done`` below.
+
 Two caveats of the fused design:
 
 * the fused credit is booked at serialization *start*, so on a run

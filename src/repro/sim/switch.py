@@ -6,6 +6,44 @@ Brings together the substrate pieces: shared-buffer admission
 stamping at packet emission (Figure 7 semantics: the telemetry a packet
 carries is the egress-port state at the moment it is dequeued, so the qlen
 it reports is the queue it left *behind* — exactly the Figure 5 scenario).
+
+One-frame hop
+-------------
+A forwarded packet is admitted (``SharedBuffer.occupy``), marked,
+enqueued (``EgressPort.enqueue``), dequeued (``_kick``), INT-stamped and
+released (``_on_emit``, which re-checks PFC) and sent
+(``Link.transmit``).  When the egress port can start serializing *now*,
+all of that happens inside the one ``receive`` call and most of it
+cancels: ``occupy``/``release`` net to zero, the queue is appended to and
+popped at once.  ``Switch.receive`` therefore does such a hop in its own
+frame.
+
+*Selection predicate* — read per packet from state the port and link
+already hold, nothing configures it: no completion event pending, ``now
+>= _busy_until``, not paused, data and control queues empty, link wired
+and ``up``.  Any other packet (busy, paused, backlogged or downed port)
+takes the step-by-step path above, untouched; it is the same queueing
+model, and ``Link.transmit`` stays the only place a downed link discards
+a packet.
+
+*What the frame keeps* — the ``SharedBuffer.admits`` test with both drop
+counters and ``peak_used``; ``rx_bytes``/``tx_bytes``/``packets_emitted``;
+``_busy_until`` and the fused-completion credit (``sim/queues.py``); the
+WRED decision and the INT stamp with the hybrid background view looked
+up once for both; the PFC check; the arrival event.
+
+*Ordering rules* — statement order in the frame is ABI, pinned by the
+determinism goldens and by ``tests/switch_reference.py`` (the
+step-by-step hop kept as the oracle):
+
+1. busy-until and credit **before** the PFC check: a PAUSE sent hairpin
+   out of this very port must find it busy and un-fuse the completion,
+   exactly as ``EgressPort._kick`` arranges for its ``on_emit`` hook;
+2. the PFC check **before** the arrival ``sim.at``: a PAUSE/RESUME
+   frame's events keep the earlier ``seq`` they have on the step-by-step
+   path;
+3. one PFC check where that path makes two, because the second is
+   provably a no-op there (see the comment in ``receive``).
 """
 
 from __future__ import annotations
@@ -60,9 +98,10 @@ class Switch:
         self.no_route_drops = 0
         # Hybrid coupling: port_id -> BgLinkView (repro.hybrid.coupling)
         # exposing the fluid background share of this port's link.  When
-        # set, ECN marks on combined fg+bg queue depth and INT stamps
-        # fold the background registers in; ``None`` (the default)
-        # leaves the pure-packet data path untouched.
+        # set, ``receive`` marks ECN on combined fg+bg queue depth and
+        # the INT stamp (``receive``'s one-frame hop, ``_on_emit``
+        # otherwise) folds the background registers in; ``None`` (the
+        # default) leaves the pure-packet data path untouched.
         self.bg_views = None
 
     # -- wiring (called by Network) -------------------------------------------
@@ -87,6 +126,8 @@ class Switch:
     # -- data path -------------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: int) -> None:
+        """Consume a PFC frame, or forward ``pkt`` — in this one frame when
+        its egress port is free (module docstring, "One-frame hop")."""
         ptype = pkt.ptype
         if ptype is PacketType.PAUSE or ptype is PacketType.RESUME:
             self._handle_pfc_frame(pkt, in_port)
@@ -97,23 +138,112 @@ class Switch:
             # No route: either a mis-wired topology or a destination cut
             # off by failure injection.  Real switches blackhole this.
             self.no_route_drops += 1
-            if self.metrics is not None:
-                self.metrics.record_drop(pkt, self.node_id)
-            recycle_hops(pkt)
-            recycle_packet(pkt)
+            self._drop(pkt)
             return
         out_id = ecmp_select(ports, pkt.flow_id, pkt.src, pkt.dst)
         size = pkt.wire_size
         prio = pkt.priority
+        out = self.ports[out_id]
+        sim = self.sim
+        now = sim.now
+        link = out.link
+        if (
+            out._done_event is None
+            and now >= out._busy_until
+            and not out.paused
+            and not out._queue
+            and not out._control
+            and link is not None
+            and link.up
+        ):
+            # One-frame hop (module docstring): the port can serialize
+            # this packet now, so admit, emit and release it right here.
+            # What follows is occupy -> enqueue -> _kick -> _on_emit ->
+            # Link.transmit minus the steps that cancel; the ORDER of
+            # what remains is ABI (the determinism goldens pin it).
+            buffer = self.buffer
+            used = buffer.used + size
+            if used > buffer._total or (
+                buffer._lossy
+                and buffer._egress[out_id] + size
+                > buffer._alpha * buffer.free_bytes
+            ):
+                # SharedBuffer.admits said no: occupy() counts the drop
+                # on the buffer, receive() on the switch.
+                buffer.drops += 1
+                self.drops += 1
+                self._drop(pkt)
+                return
+            # occupy() + release() leave used/_ingress/_egress as they
+            # were; only the high-water mark remembers the packet.
+            if used > buffer.peak_used:
+                buffer.peak_used = used
+            out.rx_bytes += size
+            out.tx_bytes += size
+            out.packets_emitted += 1
+            ser = size / out.rate
+            if (residual_view := out.bg_view) is not None:
+                ser /= residual_view.residual
+            # Rule 1: busy-until and the fused-completion credit before
+            # the PFC check.  A PAUSE that leaves by this very port (the
+            # hairpin case) must find it busy and un-fuse the completion,
+            # refunding the credit, exactly as in EgressPort._kick.
+            out._busy_until = done = now + ser
+            sim.events_processed += 1
+            if ptype is PacketType.DATA:
+                views = self.bg_views
+                view = None if views is None else views.get(out_id)
+                qlen = out.qlen_bytes       # 0: the queue is empty
+                if view is not None:
+                    qlen += view.qlen
+                # WRED never marks an empty queue (kmin >= 0) and draws
+                # no random number deciding so: skipping the call at
+                # qlen 0 leaves the port's RNG stream as it was.
+                if (
+                    qlen
+                    and not pkt.ecn
+                    and (marker := self._markers.get(out_id)) is not None
+                    and marker.should_mark(qlen)
+                ):
+                    pkt.ecn = True
+                hops = pkt.int_hops
+                if hops is not None and self.int_enabled:
+                    tx = out.tx_bytes
+                    rx = out.rx_bytes
+                    if view is not None:
+                        # Same fold as _on_emit.
+                        bg_bytes = view.tx0 + view.rate * (now - view.t0)
+                        tx += bg_bytes
+                        rx += bg_bytes
+                    hops.append(new_hop(out.rate, now, tx, qlen, rx))
+                    pkt.hop_count += 1
+            # Rule 2: the PFC check before the arrival event, so a PAUSE
+            # or RESUME frame's events keep their earlier ``seq``.
+            # Rule 3: at most one check, not two.  The step-by-step path
+            # checks after release (in _on_emit) and again when enqueue
+            # returns; nothing in between changes ``used``,
+            # ``_ingress[key]`` or ``_pausing`` except the first check
+            # itself, and each of its transitions falsifies the other's
+            # guard (usage > xoff rules out usage < xoff * xon_fraction
+            # and vice versa), so the second is a no-op.  So is the
+            # first on a switch that pauses nobody when this ingress
+            # holds no bytes (0 > xoff is false): ask only otherwise.
+            pfc = self.pfc
+            if pfc._pausing or buffer._ingress[(in_port, prio)]:
+                pfc.on_ingress_change(in_port, prio)
+            if out is link.port_a:
+                dest_dev, dest_port = link.dev_b, link.port_b.port_id
+            else:
+                dest_dev, dest_port = link.dev_a, link.port_a.port_id
+            # As Link.transmit: dest_dev.receive looked up per packet
+            # (tracers monkeypatch it) and (now + ser) + prop rounding.
+            sim.at(done + link.prop_delay, dest_dev.receive, pkt, dest_port)
+            return
         if not self.buffer.occupy(in_port, out_id, prio, size):
             self.drops += 1
-            if self.metrics is not None:
-                self.metrics.record_drop(pkt, self.node_id)
-            recycle_hops(pkt)
-            recycle_packet(pkt)
+            self._drop(pkt)
             return
         pkt._ingress_ref = (in_port, out_id, prio, size)
-        out = self.ports[out_id]
         if (
             ptype is PacketType.DATA
             and not pkt.ecn
@@ -127,6 +257,13 @@ class Switch:
                 pkt.ecn = True
         out.enqueue(pkt)
         self.pfc.on_ingress_change(in_port, prio)
+
+    def _drop(self, pkt: Packet) -> None:
+        """Report and recycle a refused packet; callers count the cause."""
+        if self.metrics is not None:
+            self.metrics.record_drop(pkt, self.node_id)
+        recycle_hops(pkt)
+        recycle_packet(pkt)
 
     def _on_emit(self, pkt: Packet, port: EgressPort) -> None:
         """Emission hook: stamp INT, release buffer, re-check PFC."""

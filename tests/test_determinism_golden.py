@@ -128,3 +128,76 @@ def test_golden_failover_determinism(cc_name):
         "capture — the scoped recompute is not bit-identical to the "
         "one-shot table rebuild"
     )
+
+
+# (events_processed, sha256 of FCT records) for the two scenarios below,
+# captured on 296a431 — the parent of the one-frame switch hop
+# (``Switch.receive``'s uncontended branch).  The star and dual-trunk
+# goldens above never refuse a packet and never pause a switch; these two
+# reach the admission-drop and pause-propagation statements that branch
+# re-states, and ``tests/switch_reference.py`` runs on the *new*
+# port/link code, so only a parent-captured value pins them.
+GOLDEN_LOSSY = (8230, "fce1e8c05235d187ae2e48d6bde0b47977eaf64063eae9e2d10181123087f651")
+GOLDEN_PAUSE_TREE = {
+    "dcqcn": (17003, "8c56139cb6a62aea0478f9a3098b53fd4d9421fe2f12e1edb1af1ea6ddb87aca"),
+    "hpcc": (17792, "46bcd1586ce2dc7b9515ac8105d626d3ef66e025d6a9dfbc18549f17d2625a30"),
+}
+
+
+def golden_lossy_run():
+    """6-to-1 DCQCN incast on a lossy (no PFC) star with a 60KB buffer:
+    the egress dynamic threshold drops, go-back-N rewinds and RTOs fire."""
+    net = Network(
+        star(7, host_rate="100Gbps"),
+        NetworkConfig(cc_name="dcqcn", base_rtt=9 * US, pfc_enabled=False,
+                      buffer_bytes=60_000, rto=300 * US, seed=3),
+    )
+    for src in range(6):
+        net.add_flow(net.make_flow(src, 6, 120_000,
+                                   start_time=1_000.0 + 3.0 * src))
+    done = net.run_until_done(deadline=200 * MS)
+    assert done, "golden lossy scenario did not finish"
+    return net
+
+
+def test_golden_lossy_determinism():
+    net = golden_lossy_run()
+    rewinds = sum(flow.sender.rewinds
+                  for nic in net.nics.values() for flow in nic.flows.values())
+    assert net.metrics.drop_count > 0 and rewinds > 0, (
+        "the scenario no longer drops and rewinds, so it pins nothing")
+    assert (net.sim.events_processed,
+            fct_digest(net.metrics.fct_records)) == GOLDEN_LOSSY
+
+
+def golden_pause_tree_run(cc_name: str):
+    """4-to-1 incast across a 400Gbps dumbbell trunk with 200KB switches,
+    plus a victim flow to the other right-hand host: the right switch
+    pauses the left switch's trunk port, which backs up and pauses the
+    hosts — PAUSE frames from two switches, one of them switch-to-switch."""
+    from repro.topology.simple import dumbbell
+
+    net = Network(
+        dumbbell(4, 2, host_rate="100Gbps", trunk_rate="400Gbps"),
+        NetworkConfig(cc_name=cc_name, base_rtt=13 * US,
+                      buffer_bytes=200_000, seed=3),
+    )
+    for src in range(4):
+        net.add_flow(net.make_flow(src, 4, 300_000,
+                                   start_time=1_000.0 + 3.0 * src))
+    net.add_flow(net.make_flow(0, 5, 200_000, start_time=1_011.0))
+    done = net.run_until_done(deadline=200 * MS)
+    assert done, f"{cc_name} golden pause-tree scenario did not finish"
+    return net
+
+
+@pytest.mark.parametrize("cc_name", sorted(GOLDEN_PAUSE_TREE))
+def test_golden_pause_tree_determinism(cc_name):
+    net = golden_pause_tree_run(cc_name)
+    tracker = net.metrics.pause_tracker
+    paused = {iv.device for iv in tracker.intervals}
+    assert tracker.pause_count() > 0 and paused & set(net.switches), (
+        "no switch port was paused, so the scenario pins no propagation")
+    assert net.metrics.drop_count == 0
+    assert (net.sim.events_processed,
+            fct_digest(net.metrics.fct_records)) == GOLDEN_PAUSE_TREE[cc_name]
