@@ -17,7 +17,7 @@ The model per step (semantics identical to the scalar test oracle,
    throttle proportionally;
 3. the throttle cascades along each flow's path (an upstream bottleneck
    shields downstream links) — an exclusive per-path prefix-min, run as
-   one ``np.minimum.accumulate`` along the hop axis;
+   one ``np.minimum`` per hop column;
 4. link queues integrate ``(arrival - capacity) x dt`` and the
    cumulative ``tx/rx`` byte registers advance — element-wise over the
    links currently touched by live flows (untouched queues freeze,
@@ -28,26 +28,40 @@ The model per step (semantics identical to the scalar test oracle,
    CNP stream, RTT echo, ECN marks) against the *real* ``core/``
    algorithm, producing the next step's rate.
 
-Paths are stored as a padded hop matrix: row ``i`` of ``_hops`` holds
+Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index
 ``L``) whose registers are rigged so padding is arithmetically inert —
 scale 1.0, queueing delay 0.0, mark probability 0.0, and arrival
-contributions land on the dummy row and are discarded.  Admitting a
-flow therefore writes one row; no index structures rebuild.  A small
-CSR block (``_il``/``_il_off``) additionally tracks each flow's INT
-telemetry links (switch egress with capacity > 0) for schemes that
-read per-hop state, rebuilt whenever dynamics change capacities.
+contributions land on the dummy row and are discarded.  The matrix is
+eight columns wide and grows (``_ensure_width``) only for a longer
+path.  The width is part of the arithmetic, not just the layout: numpy
+sums a row of eight values pairwise but a row of seven or fewer left to
+right, so a narrower matrix would move the last bit of a path's
+queueing delay, which TIMELY reads as RTT.  Admitting a flow writes one
+row; no index structures rebuild.  A small CSR block
+(``_il``/``_il_off``) additionally tracks each flow's INT telemetry
+links (switch egress with capacity > 0) for schemes that read per-hop
+state.
+
+Finished rows stay in place, dead, until they number at least 16 and
+an eighth of the block; ``_compact`` then gathers the alive rows to the
+front in order — row vectors, hop matrix, INT CSR block and flow list —
+without reading or writing a flow object.  Dynamics instead rebuild the
+rows from the flow objects (``_rebuild_rows``), because changed
+capacities re-filter the INT links.
 
 One per-step input is a *row-change invariant*: the touched-link set
 (links carrying at least one live flow) with its switch-egress subset
 moves only when a flow is admitted, completes or reroutes, so
-``_retouch`` recomputes it on those steps alone.  The touched links'
-capacities and buffers are gathered per step, not cached beside it: at
-k=16 some flow is admitted or completes on all but a handful of steps,
-so a cache would be refreshed every step anyway.  Path queueing delay
-is summed only for the rows that finish or fire in a step.  Routing
-state (the distance rows ``FluidGraph.path`` walks) is described in
-:mod:`repro.fluid.state`.
+``_retouch`` recomputes it, from the alive rows' hops, on those steps
+alone.  The oversubscription test and the queue integration run on the
+touched links only — every other link carries no live flow — and the
+touched links' capacities and buffers are gathered per step, not cached
+beside the set: at k=16 some flow is admitted or completes on all but a
+handful of steps, so a cache would be refreshed every step anyway.
+Path queueing delay is summed only for the rows that finish or fire in
+a step.  Routing state (the distance rows ``FluidGraph.path`` walks) is
+described in :mod:`repro.fluid.state`.
 
 CC adapters fire once per accumulated RTT: arrival- and
 event-shortened mini-steps accumulate ``elapsed``/``delivered``/
@@ -72,9 +86,10 @@ deterministic ECMP hash, so they are identical across both engines.
 A flow whose destination became unreachable parks (zero rate, CC
 frozen) until a restore re-routes it.
 
-Cost per step is a handful of ``O(flows x path length)`` numpy kernels
-— independent of bandwidth, flow size and packet count, and amortizing
-the Python interpreter across every active flow.  That is what makes
+Cost per step is a handful of ``O(live rows x path width)`` numpy
+kernels plus ``O(touched links)`` link updates — independent of
+bandwidth, flow size and packet count, and amortizing the Python
+interpreter across every active flow.  That is what makes
 k=16 FatTrees (1024+ hosts) tractable; the ``fluid_large`` workload of
 ``benchmarks/ledger/`` tracks that tier's wall time.
 """
@@ -109,7 +124,8 @@ class FluidFlow:
     The array engine keeps the *hot* per-step state (remaining bytes,
     rate, accumulators) in its row arrays while the flow is admitted;
     the object fields are the durable home, synchronized whenever rows
-    rebuild (events, reconvergence, compaction).
+    rebuild (dynamics events and reconvergence; compaction moves rows
+    without them).
     """
 
     __slots__ = (
@@ -154,6 +170,18 @@ class FluidEngine:
     identical semantics, ``tests/fluid_reference.py``, is the oracle the
     equivalence tests compare this engine against.
     """
+
+    #: Per-row float state besides the hop matrix and the INT CSR block.
+    _ROW_VECTORS = (
+        "_rate",        # CC rate (mirror of proxy)
+        "_window",      # CC window (inf if rate-only)
+        "_line",        # NIC line rate cap
+        "_remaining",   # wire bytes left
+        "_brtt",        # path base RTT
+        "_elapsed",     # ns since last CC fire
+        "_dacc",        # delivered since last fire
+        "_macc",        # mark-weighted bytes since
+    )
 
     def __init__(
         self,
@@ -241,14 +269,8 @@ class FluidEngine:
         self._alive_n = 0                       # rows still delivering
         self._il_nnz = 0                        # CSR telemetry entries in use
         self._alive = np.zeros(cap, dtype=bool)
-        self._rate = np.zeros(cap)              # CC rate (mirror of proxy)
-        self._window = np.zeros(cap)            # CC window (inf if rate-only)
-        self._line = np.zeros(cap)              # NIC line rate cap
-        self._remaining = np.zeros(cap)         # wire bytes left
-        self._brtt = np.zeros(cap)              # path base RTT
-        self._elapsed = np.zeros(cap)           # ns since last CC fire
-        self._dacc = np.zeros(cap)              # delivered since last fire
-        self._macc = np.zeros(cap)              # mark-weighted bytes since
+        for name in self._ROW_VECTORS:
+            setattr(self, name, np.zeros(cap))
         self._H = 8                             # hop-matrix width
         self._hopm = np.full((cap, self._H), self._dummy, dtype=np.int64)
         self._il_off = np.zeros(cap + 1, dtype=np.int64)
@@ -338,10 +360,7 @@ class FluidEngine:
         if need <= cap:
             return
         new = max(need, cap * 2)
-        for name in (
-            "_rate", "_window", "_line", "_remaining", "_brtt",
-            "_elapsed", "_dacc", "_macc",
-        ):
+        for name in self._ROW_VECTORS:
             a = getattr(self, name)
             b = np.zeros(new)
             b[:cap] = a
@@ -441,10 +460,41 @@ class FluidEngine:
         self._touched_stale = True
 
     def _rebuild_rows(self) -> None:
-        """Save + rebuild the alive rows (after a capacity change)."""
+        """Save + rebuild the alive rows (after a capacity change: the
+        INT rows re-filter on the new capacities)."""
         self._save_rows()
         alive = self._alive
         self._set_rows([f for i, f in enumerate(self._flows) if alive[i]])
+
+    def _compact(self) -> None:
+        """Gather the alive rows to the front, in order, dropping the dead.
+
+        Row state moves as it is — no flow object is read or written —
+        and the alive rows keep their hops, so the touched set stays
+        valid.
+        """
+        n = self._n
+        keep = self._alive[:n].nonzero()[0]
+        m = keep.size
+        for name in self._ROW_VECTORS:
+            a = getattr(self, name)
+            a[:m] = a[keep]
+        self._hopm[:m] = self._hopm[keep]
+        self._alive[:m] = True
+        self._alive[m:n] = False
+        if self._needs_int:
+            off0 = self._il_off[keep]
+            cnt = self._il_off[keep + 1] - off0
+            ends = cnt.cumsum()
+            total = int(ends[-1]) if m else 0
+            self._il[:total] = self._il[
+                np.arange(total) + (off0 - ends + cnt).repeat(cnt)
+            ]
+            self._il_off[1:m + 1] = ends
+            self._il_nnz = total
+        flows = self._flows
+        self._flows = [flows[i] for i in keep.tolist()]
+        self._n = m
 
     def _retouch(self) -> None:
         """Recompute the set of links carrying at least one live flow."""
@@ -452,7 +502,7 @@ class FluidEngine:
         mask = np.zeros(self._dummy + 1, dtype=bool)
         if n:
             mask[self._hopm[:n][self._alive[:n]].ravel()] = True
-        ti = np.flatnonzero(mask[:self._dummy])
+        ti = mask[:self._dummy].nonzero()[0]
         self._touched_idx = ti
         em = self.arrays.egress[ti]
         self._touched_eg_mask = em
@@ -689,34 +739,40 @@ class FluidEngine:
             if self._ext_bytes is None:
                 self._ext_bytes = np.zeros(L)
             self._ext_bytes += ext[:L] * dt
+        H = self._H
         flat = hopm.ravel()
-        arrival = np.bincount(
-            flat, weights=req.repeat(hopm.shape[1]), minlength=L + 1
-        )
+        arrival = np.bincount(flat, weights=req.repeat(H), minlength=L + 1)
+        # Only touched links can be oversubscribed: every other link's
+        # arrival is a sum of dead rows' exact zeros.
+        ti = self._touched_idx
+        cap_t = cap[ti]
+        arrival_t = arrival[ti]
+        over = arrival_t > cap_t
         scale = np.ones(L + 1)
-        over = arrival[:L] > cap
-        np.divide(cap, arrival[:L], out=scale[:L], where=over)
+        scale[ti[over]] = cap_t[over] / arrival_t[over]
         # 3. cascade the throttle along each path (upstream bottlenecks
-        #    shield downstream links): exclusive prefix-min per row.
+        #    shield downstream links): an exclusive prefix-min per row,
+        #    one column at a time (min is exact, so the order of the
+        #    comparisons is immaterial).
         sc = scale[hopm]
-        cum = np.minimum.accumulate(sc, axis=1)
-        w = np.empty_like(cum)
+        for j in range(1, H):
+            np.minimum(sc[:, j - 1], sc[:, j], out=sc[:, j])
+        w = np.empty_like(sc)
         w[:, 0] = req
-        np.multiply(cum[:, :-1], req[:, None], out=w[:, 1:])
-        achieved = req * cum[:, -1]
+        np.multiply(sc[:, :-1], req[:, None], out=w[:, 1:])
+        achieved = req * sc[:, -1]
         throttled = np.bincount(flat, weights=w.ravel(), minlength=L + 1)
         # 4. integrate link state on the touched subset (untouched queues
         #    freeze, matching tests/fluid_reference.py).  Only switch
         #    egress queues grow: a host's own uplink is paced at the
         #    source, so it never queues or drops — matching the packet
         #    NIC, which contributes no INT hop either.
-        ti = self._touched_idx
         te = self._touched_eg_idx
         em = self._touched_eg_mask
         inflow = throttled[ti] * dt
         qt = A.queue[ti]
         tx = qt + inflow
-        np.minimum(tx, cap[ti] * dt, out=tx)
+        np.minimum(tx, cap_t * dt, out=tx)
         A.tx[ti] += tx
         A.rx[ti] += inflow
         q = qt[em] + inflow[em] - tx[em]
@@ -746,7 +802,7 @@ class FluidEngine:
         flows = self._flows
         any_done = done.any()
         if any_done:
-            idxs = np.flatnonzero(done)
+            idxs = done.nonzero()[0]
             ach_l = achieved[idxs].tolist()
             rem_l = remaining[idxs].tolist()
             qd_l = qdiv[hopm[idxs]].sum(axis=1).tolist()
@@ -827,10 +883,10 @@ class FluidEngine:
             for series, qlen in zip(self._sample_series, qv):
                 series["times"].append(self.now)
                 series["qlens"].append(qlen)
-        # Compact dead rows away once they dominate the arrays.
+        # Compact dead rows away once they are an eighth of the block.
         dead = self._n - self._alive_n
-        if dead >= 64 and dead * 2 >= self._n:
-            self._rebuild_rows()
+        if dead >= 16 and dead * 8 >= self._n:
+            self._compact()
 
     def _fire(
         self,
@@ -945,9 +1001,11 @@ class FluidEngine:
         return self._goodput.payload()
 
     def dropped_bytes(self) -> float:
-        self.arrays.push()
-        return sum(l.dropped_bytes for l in self.graph.links.values())
+        """Fluid lost so far: the ``dropped`` registers summed in link
+        order, the same float sum as over the object view."""
+        return sum(self.arrays.dropped.tolist())
 
     def switch_queued_bytes(self) -> dict[int, float]:
-        self.arrays.push()
+        """Bytes queued per switch, read off the object view (``run``
+        pushes the arrays into it before returning)."""
         return self.graph.total_queued_bytes()

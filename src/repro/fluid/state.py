@@ -31,12 +31,17 @@ Routing state is compact.  Per topology version the graph holds one
 CSR adjacency of the *alive* subgraph (links with capacity > 0) and, per
 destination routed so far, one **distance row**: a ``bytes`` object of
 length ``n_nodes`` whose entry ``row[node]`` is ``node``'s hop count to
-that destination (255 = unreachable), filled by a level-synchronous BFS
-over the CSR arrays.  Rows are built lazily on the first
-:meth:`FluidGraph.path` toward a destination and cost one byte per node:
-at most ``hosts x nodes`` bytes in total — 1024 x 1344 = 1.3 MiB on the
-k=16 FatTree, 8192 x 9472 = 74 MiB at k=32 (a ``dict`` per destination,
-the previous layout, took 37 MiB and ~2 GiB respectively).
+that destination (255 = unreachable).  A *leaf* destination — exactly
+one alive neighbour, itself not a leaf — can only be reached through
+that neighbour, so its row is the neighbour's row plus one hop (a
+``bytes.translate``); every other row is filled by a level-synchronous
+BFS over the CSR arrays.  On a FatTree every host is a leaf, so the k=16
+tier runs 128 BFS passes (one per ToR) instead of 1024.  Rows are built
+lazily on the first :meth:`FluidGraph.path` toward a destination and
+cost one byte per node: the k=16 FatTree's 1024 host rows plus the 128
+ToR rows they derive from hold 1152 x 1344 bytes = 1.5 MiB, and k=32's
+8192 + 512 rows 79 MiB (a ``dict`` per destination, the layout before
+rows, took 37 MiB and ~2 GiB respectively).
 
 The graph is *live*: the network-dynamics subsystem fails, restores and
 degrades individual link members mid-run.  Pooled capacities move,
@@ -60,6 +65,16 @@ __all__ = ["FluidGraph", "FluidLink", "FluidPath", "LinkArrays", "NoRoute"]
 
 #: Distance-row entry of a node the destination cannot be reached from.
 _UNREACHED = 255
+#: ``bytes.translate`` table adding one hop to a distance row
+#: (unreachable stays unreachable).
+_PLUS_ONE = bytes(range(1, _UNREACHED + 1)) + bytes([_UNREACHED])
+
+
+def _too_far(dst: int) -> str:
+    return (
+        f"node {dst} is more than {_UNREACHED - 1} hops from another "
+        "node: too far for one-byte distance rows"
+    )
 
 
 class NoRoute(ValueError):
@@ -368,33 +383,50 @@ class FluidGraph:
         return adjacency
 
     def _distances(self, dst: int) -> bytes:
-        """``dst``'s distance row, by level-synchronous BFS on first use."""
+        """``dst``'s distance row, built on first use.
+
+        A leaf — a destination with exactly one alive neighbour, itself
+        not a leaf — is reached through that neighbour only, so its row
+        is the neighbour's row plus one hop (0 at the leaf itself).
+        Every other row comes from a BFS.
+        """
         row = self._dist_rows.get(dst)
         if row is None:
-            _, indptr, indices = self._alive_adjacency()
-            dist = np.full(self._n_nodes, _UNREACHED, dtype=np.uint8)
-            dist[dst] = 0
-            frontier = np.array([dst], dtype=np.intp)
-            for d in range(1, _UNREACHED + 1):
-                # Concatenate the frontier nodes' CSR slices in one gather.
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                ends = counts.cumsum()
-                reached = indices[
-                    np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-                ]
-                reached = reached[dist[reached] == _UNREACHED]
-                if not reached.size:
-                    break
-                if d == _UNREACHED:
-                    raise ValueError(
-                        f"node {dst} is more than {_UNREACHED - 1} hops from "
-                        "another node: too far for one-byte distance rows"
-                    )
-                dist[reached] = d
-                frontier = (dist == d).nonzero()[0]
-            row = self._dist_rows[dst] = dist.tobytes()
+            peers = self._alive_adjacency()[0]
+            around = peers[dst]
+            if len(around) == 1 and len(peers[around[0]]) > 1:
+                via = self._distances(around[0])
+                if _UNREACHED - 1 in via:
+                    raise ValueError(_too_far(dst))
+                row = via.translate(_PLUS_ONE)
+                row = row[:dst] + b"\0" + row[dst + 1:]
+            else:
+                row = self._bfs(dst)
+            self._dist_rows[dst] = row
         return row
+
+    def _bfs(self, dst: int) -> bytes:
+        """``dst``'s distance row by level-synchronous BFS."""
+        _, indptr, indices = self._alive_adjacency()
+        dist = np.full(self._n_nodes, _UNREACHED, dtype=np.uint8)
+        dist[dst] = 0
+        frontier = np.array([dst], dtype=np.intp)
+        for d in range(1, _UNREACHED + 1):
+            # Concatenate the frontier nodes' CSR slices in one gather.
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            ends = counts.cumsum()
+            reached = indices[
+                np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+            ]
+            reached = reached[dist[reached] == _UNREACHED]
+            if not reached.size:
+                break
+            if d == _UNREACHED:
+                raise ValueError(_too_far(dst))
+            dist[reached] = d
+            frontier = (dist == d).nonzero()[0]
+        return dist.tobytes()
 
     def path(self, flow_id: int, src: int, dst: int,
              mtu_wire: int, ack_size: int) -> FluidPath:

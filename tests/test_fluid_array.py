@@ -27,6 +27,9 @@ cached link labels/egress list, and the k-ary FatTree builder.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 
 import numpy as np
@@ -37,7 +40,7 @@ from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
-from repro.topology import star
+from repro.topology import parking_lot, star
 from repro.topology.fattree import bench_fattree, fattree_k
 
 from tests.fluid_reference import ScalarFluidEngine
@@ -312,7 +315,7 @@ class TestArrayInternals:
         for row, k in zip(hopm, lens):
             assert (row[int(k):] == dummy).all()
 
-    def test_dead_rows_compact_away(self):
+    def test_dead_rows_compact_away(self, monkeypatch):
         flows = [
             FlowSpec(i, src=i % 8, dst=8 + (i % 8), size=2_000,
                      start_time=i * 40_000.0)
@@ -320,10 +323,18 @@ class TestArrayInternals:
         ]
         engine = FluidEngine(bench_fattree(), cc_name="dcqcn")
         engine.add_flows(flows)
+
+        def bounded(engine):
+            # The compaction rule: a step never ends with 16 or more
+            # dead rows making up an eighth of the block or more.
+            dead = engine._n - engine._alive_n
+            assert dead < 16 or dead * 8 < engine._n
+
+        after_each_step(monkeypatch, bounded)
         assert engine.run(deadline=DEADLINE)
-        # Short staggered flows die continuously; compaction keeps the
-        # live row block from growing monotonically to 300.
-        assert engine._n < 200
+        # Short staggered flows die continuously: the block never holds
+        # more than 15 dead rows beside the one live flow.
+        assert engine._n < 16
         assert len(engine.fct_records) == 300
 
     def test_arrays_synced_back_after_run(self):
@@ -332,3 +343,234 @@ class TestArrayInternals:
         for i, link in enumerate(engine.graph.link_list):
             assert link.queue == arrays.queue[i]
             assert link.tx_bytes == arrays.tx[i]
+
+
+# -- step-kernel goldens ---------------------------------------------------------
+#
+# Four scenarios that drive the row bookkeeping of the array engine
+# (compaction, the INT CSR block, row rebuilds under dynamics, hybrid
+# residual capacities) and its path sums (queueing delay in series)
+# through many steps.  Their values were captured on the engine
+# *before* the step kernel was cut down to live rows and touched links;
+# any drift in step count, a finish time or a link register is a change
+# of model, not of speed.
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def fct_digest(records) -> str:
+    """Full-precision digest of (flow, start, finish) per FCT record."""
+    rows = sorted(records, key=lambda r: r.spec.flow_id)
+    return _digest(";".join(
+        f"{r.spec.flow_id}:{r.start!r}:{r.finish!r}" for r in rows
+    ).encode())
+
+
+def arrays_digest(arrays) -> str:
+    """Digest of every link's queue/tx/rx/dropped register, bit for bit."""
+    return _digest(b"".join(
+        a.tobytes() for a in (arrays.queue, arrays.tx, arrays.rx,
+                              arrays.dropped)
+    ))
+
+
+def compaction_run() -> FluidEngine:
+    """Fluid DCQCN on a k=4 FatTree: 400 short flows, 1.2 us apart, into
+    four receivers behind 60 KB buffers — rows die continuously, queues
+    mark and overflow."""
+    rng = random.Random(25)
+    sinks = (0, 5, 10, 15)
+    flows = []
+    for i in range(400):
+        dst = sinks[i % 4]
+        src = rng.choice([h for h in range(16) if h != dst])
+        flows.append(FlowSpec(i, src, dst, rng.randint(2_000, 60_000),
+                              start_time=i * 1_200.0))
+    engine = FluidEngine(fattree_k(4), cc_name="dcqcn", buffer_bytes=60_000)
+    engine.add_flows(flows)
+    assert engine.run(deadline=DEADLINE)
+    return engine
+
+
+def reconverge_run() -> FluidEngine:
+    """Fluid HPCC: an 8-sender incast into host 0 over short background
+    flows, ToR 16's uplink to agg 24 cut and restored mid-incast (each
+    followed by a reconvergence), after the background rows compacted."""
+    rng = random.Random(26)
+    flows = [FlowSpec(i, 4 + i, 0, 400_000, 0.0) for i in range(8)]
+    for i in range(8, 208):
+        src, dst = rng.sample(range(1, 16), 2)
+        flows.append(FlowSpec(i, src, dst, rng.randint(2_000, 30_000),
+                              start_time=(i - 8) * 800.0))
+    engine = FluidEngine(fattree_k(4), cc_name="hpcc")
+    engine.add_flows(flows)
+
+    def fail():
+        engine.fail_link(16, 24)
+        engine.schedule_event(engine.now + 5_000.0, engine.reconverge)
+
+    def restore():
+        engine.restore_link(16, 24)
+        engine.reconverge()
+
+    engine.schedule_event(120_000.0, fail)
+    engine.schedule_event(220_000.0, restore)
+    assert engine.run(deadline=DEADLINE)
+    return engine
+
+
+def hybrid_run(monkeypatch):
+    """One mixed hybrid cell (bench fig11, 10 % packet foreground): the
+    fluid half throttles against ``capacity - ext_rates``.  Returns the
+    merged record and the fluid half's engine."""
+    from repro.experiments import figure11
+    from repro.runner import CcChoice, execute_spec
+
+    engines = []
+    run = FluidEngine.run
+
+    def spy(self, deadline):
+        engines.append(self)
+        return run(self, deadline)
+
+    monkeypatch.setattr(FluidEngine, "run", spy)
+    [spec] = figure11.scenarios(
+        scale="bench", cases=("50%",),
+        schemes=(CcChoice("hpcc", label="HPCC"),),
+        overrides={"n_flows": 80},
+    )
+    record = execute_spec(spec.replaced(**{
+        "backend": "hybrid", "workload.foreground": {"kind": "frac", "x": 0.1},
+    }))
+    assert record.extras["hybrid_mode"] == "mixed"
+    return record, engines[0]
+
+
+def parking_lot_run() -> FluidEngine:
+    """Fluid TIMELY on a five-switch parking lot: one end-to-end flow over
+    all four trunks, each trunk also carrying three staggered local
+    flows, so several hops of one path queue at once.  TIMELY reads the
+    summed path queueing delay as RTT, and that sum rounds differently
+    if the hop matrix is narrower than eight columns."""
+    rng = random.Random(30)
+    segments = 5
+    end_a, end_b = 2 * segments, 2 * segments + 1
+    flows = [FlowSpec(0, end_a, end_b, 2_000_000, 0.0)]
+    for i in range(segments - 1):
+        for burst in range(3):
+            flows.append(FlowSpec(
+                len(flows), 2 * i, 2 * (i + 1) + 1,
+                rng.randint(100_000, 400_000),
+                start_time=burst * 30_000.0 + rng.random() * 5_000,
+            ))
+    engine = FluidEngine(parking_lot(segments), cc_name="timely")
+    engine.add_flows(flows)
+    assert engine.run(deadline=DEADLINE)
+    return engine
+
+
+#: Captured on the engine whose step ran over every row, a fixed
+#: eight-column hop matrix and every link (commit ca15eb1).
+GOLDEN_COMPACTION = (400, "fadda7f5faa1db79", "1537979ada9c9dcc")
+GOLDEN_RECONVERGE = (228, "88a420c481336c96", "edfe2cc56c7ae43e")
+GOLDEN_HYBRID = (154, "2c1362125f716ce8", "e2454500e72328e7")
+GOLDEN_PARKING_LOT = (92, "49dd78542b648e6f", "099c59a3c4010c2a")
+
+
+class TestStepGoldens:
+    """(fluid steps, FCT digest, link-register digest) per scenario."""
+
+    def test_compaction_golden(self):
+        engine = compaction_run()
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays)) == GOLDEN_COMPACTION
+
+    def test_reconverge_golden(self):
+        engine = reconverge_run()
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays)) == GOLDEN_RECONVERGE
+
+    def test_hybrid_golden(self, monkeypatch):
+        record, engine = hybrid_run(monkeypatch)
+        fct = _digest(json.dumps(record.fct, sort_keys=True).encode())
+        assert (record.extras["fluid_steps"], fct,
+                arrays_digest(engine.arrays)) == GOLDEN_HYBRID
+
+    def test_parking_lot_golden(self):
+        engine = parking_lot_run()
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays)) == GOLDEN_PARKING_LOT
+
+
+def after_each_step(monkeypatch, check) -> None:
+    """Call ``check(engine)`` after every ``FluidEngine._advance``."""
+    advance = FluidEngine._advance
+
+    def checked(self, dt):
+        advance(self, dt)
+        check(self)
+
+    monkeypatch.setattr(FluidEngine, "_advance", checked)
+
+
+class TestStepInvariants:
+    """The incremental row bookkeeping agrees with a from-scratch
+    recomputation after every step of every golden scenario."""
+
+    @pytest.fixture
+    def watched(self, monkeypatch):
+        appended = {}                   # id(flow) -> (latest append, flow)
+        order = itertools.count()
+        append = FluidEngine._append_row
+        compact = FluidEngine._compact
+        compacted_at = []
+
+        def spy(self, flow):
+            appended[id(flow)] = (next(order), flow)
+            append(self, flow)
+
+        def compact_spy(self):
+            compacted_at.append(self.now)
+            compact(self)
+
+        def check(engine):
+            n, L = engine._n, engine._dummy
+            alive = engine._alive[:n]
+            # A touched set not flagged stale still covers exactly the
+            # alive rows' links (compaction moves rows without a flag).
+            if not engine._touched_stale:
+                mask = np.zeros(L + 1, dtype=bool)
+                mask[engine._hopm[:n][alive].ravel()] = True
+                assert np.array_equal(engine._touched_idx,
+                                      np.flatnonzero(mask[:L]))
+            # Rows [0, n) hold the alive flows in admission order, and a
+            # dead row is a finished flow.
+            assert len(engine._flows) == n
+            assert engine._alive_n == int(alive.sum())
+            assert [f.proxy.done for f in engine._flows] == (~alive).tolist()
+            parked = {id(f) for f in engine._parked}
+            expect = [f for _, f in sorted(appended.values(),
+                                           key=lambda e: e[0])
+                      if not f.proxy.done and id(f) not in parked]
+            rows = [f for f, a in zip(engine._flows, alive) if a]
+            assert [id(f) for f in rows] == [id(f) for f in expect]
+
+        monkeypatch.setattr(FluidEngine, "_append_row", spy)
+        monkeypatch.setattr(FluidEngine, "_compact", compact_spy)
+        after_each_step(monkeypatch, check)
+        return compacted_at
+
+    def test_compaction_run(self, watched):
+        engine = compaction_run()
+        assert engine.steps == GOLDEN_COMPACTION[0]
+        assert len(watched) >= 3
+
+    def test_reconverge_run(self, watched):
+        engine = reconverge_run()
+        assert engine.steps == GOLDEN_RECONVERGE[0]
+        assert watched and watched[0] < 120_000.0      # before the cut
+
+    def test_hybrid_run(self, watched, monkeypatch):
+        record, _ = hybrid_run(monkeypatch)
+        assert record.extras["fluid_steps"] == GOLDEN_HYBRID[0]

@@ -25,6 +25,7 @@ from repro.fluid.state import FluidGraph, NoRoute
 from repro.sim.flow import FlowSpec
 from repro.sim.routing import ecmp_hash
 from repro.topology import LinkSpec, Topology, dual_trunk, star
+from repro.topology import testbed as make_testbed
 from repro.topology.fattree import fattree_k
 
 from tests.fluid_reference import ScalarFluidEngine
@@ -198,11 +199,83 @@ class TestDynamics:
         links += [LinkSpec(sw, sw + 1, 1.0, 1.0) for sw in range(2, last)]
         return FluidGraph(Topology("chain", 2, n_switches, links), 1e6)
 
-    def test_one_byte_rows_hold_254_hops_and_refuse_255(self):
-        assert len(self._chain(253).path(0, 0, 1, MTU_WIRE, ACK).links) == 254
-        with pytest.raises(ValueError, match="254 hops") as err:
-            self._chain(254).path(0, 0, 1, MTU_WIRE, ACK)
+    @pytest.mark.parametrize("src,dst", [(0, 1), (1, 0)])
+    def test_one_byte_rows_hold_254_hops_and_refuse_255(self, src, dst):
+        # Both hosts are leaves: their rows derive from the end switches'.
+        assert len(self._chain(253).path(0, src, dst, MTU_WIRE, ACK).links) \
+            == 254
+        with pytest.raises(ValueError, match=f"node {dst} is more than 254 "
+                           "hops from another node") as err:
+            self._chain(254).path(0, src, dst, MTU_WIRE, ACK)
         assert not isinstance(err.value, NoRoute)
+
+
+def bfs_calls(graph: FluidGraph, monkeypatch) -> list[int]:
+    """The destinations ``graph`` runs a BFS for from now on."""
+    calls = []
+    bfs = graph._bfs
+
+    def spy(dst):
+        calls.append(dst)
+        return bfs(dst)
+
+    monkeypatch.setattr(graph, "_bfs", spy)
+    return calls
+
+
+class TestLeafRows:
+    """A single-homed destination's row is its neighbour's row + 1."""
+
+    @pytest.mark.parametrize("name", ["star", "testbed", "fattree_k4"])
+    def test_every_derived_row_equals_its_bfs_row(self, name, monkeypatch):
+        topology = {**TOPOLOGIES, "testbed": make_testbed}[name]()
+        graph = FluidGraph(topology, 1e6)
+        calls = bfs_calls(graph, monkeypatch)
+        nodes = range(topology.n_hosts + topology.n_switches)
+        rows = {dst: graph._distances(dst) for dst in nodes}
+        derived = set(nodes) - set(calls)
+        assert set(topology.hosts) <= derived       # every host is a leaf
+        for dst in nodes:
+            assert rows[dst] == graph._bfs(dst), dst
+
+    @staticmethod
+    def _odd_graph() -> FluidGraph:
+        """Host 0 dual-homed to switches 3 and 4, host 1 single-homed to
+        3, and host 2 alone with switch 5 (each the other's only
+        neighbour)."""
+        links = [LinkSpec(a, b, 1.0, 1.0)
+                 for a, b in ((0, 3), (0, 4), (1, 3), (3, 4), (2, 5))]
+        return FluidGraph(Topology("odd", 3, 3, links), 1e6)
+
+    def test_dual_homed_and_leaf_neighbour_still_bfs(self, monkeypatch):
+        graph = self._odd_graph()
+        calls = bfs_calls(graph, monkeypatch)
+        for dst in (0, 2, 5):
+            graph._distances(dst)
+        assert calls == [0, 2, 5]
+        graph._distances(1)
+        assert calls == [0, 2, 5, 3]                # 1 derives from 3
+        assert graph._distances(1) == graph._bfs(1)
+        assert graph._distances(2) == bytes([255, 255, 0, 255, 255, 1])
+        assert graph_path(graph, 0, 5, 2) == [(5, 2)]
+        assert graph_path(graph, 0, 0, 2) is None
+
+    def test_host_behind_a_failed_uplink_is_no_route(self, monkeypatch):
+        graph = FluidGraph(star(n_hosts=3), 1e6)
+        graph.fail_link(2, 3)
+        calls = bfs_calls(graph, monkeypatch)
+        for src, dst in ((0, 2), (2, 0)):
+            with pytest.raises(NoRoute):
+                graph.path(0, src, dst, MTU_WIRE, ACK)
+        assert 2 in calls                           # no neighbour: a BFS
+        assert graph._distances(2) == bytes([255, 255, 0, 255])
+
+    def test_dual_homed_host_derives_after_losing_one_uplink(self):
+        graph = self._odd_graph()
+        graph.fail_link(0, 4)
+        assert graph._distances(0) == graph._bfs(0)
+        assert graph_path(graph, 0, 1, 0) == oracle_path(graph, 0, 1, 0) \
+            == [(1, 3), (3, 0)]
 
 
 class TestMemoryBudget:
@@ -220,7 +293,9 @@ class TestMemoryBudget:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(graph._dist_rows) == n
+        # Each host row derives from its ToR's row, which is cached too:
+        # one row per host plus one per ToR (k * k / 2 = 128).
+        assert len(graph._dist_rows) == n + 128
         n_nodes = n + topology.n_switches
         # One byte per (destination, node) plus the bytes/dict overhead;
         # the per-destination dicts this replaced held ~37 MiB here.
