@@ -15,6 +15,14 @@ The sender keeps, per flow:
 
 ``MeasureInflight`` (Eqn 2 + EWMA) and ``ComputeWind`` (Eqn 4 + AI/MI
 staging) are written to match Algorithm 1 line by line.
+
+``NewAck`` has two ways in and one body.  A packet ACK enters through
+:meth:`Hpcc.on_ack`, which reduces its INT stack against L hop by hop
+(:meth:`Hpcc.int_sample`, lines 1-7) and keeps the stack as the next L.
+The fluid engine computes the same reduction over many flows' telemetry
+columns at once, keeps L itself, and enters through
+:meth:`Hpcc.on_int_sample` with the reduced sample.  Everything from
+line 8 on runs in that one method for both.
 """
 
 from __future__ import annotations
@@ -39,6 +47,14 @@ class Hpcc(CcAlgorithm):
     react_between_syncs = True
     sync_every_ack = False
 
+    #: The INT register whose per-hop rate Eqn 2 adds to the queue term
+    #: (``txBytes``; Figure 6's variant reads ``rxBytes``) and the
+    #: decision-trace key that rate is recorded under.  The scalar loop
+    #: of :meth:`int_sample` and the fluid engine's column reduction
+    #: both read these two attributes.
+    rate_register = "tx_bytes"
+    rate_key = "tx_rate"
+
     def __init__(
         self,
         env: CcEnv,
@@ -61,9 +77,6 @@ class Hpcc(CcAlgorithm):
         self.inc_stage = 0
         self.last_update_seq = 0
         self.last_hops: list[IntHop] | None = None   # L in Algorithm 1
-        # Decision-trace inputs from the last measure_inflight call;
-        # written only when a tap is attached (see DecisionTap).
-        self._bn_inputs: dict | None = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -73,46 +86,59 @@ class Hpcc(CcAlgorithm):
 
     # -- Algorithm 1 --------------------------------------------------------------
 
-    def measure_inflight(self, ack: Packet) -> float | None:
-        """Lines 1-10: update and return U, or None without a valid sample."""
-        hops = ack.int_hops
+    def int_sample(self, hops: list[IntHop]) -> tuple[float, float, dict | None]:
+        """Lines 1-7 on one INT stack against L: ``(u, tau, inputs)``.
+
+        ``u < 0`` means no valid sample: no L yet, a hop count that
+        differs from L's (a path change), or no hop whose timestamp
+        advanced.  ``inputs`` describes the bottleneck hop for a
+        decision tap, and is ``None`` without one.
+        """
         last = self.last_hops
-        if last is None or len(last) != len(hops):
-            return None
         T = self.env.base_rtt
+        if last is None or len(last) != len(hops):
+            return -1.0, T, None
+        reg = self.rate_register
         u_max = -1.0
         tau = T
         bn = -1
         bn_qlen = 0.0
-        bn_tx = 0.0
+        bn_rate = 0.0
         i = -1
         for hop, prev in zip(hops, last):
             i += 1
             dt = hop.ts - prev.ts
             if dt <= 0:
                 continue
-            tx_rate = (hop.tx_bytes - prev.tx_bytes) / dt
+            rate = (getattr(hop, reg) - getattr(prev, reg)) / dt
             capacity = hop.bandwidth
-            u_prime = (
-                min(hop.qlen, prev.qlen) / (capacity * T) + tx_rate / capacity
-            )
+            qlen = min(hop.qlen, prev.qlen)
+            u_prime = qlen / (capacity * T) + rate / capacity
             if u_prime > u_max:
                 u_max = u_prime
                 tau = dt
                 bn = i
-                bn_qlen = min(hop.qlen, prev.qlen)
-                bn_tx = tx_rate
-        if u_max < 0:
-            return None
+                bn_qlen = qlen
+                bn_rate = rate
+        if u_max < 0 or self.tap is None:
+            return u_max, tau, None
+        return u_max, tau, {
+            "u_instant": u_max, "bottleneck_hop": bn,
+            "qlen": bn_qlen, self.rate_key: bn_rate, "n_hops": len(hops),
+        }
+
+    def _ewma(self, u_max: float, tau: float) -> float:
+        """Lines 8-10: fold one sample into the EWMA ``U``; return ``U``."""
+        T = self.env.base_rtt
         tau = min(tau, T)
         weight = tau / T
         self.u = (1.0 - weight) * self.u + weight * u_max
-        if self.tap is not None:
-            self._bn_inputs = {
-                "u_instant": u_max, "bottleneck_hop": bn,
-                "qlen": bn_qlen, "tx_rate": bn_tx, "n_hops": len(hops),
-            }
         return self.u
+
+    def measure_inflight(self, ack: Packet) -> float | None:
+        """Lines 1-10: update and return U, or None without a valid sample."""
+        u_max, tau, _ = self.int_sample(ack.int_hops)
+        return None if u_max < 0 else self._ewma(u_max, tau)
 
     def compute_wind(self, u: float, update_wc: bool) -> float:
         """Lines 11-20: the MI/MD + AI control law on the reference window."""
@@ -129,31 +155,50 @@ class Hpcc(CcAlgorithm):
         return w
 
     def on_ack(self, flow, ack: Packet, now: float) -> None:
-        """Lines 21-27 (procedure NewAck)."""
-        if ack.int_hops is None:
+        """Lines 21-27 (procedure NewAck) on a packet ACK: reduce its INT
+        stack (:meth:`int_sample`), react, then snapshot it as L."""
+        hops = ack.int_hops
+        if hops is None:
             return
-        update_wc = self.sync_every_ack or ack.seq > self.last_update_seq
-        tap = self.tap
-        u = self.measure_inflight(ack)
-        if u is not None and (update_wc or self.react_between_syncs):
-            if tap is not None:
-                rate0, win0 = flow.rate, flow.window
-                branch = ("MI" if u >= self.eta
-                          or self.inc_stage >= self.max_stage else "AI")
-            w = self.compute_wind(u, update_wc)
-            flow.window = self.clamp_window(w)
-            flow.rate = self.clamp_rate(flow.window / self.env.base_rtt)
-            if tap is not None:
-                inputs = self._bn_inputs or {}
-                inputs["u"] = u
-                inputs["wc"] = self.wc
-                inputs["inc_stage"] = self.inc_stage
-                inputs["wc_synced"] = int(update_wc)
-                tap.record(now, "ack", branch, rate0, win0,
-                           flow.rate, flow.window, inputs)
+        u_max, tau, inputs = self.int_sample(hops)
+        self.on_int_sample(flow, ack.seq, u_max, tau, now, inputs)
+        self._remember_hops(hops)
+
+    def on_int_sample(
+        self, flow, seq: float, u_max: float, tau: float, now: float,
+        bn: dict | None = None,
+    ) -> None:
+        """Lines 8-10 and 21-27: NewAck on an already-reduced INT sample.
+
+        ``u_max``/``tau`` are what lines 1-7 reduce an ACK's stack to
+        (``u_max < 0``: no valid sample, which still closes a W^c
+        round), ``seq`` is the ACK's sequence number and ``bn`` the
+        bottleneck inputs a decision tap records.  :meth:`on_ack` feeds
+        it from the packet's hop records; the fluid engine reduces its
+        telemetry columns itself and keeps L, so it calls this directly.
+        """
+        update_wc = self.sync_every_ack or seq > self.last_update_seq
+        if u_max >= 0:
+            u = self._ewma(u_max, tau)
+            if update_wc or self.react_between_syncs:
+                tap = self.tap
+                if tap is not None:
+                    rate0, win0 = flow.rate, flow.window
+                    branch = ("MI" if u >= self.eta
+                              or self.inc_stage >= self.max_stage else "AI")
+                w = self.compute_wind(u, update_wc)
+                flow.window = self.clamp_window(w)
+                flow.rate = self.clamp_rate(flow.window / self.env.base_rtt)
+                if tap is not None:
+                    inputs = bn if bn is not None else {}
+                    inputs["u"] = u
+                    inputs["wc"] = self.wc
+                    inputs["inc_stage"] = self.inc_stage
+                    inputs["wc_synced"] = int(update_wc)
+                    tap.record(now, "ack", branch, rate0, win0,
+                               flow.rate, flow.window, inputs)
         if update_wc:
             self.last_update_seq = flow.snd_nxt
-        self._remember_hops(ack.int_hops)
 
     def _remember_hops(self, hops: list[IntHop]) -> None:
         """Snapshot L (Algorithm 1) without allocating in steady state.

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-from ..sim.packet import Packet
 from .hpcc import Hpcc
 
 
@@ -35,42 +34,5 @@ class HpccPerRtt(Hpcc):
 class HpccRxRate(Hpcc):
     """Eqn (2) with rxRate instead of txRate (Figure 6 comparison)."""
 
-    def measure_inflight(self, ack: Packet) -> float | None:
-        hops = ack.int_hops
-        last = self.last_hops
-        if last is None or len(last) != len(hops):
-            return None
-        T = self.env.base_rtt
-        u_max = -1.0
-        tau = T
-        bn = -1
-        bn_qlen = 0.0
-        bn_rx = 0.0
-        i = -1
-        for hop, prev in zip(hops, last):
-            i += 1
-            dt = hop.ts - prev.ts
-            if dt <= 0:
-                continue
-            rx_rate = (hop.rx_bytes - prev.rx_bytes) / dt
-            capacity = hop.bandwidth
-            u_prime = (
-                min(hop.qlen, prev.qlen) / (capacity * T) + rx_rate / capacity
-            )
-            if u_prime > u_max:
-                u_max = u_prime
-                tau = dt
-                bn = i
-                bn_qlen = min(hop.qlen, prev.qlen)
-                bn_rx = rx_rate
-        if u_max < 0:
-            return None
-        tau = min(tau, T)
-        weight = tau / T
-        self.u = (1.0 - weight) * self.u + weight * u_max
-        if self.tap is not None:
-            self._bn_inputs = {
-                "u_instant": u_max, "bottleneck_hop": bn,
-                "qlen": bn_qlen, "rx_rate": bn_rx, "n_hops": len(hops),
-            }
-        return self.u
+    rate_register = "rx_bytes"
+    rate_key = "rx_rate"

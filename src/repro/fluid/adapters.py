@@ -5,9 +5,12 @@ adapter owns a *real* algorithm instance from ``repro.core`` (the same
 classes the packet NIC installs) and, once per RTT-granularity step,
 synthesizes the event that algorithm reacts to in the packet world:
 
-* **INT family** (HPCC and its ablation variants) — a synthetic ACK whose
-  ``IntHop`` stack is filled from the fluid links' ``qlen``/``tx_bytes``
-  registers, so ``MeasureInflight``/``ComputeWind`` run verbatim;
+* **INT family** (HPCC and its ablation variants) — one INT sample per
+  fire: :func:`int_samples` runs Eqn 2 (Algorithm 1 lines 1-7) over
+  every fired flow's telemetry columns at once — the links' ``qlen``
+  and ``tx``/``rx`` registers against the engine's copy of L — and the
+  adapter hands each flow's reduced sample to ``Hpcc.on_int_sample``,
+  the same ``NewAck`` body a packet ACK runs;
 * **CNP family** (DCQCN, DCQCN+win) — the NP's CNP stream derived from
   the analytic ECN marking probability, plus the RP's increase/alpha
   timers advanced in fluid time;
@@ -24,10 +27,12 @@ next step's fluid sending rate.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.base import CcAlgorithm, CcEnv
 from ..core.registry import SchemeInfo, get_scheme
 from ..core.windowed import WindowedCc
-from ..sim.packet import IntHop, Packet, PacketType
+from ..sim.packet import Packet, PacketType
 
 
 class FluidClock:
@@ -59,23 +64,29 @@ class FlowProxy:
 class StepSignals:
     """Everything one flow's adapter needs from one fluid step."""
 
-    __slots__ = ("hops", "rtt", "mark_prob", "delivered", "now", "dt")
+    __slots__ = (
+        "rtt", "mark_prob", "delivered", "now", "dt", "u_sample", "tau", "bn",
+    )
 
     def __init__(
         self,
-        hops: list[IntHop],
         rtt: float,
         mark_prob: float,
         delivered: float,
         now: float,
         dt: float,
+        u_sample: float = -1.0,
+        tau: float = 0.0,
+        bn: dict | None = None,
     ) -> None:
-        self.hops = hops                # per switch-egress hop telemetry
         self.rtt = rtt                  # base + queueing, ns
         self.mark_prob = mark_prob      # per-packet ECN mark probability
         self.delivered = delivered      # wire bytes delivered this step
         self.now = now
         self.dt = dt
+        self.u_sample = u_sample        # Eqn 2's max u' (< 0: no sample)
+        self.tau = tau                  # its hop's sampling interval, ns
+        self.bn = bn                    # bottleneck inputs for a decision tap
 
 
 class _SentBytes:
@@ -95,15 +106,13 @@ class RateAdapter:
         self.algo = algo
         self.inner = algo.inner if isinstance(algo, WindowedCc) else algo
         # One synthetic ACK, reused for every update: the fluid loop
-        # hands it to the algorithm synchronously and nothing retains it
-        # (HPCC snapshots INT hops via ``copy_from``), so a fresh
-        # allocation per step would only feed the GC.
+        # hands it to the algorithm synchronously and nothing retains
+        # it, so a fresh allocation per step would only feed the GC.
         self._ack_pkt = Packet(PacketType.ACK, flow_id=0, src=0, dst=0)
 
     def _ack(self) -> Packet:
         ack = self._ack_pkt
         ack.ecn = False
-        ack.int_hops = None
         return ack
 
     def install(self, proxy: FlowProxy) -> None:
@@ -120,23 +129,79 @@ class RateAdapter:
 
 
 class IntAdapter(RateAdapter):
-    """HPCC and variants: per-RTT synthetic ACK with an analytic INT stack."""
+    """HPCC and variants: one reduced INT sample per RTT into ``NewAck``."""
 
     def install(self, proxy: FlowProxy) -> None:
         proxy.rate = self.env.line_rate
         proxy.window = self.env.bdp             # Winit = B_nic x T
 
     def update(self, proxy: FlowProxy, sig: StepSignals) -> None:
-        # Advancing snd_nxt before the ACK makes every fire a Wc-update
-        # step (ack.seq > last_update_seq): one reaction per RTT against
-        # a freshly synced Wc.  That is the per-RTT ablation, not
+        # Advancing snd_nxt before the sample makes every fire a Wc-update
+        # step (seq > last_update_seq): one reaction per RTT against a
+        # freshly synced Wc.  That is the per-RTT ablation, not
         # Algorithm 1 (react to every ACK, sync once per RTT), so hpcc,
-        # hpcc-perack and hpcc-perrtt coincide on fluid (ROADMAP item 2).
+        # hpcc-perack and hpcc-perrtt coincide on fluid (ROADMAP item 1).
         proxy.snd_nxt += max(1.0, sig.delivered)
-        ack = self._ack()
-        ack.seq = proxy.snd_nxt
-        ack.int_hops = sig.hops
-        self.algo.on_ack(proxy, ack, sig.now)
+        self.algo.on_int_sample(
+            proxy, proxy.snd_nxt, sig.u_sample, sig.tau, sig.now, sig.bn
+        )
+
+
+def int_samples(
+    counts: np.ndarray,
+    comparable: np.ndarray,
+    now: float | np.ndarray,
+    cap: np.ndarray,
+    reg: np.ndarray,
+    qlen: np.ndarray,
+    last: np.ndarray,
+    T: float,
+    taps: bool = False,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
+    """Algorithm 1 lines 1-7 for many flows at once, on INT columns.
+
+    Flow ``k`` owns the next ``counts[k]`` telemetry entries; ``cap``,
+    ``reg`` and ``qlen`` hold each entry's bandwidth, rate register
+    (``Hpcc.rate_register``) and queue at ``now``, and the rows of
+    ``last`` the matching hop of L as ``(ts, register, qlen)``.
+    ``comparable[k]`` is False where L is missing or has another hop
+    count.  The arithmetic is ``Hpcc.int_sample``'s per hop, in its
+    order, so every value is bit-identical to the scalar loop's.
+
+    Returns per flow ``u_max`` (-1.0 without a valid sample), ``tau``
+    and, with ``taps``, the bottleneck as ``(hop, qlen, rate)``: its
+    position in the flow's stack (the *first* hop with the largest u',
+    as the loop's strict ``>`` picks; -1 without one), ``min(qlen,
+    L.qlen)`` and the register rate there — what a decision tap records.
+    """
+    n = counts.size
+    dt = now - last[:, 0]
+    valid = dt > 0
+    valid &= comparable.repeat(counts)
+    rate = (reg - last[:, 1]) / np.where(valid, dt, 1.0)
+    qmin = np.minimum(qlen, last[:, 2])
+    u = qmin / (cap * T) + rate / cap
+    u[~valid] = -np.inf
+    u_max = np.full(n, -1.0)
+    tau = np.full(n, T)
+    first = np.full(n, -1, dtype=np.int64)
+    starts = counts.cumsum() - counts
+    has = counts > 0
+    if u.size:
+        seg = np.maximum.reduceat(u, starts[has])
+        at = np.where(u == seg.repeat(counts[has]), np.arange(u.size), u.size)
+        got = seg > -1.0
+        rows = has.nonzero()[0][got]
+        first[rows] = np.minimum.reduceat(at, starts[has])[got]
+        u_max[rows] = seg[got]
+        tau[rows] = dt[first[rows]]
+    if not taps:
+        return u_max, tau, None
+    hop = np.where(first >= 0, first - starts, -1)
+    # A flow without a bottleneck (first == -1) reads the 0.0 appended.
+    return u_max, tau, (
+        hop, np.append(qmin, 0.0)[first], np.append(rate, 0.0)[first],
+    )
 
 
 class CnpAdapter(RateAdapter):

@@ -24,9 +24,13 @@ The model per step (semantics identical to the scalar test oracle,
    exactly as in ``tests/fluid_reference.py``);
 5. flows deliver ``achieved_rate x dt`` bytes, complete mid-step by
    interpolation, and — once per accumulated RTT — each flow's adapter
-   replays one RTT of its scheme's packet events (synthetic INT ACK,
-   CNP stream, RTT echo, ECN marks) against the *real* ``core/``
-   algorithm, producing the next step's rate.
+   replays one RTT of its scheme's packet events (INT sample, CNP
+   stream, RTT echo, ECN marks) against the *real* ``core/`` algorithm,
+   producing the next step's rate.  For the INT family, ``_fire`` first
+   runs Eqn 2 for every fired flow at once over the telemetry columns
+   (:func:`~repro.fluid.adapters.int_samples`: one ``np.maximum.reduceat``
+   per fire) and each adapter passes its flow's reduced sample to
+   ``Hpcc.on_int_sample`` — the ``NewAck`` body a packet ACK runs.
 
 Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index
@@ -41,14 +45,18 @@ queueing delay, which TIMELY reads as RTT.  Admitting a flow writes one
 row; no index structures rebuild.  A small CSR block
 (``_il``/``_il_off``) additionally tracks each flow's INT telemetry
 links (switch egress with capacity > 0) for schemes that read per-hop
-state.
+state, and beside it ``_il_last`` holds Algorithm 1's L: each entry's
+``(ts, register, qlen)`` at the row's last fire, valid where the row's
+``_has_last`` flag is set.  A fire reads L and overwrites it.
 
 Finished rows stay in place, dead, until they number at least 16 and
 an eighth of the block; ``_compact`` then gathers the alive rows to the
-front in order — row vectors, hop matrix, INT CSR block and flow list —
-without reading or writing a flow object.  Dynamics instead rebuild the
-rows from the flow objects (``_rebuild_rows``), because changed
-capacities re-filter the INT links.
+front in order — row vectors, hop matrix, INT CSR block with its L and
+flow list — without reading or writing a flow object.  Dynamics instead
+rebuild the rows from the flow objects (``_rebuild_rows``), because
+changed capacities re-filter the INT links; L travels through
+``FluidFlow.int_last`` and is kept when the hop count is unchanged, as
+Algorithm 1 keeps it (compared by position, even over new links).
 
 One per-step input is a *row-change invariant*: the touched-link set
 (links carrying at least one live flow) with its switch-egress subset
@@ -71,9 +79,10 @@ event-shortened mini-steps accumulate ``elapsed``/``delivered``/
 steps are never shortened the two produce bit-identical trajectories).
 That is *not* Algorithm 1's cadence — react to every ACK against W^c,
 sync W^c once per RTT: ``IntAdapter.update`` advances ``snd_nxt`` before
-its one synthetic ACK, so ``update_wc`` is true on every fire and fluid
-``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute the per-RTT
-ablation, with bit-identical records (ROADMAP item 2).
+its one ``on_int_sample`` call, so ``update_wc`` is true on every fire
+and fluid ``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute the
+per-RTT ablation, with bit-identical records.  Algorithm 1's cadence
+would call ``on_int_sample`` m times per fire (ROADMAP item 1).
 
 Network dynamics run at *event boundaries*: scheduled timeline events
 (link cuts, recoveries, degradations) shorten the step so they fire at
@@ -106,16 +115,19 @@ from ..core.base import CcEnv
 from ..core.registry import get_scheme
 from ..sim.ecn import EcnConfig
 from ..sim.flow import FctRecord, FlowSpec
-from ..sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop
+from ..sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD
 from ..sim.units import MB
 from ..topology.base import Topology
-from .adapters import FluidClock, FlowProxy, RateAdapter, StepSignals, adapter_for
+from .adapters import (
+    FluidClock, FlowProxy, RateAdapter, StepSignals, adapter_for, int_samples,
+)
 from .goodput import GoodputRecorder
 from .state import FluidGraph, FluidPath, NoRoute
 
 _EPS = 1e-9
 _INF = float("inf")
-_NO_HOPS: list[IntHop] = []
+#: ``Hpcc.rate_register`` (an INT hop field) -> its ``LinkArrays`` register.
+_LINK_REGISTER = {"tx_bytes": "tx", "rx_bytes": "rx"}
 
 
 class FluidFlow:
@@ -125,13 +137,16 @@ class FluidFlow:
     rate, accumulators) in its row arrays while the flow is admitted;
     the object fields are the durable home, synchronized whenever rows
     rebuild (dynamics events and reconvergence; compaction moves rows
-    without them).
+    without them).  ``int_last`` is the INT family's L — the telemetry
+    snapshot of the last fire, one ``(ts, register, qlen)`` row per hop —
+    so it survives a reroute with the flow, as the algorithm's own L
+    does on the packet path.
     """
 
     __slots__ = (
         "spec", "path", "proxy", "adapter", "line_rate", "ideal",
         "remaining", "req", "achieved", "topo_version",
-        "elapsed", "acc_delivered", "acc_marked", "hops",
+        "elapsed", "acc_delivered", "acc_marked", "int_last",
     )
 
     def __init__(
@@ -157,7 +172,7 @@ class FluidFlow:
         self.elapsed = 0.0              # ns since the last CC adapter fire
         self.acc_delivered = 0.0        # wire bytes since the last fire
         self.acc_marked = 0.0           # mark-weighted bytes since the fire
-        self.hops: list[IntHop] | None = None   # reused INT telemetry row
+        self.int_last: np.ndarray | None = None  # L, saved at row rebuilds
 
 
 class FluidEngine:
@@ -275,6 +290,11 @@ class FluidEngine:
         self._hopm = np.full((cap, self._H), self._dummy, dtype=np.int64)
         self._il_off = np.zeros(cap + 1, dtype=np.int64)
         self._il = np.zeros(256, dtype=np.int64)
+        #: L beside ``_il``: the last fire's ``(ts, register, qlen)`` per
+        #: telemetry entry, valid for the rows whose ``_has_last`` is set
+        #: (L exists and has this path's hop count).
+        self._il_last = np.zeros((256, 3))
+        self._has_last = np.zeros(cap, dtype=bool)
         self._touched_idx = np.zeros(0, dtype=np.int64)
         self._touched_eg_idx = np.zeros(0, dtype=np.int64)
         self._touched_eg_mask = np.zeros(0, dtype=bool)
@@ -283,8 +303,7 @@ class FluidEngine:
         #: absorbs float dust from summing shortened mini-steps.
         self._fire_at = self.step - 1e-9
         self._sig = StepSignals(
-            hops=_NO_HOPS, rtt=0.0, mark_prob=0.0,
-            delivered=0.0, now=0.0, dt=0.0,
+            rtt=0.0, mark_prob=0.0, delivered=0.0, now=0.0, dt=0.0,
         )
 
         self.sample_interval = sample_interval
@@ -368,6 +387,9 @@ class FluidEngine:
         alive = np.zeros(new, dtype=bool)
         alive[:cap] = self._alive
         self._alive = alive
+        has_last = np.zeros(new, dtype=bool)
+        has_last[:cap] = self._has_last
+        self._has_last = has_last
         hopm = np.full((new, self._H), self._dummy, dtype=np.int64)
         hopm[:cap] = self._hopm
         self._hopm = hopm
@@ -413,22 +435,27 @@ class FluidEngine:
                 l.index for l in flow.path.int_links if l.capacity > 0.0
             ]
             m = len(ints)
+            nnz = self._il_nnz
             il = self._il
-            if self._il_nnz + m > il.shape[0]:
-                grown = np.zeros(
-                    max(self._il_nnz + m, il.shape[0] * 2), dtype=np.int64
-                )
-                grown[:self._il_nnz] = il[:self._il_nnz]
+            if nnz + m > il.shape[0]:
+                size = max(nnz + m, il.shape[0] * 2)
+                grown = np.zeros(size, dtype=np.int64)
+                grown[:nnz] = il[:nnz]
                 self._il = grown
-            self._il[self._il_nnz:self._il_nnz + m] = ints
-            self._il_nnz += m
+                last = np.zeros((size, 3))
+                last[:nnz] = self._il_last[:nnz]
+                self._il_last = last
+            self._il[nnz:nnz + m] = ints
+            # L carries over a row rebuild when the hop count is unchanged,
+            # compared by position even over new links (Algorithm 1's
+            # rule); another count gives no sample until the next fire.
+            last = flow.int_last
+            comparable = last is not None and len(last) == m
+            self._has_last[n] = comparable
+            if comparable:
+                self._il_last[nnz:nnz + m] = last
+            self._il_nnz = nnz + m
             self._il_off[n + 1] = self._il_nnz
-            if flow.hops is None or len(flow.hops) != m:
-                flow.hops = [
-                    IntHop(bandwidth=0.0, ts=0.0, tx_bytes=0.0, qlen=0.0,
-                           rx_bytes=0.0)
-                    for _ in range(m)
-                ]
         self._n = n + 1
         self._alive_n += 1
 
@@ -441,11 +468,17 @@ class FluidEngine:
         ela = self._elapsed[:n].tolist()
         dac = self._dacc[:n].tolist()
         mac = self._macc[:n].tolist()
-        for i, flow in enumerate(self._flows):
+        flows = self._flows
+        for i, flow in enumerate(flows):
             flow.remaining = rem[i]
             flow.elapsed = ela[i]
             flow.acc_delivered = dac[i]
             flow.acc_marked = mac[i]
+        if self._needs_int:
+            off = self._il_off
+            rows = np.flatnonzero(self._has_last[:n] & self._alive[:n])
+            for i in rows.tolist():
+                flows[i].int_last = self._il_last[off[i]:off[i + 1]].copy()
 
     def _set_rows(self, flows: list[FluidFlow]) -> None:
         """Rebuild every row array from scratch for ``flows`` (in order)."""
@@ -487,11 +520,12 @@ class FluidEngine:
             cnt = self._il_off[keep + 1] - off0
             ends = cnt.cumsum()
             total = int(ends[-1]) if m else 0
-            self._il[:total] = self._il[
-                np.arange(total) + (off0 - ends + cnt).repeat(cnt)
-            ]
+            gather = np.arange(total) + (off0 - ends + cnt).repeat(cnt)
+            self._il[:total] = self._il[gather]
+            self._il_last[:total] = self._il_last[gather]
             self._il_off[1:m + 1] = ends
             self._il_nnz = total
+            self._has_last[:m] = self._has_last[keep]
         flows = self._flows
         self._flows = [flows[i] for i in keep.tolist()]
         self._n = m
@@ -906,6 +940,10 @@ class FluidEngine:
         delivered-weighted mean mark probability over the window; for a
         single-mini-step window it is the step's instantaneous value,
         bit-identical to ``tests/fluid_reference.py``'s.
+
+        For an INT scheme, Eqn 2 runs here over the fired rows'
+        telemetry columns (:func:`~repro.fluid.adapters.int_samples`)
+        against L, which is then overwritten with this fire's registers.
         """
         A = self.arrays
         flows = self._flows
@@ -938,52 +976,59 @@ class FluidEngine:
                 - np.repeat(bases, cnt) + np.repeat(off0, cnt)
             )
             ilv = self._il[pos]
-            cap_l = A.capacity[ilv].tolist()
-            txv = A.tx[ilv]
-            rxv = A.rx[ilv]
+            algo = flows[fl[0]].adapter.algo
+            regv = getattr(A, _LINK_REGISTER[algo.rate_register])[ilv]
             qv = A.queue[ilv]
             # Hybrid coupling: the adapters' INT view folds the
             # foreground share in, exactly as packet switches fold the
             # background into their stamps — both CC populations then
             # react to the *combined* utilization.
             if self._ext_bytes is not None:
-                extb = self._ext_bytes[ilv]
-                txv = txv + extb
-                rxv = rxv + extb
+                regv = regv + self._ext_bytes[ilv]
             if self.ext_qlen is not None:
                 qv = qv + self.ext_qlen[ilv]
-            tx_l = txv.tolist()
-            q_l = qv.tolist()
-            rx_l = rxv.tolist()
-            bases_l = bases.tolist()
+            u_max, tau, bn = int_samples(
+                cnt, self._has_last[fidx], now, A.capacity[ilv], regv, qv,
+                self._il_last[pos], self.base_rtt,
+                taps=self.decision_tap is not None,
+            )
+            last = np.empty((total, 3))
+            last[:, 0] = now
+            last[:, 1] = regv
+            last[:, 2] = qv
+            self._il_last[pos] = last
+            self._has_last[fidx] = True
+            u_l = u_max.tolist()
+            tau_l = tau.tolist()
+            bn_l = [None] * len(fl)
+            if bn is not None:
+                # The bottleneck inputs Hpcc.int_sample gives a tap, in
+                # its key order, for the rows with a sample.
+                key = algo.rate_key
+                hop_l, bq_l, br_l = (a.tolist() for a in bn)
+                n_l = cnt.tolist()
+                for k in np.flatnonzero(u_max >= 0.0).tolist():
+                    bn_l[k] = {
+                        "u_instant": u_l[k], "bottleneck_hop": hop_l[k],
+                        "qlen": bq_l[k], key: br_l[k], "n_hops": n_l[k],
+                    }
         sig = self._sig
         sig.now = now
         for k, i in enumerate(fl):
             flow = flows[i]
             if needs_int:
-                hops = flow.hops
-                base = bases_l[k]
-                for h, hop in enumerate(hops):
-                    j = base + h
-                    hop.bandwidth = cap_l[j]
-                    hop.ts = now
-                    hop.tx_bytes = tx_l[j]
-                    hop.qlen = q_l[j]
-                    hop.rx_bytes = rx_l[j]
-                sig.hops = hops
-            else:
-                sig.hops = _NO_HOPS
+                sig.u_sample = u_l[k]
+                sig.tau = tau_l[k]
+                sig.bn = bn_l[k]
             sig.rtt = rtt_l[k]
             sig.mark_prob = mark_l[k] if mark_l is not None else 0.0
             sig.delivered = del_l[k]
             sig.dt = dt_l[k]
             flow.adapter.update(flow.proxy, sig)
         self._rate[fidx] = [flows[i].proxy.rate for i in fl]
-        win = []
-        for i in fl:
-            w = flows[i].proxy.window
-            win.append(_INF if w is None else w)
-        self._window[fidx] = win
+        self._window[fidx] = [
+            _INF if (w := flows[i].proxy.window) is None else w for i in fl
+        ]
         elapsed[fidx] = 0.0
         dacc[fidx] = 0.0
         macc[fidx] = 0.0

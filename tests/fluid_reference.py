@@ -18,10 +18,18 @@ arrival-shortened ones), while the array engine batches adapter fires
 to once per accumulated RTT.  On runs whose steps are never shortened
 the two are numerically identical.
 
-Neither cadence is Algorithm 1's: ``IntAdapter.update`` advances
-``snd_nxt`` before its one synthetic ACK, so ``update_wc`` is true on
-every fire and ``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute
-the per-RTT ablation on both fluid engines (ROADMAP item 2).
+The INT family does not go through the adapters here.  This engine
+builds each fire's ``IntHop`` stack from the links' registers and hands
+one synthetic ACK to ``Hpcc.on_ack`` (:meth:`ScalarFluidEngine._int_ack`),
+so Eqn 2 runs in the packet path's scalar per-hop loop with the
+algorithm's own L.  The array engine reduces the same registers over
+columns and enters ``NewAck`` through ``Hpcc.on_int_sample``; the
+equivalence tests therefore compare the two reductions.
+
+Neither cadence is Algorithm 1's: the replay advances ``snd_nxt``
+before its one sample, so ``update_wc`` is true on every fire and
+``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute the per-RTT
+ablation on both fluid engines (ROADMAP item 1).
 
 The per-step scratch registers (``arrival``, ``throttled``, ``scale``)
 live in the link objects' ``__dict__``; ``_advance`` sets each one
@@ -37,7 +45,9 @@ from repro.core.base import CcEnv
 from repro.core.registry import get_scheme
 from repro.sim.ecn import EcnConfig
 from repro.sim.flow import FctRecord, FlowSpec
-from repro.sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop
+from repro.sim.packet import (
+    ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop, Packet, PacketType,
+)
 from repro.sim.units import MB
 from repro.topology.base import Topology
 from repro.fluid.adapters import FluidClock, FlowProxy, StepSignals, adapter_for
@@ -404,7 +414,10 @@ class ScalarFluidEngine:
                 survivors.append(f)
         self._active = survivors
         for f in survivors:
-            f.adapter.update(f.proxy, self._signals(f, dt))
+            if self.scheme.needs_int:
+                self._int_ack(f, dt)
+            else:
+                f.adapter.update(f.proxy, self._signals(f, dt))
         self.steps += 1
         self.flow_steps += len(active)
         if (
@@ -419,22 +432,28 @@ class ScalarFluidEngine:
 
     # -- per-flow feedback -------------------------------------------------------
 
+    def _int_ack(self, f: FluidFlow, dt: float) -> None:
+        """The INT family's fire: one synthetic ACK through ``on_ack``."""
+        # A capacity-0 link is a cut edge still on this flow's
+        # pre-reconvergence path: no ACKs return from beyond a cut, so
+        # it contributes no telemetry (and no division by zero).
+        hops = [
+            IntHop(
+                bandwidth=link.capacity, ts=self.now,
+                tx_bytes=link.tx_bytes, qlen=link.queue,
+                rx_bytes=link.rx_bytes,
+            )
+            for link in f.path.int_links
+            if link.capacity > 0.0
+        ]
+        f.proxy.snd_nxt += max(1.0, f.achieved * dt)
+        ack = Packet(PacketType.ACK, flow_id=f.spec.flow_id, src=0, dst=0)
+        ack.seq = f.proxy.snd_nxt
+        ack.int_hops = hops
+        f.adapter.algo.on_ack(f.proxy, ack, self.now)
+
     def _signals(self, f: FluidFlow, dt: float) -> StepSignals:
         delivered = f.achieved * dt
-        hops: list[IntHop] = []
-        if self.scheme.needs_int:
-            # A capacity-0 link is a cut edge still on this flow's
-            # pre-reconvergence path: no ACKs return from beyond a cut,
-            # so it contributes no telemetry (and no division by zero).
-            hops = [
-                IntHop(
-                    bandwidth=link.capacity, ts=self.now,
-                    tx_bytes=link.tx_bytes, qlen=link.queue,
-                    rx_bytes=link.rx_bytes,
-                )
-                for link in f.path.int_links
-                if link.capacity > 0.0
-            ]
         mark_prob = 0.0
         if self._ecn_policy is not None:
             clear = 1.0
@@ -452,8 +471,8 @@ class ScalarFluidEngine:
             mark_prob = 1.0 - clear
         rtt = f.path.base_rtt + f.path.queue_delay()
         return StepSignals(
-            hops=hops, rtt=rtt, mark_prob=mark_prob,
-            delivered=delivered, now=self.now, dt=dt,
+            rtt=rtt, mark_prob=mark_prob, delivered=delivered,
+            now=self.now, dt=dt,
         )
 
     # -- results -----------------------------------------------------------------

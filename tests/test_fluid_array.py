@@ -31,16 +31,23 @@ import hashlib
 import itertools
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.base import CcEnv, DecisionTap
+from repro.core.hpcc import Hpcc
+from repro.core.hpcc_variants import HpccRxRate
 from repro.fluid import FluidEngine, GoodputRecorder
+from repro.fluid.adapters import int_samples
 from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
 from repro.sim.flow import FlowSpec
+from repro.sim.packet import IntHop
 from repro.sim.units import US
-from repro.topology import parking_lot, star
+from repro.topology import dumbbell, parking_lot, star
 from repro.topology.fattree import bench_fattree, fattree_k
 
 from tests.fluid_reference import ScalarFluidEngine
@@ -301,6 +308,98 @@ class TestEngineSelection:
         assert backend.ignored == ["fluid_engine"]  # -> fluid_ignored_config
 
 
+def _small_or_wide(small: tuple, lo: float, hi: float):
+    """A value from a small set (so equal queues and tied u' are common)
+    or from a wide range."""
+    return st.sampled_from(small) | st.floats(lo, hi)
+
+
+#: One hop's INT fields: ``reg``/``q_last`` in L, ``sent`` and ``q`` now,
+#: ``fold``/``fold_sent``/``q_fold`` the hybrid coupling's foreground
+#: bytes and queue folded into the registers, ``dt`` the ts advance.
+_HOP = st.fixed_dictionaries({
+    "cap": _small_or_wide((1.25, 12.5, 50.0), 0.01, 100.0),
+    "dt": _small_or_wide((-500.0, 0.0, 1_000.0, 9_000.0, 40_000.0),
+                         -1e4, 1e5).map(lambda dt: round(dt, 3)),
+    "reg": _small_or_wide((0.0, 4e6), 0.0, 1e12),
+    "sent": _small_or_wide((0.0, 12_500.0, 112_500.0), 0.0, 1e7),
+    "fold": _small_or_wide((0.0, 3.3e9), 0.0, 1e13),
+    "fold_sent": _small_or_wide((0.0, 12_500.0), 0.0, 1e7),
+    "q": _small_or_wide((0.0, 5_000.0, 60_000.0), 0.0, 1e7),
+    "q_last": _small_or_wide((0.0, 5_000.0, 60_000.0), 0.0, 1e7),
+    "q_fold": st.sampled_from((0.0, 7_000.0)),
+})
+_FLOW = st.fixed_dictionaries({
+    "hops": st.lists(_HOP, max_size=6),
+    "tied": st.booleans(),                  # every hop a copy of the first
+    "last": st.sampled_from(("same", "none", "other")),   # L's hop count
+})
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+class TestIntSampleColumns:
+    """The array engine's Eqn 2 (``int_samples``) against the scalar
+    per-hop loop the packet path and the oracle run
+    (``Hpcc.int_sample``): the same ``u_max``, tau and bottleneck hop,
+    queue and rate, bit for bit, for both rate registers."""
+
+    @pytest.mark.parametrize("cls", [Hpcc, HpccRxRate])
+    @settings(max_examples=150, deadline=None)
+    @given(flows=st.lists(_FLOW, min_size=1, max_size=6),
+           ts_last=st.sampled_from((0.0, 123_456.5)))
+    def test_columns_match_scalar_loop(self, cls, flows, ts_last):
+        T = 9 * US
+        env = CcEnv(sim=None, line_rate=12.5, base_rtt=T, mtu=1000,
+                    header=90)
+        other = "rx_bytes" if cls.rate_register == "tx_bytes" else "tx_bytes"
+        counts, comparable, rows, expected = [], [], [], []
+        for f in flows:
+            hops = f["hops"]
+            if f["tied"]:
+                hops = hops[:1] * len(hops)
+            stack, last = [], []
+            for h in hops:
+                ts_now = ts_last + h["dt"]
+                reg_now = (h["reg"] + h["sent"]) + (h["fold"] + h["fold_sent"])
+                reg_last = h["reg"] + h["fold"]
+                q_now = h["q"] + h["q_fold"]
+                for record, ts, reg, q in ((stack, ts_now, reg_now, q_now),
+                                           (last, ts_last, reg_last,
+                                            h["q_last"])):
+                    hop = IntHop(h["cap"], ts, 0, q)
+                    setattr(hop, cls.rate_register, reg)
+                    setattr(hop, other, 3.0 * reg + 7.0)    # must go unread
+                    record.append(hop)
+                rows.append((ts_now, h["cap"], reg_now, q_now,
+                             ts_last, reg_last, h["q_last"]))
+            cc = cls(env)
+            cc.tap = DecisionTap().trace(0, "hpcc")
+            cc.last_hops = {"same": last, "none": None,
+                            "other": last + [IntHop(1.0, 0.0, 0, 0)]}[f["last"]]
+            expected.append(cc.int_sample(stack))
+            counts.append(len(hops))
+            comparable.append(f["last"] == "same")
+        c = np.array(rows, dtype=float).reshape(-1, 7)
+        u_max, tau, (hop, qlen, rate) = int_samples(
+            np.array(counts, dtype=np.int64), np.array(comparable),
+            c[:, 0], c[:, 1], c[:, 2], c[:, 3], c[:, 4:], T, taps=True,
+        )
+        for k, (u, t, inputs) in enumerate(expected):
+            assert (_bits(u_max[k]), _bits(tau[k])) == (_bits(u), _bits(t))
+            if inputs is None:
+                assert u < 0
+                continue
+            assert inputs == {
+                "u_instant": u, "bottleneck_hop": hop[k], "qlen": qlen[k],
+                cls.rate_key: rate[k], "n_hops": counts[k],
+            }
+            assert (_bits(qlen[k]), _bits(rate[k])) \
+                == (_bits(inputs["qlen"]), _bits(inputs[cls.rate_key]))
+
+
 class TestArrayInternals:
     """Spot checks of the struct-of-arrays invariants."""
 
@@ -470,12 +569,84 @@ def parking_lot_run() -> FluidEngine:
     return engine
 
 
+def rxrate_incast_run() -> FluidEngine:
+    """Fluid HPCC-rxRate on a k=4 FatTree: eight staggered senders from
+    three pods into host 0, so Eqn 2 differences the ``rx`` register
+    while the last hop's arrivals exceed its capacity."""
+    flows = [FlowSpec(i, 2 + 2 * i - (i > 3), 0, 300_000 + 20_000 * i,
+                      start_time=i * 1_000.0)
+             for i in range(8)]
+    engine = FluidEngine(fattree_k(4), cc_name="hpcc-rxrate")
+    engine.add_flows(flows)
+    assert engine.run(deadline=DEADLINE)
+    return engine
+
+
+def traced_incast_run() -> tuple[FluidEngine, DecisionTap]:
+    """Fluid HPCC with a decision tap on a 4x2 dumbbell: four staggered
+    senders into host 4 over two INT hops (trunk, then the last hop),
+    plus one flow sharing only the trunk.  While no queue stands the
+    two hops carry the same bytes, so their u' tie exactly and the
+    bottleneck is the first of them."""
+    tap = DecisionTap()
+    engine = FluidEngine(dumbbell(4, 2), cc_name="hpcc")
+    engine.decision_tap = tap
+    flows = [FlowSpec(i, i, 4, 400_000, start_time=i * 3_000.0)
+             for i in range(4)]
+    flows.append(FlowSpec(4, 3, 5, 300_000, start_time=20_000.0))
+    engine.add_flows(flows)
+    assert engine.run(deadline=DEADLINE)
+    return engine, tap
+
+
+def reroute_samples_run() -> FluidEngine:
+    """Fluid HPCC on a k=4 FatTree, ToR 16's uplink to agg 24 cut at
+    20 us, rerouted 15 us later and restored (then rerouted) at 90 us.
+
+    Flows 0 and 3 cross the cut: it drops one telemetry hop from their
+    stacks until the reroute, so a fire sees a different INT-hop count.
+    Flows 4 and 5 start on the detour and move back at the restore with
+    the same count over different links, so their next fire compares
+    the new links against the old ones by position.  Flow 1 never
+    moves; flow 2 shares host 0's last hop with flow 4."""
+    flows = [
+        FlowSpec(0, 0, 9, 2_000_000, 0.0),
+        FlowSpec(1, 1, 12, 1_500_000, 0.0),
+        FlowSpec(2, 4, 0, 1_500_000, 0.0),
+        FlowSpec(3, 8, 1, 2_000_000, 0.0),
+        FlowSpec(4, 13, 0, 1_000_000, 45_000.0),
+        FlowSpec(5, 6, 1, 1_000_000, 45_000.0),
+    ]
+    engine = FluidEngine(fattree_k(4), cc_name="hpcc")
+    engine.add_flows(flows)
+
+    def fail():
+        engine.fail_link(16, 24)
+        engine.schedule_event(engine.now + 15_000.0, engine.reconverge)
+
+    def restore():
+        engine.restore_link(16, 24)
+        engine.reconverge()
+
+    engine.schedule_event(20_000.0, fail)
+    engine.schedule_event(90_000.0, restore)
+    assert engine.run(deadline=DEADLINE)
+    return engine
+
+
 #: Captured on the engine whose step ran over every row, a fixed
 #: eight-column hop matrix and every link (commit ca15eb1).
 GOLDEN_COMPACTION = (400, "fadda7f5faa1db79", "1537979ada9c9dcc")
 GOLDEN_RECONVERGE = (228, "88a420c481336c96", "edfe2cc56c7ae43e")
 GOLDEN_HYBRID = (154, "2c1362125f716ce8", "e2454500e72328e7")
 GOLDEN_PARKING_LOT = (92, "49dd78542b648e6f", "099c59a3c4010c2a")
+#: Captured on the engine that replayed one synthetic INT ACK per fire
+#: through ``Hpcc.on_ack`` (commit 080a027).
+GOLDEN_RXRATE_INCAST = (48, "81cd0a1ab976b3aa", "186fa9da9b9a86a8")
+GOLDEN_TRACED_INCAST = (
+    44, "b5e744552bd32bc8", "ff888564354b0aab", "6444b510411512e3",
+)
+GOLDEN_REROUTE_SAMPLES = (35, "e247d467a4482e2a", "a806f2246365f433")
 
 
 class TestStepGoldens:
@@ -501,6 +672,24 @@ class TestStepGoldens:
         engine = parking_lot_run()
         assert (engine.steps, fct_digest(engine.fct_records),
                 arrays_digest(engine.arrays)) == GOLDEN_PARKING_LOT
+
+    def test_rxrate_incast_golden(self):
+        engine = rxrate_incast_run()
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays)) == GOLDEN_RXRATE_INCAST
+
+    def test_traced_incast_golden(self):
+        """The decision stream, bottleneck attribution included, is
+        pinned byte for byte (plus the usual three digests)."""
+        engine, tap = traced_incast_run()
+        stream = _digest(json.dumps(tap.decisions()).encode())
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays), stream) == GOLDEN_TRACED_INCAST
+
+    def test_reroute_samples_golden(self):
+        engine = reroute_samples_run()
+        assert (engine.steps, fct_digest(engine.fct_records),
+                arrays_digest(engine.arrays)) == GOLDEN_REROUTE_SAMPLES
 
 
 def after_each_step(monkeypatch, check) -> None:

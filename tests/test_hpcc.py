@@ -188,6 +188,33 @@ class TestNewAck:
         assert cc.wc == wc1
         assert flow.window > 0.6 * w1
 
+    def test_sample_entry_matches_ack_entry(self, env):
+        """on_int_sample on the reduced sample is what on_ack runs."""
+        by_ack, ack_flow = make_hpcc(env)
+        by_sample, sample_flow = make_hpcc(env)
+        b = gbps(100)
+        for flow in (ack_flow, sample_flow):
+            flow.snd_nxt = 50_000
+        by_ack.on_ack(ack_flow, make_int_ack(
+            0, [(b, 0.0, 0, 200_000)]), now=0.0)
+        by_ack.on_ack(ack_flow, make_int_ack(
+            1000, [(b, 1000.0, 12_500, 200_000)]), now=1000.0)
+        by_sample.on_int_sample(sample_flow, 0, -1.0, 0.0, now=0.0)
+        u_prime = 200_000 / (b * env.base_rtt) + 12_500 / 1000.0 / b
+        by_sample.on_int_sample(sample_flow, 1000, u_prime, 1000.0, now=1000.0)
+        assert (sample_flow.window, sample_flow.rate) \
+            == (ack_flow.window, ack_flow.rate)
+        assert (by_sample.u, by_sample.wc, by_sample.last_update_seq) \
+            == (by_ack.u, by_ack.wc, by_ack.last_update_seq)
+
+    def test_no_sample_still_closes_the_round(self, env):
+        cc, flow = make_hpcc(env)
+        w0 = flow.window
+        flow.snd_nxt = 5_000
+        cc.on_int_sample(flow, 1000, -1.0, 0.0, now=0.0)
+        assert flow.window == w0 and cc.u == 1.0
+        assert cc.last_update_seq == 5_000
+
     def test_ack_without_int_ignored(self, env):
         cc, flow = make_hpcc(env)
         w0 = flow.window

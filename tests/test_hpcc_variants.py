@@ -76,6 +76,12 @@ class TestOneNewAck:
                                           12_500 * k), now=1000.0 * k)
         assert tap.synced == synced
         assert HpccPerAck.on_ack is HpccPerRtt.on_ack is Hpcc.on_ack
+        # One Eqn 2 loop too: rxRate swaps the register it reads, not the
+        # loop, and NewAck's sample-fed entry is the same for all four.
+        for name in ("measure_inflight", "int_sample", "on_int_sample"):
+            fn = getattr(Hpcc, name)
+            assert all(getattr(c, name) is fn
+                       for c in (HpccPerAck, HpccPerRtt, HpccRxRate))
 
 
 class TestPerRtt:
