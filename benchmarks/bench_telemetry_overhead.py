@@ -23,8 +23,9 @@ machine noise hits both sides equally:
 
 Two more measurements bound the control-loop flight recorder (ISSUE 9):
 **packet decisions** and **fluid decisions** run one fig13-style
-incast through ``execute_spec`` with ``decisions=True`` (per-ACK
-:class:`~repro.obs.DecisionTap` recording + export) against the same
+incast through ``execute_spec`` with ``measure["decisions"]`` and
+``telemetry=True`` (per-ACK :class:`~repro.obs.DecisionTap` recording,
+the record's decision columns and the stream export) against the same
 run with plain telemetry.  Decision recording is genuine per-decision
 hot-path work, so it gets its own bar (:data:`DECISIONS_LIMIT`, <3%)
 — still small, because a record is one tuple append into a bounded
@@ -196,17 +197,19 @@ def _decision_spec(backend: str):
 
 
 def run_decisions(backend: str) -> dict:
-    """Decision tap attached vs plain telemetry, same spec and engine."""
+    """Decision tap attached vs plain telemetry, same scenario and engine."""
     spec = _decision_spec(backend)
+    traced = spec.replaced(**{"measure.decisions": True})
 
     def off():
         record = execute_spec(spec, telemetry=True)
         assert record.telemetry, "telemetry run produced no records"
 
     def on():
-        record = execute_spec(spec, decisions=True)
+        record = execute_spec(traced, telemetry=True)
         assert any(r.get("kind") == "decision" for r in record.telemetry), \
             "decision run recorded no decisions"
+        assert record.extras["decisions"], "decision run stored no columns"
 
     off_s, on_s = _interleaved_min(off, on)
     return _verdict(off_s, on_s, limit=DECISIONS_LIMIT)

@@ -465,29 +465,28 @@ def _cmd_trace(args) -> int:
     """``trace diff``: one spec, both backends, decision-stream diff."""
     import json
 
-    from .obs import compare_decisions, format_divergence
-    from .runner.execute import execute_spec
+    from .obs import format_divergence
+    from .report.build import build_divergence_drilldown
+    from .runner import SweepRunner
 
     spec = _load_trace_spec(args)
     label = spec.label or spec.spec_hash
-    streams = {}
-    for backend in ("packet", "fluid"):
-        print(f"running {label} on the {backend} backend ...",
-              file=sys.stderr, flush=True)
-        try:
-            record = execute_spec(spec.replaced(backend=backend),
-                                  decisions=True)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        if not record.completed:
+
+    def landed(record, done, total):
+        backend = record.spec.backend
+        print(f"ran {label} on the {backend} backend", file=sys.stderr)
+        if record.ok and not record.completed:
             print(f"warning: {backend} run hit its deadline before all "
                   f"flows finished; diffing the partial trace",
                   file=sys.stderr)
-        streams[backend] = record.telemetry or []
-    div = compare_decisions(streams["packet"], streams["fluid"],
-                            threshold=args.threshold)
-    div["spec"] = {"label": spec.label, "spec_hash": spec.spec_hash,
-                   "program": spec.program, "cc": spec.cc.name}
+
+    print(f"running {label} on the packet and fluid backends ...",
+          file=sys.stderr, flush=True)
+    try:
+        div, _ = build_divergence_drilldown(SweepRunner(progress=landed),
+                                            spec, threshold=args.threshold)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(format_divergence(div))
     if args.out is not None:
         out = Path(args.out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported only for annotations, to avoid import cycles
@@ -100,6 +101,32 @@ class DecisionTap:
         for flow_id in sorted(self.traces):
             out.extend(self.traces[flow_id].decisions())
         out.sort(key=lambda d: (d["sim_ns"], d["flow"]))
+        return out
+
+    def columns(self) -> dict[str, dict]:
+        """The fields the divergence analyzer reads, as per-flow columns.
+
+        ``{flow_id: {"scheme", "sim_ns", "rate_after", "bottleneck_hop"}}``
+        built straight from the ring tuples (oldest first), laid out like
+        ``RunRecord.queues`` so a record can carry them as
+        ``extras["decisions"]``.  -1 marks an absent value: a ``None`` or
+        non-finite rate, a decision without a bottleneck hop.
+        :func:`repro.obs.divergence.decision_rows` is the inverse.
+        """
+        out: dict[str, dict] = {}
+        for flow_id in sorted(self.traces):
+            trace = self.traces[flow_id]
+            ring = trace.ring
+            out[str(flow_id)] = {
+                "scheme": trace.scheme,
+                "sim_ns": [float(rec[0]) for rec in ring],
+                "rate_after": [
+                    float(rec[5]) if rec[5] is not None and isfinite(rec[5])
+                    else -1 for rec in ring
+                ],
+                "bottleneck_hop": [int(rec[7].get("bottleneck_hop", -1))
+                                   for rec in ring],
+            }
         return out
 
     @property

@@ -16,13 +16,17 @@ they part ways:
   both backends blamed the *same hop* for the congestion they reacted
   to (``inputs["bottleneck_hop"]``, path-ordered on both engines).
 
-Consumed three ways: the ``hpcc-repro trace diff`` CLI, the fidelity
-report's fig13 drilldown panel, and the machine-readable
-``divergence.json`` artifact — all render :func:`compare_decisions`
-output.
+The analyzer reads ``decision`` rows: the telemetry stream's records,
+or a ``measure["decisions"]`` run's record columns expanded by
+:func:`decision_rows`.  Consumed three ways: the ``hpcc-repro trace
+diff`` CLI, the fidelity report's fig13 drilldown panel, and the
+machine-readable ``divergence.json`` artifact — all render
+:func:`compare_decisions` output.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 _EPS = 1e-12
 
@@ -30,6 +34,29 @@ _EPS = 1e-12
 def decision_records(records: list[dict]) -> list[dict]:
     """The ``decision`` records of a telemetry stream, in stored order."""
     return [r for r in records if r.get("kind") == "decision"]
+
+
+def decision_rows(columns: dict[str, dict]) -> list[dict]:
+    """A record's ``extras["decisions"]`` columns as decision rows.
+
+    The inverse of :meth:`~repro.core.base.DecisionTap.columns` for the
+    fields :func:`compare_decisions` reads: one ``decision`` row per
+    entry, -1 turned back into an absent rate or hop, in the (sim_ns,
+    flow) order the telemetry export uses — so a fresh and a cached
+    record (whose JSON keys sort differently) expand identically.
+    """
+    rows = []
+    for flow, col in columns.items():
+        flow_id, scheme = int(flow), col["scheme"]
+        rows.extend(
+            {"kind": "decision", "flow": flow_id, "scheme": scheme,
+             "sim_ns": now, "rate_after": rate if rate >= 0 else None,
+             "inputs": {"bottleneck_hop": hop} if hop >= 0 else {}}
+            for now, rate, hop in zip(col["sim_ns"], col["rate_after"],
+                                      col["bottleneck_hop"])
+        )
+    rows.sort(key=itemgetter("sim_ns", "flow"))
+    return rows
 
 
 def by_flow(decisions: list[dict]) -> dict[int, list[dict]]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..experiments import EXPERIMENTS, resolve
-from ..runner import RunCache, ScenarioSpec, SweepRunner
+from ..runner import RunCache, RunRecord, ScenarioSpec, SweepRunner
+from ..runner.sweep import raise_failure
 from .fidelity import FidelityScore, score_figure
 from .figures import FigureRender, Panel, Series
 from .html import render_index
@@ -306,11 +307,11 @@ def _divergence_panel(streams: dict[str, list[dict]]) -> Panel:
     decision instants, so the chart shows *when* each control loop
     acted, not just where its rate ended up.
     """
-    from ..obs.divergence import by_flow, decision_records, rate_trajectory
+    from ..obs.divergence import by_flow, rate_trajectory
 
     series = []
     for backend in ("packet", "fluid"):
-        flows = by_flow(decision_records(streams[backend]))
+        flows = by_flow(streams[backend])
         marker_pts: list[tuple[float, float]] = []
         for flow_id in sorted(flows):
             times, rates = rate_trajectory(flows[flow_id])
@@ -338,25 +339,43 @@ def _divergence_panel(streams: dict[str, list[dict]]) -> Panel:
     )
 
 
-def build_divergence_drilldown(
-    scale: str = "bench", threshold: float = 0.25
-) -> tuple[dict, Panel]:
-    """Run fig13's HPCC cell on both backends and diff the decisions.
-
-    Uses a 2-to-1 incast (fig13's strategy comparison shrunk to two
-    senders) so the packet run stays cheap inside a report build.
-    Returns ``(compare_decisions output, timeline panel)``.
-    """
+def drilldown_spec(scale: str = "bench") -> ScenarioSpec:
+    """fig13's HPCC cell shrunk to a 2-to-1 incast: the report's
+    drilldown scenario, cheap enough for the packet run."""
     from ..experiments import figure13
-    from ..obs.divergence import compare_decisions
-    from ..runner.execute import execute_spec
 
     specs = figure13.scenarios(scale=scale, params={"fan_in": 2})
-    spec = next(s for s in specs if (s.label or "") == "HPCC")
-    streams = {}
-    for backend in ("packet", "fluid"):
-        record = execute_spec(spec.replaced(backend=backend), decisions=True)
-        streams[backend] = record.telemetry or []
+    return next(s for s in specs if (s.label or "") == "HPCC")
+
+
+def _run_ok(runner: SweepRunner,
+            specs: list[ScenarioSpec]) -> list[RunRecord]:
+    """``specs`` through ``runner`` (cache, journal, quarantine); a
+    quarantined cell re-raises its failure for the caller's note."""
+    records = runner.run(specs)
+    for record in records:
+        if not record.ok:
+            raise_failure(record)
+    return records
+
+
+def build_divergence_drilldown(
+    runner: SweepRunner, spec: ScenarioSpec, threshold: float = 0.25
+) -> tuple[dict, Panel]:
+    """Run ``spec`` on the packet and fluid backends and diff the decisions.
+
+    Both runs carry ``measure["decisions"]`` and go through ``runner``,
+    so a cached pair is diffed without simulating anything.  Returns
+    ``(compare_decisions output, timeline panel)``; a failed run raises.
+    """
+    from ..obs.divergence import compare_decisions, decision_rows
+
+    records = _run_ok(runner, [
+        spec.replaced(backend=backend, **{"measure.decisions": True})
+        for backend in ("packet", "fluid")
+    ])
+    streams = {record.spec.backend: decision_rows(record.extras["decisions"])
+               for record in records}
     div = compare_decisions(streams["packet"], streams["fluid"],
                             threshold=threshold)
     div["spec"] = {"label": spec.label, "spec_hash": spec.spec_hash,
@@ -366,18 +385,20 @@ def build_divergence_drilldown(
 
 # -- the hybrid co-simulation cell ------------------------------------------------
 
-def _build_hybrid_cell(out: Path, scale: str = "bench") -> str:
+def _build_hybrid_cell(out: Path, runner: SweepRunner,
+                       scale: str = "bench") -> str:
     """Run one hybrid fig11 cell and write ``hybrid_fig11.json``.
 
     The ``--fastest`` artifact carries a single HPCC 50%-load FatTree
     cell on the hybrid backend (10% packet foreground, fluid
     background) so every CI build exercises the co-simulation path end
-    to end on a real figure workload.  Returns the metadata summary
-    line.
+    to end on a real figure workload.  The cell is a ``runner`` cell
+    like any figure's, so a rebuild reads it from the cache
+    (``wall_time_s`` is the record's compute time).  Returns the
+    metadata summary line.
     """
     from ..experiments import figure11
     from ..runner import CcChoice
-    from ..runner.execute import execute_spec
 
     spec = figure11.scenarios(
         scale=scale, cases=("50%",),
@@ -386,10 +407,9 @@ def _build_hybrid_cell(out: Path, scale: str = "bench") -> str:
         backend="hybrid",
         **{"workload.foreground": {"kind": "frac", "x": 0.1}},
     )
-    started = time.perf_counter()
-    record = execute_spec(spec)
-    wall = time.perf_counter() - started
-    extras = record.extras or {}
+    [record] = _run_ok(runner, [spec])
+    wall = record.wall_time_s
+    extras = record.extras
     payload = {
         "spec_hash": spec.spec_hash,
         "label": spec.label,
@@ -401,8 +421,9 @@ def _build_hybrid_cell(out: Path, scale: str = "bench") -> str:
         "hybrid_epochs": extras.get("hybrid_epochs"),
         "events_processed": record.events_processed,
         "duration_ns": _json_number(record.duration_ns),
-        "n_fct": len(record.fct or []),
+        "n_fct": len(record.fct),
         "wall_time_s": round(wall, 3),
+        "cached": record.cached,
     }
     (out / "hybrid_fig11.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -411,8 +432,8 @@ def _build_hybrid_cell(out: Path, scale: str = "bench") -> str:
         f"fig11 {spec.label} on hybrid "
         f"({payload['foreground_flows']} fg / "
         f"{payload['background_flows']} bg flows, "
-        f"{payload['hybrid_epochs']} epochs, {wall:.1f}s) "
-        f"-> hybrid_fig11.json"
+        f"{payload['hybrid_epochs']} epochs, {wall:.1f}s"
+        f"{', cached' if record.cached else ''}) -> hybrid_fig11.json"
     )
 
 
@@ -595,7 +616,9 @@ def build_report(
     the caller) records the build's spans and every run's probe data.
     ``hybrid_cell`` additionally runs one fig11 cell on the hybrid
     backend and writes ``hybrid_fig11.json`` (rides in the
-    ``--fastest`` CI artifact).
+    ``--fastest`` CI artifact).  That cell and fig13's two drilldown
+    runs go through the same runner as the figures, so a rebuild over
+    the same cache simulates nothing.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -611,9 +634,9 @@ def build_report(
         for key in figures
     ]
 
-    # fig13 drilldown: the control-loop flight recorder's backend diff.
-    # Best-effort — a drilldown failure becomes a figure note, never a
-    # failed report build.
+    # fig13 drilldown: the control-loop flight recorder's backend diff,
+    # two more runner cells.  Best-effort — a failed run is quarantined
+    # (never cached) and becomes a figure note, never a failed build.
     for fig_report in built:
         if fig_report.key != "fig13":
             continue
@@ -628,7 +651,8 @@ def build_report(
             )
             continue
         try:
-            div, div_panel = build_divergence_drilldown(scale=scale)
+            div, div_panel = build_divergence_drilldown(
+                runner, drilldown_spec(scale))
         except Exception as exc:
             fig_report.render.notes.append(
                 f"divergence drilldown skipped: {type(exc).__name__}: {exc}"
@@ -679,7 +703,8 @@ def build_report(
         # Best-effort like the drilldown: a broken hybrid cell becomes
         # a metadata note, never a failed report build.
         try:
-            metadata["hybrid cell"] = _build_hybrid_cell(out, scale=scale)
+            metadata["hybrid cell"] = _build_hybrid_cell(out, runner,
+                                                         scale=scale)
         except Exception as exc:
             metadata["hybrid cell"] = (
                 f"skipped: {type(exc).__name__}: {exc}"

@@ -139,7 +139,8 @@ def _run_network(spec: ScenarioSpec) -> RunRecord:
     dst, size, start?, tag?], ...], "deadline"}``.
 
     Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
-    "pause_intervals"?}``; config: ``NetworkConfig`` overrides
+    "pause_intervals"?, "decisions"?}`` (the last read by
+    :func:`execute_spec`); config: ``NetworkConfig`` overrides
     (``base_rtt`` required for paper fidelity) plus the backend's own
     keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
     Hybrid specs add ``workload["foreground"]``.
@@ -304,8 +305,7 @@ def validate_specs(specs: list[ScenarioSpec]) -> None:
                 require_known("workload.cdf", spec.workload.get("cdf"), CDFS)
 
 
-def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
-                 decisions: bool = False) -> RunRecord:
+def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
     """Run one scenario to completion (the process-pool work unit).
 
     With ``telemetry=True`` the run executes under a run-scoped,
@@ -315,13 +315,17 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
     or a deadline overrun the flight recorder dumps the last samples to
     stderr before the record (or the exception) leaves the worker.
 
-    ``decisions=True`` (implies telemetry) additionally attaches a
+    ``spec.measure["decisions"]`` attaches a
     :class:`~repro.obs.DecisionTap` — the execution layer hands it to
-    whichever engine the spec selects — and exports one ``decision``
-    record per CC control decision into the telemetry stream.
+    whichever engine the spec selects — and stores its per-flow columns
+    (:meth:`~repro.obs.DecisionTap.columns`) as
+    ``record.extras["decisions"]``, so they are cached with the record.
+    With ``telemetry=True`` as well, one ``decision`` record per CC
+    control decision also goes into the telemetry stream.
     """
     validate_specs([spec])
     program = PROGRAMS[spec.program]
+    decisions = spec.measure.get("decisions", False)
     started = time.perf_counter()
     if not (telemetry or decisions):
         record = program(spec)
@@ -353,6 +357,9 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
         tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
         tel.flight.dump("deadline overrun", spec.label or spec.spec_hash)
     if tel.decisions is not None:
-        tel.export_decisions(tel.decisions)
-    record.telemetry = tel.drain()
+        record.extras["decisions"] = tel.decisions.columns()
+        if telemetry:
+            tel.export_decisions(tel.decisions)
+    if telemetry:
+        record.telemetry = tel.drain()
     return record

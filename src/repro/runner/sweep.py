@@ -76,6 +76,18 @@ class SweepTimeout(TimeoutError):
     """A spec exceeded its wall-clock budget under ``failures="raise"``."""
 
 
+def raise_failure(record: RunRecord) -> None:
+    """Raise a quarantined record's failure: the original exception when
+    it survived the trip back, else a summary built from ``error``."""
+    if record.exception is not None:
+        raise record.exception
+    error = record.error or {}
+    detail = f"{record.label}: {error.get('type')}: {error.get('message')}"
+    if record.status == "timeout":
+        raise SweepTimeout(detail)
+    raise RuntimeError(f"sweep cell failed: {detail}")
+
+
 class SweepRunner:
     """Executes spec lists: cache first, then parallel (or serial) compute.
 
@@ -263,16 +275,7 @@ class SweepRunner:
             self.journal.record(record)
         notify(record)
         if not record.ok and self.failures == "raise":
-            self._raise(record)
-
-    def _raise(self, record: RunRecord) -> None:
-        if record.exception is not None:
-            raise record.exception
-        error = record.error or {}
-        detail = f"{record.label}: {error.get('type')}: {error.get('message')}"
-        if record.status == "timeout":
-            raise SweepTimeout(detail)
-        raise RuntimeError(f"sweep cell failed: {detail}")
+            raise_failure(record)
 
     def _current_timeout(self) -> float | None:
         """The live per-spec budget (None while "auto" has no sample)."""

@@ -1,21 +1,48 @@
 """The backend divergence analyzer (``repro.obs.divergence``).
 
 Unit tests on synthetic decision streams — step alignment, first
-divergence, attribution agreement — plus one end-to-end check that
-``compare_decisions`` digests real ``execute_spec(decisions=True)``
-output from both backends.
+divergence, attribution agreement — an end-to-end check that
+``compare_decisions`` digests real ``measure["decisions"]`` records
+from both backends, the record columns' round trip against the tap's
+own decision dicts, and byte goldens of the drilldown and ``trace
+diff`` artifacts.
 """
 
+import hashlib
+import json
 import math
+
+import pytest
 
 from repro.obs.divergence import (
     _step_value,
     by_flow,
     compare_decisions,
     decision_records,
+    decision_rows,
     format_divergence,
     rate_trajectory,
 )
+
+#: sha256 of the artifacts, captured at ``5b2c680`` from the runs that
+#: read the decision telemetry stream: the ``report --fastest`` build's
+#: ``divergence.json`` and ``fig13_cc-divergence.svg``, and ``trace diff
+#: --out`` on fig13's HPCC cell and on that cell under DCQCN (a scheme
+#: whose decisions carry no ``bottleneck_hop``).
+GOLDEN_SHA256 = {
+    "divergence.json":
+        "2f0fd09a729269b568d4f07b5574260f4375e3d2fc0b39d323162b93a41dc280",
+    "fig13_cc-divergence.svg":
+        "d3547fc595d5d7f1c8dca111d45efefd94e8c18398fe6a3e6945104d89839cdc",
+    "trace-diff-hpcc.json":
+        "71119c27ad6fe8aa7342d66d97efdcd21705f177902433f78352712caf9dd107",
+    "trace-diff-dcqcn.json":
+        "73db17aeebf6bcb02d27fc8cbf4fe4bf9cbfa5933565b960ad2817731a562365",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def dec(flow, sim_ns, rate, hop=None, scheme="hpcc", event="ack"):
@@ -156,8 +183,9 @@ class TestEndToEnd:
             label="div-e2e",
         )
         streams = {
-            backend: execute_spec(spec.replaced(backend=backend),
-                                  decisions=True).telemetry
+            backend: decision_rows(execute_spec(spec.replaced(
+                backend=backend, **{"measure.decisions": True},
+            )).extras["decisions"])
             for backend in ("packet", "fluid")
         }
         div = compare_decisions(streams["packet"], streams["fluid"])
@@ -169,3 +197,111 @@ class TestEndToEnd:
             assert entry["packet_decisions"] > 0
             assert entry["fluid_decisions"] > 0
         assert "decision-trace diff" in format_divergence(div)
+
+
+# -- the record's decision columns --------------------------------------------------
+
+def analyzer_view(rows: list[dict]) -> list[tuple]:
+    """Decision rows reduced to what ``compare_decisions`` reads, as it
+    reads them: a non-finite rate is no rate, a missing hop is -1."""
+    view = []
+    for row in rows:
+        rate = row["rate_after"]
+        view.append((
+            int(row["flow"]), row["scheme"], float(row["sim_ns"]),
+            rate if rate is not None and math.isfinite(rate) else None,
+            int(row["inputs"].get("bottleneck_hop", -1)),
+        ))
+    return view
+
+
+def tapped_run(backend: str, scheme: str, maxlen: int):
+    """A 3-to-1 incast with a small-ring tap riding the ambient
+    telemetry, exactly where ``execute_spec`` puts its own."""
+    from repro.obs import DecisionTap, Telemetry, using
+    from repro.runner import CcChoice, ScenarioSpec
+    from repro.runner.execute import PROGRAMS
+    from repro.sim.units import US
+
+    spec = ScenarioSpec(
+        program="flows",
+        topology="star",
+        topology_params={"n_hosts": 4, "host_rate": "100Gbps"},
+        workload={"flows": [[0, 3, 400_000], [1, 3, 300_000, 2_000.0],
+                            [2, 3, 200_000, 4_000.0]],
+                  "deadline": 2e6},
+        config={"base_rtt": 9 * US},
+        cc=CcChoice(scheme, params={"kmin": 40_000, "kmax": 160_000}
+                    if scheme == "dcqcn" else {}),
+        backend=backend,
+    )
+    tel = Telemetry(run_id="columns")
+    tel.decisions = DecisionTap(maxlen=maxlen)
+    with using(tel):
+        PROGRAMS[spec.program](spec)
+    return tel.decisions
+
+
+class TestDecisionColumns:
+    # Rings small enough that at least one flow per run overflowed
+    # (fluid DCQCN decides four times per flow here, packet HPCC per ACK).
+    @pytest.mark.parametrize("backend,scheme,maxlen", [
+        ("packet", "hpcc", 16), ("fluid", "hpcc", 16),
+        ("packet", "dcqcn", 6), ("fluid", "dcqcn", 3),
+    ])
+    def test_rows_round_trip_the_tap(self, backend, scheme, maxlen):
+        tap = tapped_run(backend, scheme, maxlen)
+        assert any(trace.dropped for trace in tap.traces.values())
+        expected = analyzer_view(tap.decisions())
+        assert expected
+        columns = tap.columns()
+        assert analyzer_view(decision_rows(columns)) == expected
+        # A cached record reads the columns back from sorted-key JSON.
+        cached = json.loads(json.dumps(columns, sort_keys=True))
+        assert decision_rows(cached) == decision_rows(columns)
+
+    def test_absent_values_are_minus_one(self):
+        from repro.obs import DecisionTap
+
+        tap = DecisionTap()
+        trace = tap.trace(3, "hpcc")
+        trace.record(1.0, "ack", "AI", 1.0, None, None, None, {})
+        trace.record(2.0, "ack", "AI", 1.0, None, math.inf, None,
+                     {"bottleneck_hop": 0})
+        trace.record(3.0, "ack", "MI", 1.0, None, 0.5, None,
+                     {"bottleneck_hop": 2})
+        assert tap.columns() == {"3": {
+            "scheme": "hpcc", "sim_ns": [1.0, 2.0, 3.0],
+            "rate_after": [-1, -1, 0.5], "bottleneck_hop": [-1, 0, 2],
+        }}
+        assert analyzer_view(decision_rows(tap.columns())) \
+            == analyzer_view(tap.decisions())
+
+
+# -- byte goldens -------------------------------------------------------------------
+
+class TestGoldens:
+    """``trace diff``'s two; ``tests/test_report_cli.py`` checks the
+    ``--fastest`` build's files against the other two."""
+
+    def test_trace_diff_out(self, tmp_path):
+        from repro.cli import main
+        from repro.experiments import figure13
+        from repro.runner import CcChoice
+
+        hpcc = tmp_path / "hpcc.json"
+        assert main(["trace", "diff", "fig13", "--scenario", "HPCC",
+                     "--out", str(hpcc)]) == 0
+        assert sha256(hpcc.read_bytes()) \
+            == GOLDEN_SHA256["trace-diff-hpcc.json"]
+
+        spec = next(s for s in figure13.scenarios() if s.label == "HPCC")
+        spec = spec.replaced(cc=CcChoice("dcqcn", label="DCQCN"),
+                             label="DCQCN")
+        spec_path = tmp_path / "dcqcn-spec.json"
+        spec_path.write_text(json.dumps(spec.to_json()))
+        dcqcn = tmp_path / "dcqcn.json"
+        assert main(["trace", "diff", str(spec_path),
+                     "--out", str(dcqcn)]) == 0
+        assert sha256(dcqcn.read_bytes()) \
+            == GOLDEN_SHA256["trace-diff-dcqcn.json"]

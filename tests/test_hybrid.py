@@ -378,11 +378,11 @@ class TestHybridTelemetry:
         assert any(n.startswith("fluid.") for n in names), names
 
     def test_decision_tap_sees_foreground_flows(self):
-        from repro.obs.divergence import by_flow, decision_records
+        from repro.obs.divergence import by_flow, decision_rows
 
         spec = foreground(two_flow_spec(), {"kind": "count", "n": 1})
-        record = execute_spec(spec, decisions=True)
-        flows = by_flow(decision_records(record.telemetry or []))
+        record = execute_spec(spec.replaced(**{"measure.decisions": True}))
+        flows = by_flow(decision_rows(record.extras["decisions"]))
         [fg_id] = record.extras["foreground_flow_ids"]
         assert fg_id in flows            # packet-half CC decisions
         assert len(flows[fg_id]) > 0

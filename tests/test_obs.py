@@ -383,20 +383,31 @@ class TestDecisionTap:
 
     def test_execute_spec_decisions_both_backends(self):
         for backend in ("packet", "fluid"):
-            spec = tiny_spec(backend=backend)
-            record = execute_spec(spec, decisions=True)
+            spec = tiny_spec(backend=backend,
+                             measure={"decisions": True})
+            record = execute_spec(spec, telemetry=True)
             assert record.completed
             assert_all_valid(record.telemetry)
             decisions = [r for r in record.telemetry
                          if r["kind"] == "decision"]
             assert decisions, backend
             assert {d["scheme"] for d in decisions} == {"hpcc"}
+            columns = record.extras["decisions"]
+            assert sum(len(c["sim_ns"]) for c in columns.values()) \
+                == len(decisions), backend
+
+    def test_decision_columns_without_telemetry_stream(self):
+        spec = tiny_spec(measure={"decisions": True})
+        record = execute_spec(spec)
+        assert record.telemetry == []
+        assert set(record.extras["decisions"]) == {"1", "2"}
+        assert spec.spec_hash != tiny_spec().spec_hash
 
     def test_decisions_do_not_perturb_results(self):
         for backend in ("packet", "fluid"):
             spec = tiny_spec(backend=backend)
             off = execute_spec(spec)
-            on = execute_spec(spec, decisions=True)
+            on = execute_spec(spec.replaced(**{"measure.decisions": True}))
             assert off.fct == on.fct, backend
             assert off.duration_ns == on.duration_ns, backend
 

@@ -203,8 +203,16 @@ class TestReportCliSmoke:
         assert cell["foreground_flows"] > 0
         assert cell["background_flows"] > cell["foreground_flows"]
         assert cell["hybrid_epochs"] > 0 and cell["n_fct"] > 0
+        assert cell["cached"] is False
         summary = json.loads((report_dir / "report.json").read_text())
         assert "hybrid_fig11.json" in summary["metadata"]["hybrid cell"]
+
+    def test_divergence_artifacts_match_goldens(self, report_dir):
+        from test_divergence import GOLDEN_SHA256, sha256
+
+        for name in ("divergence.json", "fig13_cc-divergence.svg"):
+            assert sha256((report_dir / name).read_bytes()) \
+                == GOLDEN_SHA256[name], name
 
     def test_rerun_hits_cache(self, report_dir, capsys):
         assert main([
@@ -214,6 +222,8 @@ class TestReportCliSmoke:
         for key in FASTEST_FIGURES:
             entry = summary["figures"][key]
             assert entry["cached"] == entry["scenarios"], key
+        cell = json.loads((report_dir / "hybrid_fig11.json").read_text())
+        assert cell["cached"] is True
 
     def test_bench_trajectory_found_from_repo_root(self, report_dir):
         # The suite runs from the repo root, where BENCH_pr*.json live.
@@ -314,3 +324,90 @@ class TestHybridReportCells:
         assert (tmp_path / "out" / "fig13_fct.svg").exists()
         html = (tmp_path / "out" / "index.html").read_text()
         assert "fluid+hybrid" in html
+
+
+class TestRebuildRunsNothing:
+    """The drilldown's two runs and the hybrid cell are runner cells:
+    cached like every figure cell, quarantined and retried on failure."""
+
+    @staticmethod
+    def _build(out, bench_root):
+        from repro.report.build import build_report
+
+        return build_report(["fig13"], backend="fluid", out=out,
+                            bench_root=bench_root, hybrid_cell=True)
+
+    @staticmethod
+    def _artifacts(out) -> dict:
+        names = ["divergence.json", "hybrid_fig11.json"] + sorted(
+            p.name for p in out.glob("*.svg"))
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_warm_rebuild_simulates_nothing(self, tmp_path, monkeypatch):
+        from repro.runner.execute import PROGRAMS
+
+        out = tmp_path / "out"
+        self._build(out, tmp_path)
+        first = self._artifacts(out)
+        journal = out / "journal.jsonl"
+        n_lines = len(journal.read_text().splitlines())
+
+        def refuse(spec):
+            raise AssertionError(f"rebuild simulated {spec.label}")
+
+        for name in list(PROGRAMS):
+            monkeypatch.setitem(PROGRAMS, name, refuse)
+        report = self._build(out, tmp_path)
+        [fig] = report.figures
+        assert fig.n_cached == fig.n_specs and fig.divergence is not None
+        assert "cached" in report.metadata["hybrid cell"]
+        cells = [json.loads(line) for line in
+                 journal.read_text().splitlines()[n_lines:]]
+        cells = [c for c in cells if c["kind"] == "cell"]
+        assert len(cells) == fig.n_specs + 3       # + drilldown pair + hybrid
+        assert all(c["cached"] for c in cells)
+        second = self._artifacts(out)
+        # hybrid_fig11.json differs in its ``cached`` stamp only.
+        hybrid = [json.loads(a.pop("hybrid_fig11.json"))
+                  for a in (first, second)]
+        assert (hybrid[0].pop("cached"), hybrid[1].pop("cached")) \
+            == (False, True)
+        assert hybrid[0] == hybrid[1]
+        assert second == first
+
+    def test_failed_runs_are_noted_not_cached_and_retried(self, tmp_path,
+                                                          monkeypatch):
+        from repro.runner import RunCache
+        from repro.runner.execute import PROGRAMS
+
+        real = dict(PROGRAMS)
+
+        def boom(spec):
+            if spec.measure.get("decisions") or spec.backend == "hybrid":
+                raise RuntimeError("boom")
+            return real[spec.program](spec)
+
+        for name in ("flows", "load"):
+            monkeypatch.setitem(PROGRAMS, name, boom)
+        out = tmp_path / "out"
+        report = self._build(out, tmp_path)
+        [fig] = report.figures
+        assert fig.n_failed == 0 and fig.divergence is None
+        assert "divergence drilldown skipped: RuntimeError: boom" in fig.notes
+        assert report.metadata["hybrid cell"] == "skipped: RuntimeError: boom"
+        assert not (out / "divergence.json").exists()
+        assert not (out / "hybrid_fig11.json").exists()
+        cache = RunCache(out / "cache")
+        assert len(cache) == fig.n_specs           # the figure cells only
+        failed = [json.loads(line)
+                  for line in (out / "journal.jsonl").read_text().splitlines()]
+        assert sum(1 for c in failed if c.get("status") == "error") == 3
+
+        monkeypatch.undo()
+        report = self._build(out, tmp_path)
+        [fig] = report.figures
+        assert fig.divergence is not None
+        assert (out / "divergence.json").exists()
+        assert json.loads((out / "hybrid_fig11.json").read_text())[
+            "cached"] is False
+        assert len(cache) == fig.n_specs + 3
