@@ -1,11 +1,10 @@
 """Benchmark configuration.
 
-Each benchmark regenerates one of the paper's figures at bench scale,
-prints the same tables ``hpcc-repro run FIG`` prints, and asserts the
-figure's *shape* (who wins, roughly by how much, where crossovers fall)
-over the figure's ``FigureRender`` — ``stats`` keys and panel series.
-Runs are full experiments, so every benchmark executes exactly once
-(pedantic, one round).
+The benches here time whole workloads (engine throughput, overhead
+gates, backend speed ratios) and assert their bounds.  Runs are full
+experiments, so every benchmark executes exactly once (pedantic, one
+round).  The paper's claims are refdata checks under
+``src/repro/report/refdata/``, scored by ``hpcc-repro report``.
 """
 
 from __future__ import annotations
@@ -17,21 +16,3 @@ def run_once(benchmark, fn, *args, **kwargs):
         fn, args=args, kwargs=kwargs, rounds=1, iterations=1,
         warmup_rounds=0,
     )
-
-
-def run_figure(benchmark, module, scenarios=None, **grid):
-    """Expand ``module``'s grid (or one of its partial ``scenarios``
-    functions), run it once, print and return its ``FigureRender``."""
-    # Imported here: pytest also loads this conftest for benchmarks/ledger,
-    # which runs without src/ on the path.
-    from repro.report.text import format_render
-    from repro.runner import SweepRunner
-
-    def build():
-        specs = (scenarios or module.scenarios)(**grid)
-        return module.render(specs, SweepRunner().run(specs))
-
-    fig = run_once(benchmark, build)
-    print()
-    print(format_render(fig))
-    return fig

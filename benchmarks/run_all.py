@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run benchmark workloads once each and emit machine-readable timings.
 
-The pytest-benchmark files under ``benchmarks/`` regenerate paper
-figures and assert their *shape*; this aggregator runs the same
-underlying experiment drivers and records only what a perf trajectory
-needs — name, wall time, parameters — as JSON, so successive PRs can
-diff ``BENCH_*.json`` files instead of eyeballing pytest output.
+The paper's claims are refdata checks scored by ``hpcc-repro report``;
+this aggregator runs the experiment grids and the pytest-benchmark
+workloads under ``benchmarks/`` and records only what a perf
+trajectory needs — name, wall time, parameters — as JSON, so successive
+PRs can diff ``BENCH_*.json`` files instead of eyeballing pytest output.
 
 Usage::
 

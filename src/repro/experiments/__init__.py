@@ -6,7 +6,7 @@ An experiment module's public surface is two functions:
 maps the executed :class:`~repro.runner.RunRecord` list into a
 :class:`~repro.report.figures.FigureRender` — plot panels plus a flat
 ``stats`` dict.  That one result is what ``hpcc-repro run``, ``report``,
-the benchmarks and the tests all read
+the refdata checks and the tests all read
 (:func:`repro.report.build.build_figure` is the one function that turns
 a key of :data:`EXPERIMENTS` into it).  A module that only makes sense
 on the packet engine sets ``PACKET_ONLY = True``.

@@ -130,6 +130,7 @@ def render(specs, records):
         stats[f"mean_p95/{label}"] = (
             sum(all_p95) / len(all_p95) if all_p95 else float("nan")
         )
+        stats[f"long_p95/{label}"] = all_p95[-1] if all_p95 else float("nan")
     return FigureRender(
         figure="fig2",
         title="Figure 2: DCQCN timer trade-off",

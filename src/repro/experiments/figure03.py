@@ -81,7 +81,7 @@ def scenarios(
 
 
 def short_vs_long_p95(stats: list[BucketStats]) -> tuple[float, float]:
-    """(short-flow, long-flow) p95 summary used by the benchmark asserts."""
+    """(short-flow, long-flow) p95 summary the refdata checks compare."""
     if not stats:
         return float("nan"), float("nan")
     n_short = max(1, len(stats) // 3)

@@ -5,7 +5,7 @@ to a near-empty queue without oscillation; HPCC-rxRate double-counts
 congestion (rxRate and qlen overlap) and oscillates before converging.
 
 ``render`` reports the bottleneck queue time series for both variants plus
-the summary numbers the benchmark asserts on: the post-transient mean
+the summary numbers the refdata checks compare: the post-transient mean
 queue, the oscillation amplitude (std-dev of the queue after the initial
 drain) and the transient peak.
 

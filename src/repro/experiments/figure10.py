@@ -12,6 +12,8 @@ WebSearch at 30% and 50% average load on the testbed PoD.
 
 from __future__ import annotations
 
+import math
+
 from ..metrics.fct import BucketStats, percentile, slowdown_by_bucket
 from ..runner import (
     CcChoice,
@@ -111,13 +113,24 @@ def render(specs, records):
             percentile(shorts, 99) if shorts else float("nan")
         )
         # The first decile bucket has enough samples for a stable tail
-        # percentile (same probe the benchmark asserts on).
+        # percentile.
         bucket_list = by_load[load][label]
         stats[f"bucket1_p99/{key}"] = (
             bucket_list[0].p99 if bucket_list else float("nan")
         )
     panels = []
     for load in sorted(by_load):
+        if {"HPCC", "DCQCN"} <= by_load[load].keys():
+            # HPCC's worst bucket against DCQCN's, matched by size bucket.
+            dcqcn = {b.hi: b.p99 for b in by_load[load]["DCQCN"]}
+            ratios = [
+                b.p99 / dcqcn[b.hi]
+                for b in by_load[load]["HPCC"] if b.hi in dcqcn
+            ]
+            stats[f"hpcc_p99_ratio_max/{load:.2f}"] = max(
+                (r for r in ratios if not math.isnan(r)),
+                default=float("nan"),
+            )
         key = f"{load:.0%}".replace("%", "")
         panels.append(bucket_panel(
             f"p99-{key}",

@@ -153,6 +153,11 @@ def render(specs, records):
         stats[f"short_p95/{key}"] = (
             sum(short) / len(short) if short else float("nan")
         )
+        # The worst of the three smallest buckets: a short-flow loss
+        # confined to them cannot hide in the mean above.
+        stats[f"short3_p95_max/{key}"] = max(
+            (b.p95 for b in stats_list[:3]), default=float("nan"),
+        )
         stats[f"long_p95/{key}"] = (
             stats_list[-1].p95 if stats_list else float("nan")
         )

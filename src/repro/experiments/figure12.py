@@ -109,6 +109,10 @@ def render(specs, records):
     for scheme, p95s in per_scheme.items():
         if p95s and min(p95s) > 0:
             stats[f"fc_spread/{scheme}"] = (max(p95s) - min(p95s)) / min(p95s)
+    # Even HPCC's worst mechanism must beat DCQCN's best: all nine pairs.
+    hpcc, dcqcn = per_scheme.get("HPCC"), per_scheme.get("DCQCN")
+    if hpcc and dcqcn and min(dcqcn) > 0:
+        stats["hpcc_worst_over_dcqcn_best"] = max(hpcc) / min(dcqcn)
     return FigureRender(
         figure="fig12",
         title="Figure 12: flow-control choices (PFC / GBN / IRN)",

@@ -8,7 +8,7 @@ delay.  Three reaction strategies:
 * HPCC     — reference-window design: drains fast with no collapse.
 
 Reported: total-goodput and queue time series per strategy, plus the
-summary numbers the benchmark asserts on (minimum post-start throughput,
+summary numbers the refdata checks compare (minimum post-start throughput,
 time for the queue to drain below a threshold).
 """
 
@@ -35,8 +35,7 @@ STRATEGIES = (
 )
 
 
-#: Queue level (bytes) under which the startup queue counts as drained
-#: (shared by the render hook and the benchmark).
+#: Queue level (bytes) under which the startup queue counts as drained.
 DRAIN_THRESHOLD = 50_000
 
 

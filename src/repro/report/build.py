@@ -224,7 +224,8 @@ def build_figure(
             else s.replaced(backend=effective_backend)
             for s in specs
         ]
-    badge = "+".join(sorted({s.backend for s in specs}))
+    ran_on = {s.backend for s in specs}
+    badge = "+".join(sorted(ran_on))
     started = time.perf_counter()
     with telemetry.span("figure", figure=key) if telemetry is not None \
             else nullcontext():
@@ -269,7 +270,7 @@ def build_figure(
                 f"the requested {backend!r} backend was overridden."
             )
         ref = load_refdata(key)
-        score = score_figure(render, ref) if ref is not None else None
+        score = score_figure(render, ref, ran_on) if ref is not None else None
     return FigureReport(
         key=key,
         title=render.title,

@@ -63,6 +63,9 @@ class FidelityScore:
     nrmse: float | None = None          # mean over matched series
     trend: float | None = None          # mean over matched series
     check_fraction: float | None = None
+    #: Checks whose ``backends`` scope excludes a backend the figure ran
+    #: on: listed with their reason, never scored.
+    out_of_scope: list[CheckScore] = field(default_factory=list)
 
     @property
     def missing_series(self) -> list[str]:
@@ -281,20 +284,35 @@ def _tier_ok(score: "FidelityScore", tier: dict) -> bool:
     return True
 
 
-def score_figure(render: FigureRender, ref: RefFigure) -> FidelityScore:
-    """Score one rendered figure against its reference bundle."""
+def score_figure(render: FigureRender, ref: RefFigure,
+                 backends: set[str] | None = None) -> FidelityScore:
+    """Score one rendered figure against its reference bundle.
+
+    ``backends`` is the set the figure's cells ran on; a check counts
+    only when its scope lists every one of them (``None`` scores all).
+    """
     x_mode = ref.normalize.get("x", "none")
     y_mode = ref.normalize.get("y", "none")
     series = [
         score_series(rs, render, x_mode, y_mode) for rs in ref.series
     ]
-    checks = [evaluate_check(c, render.stats) for c in ref.checks]
+    checks, out_of_scope = [], []
+    for c in ref.checks:
+        if backends and c.backends and not backends <= set(c.backends):
+            out_of_scope.append(CheckScore(
+                id=c.id, passed=False, note=c.note,
+                detail=f"not scored on {'+'.join(sorted(backends))}: "
+                       f"{c.note}",
+            ))
+        else:
+            checks.append(evaluate_check(c, render.stats))
 
     score = FidelityScore(
         figure=ref.figure,
         verdict="fail",
         series=series,
         checks=checks,
+        out_of_scope=out_of_scope,
         nrmse=_mean([s.nrmse for s in series if s.matched]),
         trend=_mean([s.trend for s in series if s.matched]),
         check_fraction=(

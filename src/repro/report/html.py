@@ -92,7 +92,7 @@ def _fidelity_tables(fig: "FigureReport") -> str:
             "<th>nRMSE</th><th>trend agreement</th></tr>"
             + "".join(rows) + "</table>"
         )
-    if score.checks:
+    if score.checks or score.out_of_scope:
         rows = []
         for c in score.checks:
             cls = "check-pass" if c.passed else "check-fail"
@@ -103,6 +103,11 @@ def _fidelity_tables(fig: "FigureReport") -> str:
                 f'<td class="{cls}">{word}</td>'
                 f"<td>{esc(c.detail)}{note}</td></tr>"
             )
+        rows += [
+            f'<tr><td>{esc(c.id)}</td><td class="note">n/a</td>'
+            f"<td>{esc(c.detail)}</td></tr>"
+            for c in score.out_of_scope
+        ]
         parts.append(
             '<table class="fidelity"><tr><th>check</th><th>result</th>'
             "<th>detail</th></tr>" + "".join(rows) + "</table>"

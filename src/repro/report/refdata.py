@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..runner.spec import BACKENDS
+
 REFDATA_DIR = Path(__file__).parent / "refdata"
 
 #: Allowed ``normalize`` modes.  ``x``: ``index`` aligns curves by sample
@@ -50,6 +52,11 @@ class RefCheck:
     * ``between`` — ``lo <= stat <= hi``;
     * ``finite`` — the stat exists and is finite (e.g. "the queue does
       drain": drain time is not ``inf``).
+
+    ``backends`` (``None``: all) names the backends that can show the
+    claim; a figure whose cells ran on any other backend reports the
+    check as out of scope, with ``note`` as the reason, instead of
+    scoring it.
     """
 
     id: str
@@ -60,6 +67,7 @@ class RefCheck:
     lo: float | None = None
     hi: float | None = None
     note: str = ""
+    backends: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,12 @@ def validate_refdata(data: dict) -> RefFigure:
         factor = entry.get("factor", 1.0)
         if isinstance(factor, bool) or not isinstance(factor, (int, float)):
             _fail(figure, f"checks[{i}].factor must be a number")
+        backends = entry.get("backends")
+        if backends is not None and (
+                not isinstance(backends, list) or not backends
+                or any(b not in BACKENDS for b in backends)):
+            _fail(figure, f"checks[{i}].backends must be a non-empty list "
+                          f"of names from {BACKENDS}")
         checks.append(RefCheck(
             id=cid, type=ctype, stat=entry["stat"],
             than=float(than) if isinstance(than, (int, float)) else than,
@@ -186,6 +200,7 @@ def validate_refdata(data: dict) -> RefFigure:
             lo=None if lo is None else float(lo),
             hi=None if hi is None else float(hi),
             note=str(entry.get("note", "")),
+            backends=None if backends is None else tuple(backends),
         ))
 
     thresholds = data.get("thresholds")

@@ -3,9 +3,7 @@
 The text twin of :mod:`repro.report.html`: the same
 :class:`~repro.report.figures.FigureRender` and
 :class:`~repro.report.fidelity.FidelityScore` the report draws, as
-aligned tables and ASCII charts.  Benchmarks print through
-:func:`format_render` too, so a bench log and ``run FIG`` show the same
-numbers under the same names.
+aligned tables and ASCII charts.
 """
 
 from __future__ import annotations
@@ -89,4 +87,6 @@ def format_score(key: str, score: FidelityScore | None) -> str:
         f"  [{'ok' if check.passed else 'FAIL'}] {check.id}: {check.detail}"
         for check in score.checks
     ]
+    lines += [f"  [n/a] {check.id}: {check.detail}"
+              for check in score.out_of_scope]
     return "\n".join(lines)

@@ -188,13 +188,72 @@ class TestScoreFigure:
         assert score.verdict == "fail"
 
 
+class TestBackendScope:
+    """A check scoped to ``backends`` counts only on figures whose cells
+    all ran on listed backends; otherwise it is carried as out of scope."""
+
+    @staticmethod
+    def scored(ran_on, scope=("packet",)):
+        ref = validate_refdata(_ref_doc(checks=[
+            {"id": "c1", "type": "le", "stat": "a", "than": 1.0},
+            {"id": "strict", "type": "lt", "stat": "a", "than": 0.1,
+             "backends": list(scope), "note": "sub-RTT effect"},
+        ]))
+        return score_figure(_render([0.0, 1.0, 2.0], {"a": 0.5}), ref, ran_on)
+
+    def test_out_of_scope_on_fluid(self):
+        score = self.scored({"fluid"})
+        assert [c.id for c in score.checks] == ["c1"]
+        assert score.check_fraction == 1.0 and score.verdict == "pass"
+        [skipped] = score.out_of_scope
+        assert skipped.id == "strict"
+        assert skipped.detail == "not scored on fluid: sub-RTT effect"
+        assert "checks=1/1" in score.summary()
+
+    def test_scored_on_packet(self):
+        score = self.scored({"packet"})
+        assert [c.id for c in score.checks] == ["c1", "strict"]
+        assert not score.out_of_scope
+        assert score.check_fraction == 0.5          # 0.5 < 0.1 fails
+
+    def test_mixed_figure_needs_every_backend_listed(self):
+        score = self.scored({"fluid", "hybrid"}, scope=("packet", "hybrid"))
+        assert [c.id for c in score.out_of_scope] == ["strict"]
+        assert score.out_of_scope[0].detail.startswith(
+            "not scored on fluid+hybrid: ")
+        score = self.scored({"fluid", "hybrid"}, scope=("fluid", "hybrid"))
+        assert [c.id for c in score.checks] == ["c1", "strict"]
+
+    def test_two_argument_call_scores_every_check(self):
+        ref = validate_refdata(_ref_doc(checks=[
+            {"id": "strict", "type": "lt", "stat": "a", "than": 1.0,
+             "backends": ["packet"]},
+        ]))
+        score = score_figure(_render([0.0, 1.0, 2.0], {"a": 0.5}), ref)
+        assert [c.id for c in score.checks] == ["strict"]
+        assert not score.out_of_scope
+
+    def test_text_and_html_show_na_rows(self):
+        from types import SimpleNamespace
+
+        from repro.report.html import _fidelity_tables
+        from repro.report.text import format_score
+
+        score = self.scored({"fluid"})
+        assert "  [n/a] strict: not scored on fluid: sub-RTT effect" in \
+            format_score("figX", score).splitlines()
+        html = _fidelity_tables(SimpleNamespace(score=score))
+        assert "<td>strict</td>" in html and ">n/a</td>" in html
+
+
 # -- refdata schema ---------------------------------------------------------------
 
 
 class TestRefdataSchema:
     def test_all_checked_in_files_validate(self):
         figures = available_refdata()
-        assert len(figures) >= 10
+        assert len(figures) >= 12
+        assert {"appendix", "failover"} <= set(figures)     # checks-only
         for figure in figures:
             ref = load_refdata(figure)
             assert ref is not None and ref.figure == figure
@@ -220,6 +279,12 @@ class TestRefdataSchema:
         {"checks": [{"id": "c", "type": "nope", "stat": "a"}]},
         {"checks": [{"id": "c", "type": "le", "stat": "a"}]},   # no than
         {"checks": [{"id": "c", "type": "between", "stat": "a"}]},
+        {"checks": [{"id": "c", "type": "le", "stat": "a", "than": 1,
+                     "backends": ["packet", "ns3"]}]},     # unknown backend
+        {"checks": [{"id": "c", "type": "le", "stat": "a", "than": 1,
+                     "backends": "packet"}]},              # not a list
+        {"checks": [{"id": "c", "type": "le", "stat": "a", "than": 1,
+                     "backends": []}]},
     ])
     def test_schema_violations_raise(self, mutation):
         doc = _ref_doc(**mutation)
