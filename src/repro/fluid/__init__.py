@@ -14,7 +14,7 @@ the shell with ``hpcc-repro sweep --backend fluid``; see README's
 # The engine first, so numpy loads from inside it: loaded from the
 # adapters instead, it left packet-only runs ~1 MiB higher in peak RSS
 # (the ledger's packet_fig11 at a fixed pass count, 40.5 vs 41.4 MiB).
-from .engine import FluidEngine, FluidFlow
+from .engine import FluidBatch, FluidEngine, FluidFlow
 from .adapters import (
     ADAPTER_FAMILIES,
     FlowProxy,
@@ -28,6 +28,7 @@ from .state import FluidGraph, FluidLink, FluidPath, LinkArrays
 
 __all__ = [
     "ADAPTER_FAMILIES",
+    "FluidBatch",
     "FluidEngine",
     "FluidFlow",
     "GoodputRecorder",

@@ -155,7 +155,7 @@ def int_samples(
     reg: np.ndarray,
     qlen: np.ndarray,
     last: np.ndarray,
-    T: float,
+    T: float | np.ndarray,
     taps: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
     """Algorithm 1 lines 1-7 for many flows at once, on INT columns.
@@ -165,7 +165,9 @@ def int_samples(
     (``Hpcc.rate_register``) and queue at ``now``, and the rows of
     ``last`` the matching hop of L as ``(ts, register, qlen)``.
     ``comparable[k]`` is False where L is missing or has another hop
-    count.  The arithmetic is ``Hpcc.int_sample``'s per hop, in its
+    count.  ``now`` is a scalar or one value per entry, ``T`` a scalar
+    or one value per flow (flows of several fluid cells sampled
+    together).  The arithmetic is ``Hpcc.int_sample``'s per hop, in its
     order, so every value is bit-identical to the scalar loop's.
 
     Returns per flow ``u_max`` (-1.0 without a valid sample), ``tau``
@@ -180,7 +182,8 @@ def int_samples(
     valid &= comparable.repeat(counts)
     rate = (reg - last[:, 1]) / np.where(valid, dt, 1.0)
     qmin = np.minimum(qlen, last[:, 2])
-    u = qmin / (cap * T) + rate / cap
+    T_e = T.repeat(counts) if isinstance(T, np.ndarray) else T
+    u = qmin / (cap * T_e) + rate / cap
     u[~valid] = -np.inf
     u_max = np.full(n, -1.0)
     tau = np.full(n, T)

@@ -26,7 +26,9 @@ What fluid cannot express is zeroed or approximated openly, never faked:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import time
+from contextlib import ExitStack, contextmanager
+from typing import Iterator
 
 from ..dynamics import FluidDynamicsDriver, Timeline
 from ..obs import current as current_telemetry
@@ -36,7 +38,7 @@ from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
 from ..sim.units import MB
 from ..topology.base import Topology
-from .engine import FluidEngine
+from .engine import FluidBatch, FluidEngine
 
 
 class FluidBackend:
@@ -65,10 +67,15 @@ class FluidBackend:
             if sampled else None,
             goodput_bin=config.pop("goodput_bin", None),
         )
-        engine.decision_tap = getattr(current_telemetry(), "decisions", None)
+        #: The ambient telemetry at construction (the run's own, in
+        #: ``execute_spec``): a batch runs many backends under none.
+        self.tel = current_telemetry()
+        engine.decision_tap = getattr(self.tel, "decisions", None)
         self.ignored = sorted(config)   # leftovers have no fluid meaning
         self.wire_factor = engine.wire_factor
         self.driver: FluidDynamicsDriver | None = None
+        #: Wall seconds of a :meth:`run_batch` charged to this scenario.
+        self.run_s = 0.0
 
     def admit(self, flows: list[FlowSpec], timeline: Timeline,
               burst_entries: list[dict]) -> None:
@@ -81,10 +88,10 @@ class FluidBackend:
     @contextmanager
     def running(self):
         """The run phase's instrumentation: a
-        :class:`~repro.obs.probes.FluidProbe` while an ambient telemetry
-        context is active."""
+        :class:`~repro.obs.probes.FluidProbe` while the scenario has
+        telemetry."""
         engine = self.engine
-        tel = current_telemetry()
+        tel = self.tel
         probe = instrument_fluid(engine, tel) if tel is not None else None
         try:
             yield
@@ -95,7 +102,45 @@ class FluidBackend:
 
     def run(self, deadline: float) -> bool:
         with self.running(), maybe_span("run"):
-            return self.engine.run(deadline=deadline)
+            return self.engine.run_to(deadline)
+
+    @staticmethod
+    def run_batch(backends: list["FluidBackend"], deadlines: list[float]
+                  ) -> Iterator[tuple[int, bool | Exception]]:
+        """Run several scenarios' engines as one lockstep
+        :class:`~repro.fluid.engine.FluidBatch`.
+
+        Yields ``(k, outcome)`` as backend ``k``'s engine leaves the
+        batch: what :meth:`run` would return (all flows completed) or
+        the exception its engine raised; the others run on.  By then its
+        ``run_s`` — and its telemetry's ``run`` span — holds its share
+        of the batch's ticks, its instrumentation is finished, and the
+        batch holds it no longer.
+        """
+        backends = list(backends)
+        one = len(backends) == 1
+        batch = FluidBatch([b.engine for b in backends])
+        stacks = [ExitStack() for _ in backends]
+        try:
+            for backend, stack in zip(backends, stacks):
+                stack.enter_context(backend.running())
+            started = time.perf_counter()
+            for k, outcome in batch.run(deadlines):
+                backend, stack = backends[k], stacks[k]
+                backends[k] = stacks[k] = None
+                backend.run_s = (time.perf_counter() - started if one
+                                 else batch.run_s[k])
+                if backend.tel is not None:
+                    labels = ({"error": type(outcome).__name__}
+                              if isinstance(outcome, Exception) else {})
+                    backend.tel.record_span("run", backend.run_s, **labels)
+                stack.close()
+                del backend, stack
+                yield k, outcome
+        finally:
+            for stack in stacks:
+                if stack is not None:
+                    stack.close()
 
     def record(self, completed: bool) -> RunRecord:
         engine = self.engine
@@ -133,6 +178,4 @@ class FluidBackend:
         )
 
     def windows(self) -> dict[str, float | None]:
-        return {
-            str(f.spec.flow_id): f.proxy.window for f in self.engine._starts
-        }
+        return self.engine.final_windows()

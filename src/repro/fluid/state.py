@@ -157,21 +157,27 @@ class FluidLink:
 
 
 class FluidPath:
-    """A flow's route at one instant: the links it loads, plus latency."""
+    """A flow's route at one instant: the links it loads, plus latency.
 
-    __slots__ = ("links", "int_links", "base_rtt", "mtu_latency")
+    Two fields only: a flow keeps its path from ``add_flow`` until it
+    finishes, so a sweep's pending populations hold one per flow.
+    """
+
+    __slots__ = ("links", "base_rtt")
 
     def __init__(self, links: list[FluidLink], mtu_wire: int, ack_size: int) -> None:
         self.links = links
-        # INT telemetry comes from switch egress ports only, exactly as
-        # in the packet simulator (hosts do not append hops).
-        self.int_links = [l for l in links if l.is_switch_egress]
         # Uncontended round trip: full-MTU store-and-forward out, an
         # ACK-sized frame back — the ``Network.pair_base_rtt`` formula.
         forward = sum(l.delay + mtu_wire / l.capacity for l in links)
         backward = sum(l.delay + ack_size / l.capacity for l in links)
         self.base_rtt = forward + backward
-        self.mtu_latency = forward
+
+    @property
+    def int_links(self) -> list[FluidLink]:
+        """The links that stamp INT telemetry: switch egress ports only,
+        exactly as in the packet simulator (hosts do not append hops)."""
+        return [l for l in self.links if l.is_switch_egress]
 
     def queue_delay(self) -> float:
         return sum(l.queue_delay() for l in self.links)

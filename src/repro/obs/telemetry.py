@@ -84,8 +84,7 @@ class Span:
         labels = self.labels
         if exc_type is not None:
             labels = {**labels, "error": exc_type.__name__}
-        self._tel._emit({"kind": "span", "name": self.name,
-                         "dur": json_number(self.dur)}, labels)
+        self._tel.record_span(self.name, self.dur, **labels)
 
 
 class Telemetry:
@@ -162,6 +161,12 @@ class Telemetry:
     def span(self, name: str, **labels) -> Span:
         """Time a phase: ``with tel.span("run"): ...`` emits on exit."""
         return Span(self, name, labels)
+
+    def record_span(self, name: str, dur: float, **labels) -> None:
+        """Emit a phase timed elsewhere — e.g. a run's share of a batch
+        that stepped several runs at once."""
+        self._emit({"kind": "span", "name": name, "dur": json_number(dur)},
+                   labels)
 
     def export_decisions(self, tap) -> int:
         """Emit a :class:`~repro.core.base.DecisionTap`'s traces.

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from importlib import import_module
-from typing import Callable, Protocol
+from typing import Callable, Iterator, NamedTuple, Protocol
 
 from ..dynamics import Timeline, burst_flow_specs
 from ..obs import Telemetry, maybe_span, using
@@ -128,23 +129,18 @@ def backend_class(name: str) -> type[Backend]:
 
 # -- programs ---------------------------------------------------------------------
 
-def _run_network(spec: ScenarioSpec) -> RunRecord:
-    """The ``load`` and ``flows`` programs, on any backend.
+class _NetworkJob(NamedTuple):
+    """A ``load``/``flows`` scenario between setup and collect."""
 
-    ``load`` — Poisson background traffic from a size CDF, optional
-    incast bursts.  workload: ``{"cdf", "size_scale", "load", "n_flows",
-    "incast"?, "deadline_factor"?}``.
+    backend: Backend
+    flows: list[FlowSpec]
+    bursts: list[FlowSpec]
+    deadline: float
+    explicit: bool
 
-    ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
-    dst, size, start?, tag?], ...], "deadline"}``.
 
-    Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
-    "pause_intervals"?, "decisions"?}`` (the last read by
-    :func:`execute_spec`); config: ``NetworkConfig`` overrides
-    (``base_rtt`` required for paper fidelity) plus the backend's own
-    keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
-    Hybrid specs add ``workload["foreground"]``.
-    """
+def _setup_network(spec: ScenarioSpec) -> _NetworkJob:
+    """Build the topology and backend, offer the population (setup)."""
     workload = spec.workload
     explicit = spec.program == "flows"
     with maybe_span("setup"):
@@ -184,22 +180,50 @@ def _run_network(spec: ScenarioSpec) -> RunRecord:
             )
             flows = flows + bursts
         backend.admit(flows, timeline, burst_entries)
+    return _NetworkJob(backend, flows, bursts, deadline, explicit)
 
-    completed = backend.run(deadline)
 
+def _collect_network(spec: ScenarioSpec, job: _NetworkJob,
+                     completed: bool) -> RunRecord:
+    """The run's record, stamped with flow ids and windows (collect)."""
     with maybe_span("collect"):
-        record = backend.record(completed)
+        record = job.backend.record(completed)
         # The load population is thousands of anonymous ``bg`` flows, so
         # only an explicit list is stamped whole; injected bursts are few
         # and analyses select them by tag, so they always are.
         flow_ids: dict[str, list[int]] = {}
-        for fs in flows if explicit else bursts:
+        for fs in job.flows if job.explicit else job.bursts:
             flow_ids.setdefault(fs.tag, []).append(fs.flow_id)
-        if flow_ids or explicit:
+        if flow_ids or job.explicit:
             record.extras["flow_ids"] = flow_ids
         if spec.measure.get("windows"):
-            record.extras["final_windows"] = backend.windows()
+            record.extras["final_windows"] = job.backend.windows()
     return record
+
+
+def _run_network(spec: ScenarioSpec) -> RunRecord:
+    """The ``load`` and ``flows`` programs, on any backend.
+
+    ``load`` — Poisson background traffic from a size CDF, optional
+    incast bursts.  workload: ``{"cdf", "size_scale", "load", "n_flows",
+    "incast"?, "deadline_factor"?}``.
+
+    ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
+    dst, size, start?, tag?], ...], "deadline"}``.
+
+    Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
+    "pause_intervals"?, "decisions"?}`` (the last read by
+    :func:`execute_spec`); config: ``NetworkConfig`` overrides
+    (``base_rtt`` required for paper fidelity) plus the backend's own
+    keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
+    Hybrid specs add ``workload["foreground"]``.
+
+    Three phases — setup, run, collect — which :func:`execute_batch`
+    takes apart to run many fluid scenarios' middle phase together.
+    """
+    job = _setup_network(spec)
+    completed = job.backend.run(job.deadline)
+    return _collect_network(spec, job, completed)
 
 
 def _run_appendix_a1(spec: ScenarioSpec) -> RunRecord:
@@ -305,6 +329,66 @@ def validate_specs(specs: list[ScenarioSpec]) -> None:
                 require_known("workload.cdf", spec.workload.get("cdf"), CDFS)
 
 
+def batchable(spec: ScenarioSpec) -> bool:
+    """Whether :func:`execute_batch` can run ``spec``: the ``load`` and
+    ``flows`` programs on the fluid backend."""
+    return spec.backend == "fluid" and PROGRAMS.get(spec.program) is _run_network
+
+
+class _RunScope:
+    """One spec's run-scoped telemetry and decision tap, both opt-in
+    (see :func:`execute_spec`)."""
+
+    def __init__(self, spec: ScenarioSpec, telemetry: bool) -> None:
+        self.spec = spec
+        self.telemetry = telemetry
+        self.tel: Telemetry | None = None
+        decisions = spec.measure.get("decisions", False)
+        if telemetry or decisions:
+            self.tel = Telemetry(
+                run_id=spec.spec_hash,
+                labels={
+                    "label": spec.label or spec.spec_hash,
+                    "program": spec.program,
+                    "backend": spec.backend,
+                    "cc": spec.cc.name,
+                },
+            )
+            if decisions:
+                from ..obs import DecisionTap
+
+                self.tel.decisions = DecisionTap()
+
+    def active(self):
+        """The scope's telemetry as the ambient one (if it has any)."""
+        return using(self.tel) if self.tel is not None else nullcontext()
+
+    def failed(self) -> None:
+        """The run raised: note it and dump the flight recorder."""
+        if self.tel is not None:
+            self.tel.event("run.exception")
+            self.tel.flight.dump("exception",
+                                 self.spec.label or self.spec.spec_hash)
+
+    def finish(self, record: RunRecord, wall_s: float) -> RunRecord:
+        """Stamp the wall time; attach decisions and drained telemetry."""
+        record.wall_time_s = wall_s
+        tel = self.tel
+        if tel is None:
+            return record
+        if not record.completed:
+            tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
+            tel.flight.dump("deadline overrun",
+                            self.spec.label or self.spec.spec_hash)
+        if tel.decisions is not None:
+            record.extras["decisions"] = tel.decisions.columns()
+            if self.telemetry:
+                tel.export_decisions(tel.decisions)
+        if self.telemetry:
+            record.telemetry = tel.drain()
+        return record
+
+
 def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
     """Run one scenario to completion (the process-pool work unit).
 
@@ -325,41 +409,108 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
     """
     validate_specs([spec])
     program = PROGRAMS[spec.program]
-    decisions = spec.measure.get("decisions", False)
+    scope = _RunScope(spec, telemetry)
     started = time.perf_counter()
-    if not (telemetry or decisions):
+    tel = scope.tel
+    if tel is None:
         record = program(spec)
-        record.wall_time_s = time.perf_counter() - started
-        return record
+    else:
+        try:
+            with using(tel), tel.span("total"):
+                record = program(spec)
+        except BaseException:
+            scope.failed()
+            raise
+    return scope.finish(record, time.perf_counter() - started)
 
-    tel = Telemetry(
-        run_id=spec.spec_hash,
-        labels={
-            "label": spec.label or spec.spec_hash,
-            "program": spec.program,
-            "backend": spec.backend,
-            "cc": spec.cc.name,
-        },
+
+def execute_batch(specs: list[ScenarioSpec], telemetry: bool = False
+                  ) -> Iterator[tuple[int, RunRecord | Exception]]:
+    """Run fluid ``load``/``flows`` scenarios (:func:`batchable`) with
+    their run phases stepped in lockstep fluid batches.
+
+    Yields ``(i, outcome)`` as ``specs[i]`` finishes: its record, or the
+    exception it raised — in setup, in the run or in collect — after
+    which the others run on.  Each spec is set up and collected on its
+    own, under its own scope (telemetry, decision tap) exactly as
+    :func:`execute_spec` runs it, and its record equals that record but
+    for ``wall_time_s``: its own setup and collect plus its share of the
+    batch's ticks (its telemetry's ``run`` span says the same).
+
+    Specs are set up in order.  One whose footprint reaches
+    :attr:`~repro.fluid.FluidBatch.CAP` runs alone at once; the others
+    join the open batch, which runs once its footprint reaches the cap
+    (or the specs run out).  Each spec is collected — and its cell
+    released — as it leaves its batch.
+    """
+    from ..fluid import FluidBatch
+
+    validate_specs(specs)
+    for spec in specs:
+        if not batchable(spec):
+            raise ValueError(
+                f"{spec.label or spec.spec_hash}: only fluid load/flows "
+                f"specs run in a batch, got {spec.backend}/{spec.program}"
+            )
+    pending: dict[int, tuple[_RunScope, _NetworkJob, float]] = {}
+    size = 0
+    for i, spec in enumerate(specs):
+        scope = _RunScope(spec, telemetry)
+        started = time.perf_counter()
+        try:
+            with scope.active():
+                job = _setup_network(spec)
+        except Exception as exc:
+            scope.failed()
+            yield i, exc
+            continue
+        spent = time.perf_counter() - started
+        footprint = job.backend.engine.footprint
+        # The job is held by the dict ``_run_together`` empties as it
+        # collects, and by nothing else: a collected cell is freed.
+        if footprint >= FluidBatch.CAP:
+            alone = {i: (scope, job, spent)}
+            del job
+            yield from _run_together(alone)
+            continue
+        pending[i] = (scope, job, spent)
+        del job
+        size += footprint
+        if size >= FluidBatch.CAP:
+            yield from _run_together(pending)
+            size = 0
+    yield from _run_together(pending)
+
+
+def _run_together(pending: dict[int, tuple[_RunScope, _NetworkJob, float]]
+                  ) -> Iterator[tuple[int, RunRecord | Exception]]:
+    """Run the set-up specs of :func:`execute_batch` as one batch,
+    collecting each (and popping it from ``pending``) as it leaves."""
+    order = list(pending)
+    if not order:
+        return
+    runs = backend_class("fluid").run_batch(
+        [pending[i][1].backend for i in order],
+        [pending[i][1].deadline for i in order],
     )
-    if decisions:
-        from ..obs import DecisionTap
-
-        tel.decisions = DecisionTap()
-    try:
-        with using(tel), tel.span("total"):
-            record = program(spec)
-    except BaseException:
-        tel.event("run.exception")
-        tel.flight.dump("exception", spec.label or spec.spec_hash)
-        raise
-    record.wall_time_s = time.perf_counter() - started
-    if not record.completed:
-        tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
-        tel.flight.dump("deadline overrun", spec.label or spec.spec_hash)
-    if tel.decisions is not None:
-        record.extras["decisions"] = tel.decisions.columns()
-        if telemetry:
-            tel.export_decisions(tel.decisions)
-    if telemetry:
-        record.telemetry = tel.drain()
-    return record
+    for k, completed in runs:
+        i = order[k]
+        scope, job, spent = pending.pop(i)
+        if isinstance(completed, Exception):
+            scope.failed()
+            yield i, completed
+            continue
+        started = time.perf_counter()
+        try:
+            with scope.active():
+                record = _collect_network(scope.spec, job, completed)
+        except Exception as exc:
+            scope.failed()
+            yield i, exc
+            continue
+        wall = spent + job.backend.run_s + time.perf_counter() - started
+        # The cell goes before the next one leaves.
+        del job
+        if scope.tel is not None:
+            scope.tel.record_span("total", wall)
+        yield i, scope.finish(record, wall)

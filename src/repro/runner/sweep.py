@@ -18,13 +18,13 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
     from .journal import SweepJournal
 
 from ..obs import Telemetry
-from .execute import execute_spec, validate_specs
+from .execute import batchable, execute_batch, execute_spec, validate_specs
 from .results import RunCache, RunRecord
 from .spec import ScenarioSpec
 
@@ -59,17 +59,43 @@ def execute_spec_guarded(
     try:
         record = work(spec, telemetry)
     except Exception as exc:
-        record = RunRecord.failure(
-            spec, "error", exc=exc,
-            wall_time_s=time.perf_counter() - started, attempts=attempt,
-        )
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            record.exception = None     # unpicklable: the summary suffices
-        return record
+        return _error_record(spec, exc, started, attempt)
     record.attempts = attempt
     return record
+
+
+def _error_record(spec: ScenarioSpec, exc: Exception, started: float,
+                  attempt: int = 1) -> RunRecord:
+    """A failed execution as an ``error``-status record (the exception
+    rides along when it can cross a process boundary)."""
+    record = RunRecord.failure(
+        spec, "error", exc=exc,
+        wall_time_s=time.perf_counter() - started, attempts=attempt,
+    )
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        record.exception = None         # unpicklable: the summary suffices
+    return record
+
+
+def execute_batch_guarded(specs: list[ScenarioSpec],
+                          telemetry: bool = False
+                          ) -> Iterator[tuple[int, RunRecord]]:
+    """:func:`~repro.runner.execute.execute_batch` with the failure
+    isolation of :func:`execute_spec_guarded`: a spec that raised comes
+    as its own ``error``-status record, and a fault of the batch itself
+    fails each spec it had not yet yielded the same way."""
+    started = time.perf_counter()
+    left = set(range(len(specs)))
+    try:
+        for i, outcome in execute_batch(specs, telemetry):
+            left.discard(i)
+            yield i, (outcome if isinstance(outcome, RunRecord)
+                      else _error_record(specs[i], outcome, started))
+    except Exception as exc:
+        for i in sorted(left):
+            yield i, _error_record(specs[i], exc, started)
 
 
 class SweepTimeout(TimeoutError):
@@ -91,7 +117,10 @@ def raise_failure(record: RunRecord) -> None:
 class SweepRunner:
     """Executes spec lists: cache first, then parallel (or serial) compute.
 
-    * ``jobs`` — worker processes; 1 (default) runs in-process, serially.
+    * ``jobs`` — worker processes; 1 (default) runs in-process, serially,
+      stepping fluid ``load``/``flows`` specs in lockstep batches
+      (:func:`~repro.runner.execute.execute_batch`), each record landing
+      as its cell finishes.
     * ``cache`` — a :class:`RunCache` (or a path); hits skip computation
       and completed runs are persisted as soon as they finish.
     * ``progress`` — optional callback ``(record, done, total)``.
@@ -218,13 +247,23 @@ class SweepRunner:
             computed: dict[str, RunRecord] = {}
             if len(to_run) > 1 and self.jobs > 1:
                 computed = self._run_pool(to_run, notify)
+            batch = self._batch_keys(to_run)
             for key, spec in to_run.items():
-                if key not in computed:           # serial path / pool fallback
-                    record = execute_spec_guarded(
-                        spec, tel is not None, self._execute
-                    )
-                    computed[key] = record
-                    self._land(record, notify)
+                if key in computed:               # pooled or batched
+                    continue
+                if key in batch:                  # the batch's first spec
+                    # Each record lands as its cell finishes, before the
+                    # batch steps on.
+                    for i, record in execute_batch_guarded(
+                            [to_run[k] for k in batch], tel is not None):
+                        computed[batch[i]] = record
+                        self._land(record, notify)
+                    continue
+                record = execute_spec_guarded(     # serial / pool fallback
+                    spec, tel is not None, self._execute
+                )
+                computed[key] = record
+                self._land(record, notify)
 
             # Fan results back out to every index (duplicates keep their own
             # label/meta via spec reattachment, and their own progress tick).
@@ -250,6 +289,17 @@ class SweepRunner:
                           min(1.0, busy / (elapsed * self.jobs)),
                           jobs=self.jobs)
         return [r for r in records if r is not None]
+
+    def _batch_keys(self, to_run: dict[str, ScenarioSpec]) -> list[str]:
+        """The serial path's lockstep fluid batch: with ``jobs=1`` and
+        no injected ``execute``, every :func:`batchable` spec of the
+        call (none when fewer than two).  It runs at the place of its
+        first spec, in batches capped by
+        :attr:`~repro.fluid.FluidBatch.CAP`."""
+        if self.jobs != 1 or self._execute is not None:
+            return []
+        keys = [key for key, spec in to_run.items() if batchable(spec)]
+        return keys if len(keys) > 1 else []
 
     # -- landing results ---------------------------------------------------------
 

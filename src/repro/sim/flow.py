@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowSpec:
     """An application-level transfer request.
 
@@ -28,7 +28,7 @@ class FlowSpec:
             raise ValueError("src and dst must differ")
 
 
-@dataclass
+@dataclass(slots=True)
 class FctRecord:
     """A finished flow with its completion statistics."""
 

@@ -40,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import CcEnv, DecisionTap
 from repro.core.hpcc import Hpcc
 from repro.core.hpcc_variants import HpccRxRate
-from repro.fluid import FluidEngine, GoodputRecorder
+from repro.fluid import FluidBatch, FluidEngine, GoodputRecorder
 from repro.fluid.adapters import int_samples
 from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
@@ -405,9 +405,10 @@ class TestArrayInternals:
 
     def test_hop_matrix_pads_with_dummy(self):
         engine = _run(FluidEngine, "hpcc", _fattree_flows(n=4))
-        dummy = engine._dummy
+        block = engine._batch
+        dummy = block._dummy
         assert dummy == engine.arrays.n
-        hopm = engine._hopm[:engine._n]
+        hopm = block._hopm[:block._n]
         lens = (hopm != dummy).sum(axis=1)
         assert (lens >= 2).all()                 # every path has >= 2 links
         # Padding is contiguous on the right.
@@ -423,17 +424,17 @@ class TestArrayInternals:
         engine = FluidEngine(bench_fattree(), cc_name="dcqcn")
         engine.add_flows(flows)
 
-        def bounded(engine):
+        def bounded(block):
             # The compaction rule: a step never ends with 16 or more
             # dead rows making up an eighth of the block or more.
-            dead = engine._n - engine._alive_n
-            assert dead < 16 or dead * 8 < engine._n
+            dead = block._n - block._alive_n
+            assert dead < 16 or dead * 8 < block._n
 
         after_each_step(monkeypatch, bounded)
         assert engine.run(deadline=DEADLINE)
         # Short staggered flows die continuously: the block never holds
         # more than 15 dead rows beside the one live flow.
-        assert engine._n < 16
+        assert engine._batch._n < 16
         assert len(engine.fct_records) == 300
 
     def test_arrays_synced_back_after_run(self):
@@ -527,13 +528,13 @@ def hybrid_run(monkeypatch):
     from repro.runner import CcChoice, execute_spec
 
     engines = []
-    run = FluidEngine.run
+    run_to = FluidEngine.run_to
 
     def spy(self, deadline):
         engines.append(self)
-        return run(self, deadline)
+        return run_to(self, deadline)
 
-    monkeypatch.setattr(FluidEngine, "run", spy)
+    monkeypatch.setattr(FluidEngine, "run_to", spy)
     [spec] = figure11.scenarios(
         scale="bench", cases=("50%",),
         schemes=(CcChoice("hpcc", label="HPCC"),),
@@ -693,14 +694,14 @@ class TestStepGoldens:
 
 
 def after_each_step(monkeypatch, check) -> None:
-    """Call ``check(engine)`` after every ``FluidEngine._advance``."""
-    advance = FluidEngine._advance
+    """Call ``check(batch)`` after every ``FluidBatch._advance``."""
+    advance = FluidBatch._advance
 
-    def checked(self, dt):
-        advance(self, dt)
+    def checked(self, stepping):
+        advance(self, stepping)
         check(self)
 
-    monkeypatch.setattr(FluidEngine, "_advance", checked)
+    monkeypatch.setattr(FluidBatch, "_advance", checked)
 
 
 class TestStepInvariants:
@@ -711,42 +712,48 @@ class TestStepInvariants:
     def watched(self, monkeypatch):
         appended = {}                   # id(flow) -> (latest append, flow)
         order = itertools.count()
-        append = FluidEngine._append_row
-        compact = FluidEngine._compact
+        append = FluidBatch._append_row
+        compact = FluidBatch._compact
         compacted_at = []
 
-        def spy(self, flow):
+        def spy(self, flow, k):
             appended[id(flow)] = (next(order), flow)
-            append(self, flow)
+            append(self, flow, k)
 
         def compact_spy(self):
-            compacted_at.append(self.now)
+            compacted_at.append(self.cells[0].now)
             compact(self)
 
-        def check(engine):
-            n, L = engine._n, engine._dummy
-            alive = engine._alive[:n]
+        def check(block):
+            n, L = block._n, block._dummy
+            alive = block._alive[:n]
             # A touched set not flagged stale still covers exactly the
             # alive rows' links (compaction moves rows without a flag).
-            if not engine._touched_stale:
+            if not block._touched_stale:
                 mask = np.zeros(L + 1, dtype=bool)
-                mask[engine._hopm[:n][alive].ravel()] = True
-                assert np.array_equal(engine._touched_idx,
+                mask[block._hopm[:n][alive].ravel()] = True
+                assert np.array_equal(block._touched_idx,
                                       np.flatnonzero(mask[:L]))
+            # The per-link alive counts are exact: padding counts on no
+            # link (the dummy included).
+            hops = block._hopm[:n][alive].ravel()
+            assert np.array_equal(block._link_load,
+                                  np.bincount(hops, minlength=L + 1)[:L])
+            assert block._link_load.min(initial=0) >= 0
             # Rows [0, n) hold the alive flows in admission order, and a
             # dead row is a finished flow.
-            assert len(engine._flows) == n
-            assert engine._alive_n == int(alive.sum())
-            assert [f.proxy.done for f in engine._flows] == (~alive).tolist()
-            parked = {id(f) for f in engine._parked}
+            assert len(block._flows) == n
+            assert block._alive_n == int(alive.sum())
+            assert [f.proxy.done for f in block._flows] == (~alive).tolist()
+            parked = {id(f) for f in block.cells[0]._parked}
             expect = [f for _, f in sorted(appended.values(),
                                            key=lambda e: e[0])
                       if not f.proxy.done and id(f) not in parked]
-            rows = [f for f, a in zip(engine._flows, alive) if a]
+            rows = [f for f, a in zip(block._flows, alive) if a]
             assert [id(f) for f in rows] == [id(f) for f in expect]
 
-        monkeypatch.setattr(FluidEngine, "_append_row", spy)
-        monkeypatch.setattr(FluidEngine, "_compact", compact_spy)
+        monkeypatch.setattr(FluidBatch, "_append_row", spy)
+        monkeypatch.setattr(FluidBatch, "_compact", compact_spy)
         after_each_step(monkeypatch, check)
         return compacted_at
 
