@@ -7,10 +7,12 @@ synthesizes the event that algorithm reacts to in the packet world:
 
 * **INT family** (HPCC and its ablation variants) — one INT sample per
   fire: :func:`int_samples` runs Eqn 2 (Algorithm 1 lines 1-7) over
-  every fired flow's telemetry columns at once — the links' ``qlen``
-  and ``tx``/``rx`` registers against the engine's copy of L — and the
-  adapter hands each flow's reduced sample to ``Hpcc.on_int_sample``,
-  the same ``NewAck`` body a packet ACK runs;
+  every fired flow at once, one row of hop-matrix columns per flow with
+  a mask over its INT hops — the links' ``qlen`` and ``tx``/``rx``
+  registers against the engine's copy of L, reduced by a masked
+  ``argmax`` along the hop axis — and the adapter hands each flow's
+  reduced sample to ``Hpcc.on_int_sample``, the same ``NewAck`` body a
+  packet ACK runs;
 * **CNP family** (DCQCN, DCQCN+win) — the NP's CNP stream derived from
   the analytic ECN marking probability, plus the RP's increase/alpha
   timers advanced in fluid time;
@@ -148,7 +150,7 @@ class IntAdapter(RateAdapter):
 
 
 def int_samples(
-    counts: np.ndarray,
+    mask: np.ndarray,
     comparable: np.ndarray,
     now: float | np.ndarray,
     cap: np.ndarray,
@@ -158,52 +160,51 @@ def int_samples(
     T: float | np.ndarray,
     taps: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
-    """Algorithm 1 lines 1-7 for many flows at once, on INT columns.
+    """Algorithm 1 lines 1-7 for many flows at once, one row per flow.
 
-    Flow ``k`` owns the next ``counts[k]`` telemetry entries; ``cap``,
-    ``reg`` and ``qlen`` hold each entry's bandwidth, rate register
-    (``Hpcc.rate_register``) and queue at ``now``, and the rows of
-    ``last`` the matching hop of L as ``(ts, register, qlen)``.
+    Row ``k`` holds flow ``k``'s hop-matrix columns (at least one) and
+    ``mask[k]`` marks its INT hops, in path order; ``cap``, ``reg`` and
+    ``qlen`` hold each column's bandwidth, rate register
+    (``Hpcc.rate_register``) and queue at ``now``, and ``last[k, j]``
+    the matching hop of L as ``(ts, register, qlen)``.  Unmasked
+    columns (host links, cut links, padding) may hold any finite
+    values: they are never divided by.
     ``comparable[k]`` is False where L is missing or has another hop
-    count.  ``now`` is a scalar or one value per entry, ``T`` a scalar
-    or one value per flow (flows of several fluid cells sampled
-    together).  The arithmetic is ``Hpcc.int_sample``'s per hop, in its
-    order, so every value is bit-identical to the scalar loop's.
+    count.  ``now`` broadcasts against the columns (a scalar, one value
+    per row as ``(n, 1)``, or one per column), ``T`` is a scalar or one
+    value per row (flows of several fluid cells sampled together).  The
+    arithmetic is ``Hpcc.int_sample``'s per hop, so every value is
+    bit-identical to the scalar loop's.
 
     Returns per flow ``u_max`` (-1.0 without a valid sample), ``tau``
-    and, with ``taps``, the bottleneck as ``(hop, qlen, rate)``: its
-    position in the flow's stack (the *first* hop with the largest u',
-    as the loop's strict ``>`` picks; -1 without one), ``min(qlen,
-    L.qlen)`` and the register rate there — what a decision tap records.
+    and, with ``taps``, the bottleneck as ``(hop, qlen, rate, n_hops)``:
+    its position among the flow's INT hops (the *first* hop with the
+    largest u', as the loop's strict ``>`` picks; -1 without one),
+    ``min(qlen, L.qlen)`` and the register rate there — what a decision
+    tap records — and the flow's INT hop count.
     """
-    n = counts.size
-    dt = now - last[:, 0]
+    dt = now - last[..., 0]
     valid = dt > 0
-    valid &= comparable.repeat(counts)
-    rate = (reg - last[:, 1]) / np.where(valid, dt, 1.0)
-    qmin = np.minimum(qlen, last[:, 2])
-    T_e = T.repeat(counts) if isinstance(T, np.ndarray) else T
-    u = qmin / (cap * T_e) + rate / cap
+    valid &= mask
+    valid &= comparable[:, None]
+    rate = (reg - last[..., 1]) / np.where(valid, dt, 1.0)
+    qmin = np.minimum(qlen, last[..., 2])
+    c = np.where(valid, cap, 1.0)
+    T_r = T[:, None] if isinstance(T, np.ndarray) else T
+    u = qmin / (c * T_r) + rate / c
     u[~valid] = -np.inf
-    u_max = np.full(n, -1.0)
-    tau = np.full(n, T)
-    first = np.full(n, -1, dtype=np.int64)
-    starts = counts.cumsum() - counts
-    has = counts > 0
-    if u.size:
-        seg = np.maximum.reduceat(u, starts[has])
-        at = np.where(u == seg.repeat(counts[has]), np.arange(u.size), u.size)
-        got = seg > -1.0
-        rows = has.nonzero()[0][got]
-        first[rows] = np.minimum.reduceat(at, starts[has])[got]
-        u_max[rows] = seg[got]
-        tau[rows] = dt[first[rows]]
+    # The first maximal column is the loop's pick when it beats -1.0.
+    rows = np.arange(mask.shape[0])
+    first = u.argmax(axis=1)
+    u_first = u[rows, first]
+    got = u_first > -1.0
+    u_max = np.where(got, u_first, -1.0)
+    tau = np.where(got, dt[rows, first], T)
     if not taps:
         return u_max, tau, None
-    hop = np.where(first >= 0, first - starts, -1)
-    # A flow without a bottleneck (first == -1) reads the 0.0 appended.
+    hop = np.where(got, mask.cumsum(axis=1)[rows, first] - 1, -1)
     return u_max, tau, (
-        hop, np.append(qmin, 0.0)[first], np.append(rate, 0.0)[first],
+        hop, qmin[rows, first], rate[rows, first], mask.sum(axis=1),
     )
 
 

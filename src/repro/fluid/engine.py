@@ -27,10 +27,11 @@ The model per step (semantics identical to the scalar test oracle,
    replays one RTT of its scheme's packet events (INT sample, CNP
    stream, RTT echo, ECN marks) against the *real* ``core/`` algorithm,
    producing the next step's rate.  For the INT family, ``_fire`` first
-   runs Eqn 2 for every fired flow at once over the telemetry columns
-   (:func:`~repro.fluid.adapters.int_samples`: one ``np.maximum.reduceat``
-   per fire) and each adapter passes its flow's reduced sample to
-   ``Hpcc.on_int_sample`` — the ``NewAck`` body a packet ACK runs.
+   runs Eqn 2 for every fired flow at once over its row's INT columns
+   (:func:`~repro.fluid.adapters.int_samples`: a masked ``argmax``
+   along the hop axis) and each adapter passes its flow's reduced
+   sample to ``Hpcc.on_int_sample`` — the ``NewAck`` body a packet ACK
+   runs.
 
 **Cells and the batch.**  A :class:`FluidEngine` is one *cell*: one
 topology, one CC scheme, its own clock, flows, dynamics timeline and
@@ -68,7 +69,7 @@ flow ``i``'s link indices, right-padded with a *dummy* link row (index
 padding is arithmetically inert — scale 1.0, queueing delay 0.0, mark
 probability 0.0, and arrival contributions land on the dummy row and
 are discarded.  The matrix is eight columns wide and grows
-(``_ensure_width``) only for a longer path.  The width is part of the
+(``_resize``) only for a longer path.  The width is part of the
 arithmetic, not just the layout: numpy sums a row of eight values
 pairwise but a row of seven or fewer left to right, so a narrower
 matrix would move the last bit of a path's queueing delay, which
@@ -76,12 +77,15 @@ TIMELY reads as RTT.  Padding past eight columns adds exact zeros, so a
 path of at most eight hops sums the same at any width; a longer path's
 delay is summed at its own cell's width (``FluidEngine._H``), as that
 cell would alone.  Admitting a flow writes one row; no index
-structures rebuild.  A small CSR block (``_il``/``_il_off``)
-additionally tracks each INT flow's telemetry links (switch egress with
-capacity > 0) for schemes that read per-hop state (other rows own no
-entries), and beside it ``_il_last`` holds Algorithm 1's L: each
-entry's ``(ts, register, qlen)`` at the row's last fire, valid where
-the row's ``_has_last`` flag is set.  A fire reads L and overwrites it.
+structures rebuild.  INT telemetry lives on the same columns: a row's
+INT mask (``_intm``) marks its telemetry hops (switch egress with
+capacity > 0) on the rows of schemes that read per-hop state, and is
+all False on other rows and on padding; ``_last`` holds Algorithm 1's L
+per column, the ``(ts, register, qlen)`` of the row's last fire, read
+at the masked columns where the row's ``_has_last`` flag is set.  A
+fire reads L and overwrites it.  Every row array (``_ROW_ARRAYS``: the
+row vectors, flags, hop matrix, mask and L) grows, widens and compacts
+in one loop.
 
 A flow is built lazily: ``add_flow`` routes it (which validates its
 endpoints and fixes its ideal FCT) but its CC adapter is made when it
@@ -90,12 +94,12 @@ adapters of live flows only.
 
 Finished rows stay in place, dead, until they number at least 16 and
 an eighth of the block; ``_compact`` then gathers the alive rows to the
-front in order — row vectors, hop matrix, INT CSR block with its L and
-flow list — without reading or writing a flow object.  Dynamics instead
-re-append a cell's rows from its flow objects (``_rebuild_rows``),
-because changed capacities re-filter the INT links; L travels through
-``FluidFlow.int_last`` and is kept when the hop count is unchanged, as
-Algorithm 1 keeps it (compared by position, even over new links).
+front in order — every row array and the flow list — without reading
+or writing a flow object.  Dynamics instead re-append a cell's rows
+from its flow objects (``_rebuild_rows``), because changed capacities
+re-filter the INT mask; L travels through ``FluidFlow.int_last`` in INT
+order and is kept when the hop count is unchanged, as Algorithm 1 keeps
+it (compared by position, even over new links).
 
 One per-step input is a *row-change invariant*: the touched-link set
 (links carrying at least one live flow) with its switch-egress subset
@@ -184,7 +188,8 @@ class FluidFlow:
     the object fields are the durable home, synchronized whenever rows
     rebuild (dynamics events and reconvergence; compaction moves rows
     without them).  ``int_last`` is the INT family's L — the telemetry
-    snapshot of the last fire, one ``(ts, register, qlen)`` row per hop —
+    snapshot of the last fire, one ``(ts, register, qlen)`` row per INT
+    hop, in path order —
     so it survives a reroute with the flow, as the algorithm's own L
     does on the packet path.
     """
@@ -677,8 +682,8 @@ class FluidEngine:
         window it is the step's instantaneous value, bit-identical to
         ``tests/fluid_reference.py``'s.
 
-        For INT rows, Eqn 2 runs here over the fired rows' telemetry
-        columns (:func:`~repro.fluid.adapters.int_samples`), each entry
+        For INT rows, Eqn 2 runs here over the fired rows' masked hop
+        columns (:func:`~repro.fluid.adapters.int_samples`), each row
         against its own cell's clock, ``T`` and rate register, and
         against L, which is then overwritten with this fire's registers.
 
@@ -715,46 +720,42 @@ class FluidEngine:
             now_l = now.tolist()
         needs_int = batch._needs_int
         if needs_int:
-            # Gather only the fired flows' telemetry links (the full CSR
-            # block also spans dead and not-yet-firing rows; other
-            # schemes' rows own no entries).
-            off0 = batch._il_off[fidx]
-            cnt = batch._il_off[fidx + 1] - off0
-            bases = np.cumsum(cnt) - cnt
-            total = int(cnt.sum())
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(bases, cnt) + np.repeat(off0, cnt)
-            )
-            ilv = batch._il[pos]
+            # The fired rows' hop columns; unmasked ones (host links, cut
+            # links, padding, other schemes' rows) read a real link's
+            # registers (the dummy clipped to the last link), unused.
+            hops = batch._hopm[fidx]
+            ints = batch._intm[fidx]
             registers = batch._registers
             if len(registers) <= 1:
-                regv = getattr(batch, next(iter(registers), "tx"))[ilv]
+                reg = getattr(batch, next(iter(registers), "tx"))
+                regv = reg.take(hops, mode="clip")
             else:
                 # tx- and rx-register schemes fire together: pick each
-                # entry's register by its cell.
-                rx = batch._rx_cells[rc]
-                regv = np.where(rx.repeat(cnt), batch.rx[ilv], batch.tx[ilv])
-            qv = batch.queue[ilv]
+                # row's register by its cell.
+                regv = np.where(batch._rx_cells[rc][:, None],
+                                batch.rx.take(hops, mode="clip"),
+                                batch.tx.take(hops, mode="clip"))
+            qv = batch.queue.take(hops, mode="clip")
             # Hybrid coupling: the adapters' INT view folds the
             # foreground share in, exactly as packet switches fold the
             # background into their stamps — both CC populations then
             # react to the *combined* utilization.
             if batch._ext_bytes is not None:
-                regv = regv + batch._ext_bytes[ilv]
+                regv = regv + batch._ext_bytes.take(hops, mode="clip")
             if batch._extq is not None:
-                qv = qv + batch._extq[ilv]
+                qv = qv + batch._extq.take(hops, mode="clip")
             tapped = batch._tapped
-            now_e = now if one else now.repeat(cnt)
+            now_r = now if one else now[:, None]
             u_max, tau, bn = int_samples(
-                cnt, batch._has_last[fidx], now_e, batch.capacity[ilv], regv,
-                qv, batch._il_last[pos], T, taps=any(tapped),
+                ints, batch._has_last[fidx], now_r,
+                batch.capacity.take(hops, mode="clip"), regv, qv,
+                batch._last[fidx], T, taps=any(tapped),
             )
-            last = np.empty((total, 3))
-            last[:, 0] = now_e
-            last[:, 1] = regv
-            last[:, 2] = qv
-            batch._il_last[pos] = last
+            last = np.empty(hops.shape + (3,))
+            last[..., 0] = now_r
+            last[..., 1] = regv
+            last[..., 2] = qv
+            batch._last[fidx] = last
             batch._has_last[fidx] = True
             u_l = u_max.tolist()
             tau_l = tau.tolist()
@@ -762,8 +763,7 @@ class FluidEngine:
             if bn is not None:
                 # The bottleneck inputs Hpcc.int_sample gives a tap, in
                 # its key order, for the tapped rows with a sample.
-                hop_l, bq_l, br_l = (a.tolist() for a in bn)
-                n_l = cnt.tolist()
+                hop_l, bq_l, br_l, n_l = (a.tolist() for a in bn)
                 rc_l = [0] * len(fl) if one else rc.tolist()
                 for k in np.flatnonzero(u_max >= 0.0).tolist():
                     if tapped[rc_l[k]]:
@@ -842,7 +842,7 @@ class FluidBatch:
     #: population until it runs.
     CAP = 8192
 
-    #: Per-row float state besides the hop matrix and the INT CSR block.
+    #: Per-row float state besides the flags and the hop-column arrays.
     _ROW_VECTORS = (
         "_rate",        # CC rate (mirror of proxy)
         "_window",      # CC window (inf if rate-only)
@@ -852,6 +852,11 @@ class FluidBatch:
         "_elapsed",     # ns since last CC fire
         "_dacc",        # delivered since last fire
         "_macc",        # mark-weighted bytes since
+    )
+    #: Every per-row array: grown, widened and compacted together.  The
+    #: last three are hop-column arrays (second axis: the hop matrix's).
+    _ROW_ARRAYS = _ROW_VECTORS + (
+        "_alive", "_has_last", "_cell", "_hopm", "_intm", "_last",
     )
     #: The link registers, shared with the cells' ``LinkArrays``.
     _LINK_VECTORS = ("capacity", "queue", "tx", "rx", "dropped",
@@ -928,7 +933,6 @@ class FluidBatch:
         self._flows: list[FluidFlow] = []       # row -> flow object
         self._n = 0                             # rows in use (incl. dead)
         self._alive_n = 0                       # rows still delivering
-        self._il_nnz = 0                        # CSR telemetry entries in use
         self._alive = np.zeros(cap, dtype=bool)
         for name in self._ROW_VECTORS:
             setattr(self, name, np.zeros(cap))
@@ -936,12 +940,13 @@ class FluidBatch:
         self._H = _WIDTH                        # hop-matrix width
         self._one_width = True                  # every cell's width is _H
         self._hopm = np.full((cap, self._H), self._dummy, dtype=np.int64)
-        self._il_off = np.zeros(cap + 1, dtype=np.int64)
-        self._il = np.zeros(256, dtype=np.int64)
-        #: L beside ``_il``: the last fire's ``(ts, register, qlen)`` per
-        #: telemetry entry, valid for the rows whose ``_has_last`` is set
-        #: (L exists and has this path's hop count).
-        self._il_last = np.zeros((256, 3))
+        #: Which hop columns are INT telemetry hops (all False on rows of
+        #: schemes that read no per-hop state, and on padding).
+        self._intm = np.zeros((cap, self._H), dtype=bool)
+        #: Algorithm 1's L: the last fire's ``(ts, register, qlen)`` per
+        #: hop column, read at the INT columns of the rows whose
+        #: ``_has_last`` is set (L exists and has this path's hop count).
+        self._last = np.zeros((cap, self._H, 3))
         self._has_last = np.zeros(cap, dtype=bool)
         #: Alive rows per link (padding not counted): the touched set is
         #: its nonzero support.
@@ -957,47 +962,30 @@ class FluidBatch:
 
     # -- row bookkeeping ---------------------------------------------------------
 
-    def _ensure_rows(self, need: int) -> None:
-        cap = self._rate.shape[0]
-        if need <= cap:
-            return
-        new = max(need, cap * 2)
-        for name in self._ROW_VECTORS:
+    def _resize(self, rows: int, width: int) -> None:
+        """Regrow every row array to ``rows`` rows and the hop-column
+        arrays to ``width`` columns, keeping what they hold.  New hop
+        columns are padding: the dummy link, not INT."""
+        for name in self._ROW_ARRAYS:
             a = getattr(self, name)
-            b = np.zeros(new)
-            b[:cap] = a
+            shape = (rows,) + (width,) + a.shape[2:] if a.ndim > 1 else (rows,)
+            b = np.full(shape, self._dummy if name == "_hopm" else 0,
+                        dtype=a.dtype)
+            b[tuple(map(slice, a.shape))] = a
             setattr(self, name, b)
-        for name in ("_alive", "_has_last", "_cell"):
-            a = getattr(self, name)
-            b = np.zeros(new, dtype=a.dtype)
-            b[:cap] = a
-            setattr(self, name, b)
-        hopm = np.full((new, self._H), self._dummy, dtype=np.int64)
-        hopm[:cap] = self._hopm
-        self._hopm = hopm
-        il_off = np.zeros(new + 1, dtype=np.int64)
-        il_off[:cap + 1] = self._il_off
-        self._il_off = il_off
-
-    def _ensure_width(self, k: int) -> None:
-        if k <= self._H:
-            return
-        cap = self._hopm.shape[0]
-        hopm = np.full((cap, k), self._dummy, dtype=np.int64)
-        hopm[:, :self._H] = self._hopm
-        self._hopm = hopm
-        self._H = k
+        self._H = width
 
     def _append_row(self, flow: FluidFlow, k: int) -> None:
         """Materialize one routed flow of cell ``k`` as a row."""
         n = self._n
-        self._ensure_rows(n + 1)
         cell = self.cells[k]
         off = cell._link_off
         links = flow.path.links
         width = len(links)
+        rows = self._alive.shape[0]
+        if n == rows or width > self._H:
+            self._resize(2 * rows if n == rows else rows, max(width, self._H))
         if width > cell._H:
-            self._ensure_width(width)
             cell._H = width
             self._widths[k] = width
             self._one_width = bool((self._widths == self._H).all())
@@ -1016,7 +1004,11 @@ class FluidBatch:
         row = self._hopm[n]
         row[:width] = [off + l.index for l in links]
         row[width:] = self._dummy
-        self._link_load[row[:width]] += 1       # a path repeats no link
+        hops = row[:width]
+        self._link_load[hops] += 1              # a path repeats no link
+        ints = self._intm[n]
+        ints[:] = False                         # a reused slot: clear it
+        self._has_last[n] = False
         if cell._needs_int:
             register = cell._int_register
             self._registers.add(register)
@@ -1025,34 +1017,14 @@ class FluidBatch:
             # Telemetry links: switch egress with capacity > 0 (a cut
             # edge still on this flow's pre-reconvergence path returns
             # no ACKs from beyond the cut — no INT signal).
-            ints = [
-                off + l.index for l in flow.path.int_links
-                if l.capacity > 0.0
-            ]
-            m = len(ints)
-            nnz = self._il_nnz
-            il = self._il
-            if nnz + m > il.shape[0]:
-                size = max(nnz + m, il.shape[0] * 2)
-                grown = np.zeros(size, dtype=np.int64)
-                grown[:nnz] = il[:nnz]
-                self._il = grown
-                last = np.zeros((size, 3))
-                last[:nnz] = self._il_last[:nnz]
-                self._il_last = last
-            self._il[nnz:nnz + m] = ints
+            ints[:width] = self.egress[hops] & (self.capacity[hops] > 0.0)
             # L carries over a row rebuild when the hop count is unchanged,
             # compared by position even over new links (Algorithm 1's
             # rule); another count gives no sample until the next fire.
             last = flow.int_last
-            comparable = last is not None and len(last) == m
-            self._has_last[n] = comparable
-            if comparable:
-                self._il_last[nnz:nnz + m] = last
-            self._il_nnz = nnz + m
-        else:
-            self._has_last[n] = False
-        self._il_off[n + 1] = self._il_nnz
+            if last is not None and len(last) == ints.sum():
+                self._has_last[n] = True
+                self._last[n, ints] = last
         self._n = n + 1
         self._alive_n += 1
         cell._alive_n += 1
@@ -1078,10 +1050,9 @@ class FluidBatch:
             flow.elapsed = ela
             flow.acc_delivered = dac
             flow.acc_marked = mac
-        off = self._il_off
         for i, flow in zip(rows.tolist(), taken):
             if self._has_last[i]:
-                flow.int_last = self._il_last[off[i]:off[i + 1]].copy()
+                flow.int_last = self._last[i, self._intm[i]]
         self._drop(rows)
         self.cells[k]._alive_n -= rows.size
         return taken
@@ -1111,24 +1082,10 @@ class FluidBatch:
         n = self._n
         keep = self._alive[:n].nonzero()[0]
         m = keep.size
-        for name in self._ROW_VECTORS:
+        for name in self._ROW_ARRAYS:
             a = getattr(self, name)
             a[:m] = a[keep]
-        self._cell[:m] = self._cell[keep]
-        self._hopm[:m] = self._hopm[keep]
-        self._alive[:m] = True
         self._alive[m:n] = False
-        if self._needs_int:
-            off0 = self._il_off[keep]
-            cnt = self._il_off[keep + 1] - off0
-            ends = cnt.cumsum()
-            total = int(ends[-1]) if m else 0
-            gather = np.arange(total) + (off0 - ends + cnt).repeat(cnt)
-            self._il[:total] = self._il[gather]
-            self._il_last[:total] = self._il_last[gather]
-            self._il_off[1:m + 1] = ends
-            self._il_nnz = total
-            self._has_last[:m] = self._has_last[keep]
         flows = self._flows
         self._flows = [flows[i] for i in keep.tolist()]
         self._n = m

@@ -35,7 +35,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.base import CcEnv, DecisionTap
 from repro.core.hpcc import Hpcc
@@ -328,6 +328,7 @@ _HOP = st.fixed_dictionaries({
     "q": _small_or_wide((0.0, 5_000.0, 60_000.0), 0.0, 1e7),
     "q_last": _small_or_wide((0.0, 5_000.0, 60_000.0), 0.0, 1e7),
     "q_fold": st.sampled_from((0.0, 7_000.0)),
+    "gap": st.booleans(),   # a cut, non-INT column precedes this hop
 })
 _FLOW = st.fixed_dictionaries({
     "hops": st.lists(_HOP, max_size=6),
@@ -340,28 +341,55 @@ def _bits(x) -> bytes:
     return struct.pack("<d", float(x))
 
 
+def _hop(cap, dt, reg, sent, q, q_last, gap=False) -> dict:
+    """One ``_HOP`` drawn by hand, without foreground folds."""
+    return {"cap": cap, "dt": dt, "reg": reg, "sent": sent, "fold": 0.0,
+            "fold_sent": 0.0, "q": q, "q_last": q_last, "q_fold": 0.0,
+            "gap": gap}
+
+
 class TestIntSampleColumns:
-    """The array engine's Eqn 2 (``int_samples``) against the scalar
-    per-hop loop the packet path and the oracle run
-    (``Hpcc.int_sample``): the same ``u_max``, tau and bottleneck hop,
-    queue and rate, bit for bit, for both rate registers."""
+    """The array engine's Eqn 2 (``int_samples``, one row of hop-matrix
+    columns per flow) against the scalar per-hop loop the packet path
+    and the oracle run (``Hpcc.int_sample``): the same ``u_max``, tau
+    and bottleneck hop, queue and rate, bit for bit, for both rate
+    registers.
+
+    A hop with ``gap`` set follows an unmasked zero-capacity column (a
+    cut link mid-path), and every row ends in at least ``pad`` unmasked
+    padding columns.  Unmasked columns advance no ts and have no
+    capacity, so an unguarded division by either raises."""
 
     @pytest.mark.parametrize("cls", [Hpcc, HpccRxRate])
     @settings(max_examples=150, deadline=None)
     @given(flows=st.lists(_FLOW, min_size=1, max_size=6),
-           ts_last=st.sampled_from((0.0, 123_456.5)))
-    def test_columns_match_scalar_loop(self, cls, flows, ts_last):
+           ts_last=st.sampled_from((0.0, 123_456.5)),
+           pad=st.integers(0, 3))
+    # A zero-capacity link between two INT hops, the bottleneck after it.
+    @example(flows=[{"hops": [_hop(12.5, 9e3, 4e6, 12_500.0, 0.0, 0.0),
+                              _hop(12.5, 9e3, 4e6, 112_500.0, 5e3, 6e3,
+                                   gap=True)],
+                     "tied": False, "last": "same"}], ts_last=0.0, pad=0)
+    # Rows shorter than the matrix, one with no INT hop at all.
+    @example(flows=[{"hops": hops, "tied": False, "last": "same"}
+                    for hops in ([_hop(50.0, 1e3, 0.0, 12_500.0, 6e4, 5e3)]
+                                 * 3, [_hop(50.0, 1e3, 0.0, 0.0, 0.0, 0.0)],
+                                 [])], ts_last=0.0, pad=2)
+    def test_columns_match_scalar_loop(self, cls, flows, ts_last, pad):
         T = 9 * US
         env = CcEnv(sim=None, line_rate=12.5, base_rtt=T, mtu=1000,
                     header=90)
         other = "rx_bytes" if cls.rate_register == "tx_bytes" else "tx_bytes"
-        counts, comparable, rows, expected = [], [], [], []
+        unmasked = (False, ts_last, 0.0, 5e6, 3e4, ts_last, 7e6, 2e4)
+        rows, expected = [], []
         for f in flows:
             hops = f["hops"]
             if f["tied"]:
                 hops = hops[:1] * len(hops)
-            stack, last = [], []
+            stack, last, cols = [], [], []
             for h in hops:
+                if h["gap"]:
+                    cols.append(unmasked)
                 ts_now = ts_last + h["dt"]
                 reg_now = (h["reg"] + h["sent"]) + (h["fold"] + h["fold_sent"])
                 reg_last = h["reg"] + h["fold"]
@@ -373,28 +401,34 @@ class TestIntSampleColumns:
                     setattr(hop, cls.rate_register, reg)
                     setattr(hop, other, 3.0 * reg + 7.0)    # must go unread
                     record.append(hop)
-                rows.append((ts_now, h["cap"], reg_now, q_now,
+                cols.append((True, ts_now, h["cap"], reg_now, q_now,
                              ts_last, reg_last, h["q_last"]))
+            rows.append(cols)
             cc = cls(env)
             cc.tap = DecisionTap().trace(0, "hpcc")
             cc.last_hops = {"same": last, "none": None,
                             "other": last + [IntHop(1.0, 0.0, 0, 0)]}[f["last"]]
             expected.append(cc.int_sample(stack))
-            counts.append(len(hops))
-            comparable.append(f["last"] == "same")
-        c = np.array(rows, dtype=float).reshape(-1, 7)
-        u_max, tau, (hop, qlen, rate) = int_samples(
-            np.array(counts, dtype=np.int64), np.array(comparable),
-            c[:, 0], c[:, 1], c[:, 2], c[:, 3], c[:, 4:], T, taps=True,
-        )
+        width = max(max(map(len, rows)) + pad, 1)     # a row has a column
+        c = np.array(
+            [cols + [unmasked] * (width - len(cols)) for cols in rows],
+            dtype=float,
+        ).reshape(len(rows), width, 8)
+        comparable = np.array([f["last"] == "same" for f in flows])
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            u_max, tau, (hop, qlen, rate, n_hops) = int_samples(
+                c[..., 0] > 0.0, comparable, c[..., 1], c[..., 2], c[..., 3],
+                c[..., 4], c[..., 5:], T, taps=True,
+            )
         for k, (u, t, inputs) in enumerate(expected):
             assert (_bits(u_max[k]), _bits(tau[k])) == (_bits(u), _bits(t))
+            assert n_hops[k] == len(flows[k]["hops"])
             if inputs is None:
-                assert u < 0
+                assert u < 0 and hop[k] == -1
                 continue
             assert inputs == {
                 "u_instant": u, "bottleneck_hop": hop[k], "qlen": qlen[k],
-                cls.rate_key: rate[k], "n_hops": counts[k],
+                cls.rate_key: rate[k], "n_hops": n_hops[k],
             }
             assert (_bits(qlen[k]), _bits(rate[k])) \
                 == (_bits(inputs["qlen"]), _bits(inputs[cls.rate_key]))
@@ -448,7 +482,7 @@ class TestArrayInternals:
 # -- step-kernel goldens ---------------------------------------------------------
 #
 # Four scenarios that drive the row bookkeeping of the array engine
-# (compaction, the INT CSR block, row rebuilds under dynamics, hybrid
+# (compaction, the INT mask and L, row rebuilds under dynamics, hybrid
 # residual capacities) and its path sums (queueing delay in series)
 # through many steps.  Their values were captured on the engine
 # *before* the step kernel was cut down to live rows and touched links;
@@ -745,12 +779,23 @@ class TestStepInvariants:
             assert len(block._flows) == n
             assert block._alive_n == int(alive.sum())
             assert [f.proxy.done for f in block._flows] == (~alive).tolist()
-            parked = {id(f) for f in block.cells[0]._parked}
+            parked = {id(f) for c in block.cells for f in c._parked}
             expect = [f for _, f in sorted(appended.values(),
                                            key=lambda e: e[0])
                       if not f.proxy.done and id(f) not in parked]
             rows = [f for f, a in zip(block._flows, alive) if a]
             assert [id(f) for f in rows] == [id(f) for f in expect]
+            # Each alive row's INT mask is the telemetry filter over
+            # its real hops (switch egress, capacity > 0) on an INT
+            # cell's row, and all False on padding and on other rows.
+            hopm = block._hopm[:n][alive]
+            cells = block._cell[:n][alive]
+            needs_int = np.array([c._needs_int for c in block.cells])
+            egress = np.append(block.egress, False)       # the dummy
+            capacity = np.append(block.capacity, 0.0)
+            expect = egress[hopm] & (capacity[hopm] > 0.0)
+            expect &= needs_int[cells][:, None]
+            assert np.array_equal(block._intm[:n][alive], expect)
 
         monkeypatch.setattr(FluidBatch, "_append_row", spy)
         monkeypatch.setattr(FluidBatch, "_compact", compact_spy)
@@ -766,6 +811,23 @@ class TestStepInvariants:
         engine = reconverge_run()
         assert engine.steps == GOLDEN_RECONVERGE[0]
         assert watched and watched[0] < 120_000.0      # before the cut
+
+    def test_mixed_batch_run(self, watched):
+        """An HPCC cell and a DCQCN cell in one batch: compaction hands
+        each cell's new rows slots the other cell's rows held."""
+        cells = []
+        for cc, seed in (("hpcc", 27), ("dcqcn", 28)):
+            rng = random.Random(seed)
+            engine = FluidEngine(fattree_k(4), cc_name=cc)
+            engine.add_flows(
+                FlowSpec(i, *rng.sample(range(16), 2),
+                         rng.randint(2_000, 60_000), start_time=i * 1_500.0)
+                for i in range(200)
+            )
+            cells.append(engine)
+        outcomes = dict(FluidBatch(cells).run([DEADLINE, DEADLINE]))
+        assert outcomes == {0: True, 1: True}
+        assert len(watched) >= 3
 
     def test_hybrid_run(self, watched, monkeypatch):
         record, _ = hybrid_run(monkeypatch)
