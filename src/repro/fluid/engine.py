@@ -130,14 +130,12 @@ would call ``on_int_sample`` m times per fire (ROADMAP item 1).
 
 Network dynamics run at *event boundaries*: scheduled timeline events
 (link cuts, recoveries, degradations) shorten the step so they fire at
-their exact instant, synchronize the array view back into the live
-:class:`~repro.fluid.state.FluidGraph` objects (``push``), mutate the
-graph, re-``pull``, and rebuild the flow rows.  Otherwise the object
-view is synchronized only where it is read: at the end of
-:meth:`FluidEngine.run` and by :meth:`FluidEngine.switch_queued_bytes`
-(``run_to``, the hybrid's per-epoch call, leaves it stale).  Routing
-reconvergence (:meth:`FluidEngine.reconverge`) recomputes every flow's
-ECMP path over the alive subgraph — reroute decisions depend only on
+their exact instant, mutate the live
+:class:`~repro.fluid.state.FluidGraph` — whose link objects write the
+very registers the step kernel reads, so nothing is synchronized — and
+rebuild the flow rows.  Routing reconvergence
+(:meth:`FluidEngine.reconverge`) recomputes every flow's ECMP path
+over the alive subgraph — reroute decisions depend only on
 topology and the deterministic ECMP hash, so they are identical across
 both engines.  A flow whose destination became unreachable parks (zero
 rate, CC frozen) until a restore re-routes it.
@@ -268,11 +266,10 @@ class FluidEngine:
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         self.graph = FluidGraph(topology, float(buffer_bytes))
-        #: Struct-of-arrays link registers (see LinkArrays): the engine
-        #: owns these while stepping and push/pulls at event boundaries.
-        #: In a multi-cell batch the registers are views of the batch's
-        #: link vectors.
-        self.arrays = self.graph.link_arrays()
+        #: The graph's link registers (see LinkArrays), which the engine
+        #: steps in place; in a multi-cell batch they are views of the
+        #: batch's link vectors.
+        self.arrays = self.graph.arrays
         self.clock = FluidClock()
         self.now = 0.0
         self.steps = 0
@@ -471,17 +468,13 @@ class FluidEngine:
         estimate).  Paths are *not* recomputed — call :meth:`reconverge`
         when routing detects the change.
         """
-        self.arrays.push()
         flushed = self.graph.fail_link(a, b)
-        self.arrays.pull()
         self._rebuild_rows()
         self._ecn_stale = True
         return flushed
 
     def restore_link(self, a: int, b: int) -> None:
-        self.arrays.push()
         self.graph.restore_link(a, b)
-        self.arrays.pull()
         self._rebuild_rows()
         self._ecn_stale = True
 
@@ -490,11 +483,9 @@ class FluidEngine:
         rate_factor: float | None = None,
         delay_factor: float | None = None,
     ) -> None:
-        self.arrays.push()
         self.graph.degrade_link(
             a, b, rate_factor=rate_factor, delay_factor=delay_factor
         )
-        self.arrays.pull()
         self._rebuild_rows()
         self._ecn_stale = True
 
@@ -559,15 +550,9 @@ class FluidEngine:
         Returns True when all flows completed.  Steps are ``self.step``
         long, shortened to land exactly on the next flow arrival or the
         next scheduled dynamics event, so both are honoured precisely.
-        The link objects of :attr:`graph` are synchronized on return.
+        May be called again with a later deadline (the hybrid's
+        per-epoch call): the engine's batch of one resumes.
         """
-        completed = self.run_to(deadline)
-        self.arrays.push()
-        return completed
-
-    def run_to(self, deadline: float) -> bool:
-        """:meth:`run` without synchronizing the link objects — the
-        hybrid's per-epoch call, whose coupler reads the arrays."""
         batch = self._batch or FluidBatch([self])
         if len(batch.cells) > 1:
             raise RuntimeError(
@@ -817,9 +802,7 @@ class FluidEngine:
         return sum(self.arrays.dropped.tolist())
 
     def switch_queued_bytes(self) -> dict[int, float]:
-        """Bytes queued per switch, read off the object view (synced
-        from the arrays first)."""
-        self.arrays.push()
+        """Bytes queued per switch."""
         return self.graph.total_queued_bytes()
 
 
@@ -858,7 +841,7 @@ class FluidBatch:
     _ROW_ARRAYS = _ROW_VECTORS + (
         "_alive", "_has_last", "_cell", "_hopm", "_intm", "_last",
     )
-    #: The link registers, shared with the cells' ``LinkArrays``.
+    #: The link vectors, shared with the cells' ``LinkArrays``.
     _LINK_VECTORS = ("capacity", "queue", "tx", "rx", "dropped",
                      "egress", "buffer")
 
@@ -878,7 +861,7 @@ class FluidBatch:
                 setattr(self, name, getattr(cells[0].arrays, name))
         else:
             # One vector per register; each cell's LinkArrays becomes a
-            # view of its slice, so pull/push and dynamics act in place.
+            # view of its slice, so its links and dynamics act in place.
             for name in self._LINK_VECTORS:
                 joined = np.concatenate([getattr(c.arrays, name) for c in cells])
                 setattr(self, name, joined)
@@ -910,7 +893,7 @@ class FluidBatch:
             c._index = k
             c._link_off = off
         # Weakly: an engine owns its batch (its batch of one lives across
-        # ``run_to`` calls), so strong references back would make every
+        # ``run`` calls), so strong references back would make every
         # engine a cycle that only the cyclic collector frees.
         self.cells = [weakref.proxy(c) for c in cells]
         self._needs_int = any(c._needs_int for c in cells)
@@ -1110,15 +1093,13 @@ class FluidBatch:
         kmax = np.full(count, _INF)
         pmax = np.zeros(count)
         cache: dict[float, EcnConfig] = {}
-        for link in cell.graph.link_list:
-            c = link.capacity
+        for i, c in enumerate(cell.arrays.capacity.tolist()):
             if c <= 0.0:
                 continue
             config = cache.get(c)
             if config is None:
                 config = cell._ecn_policy.for_rate(c)
                 cache[c] = config
-            i = link.index
             kmin[i] = config.kmin
             kmax[i] = config.kmax
             pmax[i] = config.pmax

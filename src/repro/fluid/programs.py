@@ -102,7 +102,7 @@ class FluidBackend:
 
     def run(self, deadline: float) -> bool:
         with self.running(), maybe_span("run"):
-            return self.engine.run_to(deadline)
+            return self.engine.run(deadline)
 
     @staticmethod
     def run_batch(backends: list["FluidBackend"], deadlines: list[float]

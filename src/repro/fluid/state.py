@@ -8,17 +8,14 @@ the registers an INT-capable switch would expose — which is how the HPCC
 adapter computes Eqn (2)'s ``qlen``/``txRate`` inputs analytically
 instead of reading them off packet telemetry.
 
-Two representations of the same registers coexist:
-
-* the **object view** (:class:`FluidLink`) — one Python object per
-  directed edge, the stable surface the dynamics subsystem mutates and
-  tests introspect;
-* the **array view** (:class:`LinkArrays`) — a struct-of-arrays block
-  (one numpy vector per register, indexed by :attr:`FluidLink.index`)
-  that the vectorized engine steps.  The engine owns the arrays while
-  stepping and synchronizes with the objects at event boundaries
-  (``pull``/``push``), so both views always agree whenever non-engine
-  code can observe them.
+The registers have one home, the :class:`LinkArrays` block the graph
+builds at construction: one numpy vector per register, row
+:attr:`FluidLink.index` per link, which the vectorized engine steps in
+place.  A :class:`FluidLink`'s ``capacity``, ``queue``, ``tx_bytes``,
+``rx_bytes`` and ``dropped_bytes`` read and write its row of that block
+as Python floats, so the dynamics mutators below, tests and the scalar
+oracle (``tests/fluid_reference.py``) see what the engine integrated,
+and the engine sees what they changed, with nothing to synchronize.
 
 Paths are chosen with the same deterministic ECMP-by-hash discipline as
 the packet simulator: at every switch the next hop is drawn from the
@@ -97,6 +94,24 @@ class _Member:
         self.up = True
 
 
+class _Register:
+    """A :class:`FluidLink` register: the link's entry of one
+    :class:`LinkArrays` vector, read as a Python float."""
+
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: str) -> None:
+        self.vector = vector
+
+    def __get__(self, link, owner=None):
+        if link is None:
+            return self
+        return getattr(link.arrays, self.vector).item(link.index)
+
+    def __set__(self, link, value: float) -> None:
+        getattr(link.arrays, self.vector)[link.index] = value
+
+
 class FluidLink:
     """One directed edge of the fluid network.
 
@@ -109,40 +124,44 @@ class FluidLink:
     failed edge keeps its object (flows still pointing at it throttle to
     zero until the engine recomputes their paths) with capacity 0.
 
-    ``label`` is precomputed (it used to be a per-call f-string
-    property, which sat on the queue-sampling hot path) and ``index``
-    is the link's fixed row in :class:`LinkArrays`.
+    The five registers live in row ``index`` of the graph's
+    :class:`LinkArrays` block (``arrays``); the link holds the block,
+    not the graph, so the two form no reference cycle.  ``label`` is
+    precomputed: it sits on the queue-sampling path.
     """
 
     __slots__ = (
-        "a", "b", "capacity", "delay", "is_switch_egress", "buffer_bytes",
-        "queue", "tx_bytes", "rx_bytes", "dropped_bytes", "label", "index",
+        "arrays", "index", "a", "b", "delay", "is_switch_egress",
+        "buffer_bytes", "label",
         # The test oracle (tests/fluid_reference.py) integrates on these
         # objects and keeps its per-step scratch registers on them.
         "__dict__",
     )
 
+    capacity = _Register("capacity")    # bytes/ns (pooled over up members)
+    queue = _Register("queue")          # bytes
+    tx_bytes = _Register("tx")          # cumulative bytes emitted
+    rx_bytes = _Register("rx")          # cumulative bytes offered
+    dropped_bytes = _Register("dropped")  # lost to overflow or link cuts
+
     def __init__(
         self,
+        arrays: "LinkArrays",
+        index: int,
         a: int,
         b: int,
-        capacity: float,
         delay: float,
         is_switch_egress: bool,
         buffer_bytes: float,
     ) -> None:
+        self.arrays = arrays
+        self.index = index
         self.a = a
         self.b = b
-        self.capacity = capacity        # bytes/ns (pooled over up members)
         self.delay = delay              # propagation, ns
         self.is_switch_egress = is_switch_egress
         self.buffer_bytes = buffer_bytes
-        self.queue = 0.0                # bytes
-        self.tx_bytes = 0.0             # cumulative bytes emitted
-        self.rx_bytes = 0.0             # cumulative bytes offered
-        self.dropped_bytes = 0.0        # fluid lost to overflow or link cuts
         self.label = f"sw{a}->{b}"
-        self.index = -1                 # row in LinkArrays, set by the graph
 
     def queue_delay(self) -> float:
         if self.capacity <= 0.0:
@@ -165,13 +184,9 @@ class FluidPath:
 
     __slots__ = ("links", "base_rtt")
 
-    def __init__(self, links: list[FluidLink], mtu_wire: int, ack_size: int) -> None:
+    def __init__(self, links: list[FluidLink], base_rtt: float) -> None:
         self.links = links
-        # Uncontended round trip: full-MTU store-and-forward out, an
-        # ACK-sized frame back — the ``Network.pair_base_rtt`` formula.
-        forward = sum(l.delay + mtu_wire / l.capacity for l in links)
-        backward = sum(l.delay + ack_size / l.capacity for l in links)
-        self.base_rtt = forward + backward
+        self.base_rtt = base_rtt
 
     @property
     def int_links(self) -> list[FluidLink]:
@@ -184,51 +199,30 @@ class FluidPath:
 
 
 class LinkArrays:
-    """Struct-of-arrays view of every directed link's hot registers.
+    """Every directed link's registers, one numpy vector each.
 
     Row ``i`` belongs to ``graph.link_list[i]`` (``link.index == i``).
-    The vectorized engine steps these vectors directly; ``pull`` refreshes
-    them from the object view (after dynamics mutated capacities or
-    flushed queues) and ``push`` writes the integrated state back so the
-    object view — dynamics accounting, tests, ``total_queued_bytes`` —
-    observes what the arrays computed.
+    ``capacity``, ``queue``, ``tx``, ``rx`` and ``dropped`` are the
+    live registers: the engine steps them in place and the link objects
+    read and write them (see :class:`FluidLink`).  ``egress`` and
+    ``buffer`` are static.  A multi-cell ``FluidBatch`` rebinds each
+    vector to the cell's slice of the batch's, so the links then read
+    the batch's registers.
     """
 
-    __slots__ = ("links", "n", "capacity", "queue", "tx", "rx", "dropped",
+    __slots__ = ("n", "capacity", "queue", "tx", "rx", "dropped",
                  "egress", "buffer")
 
-    def __init__(self, links: list[FluidLink]) -> None:
-        self.links = links
-        self.n = len(links)
-        self.egress = np.array([l.is_switch_egress for l in links], dtype=bool)
-        self.buffer = np.array([l.buffer_bytes for l in links])
-        self.capacity = np.empty(self.n)
-        self.queue = np.empty(self.n)
-        self.tx = np.empty(self.n)
-        self.rx = np.empty(self.n)
-        self.dropped = np.empty(self.n)
-        self.pull()
-
-    def pull(self) -> None:
-        """Refresh every register from the object view."""
-        for i, l in enumerate(self.links):
-            self.capacity[i] = l.capacity
-            self.queue[i] = l.queue
-            self.tx[i] = l.tx_bytes
-            self.rx[i] = l.rx_bytes
-            self.dropped[i] = l.dropped_bytes
-
-    def push(self) -> None:
-        """Write the integrated registers back to the object view."""
-        queue = self.queue.tolist()
-        tx = self.tx.tolist()
-        rx = self.rx.tolist()
-        dropped = self.dropped.tolist()
-        for i, l in enumerate(self.links):
-            l.queue = queue[i]
-            l.tx_bytes = tx[i]
-            l.rx_bytes = rx[i]
-            l.dropped_bytes = dropped[i]
+    def __init__(self, capacity: list[float], egress: list[bool],
+                 buffer_bytes: float) -> None:
+        self.n = n = len(capacity)
+        self.capacity = np.array(capacity, dtype=float)
+        self.queue = np.zeros(n)
+        self.tx = np.zeros(n)
+        self.rx = np.zeros(n)
+        self.dropped = np.zeros(n)
+        self.egress = np.array(egress, dtype=bool)
+        self.buffer = np.full(n, buffer_bytes, dtype=float)
 
 
 class FluidGraph:
@@ -236,32 +230,37 @@ class FluidGraph:
 
     def __init__(self, topology: Topology, buffer_bytes: float) -> None:
         self.topology = topology
-        self.links: dict[tuple[int, int], FluidLink] = {}
-        # Undirected member lists keyed like ``links`` (both directions
-        # share the list object, so one state flip moves both).
+        # Undirected member lists keyed by directed pair (both directions
+        # share the list object, so one state flip moves both), and each
+        # pair's pooled capacity and first member's delay.
         self._members: dict[tuple[int, int], list[_Member]] = {}
+        pooled: dict[tuple[int, int], list[float]] = {}
         for spec in topology.links:
             member = _Member(spec.rate, spec.delay)
             for a, b in ((spec.a, spec.b), (spec.b, spec.a)):
                 existing = self._members.get((a, b))
                 if existing is not None:
                     existing.append(member)
-                    self.links[(a, b)].capacity += spec.rate   # parallel pool
+                    pooled[(a, b)][0] += spec.rate      # parallel pool
                 else:
                     self._members[(a, b)] = [member]
-                    self.links[(a, b)] = FluidLink(
-                        a, b, spec.rate, spec.delay,
-                        is_switch_egress=not topology.is_host(a),
-                        buffer_bytes=buffer_bytes,
-                    )
+                    pooled[(a, b)] = [spec.rate, spec.delay]
         # Fix the duplicated member list: both directions must share one.
         for spec in topology.links:
             self._members[(spec.b, spec.a)] = self._members[(spec.a, spec.b)]
-        #: Fixed enumeration of the directed links; ``link.index`` is the
-        #: row every :class:`LinkArrays` register uses for this link.
+        egress = [not topology.is_host(a) for a, _ in pooled]
+        #: The link registers (see :class:`LinkArrays`).
+        self.arrays = LinkArrays(
+            [capacity for capacity, _ in pooled.values()], egress,
+            buffer_bytes,
+        )
+        self.links: dict[tuple[int, int], FluidLink] = {
+            (a, b): FluidLink(self.arrays, i, a, b, delay, egress[i],
+                              buffer_bytes)
+            for i, ((a, b), (_, delay)) in enumerate(pooled.items())
+        }
+        #: Fixed enumeration of the directed links, in register row order.
         self.link_list: list[FluidLink] = list(self.links.values())
-        for i, link in enumerate(self.link_list):
-            link.index = i
         self._egress_links: list[FluidLink] = [
             l for l in self.link_list if l.is_switch_egress
         ]
@@ -271,13 +270,9 @@ class FluidGraph:
             self._neighbors[a].append(b)
         #: dst -> distance row (see the module docstring).
         self._dist_rows: dict[int, bytes] = {}
-        #: ``(peers, indptr, indices)`` of the alive subgraph, or ``None``
-        #: until :meth:`_alive_adjacency` next builds it.
+        #: ``(peers, indptr, indices, capacity)`` of the alive subgraph,
+        #: or ``None`` until :meth:`_alive_adjacency` next builds it.
         self._adjacency = None
-
-    def link_arrays(self) -> LinkArrays:
-        """A fresh struct-of-arrays block over :attr:`link_list`."""
-        return LinkArrays(self.link_list)
 
     # -- dynamics ----------------------------------------------------------------
 
@@ -366,18 +361,25 @@ class FluidGraph:
 
     # -- routing -----------------------------------------------------------------
 
-    def _alive_adjacency(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    def _alive_adjacency(
+        self,
+    ) -> tuple[list[list[int]], np.ndarray, np.ndarray, list[float]]:
         """The alive subgraph, rebuilt lazily per topology version.
 
         ``peers[node]`` is the node's sorted alive neighbours as a list
         (what ECMP selection iterates); ``indptr``/``indices`` are the
-        same lists flattened into CSR arrays (what the BFS gathers).
+        same lists flattened into CSR arrays (what the BFS gathers);
+        ``capacity`` is a read-only snapshot of every link's capacity
+        register as a list (what :meth:`path` prices hops with, without
+        a register read per hop).
         """
         adjacency = self._adjacency
         if adjacency is None:
             links = self.links
+            capacity = self.arrays.capacity.tolist()
             peers = [
-                sorted(p for p in around if links[(node, p)].capacity > 0.0)
+                sorted(p for p in around
+                       if capacity[links[(node, p)].index] > 0.0)
                 for node, around in enumerate(self._neighbors)
             ]
             indptr = np.zeros(self._n_nodes + 1, dtype=np.intp)
@@ -385,7 +387,8 @@ class FluidGraph:
             indices = np.fromiter(
                 chain.from_iterable(peers), dtype=np.intp, count=int(indptr[-1])
             )
-            adjacency = self._adjacency = (peers, indptr, indices)
+            adjacency = self._adjacency = (peers, indptr, indices,
+                                           capacity)
         return adjacency
 
     def _distances(self, dst: int) -> bytes:
@@ -413,7 +416,7 @@ class FluidGraph:
 
     def _bfs(self, dst: int) -> bytes:
         """``dst``'s distance row by level-synchronous BFS."""
-        _, indptr, indices = self._alive_adjacency()
+        _, indptr, indices, _ = self._alive_adjacency()
         dist = np.full(self._n_nodes, _UNREACHED, dtype=np.uint8)
         dist[dst] = 0
         frontier = np.array([dst], dtype=np.intp)
@@ -452,7 +455,7 @@ class FluidGraph:
         dist = self._distances(dst)
         if dist[src] == _UNREACHED:
             raise NoRoute(f"no route from {src} to {dst}")
-        peers = self._alive_adjacency()[0]
+        peers, _, _, capacity = self._alive_adjacency()
         links: list[FluidLink] = []
         node = src
         while node != dst:
@@ -468,7 +471,11 @@ class FluidGraph:
                 ]
             links.append(self.links[(node, peer)])
             node = peer
-        return FluidPath(links, mtu_wire, ack_size)
+        # Uncontended round trip: full-MTU store-and-forward out, an
+        # ACK-sized frame back — the ``Network.pair_base_rtt`` formula.
+        forward = sum(l.delay + mtu_wire / capacity[l.index] for l in links)
+        backward = sum(l.delay + ack_size / capacity[l.index] for l in links)
+        return FluidPath(links, forward + backward)
 
     # -- introspection -----------------------------------------------------------
 
@@ -479,7 +486,9 @@ class FluidGraph:
     def total_queued_bytes(self) -> dict[int, float]:
         """Bytes queued per switch (mirrors ``switch_queued_bytes``)."""
         queued: dict[int, float] = {}
-        for link in self.link_list:
-            if link.is_switch_egress and link.queue > 0:
-                queued[link.a] = queued.get(link.a, 0.0) + link.queue
+        queue = self.arrays.queue.tolist()
+        for link in self._egress_links:
+            q = queue[link.index]
+            if q > 0:
+                queued[link.a] = queued.get(link.a, 0.0) + q
         return queued

@@ -56,8 +56,7 @@ class HybridEngine:
 
         Returns True when every flow on both halves completed.  The
         packet metrics hub is finalized on exit, mirroring
-        ``Network.run_until_done``, and the fluid half's link objects
-        are synchronized with its arrays (each epoch leaves them stale).
+        ``Network.run_until_done``.
         """
         net = self.net
         engine = self.engine
@@ -73,7 +72,7 @@ class HybridEngine:
                 coupler.push_background(t, prev_dt)
                 net.run(until=t_next)
                 coupler.push_foreground(dt)
-                engine.run_to(t_next)
+                engine.run(t_next)
                 self.epochs += 1
                 prev_dt = dt
                 t = t_next
@@ -82,7 +81,4 @@ class HybridEngine:
                     break
         finally:
             net.finalize()
-            # The coupler reads the fluid arrays; the link objects are
-            # synchronized once, here.
-            engine.arrays.push()
         return packet_done and engine.completed

@@ -201,3 +201,39 @@ def test_golden_pause_tree_determinism(cc_name):
     assert net.metrics.drop_count == 0
     assert (net.sim.events_processed,
             fct_digest(net.metrics.fct_records)) == GOLDEN_PAUSE_TREE[cc_name]
+
+
+# (events_processed, sha256 of FCT records) for bidirectional pairs,
+# captured on c2ea17b, before any change to the NIC's egress path.  The
+# goldens above send data one way only, so a receiver's ACKs never wait
+# behind its own data frames; here each host both sends and acknowledges,
+# so every ACK contends with a data flow for the same NIC egress port.
+# (ACKs interleaved with back-to-back CNPs are pinned by GOLDEN["dcqcn"]:
+# its 3-to-1 incast receiver emits both.)
+GOLDEN_BIDIR = {
+    "dcqcn": (13604, "9473e0eeb0273c35af86b207e189aedfd4fb6ab170b6613b1f9dc4ac9ffb0e92"),
+    "hpcc": (15202, "ddf60e1c7226048652b9f926ce5c18437c5acd2eb5f96ed76127288b68aa3ad3"),
+}
+
+
+def golden_bidir_run(cc_name: str):
+    """Two hosts of a 100Gbps star, each sending to the other."""
+    net = Network(
+        star(2, host_rate="100Gbps"),
+        NetworkConfig(cc_name=cc_name, base_rtt=9 * US, seed=3),
+    )
+    net.add_flow(net.make_flow(0, 1, 1_000_000, start_time=1_000.0))
+    net.add_flow(net.make_flow(1, 0, 700_000, start_time=1_003.0))
+    done = net.run_until_done(deadline=5 * MS)
+    assert done, f"{cc_name} golden bidirectional scenario did not finish"
+    return net
+
+
+@pytest.mark.parametrize("cc_name", sorted(GOLDEN_BIDIR))
+def test_golden_bidirectional_determinism(cc_name):
+    net = golden_bidir_run(cc_name)
+    records = net.metrics.fct_records
+    assert min(r.finish for r in records) > max(r.start for r in records), (
+        "the two flows no longer overlap, so no ACK meets a data frame")
+    assert (net.sim.events_processed,
+            fct_digest(net.metrics.fct_records)) == GOLDEN_BIDIR[cc_name]

@@ -471,12 +471,77 @@ class TestArrayInternals:
         assert engine._batch._n < 16
         assert len(engine.fct_records) == 300
 
-    def test_arrays_synced_back_after_run(self):
-        engine = _run(FluidEngine, "dcqcn", _fattree_flows(), goodput_bin=None)
+    #: FluidLink register -> the LinkArrays vector it reads and writes.
+    REGISTERS = (("capacity", "capacity"), ("queue", "queue"),
+                 ("tx_bytes", "tx"), ("rx_bytes", "rx"),
+                 ("dropped_bytes", "dropped"))
+
+    @classmethod
+    def _assert_links_read_registers(cls, engine):
         arrays = engine.arrays
         for i, link in enumerate(engine.graph.link_list):
-            assert link.queue == arrays.queue[i]
-            assert link.tx_bytes == arrays.tx[i]
+            for name, vector in cls.REGISTERS:
+                value = getattr(link, name)
+                assert type(value) is float, (link, name)
+                assert value == getattr(arrays, vector)[i], (link, name)
+
+    def _dynamics_cell(self, checked: list[str]) -> FluidEngine:
+        """A DCQCN incast whose most-queued egress is cut, restored and
+        degraded mid-run, checking every link's registers after each."""
+        engine = FluidEngine(bench_fattree(), cc_name="dcqcn")
+        engine.add_flows([FlowSpec(i, i, 15, 400_000, 0.0) for i in range(8)])
+        cut = []
+
+        def fail():
+            link = max(engine.graph.switch_egress_links(),
+                       key=lambda l: l.queue)
+            cut.append((link.a, link.b))
+            assert engine.fail_link(*cut[0]) > 0.0     # a queue flushed
+            assert link.capacity == 0.0 and link.dropped_bytes > 0.0
+            self._assert_links_read_registers(engine)
+            checked.append("fail")
+
+        def restore():
+            engine.restore_link(*cut[0])
+            self._assert_links_read_registers(engine)
+            checked.append("restore")
+
+        def degrade():
+            engine.degrade_link(*cut[0], rate_factor=0.5)
+            self._assert_links_read_registers(engine)
+            checked.append("degrade")
+
+        engine.schedule_event(20_000.0, fail)
+        engine.schedule_event(40_000.0, restore)
+        engine.schedule_event(60_000.0, degrade)
+        return engine
+
+    def test_arrays_synced_back_after_run(self):
+        engine = _run(FluidEngine, "dcqcn", _fattree_flows(), goodput_bin=None)
+        self._assert_links_read_registers(engine)
+        # Under dynamics, solo ...
+        checked = []
+        engine = self._dynamics_cell(checked)
+        assert engine.run(deadline=DEADLINE)
+        assert checked == ["fail", "restore", "degrade"]
+        self._assert_links_read_registers(engine)
+        # ... and as the second cell of a two-cell batch, whose links
+        # read and write the batch's vectors.
+        checked = []
+        engine = self._dynamics_cell(checked)
+        other = FluidEngine(bench_fattree(), cc_name="hpcc")
+        other.add_flows(_fattree_flows())
+        batch = FluidBatch([other, engine])
+        assert dict(batch.run([DEADLINE, DEADLINE])) == {0: True, 1: True}
+        assert checked == ["fail", "restore", "degrade"]
+        off = engine._link_off
+        assert off == other.arrays.n
+        for _, vector in self.REGISTERS:
+            view = getattr(engine.arrays, vector)
+            assert np.shares_memory(view, getattr(batch, vector))
+            assert (view == getattr(batch, vector)[off:off + view.size]).all()
+        self._assert_links_read_registers(engine)
+        self._assert_links_read_registers(other)
 
 
 # -- step-kernel goldens ---------------------------------------------------------
@@ -562,13 +627,13 @@ def hybrid_run(monkeypatch):
     from repro.runner import CcChoice, execute_spec
 
     engines = []
-    run_to = FluidEngine.run_to
+    run = FluidEngine.run
 
     def spy(self, deadline):
         engines.append(self)
-        return run_to(self, deadline)
+        return run(self, deadline)
 
-    monkeypatch.setattr(FluidEngine, "run_to", spy)
+    monkeypatch.setattr(FluidEngine, "run", spy)
     [spec] = figure11.scenarios(
         scale="bench", cases=("50%",),
         schemes=(CcChoice("hpcc", label="HPCC"),),

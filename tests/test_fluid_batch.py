@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics import FailLink, RestoreLink, Timeline
-from repro.fluid import ADAPTER_FAMILIES, FluidBatch, FluidEngine, LinkArrays
+from repro.fluid import ADAPTER_FAMILIES, FluidBatch, FluidEngine
 from repro.fluid.adapters import RttAdapter
 from repro.obs import Telemetry
 from repro.runner import (
@@ -381,27 +381,3 @@ class TestEngineSurface:
         engine.run(deadline=20 * US)
         envs = {id(f.adapter.env) for f in engine._batch._flows}
         assert len(envs) == 1 and len(engine._envs) == 1
-
-    def test_hybrid_syncs_link_objects_once(self, monkeypatch):
-        from repro.experiments import figure11
-
-        pushes = []
-        push = LinkArrays.push
-
-        def counted(self):
-            pushes.append(self)
-            push(self)
-
-        monkeypatch.setattr(LinkArrays, "push", counted)
-        [spec] = figure11.scenarios(
-            scale="bench", cases=("50%",),
-            schemes=(CcChoice("hpcc", label="HPCC"),),
-            overrides={"n_flows": 80},
-        )
-        record = execute_spec(spec.replaced(**{
-            "backend": "hybrid",
-            "workload.foreground": {"kind": "frac", "x": 0.1},
-        }))
-        assert record.extras["hybrid_epochs"] > 20
-        # The end of the hybrid run and the record's queue read.
-        assert len(pushes) <= 2
