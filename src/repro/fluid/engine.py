@@ -53,15 +53,15 @@ leaves, and reads nothing of it afterwards, so the caller collects
 and frees it while the rest run.  :meth:`FluidEngine.run` is a batch
 of one — the engine's own, kept across calls, which is what the
 hybrid's per-epoch calls and the dynamics drivers step.
-``FluidBackend.run_batch`` is the K-cell entry point: a serial sweep
-(``SweepRunner(jobs=1)``, no injected ``execute=``) sets its uncached
-fluid ``load``/``flows`` specs up in order, dynamics included, into
-batches that close once their links plus flows reach
-:attr:`FluidBatch.CAP` (a cell that reaches it alone, such as a k=16
-FatTree's, runs alone), lands each record as its cell leaves, and
-charges its ``wall_time_s`` its own setup and collect plus its share of
-the batch's ticks.  The pool path, hybrid cells and ``execute_spec``
-run batches of one.
+``FluidBackend.run_batch`` is the K-cell entry point: a sweep
+(``SweepRunner(jobs=N)``) deals its uncached fluid ``load``/``flows``
+specs, dynamics included, into N work units, and each unit sets its
+specs up in order into batches that close once their links plus flows
+reach :attr:`FluidBatch.CAP` (a cell that reaches it alone, such as a
+k=16 FatTree's, runs alone).  Each record is handed back as its cell
+leaves, with a ``wall_time_s`` of its own setup and collect plus its
+share of the batch's ticks.  Hybrid cells and ``execute_spec`` run
+batches of one.
 
 Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index

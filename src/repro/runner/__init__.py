@@ -34,7 +34,7 @@ from .spec import (
     cc_axis,
     seed_axis,
 )
-from .sweep import SweepRunner, SweepTimeout, execute_spec_guarded
+from .sweep import SweepRunner, SweepTimeout, execute_unit
 
 __all__ = [
     "BACKENDS",
@@ -53,7 +53,7 @@ __all__ = [
     "build_topology",
     "cc_axis",
     "execute_spec",
-    "execute_spec_guarded",
+    "execute_unit",
     "generate_load_flows",
     "plan_resume",
     "validate_specs",

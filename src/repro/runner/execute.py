@@ -390,7 +390,7 @@ class _RunScope:
 
 
 def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
-    """Run one scenario to completion (the process-pool work unit).
+    """Run one scenario to completion: a sweep unit of one.
 
     With ``telemetry=True`` the run executes under a run-scoped,
     memory-backed :class:`~repro.obs.Telemetry` (programs and engine

@@ -1,11 +1,12 @@
-"""The sweep fabric: guarded execution and the fault-tolerant runner.
+"""The sweep fabric: guarded work units and the fault-tolerant runner.
 
-:class:`SweepRunner` fans spec lists out over a ``ProcessPoolExecutor``
-(serial fallback included).  Because every run is rebuilt from the
-spec's seed, serial and parallel sweeps produce byte-identical results.
-With telemetry on, each worker's drained records ride back across the
-pool on the (non-persisted) ``RunRecord.telemetry`` field and are
-ingested into the sweep's own file-backed instance.
+:class:`SweepRunner` runs spec lists as work units (:func:`execute_unit`)
+in-process or over a ``ProcessPoolExecutor``.  Because every run is
+rebuilt from the spec's seed, serial and parallel sweeps produce
+byte-identical results.  With telemetry on, each worker's drained
+records ride back across the pool on the (non-persisted)
+``RunRecord.telemetry`` field and are ingested into the sweep's own
+file-backed instance.
 """
 
 from __future__ import annotations
@@ -40,62 +41,63 @@ _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 1.0
 
 
-def execute_spec_guarded(
-    spec: ScenarioSpec, telemetry: bool = False,
+def execute_unit(
+    specs: list[ScenarioSpec], telemetry: bool = False,
     execute: Callable[[ScenarioSpec, bool], RunRecord] | None = None,
-    attempt: int = 1,
-) -> RunRecord:
-    """The process-pool work unit, with failure isolation.
+) -> Iterator[tuple[int, RunRecord]]:
+    """The sweep's work unit — a list of specs — with failure isolation.
 
-    Runs :func:`execute_spec` (or the injected ``execute`` callable —
-    the chaos hooks in the test suite use this) and converts any
-    in-worker exception into an ``error``-status :class:`RunRecord`
-    instead of letting it tear down the pool.  The original exception
-    rides back on the non-persisted ``exception`` field (when picklable)
-    so the ``failures="raise"`` policy can re-raise it verbatim.
+    Yields ``(i, record)`` as ``specs[i]`` finishes.  Several specs (all
+    :func:`~repro.runner.execute.batchable`) run through
+    :func:`~repro.runner.execute.execute_batch` in lockstep fluid
+    batches, one through :func:`execute_spec`; an injected ``execute``
+    (the test suite's chaos hooks) runs each spec in turn instead.  A
+    spec that raises becomes its own ``error``-status record instead of
+    tearing down the pool, as does each spec a fault of the batch itself
+    left unyielded.  The original exception rides back on the
+    non-persisted ``exception`` field (when picklable) so the
+    ``failures="raise"`` policy can re-raise it verbatim.
     """
-    work = execute if execute is not None else execute_spec
     started = time.perf_counter()
-    try:
-        record = work(spec, telemetry)
-    except Exception as exc:
-        return _error_record(spec, exc, started, attempt)
-    record.attempts = attempt
-    return record
-
-
-def _error_record(spec: ScenarioSpec, exc: Exception, started: float,
-                  attempt: int = 1) -> RunRecord:
-    """A failed execution as an ``error``-status record (the exception
-    rides along when it can cross a process boundary)."""
-    record = RunRecord.failure(
-        spec, "error", exc=exc,
-        wall_time_s=time.perf_counter() - started, attempts=attempt,
-    )
-    try:
-        pickle.dumps(exc)
-    except Exception:
-        record.exception = None         # unpicklable: the summary suffices
-    return record
-
-
-def execute_batch_guarded(specs: list[ScenarioSpec],
-                          telemetry: bool = False
-                          ) -> Iterator[tuple[int, RunRecord]]:
-    """:func:`~repro.runner.execute.execute_batch` with the failure
-    isolation of :func:`execute_spec_guarded`: a spec that raised comes
-    as its own ``error``-status record, and a fault of the batch itself
-    fails each spec it had not yet yielded the same way."""
-    started = time.perf_counter()
+    if execute is not None or len(specs) == 1:
+        for i, spec in enumerate(specs):
+            try:
+                yield i, (execute or execute_spec)(spec, telemetry)
+            except Exception as exc:
+                yield i, _error_record(spec, exc, started)
+            started = time.perf_counter()
+        return
     left = set(range(len(specs)))
     try:
         for i, outcome in execute_batch(specs, telemetry):
             left.discard(i)
             yield i, (outcome if isinstance(outcome, RunRecord)
                       else _error_record(specs[i], outcome, started))
+            started = time.perf_counter()
     except Exception as exc:
         for i in sorted(left):
             yield i, _error_record(specs[i], exc, started)
+
+
+def _unit_records(specs: list[ScenarioSpec], telemetry: bool,
+                  execute: Callable[[ScenarioSpec, bool], RunRecord] | None
+                  ) -> list[tuple[int, RunRecord]]:
+    """A pool task: :func:`execute_unit` run to its end."""
+    return list(execute_unit(specs, telemetry, execute))
+
+
+def _error_record(spec: ScenarioSpec, exc: Exception, started: float
+                  ) -> RunRecord:
+    """A failed execution as an ``error``-status record (the exception
+    rides along when it can cross a process boundary)."""
+    record = RunRecord.failure(
+        spec, "error", exc=exc, wall_time_s=time.perf_counter() - started,
+    )
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        record.exception = None         # unpicklable: the summary suffices
+    return record
 
 
 class SweepTimeout(TimeoutError):
@@ -115,14 +117,16 @@ def raise_failure(record: RunRecord) -> None:
 
 
 class SweepRunner:
-    """Executes spec lists: cache first, then parallel (or serial) compute.
+    """Executes spec lists: cache first, then one compute loop over units.
 
-    * ``jobs`` — worker processes; 1 (default) runs in-process, serially,
-      stepping fluid ``load``/``flows`` specs in lockstep batches
-      (:func:`~repro.runner.execute.execute_batch`), each record landing
-      as its cell finishes.
+    * ``jobs`` — worker processes; 1 (default) runs in-process.  A
+      call's uncached :func:`~repro.runner.execute.batchable` specs are
+      dealt into ``min(jobs, n)`` work units (:func:`execute_unit`), each
+      stepped as lockstep fluid batches; every other spec is a unit of
+      one.  Serially each record lands as its cell finishes; in a pool a
+      unit's records land when its worker returns.
     * ``cache`` — a :class:`RunCache` (or a path); hits skip computation
-      and completed runs are persisted as soon as they finish.
+      and completed runs are persisted as soon as they land.
     * ``progress`` — optional callback ``(record, done, total)``.
     * ``telemetry`` — optional :class:`~repro.obs.Telemetry`; per-run
       records are ingested as they land, plus sweep-level counters
@@ -136,14 +140,15 @@ class SweepRunner:
       faults (a worker killed by the OOM killer, a broken pool); the
       pool is rebuilt with bounded exponential backoff.  Deterministic
       execution errors are never retried — same spec, same exception.
-    * ``spec_timeout`` — per-spec wall-clock budget in seconds; a spec
-      still running past it has its worker killed and lands as a
-      terminal ``timeout`` record.  ``"auto"`` derives the budget from
-      observed runs (10x the slowest fresh ok cell, floor 5s; no
-      enforcement until one fresh cell lands).  Enforced on the pool
-      path only — a serial (``jobs=1``) run cannot kill itself.
+    * ``spec_timeout`` — per-spec wall-clock budget in seconds (a unit
+      gets one per cell); a spec still running past it has its worker
+      killed and lands as a terminal ``timeout`` record.  ``"auto"``
+      derives the budget from observed runs (10x the slowest fresh ok
+      cell, floor 5s; no enforcement until one fresh cell lands).
+      Enforced on the pool path only, which ``jobs>1`` takes whenever a
+      budget is armed — a serial (``jobs=1``) run cannot kill itself.
     * ``journal`` — a :class:`~repro.runner.journal.SweepJournal` (or a
-      path); every landed cell is appended and fsynced as it finishes,
+      path); every landed cell is appended and fsynced as it lands,
       making the sweep resumable after a crash (``sweep --resume``).
 
     Duplicate specs (same :attr:`~ScenarioSpec.spec_hash`) are computed
@@ -244,26 +249,17 @@ class SweepRunner:
                 block.inc("hits", len(indices) - len(to_run))
                 block.inc("misses", len(to_run))
 
+            units = self._units(to_run)
             computed: dict[str, RunRecord] = {}
-            if len(to_run) > 1 and self.jobs > 1:
-                computed = self._run_pool(to_run, notify)
-            batch = self._batch_keys(to_run)
-            for key, spec in to_run.items():
-                if key in computed:               # pooled or batched
-                    continue
-                if key in batch:                  # the batch's first spec
-                    # Each record lands as its cell finishes, before the
-                    # batch steps on.
-                    for i, record in execute_batch_guarded(
-                            [to_run[k] for k in batch], tel is not None):
-                        computed[batch[i]] = record
-                        self._land(record, notify)
-                    continue
-                record = execute_spec_guarded(     # serial / pool fallback
-                    spec, tel is not None, self._execute
-                )
-                computed[key] = record
-                self._land(record, notify)
+            if self.jobs > 1 and (len(units) > 1 or (
+                    units and self._current_timeout() is not None)):
+                computed = self._run_pool(units, to_run, notify)
+            for unit in units:                  # serial, or pool fallback
+                keys = [key for key in unit if key not in computed]
+                for i, record in execute_unit([to_run[key] for key in keys],
+                                              tel is not None, self._execute):
+                    computed[keys[i]] = record
+                    self._land(record, notify)
 
             # Fan results back out to every index (duplicates keep their own
             # label/meta via spec reattachment, and their own progress tick).
@@ -290,16 +286,15 @@ class SweepRunner:
                           jobs=self.jobs)
         return [r for r in records if r is not None]
 
-    def _batch_keys(self, to_run: dict[str, ScenarioSpec]) -> list[str]:
-        """The serial path's lockstep fluid batch: with ``jobs=1`` and
-        no injected ``execute``, every :func:`batchable` spec of the
-        call (none when fewer than two).  It runs at the place of its
-        first spec, in batches capped by
-        :attr:`~repro.fluid.FluidBatch.CAP`."""
-        if self.jobs != 1 or self._execute is not None:
-            return []
-        keys = [key for key, spec in to_run.items() if batchable(spec)]
-        return keys if len(keys) > 1 else []
+    def _units(self, to_run: dict[str, ScenarioSpec]) -> list[list[str]]:
+        """The call's work units (spec keys), in the order of their first
+        spec: the :func:`batchable` specs dealt round-robin into
+        ``min(jobs, n)`` units, every other spec a unit of one."""
+        batch = [key for key, spec in to_run.items() if batchable(spec)]
+        width = min(self.jobs, len(batch))
+        dealt = {batch[j]: batch[j::width] for j in range(width)}
+        return [dealt.get(key, [key]) for key, spec in to_run.items()
+                if key in dealt or not batchable(spec)]
 
     # -- landing results ---------------------------------------------------------
 
@@ -340,95 +335,102 @@ class SweepRunner:
     # -- the pool path -----------------------------------------------------------
 
     def _run_pool(
-        self, to_run: dict[str, ScenarioSpec],
+        self, units: list[list[str]], to_run: dict[str, ScenarioSpec],
         notify: Callable[[RunRecord], None],
     ) -> dict[str, RunRecord]:
-        """Parallel execution with a watchdog; returns whatever completed
-        (possibly nothing if the platform cannot spawn a pool — the
-        caller's serial loop fills the gaps).
+        """Parallel execution of the units with a watchdog; returns
+        whatever completed (possibly nothing if the platform cannot spawn
+        a pool — the caller's serial loop fills the gaps).
 
         The submission window is bounded by ``jobs`` so every inflight
         future is actually *running* — which makes submit time a faithful
-        start time, and the per-spec deadline meaningful.  Overdue specs
-        get the whole pool generation killed (SIGKILL: a hung worker may
-        ignore anything milder), land as terminal ``timeout`` records,
-        and the collateral inflight specs are requeued onto a fresh pool.
-        A worker death (OOM kill, segfault) breaks the pool for every
-        inflight future; all of them are requeued — the culprit is
-        indistinguishable from the collateral — with attempts bounded by
-        ``retries`` and a bounded exponential backoff between rebuilds.
+        start time, and the per-unit deadline (``spec_timeout`` per cell)
+        meaningful.  An overdue unit gets the whole pool generation killed
+        (SIGKILL: a hung worker may ignore anything milder): an overdue
+        unit of one lands as a terminal ``timeout`` record, and every
+        other inflight cell is requeued, free, as a unit of one.  A worker
+        death (OOM kill, segfault) breaks the pool for every inflight
+        future; each of their cells is requeued as a unit of one — the
+        culprit is indistinguishable from the collateral — with attempts
+        bounded by ``retries`` (a cell's last retry runs alone) and a
+        bounded exponential backoff between rebuilds.
         """
         tel = self.telemetry
         computed: dict[str, RunRecord] = {}
-        queue = deque(to_run.items())
-        attempts: dict[str, int] = {key: 0 for key in to_run}
+        queue = deque(units)
+        attempts = dict.fromkeys(to_run, 0)
         max_attempts = 1 + self.retries
         rebuilds = 0
         pool = self._new_pool()
         if pool is None:
             return computed
-        # future -> (key, spec, started_at) for everything submitted.
+        # future -> (unit, started_at) for everything submitted.
         inflight: dict = {}
 
         def land(record: RunRecord, key: str) -> None:
             computed[key] = record
-            try:
-                self._land(record, notify)
-            except BaseException:
-                self._kill_pool(pool)
-                raise
+            self._land(record, notify)      # may raise: finally kills
 
-        def requeue_lost(key: str, spec: ScenarioSpec) -> None:
-            """A worker died under this spec: retry or quarantine."""
-            if attempts[key] < max_attempts:
-                if tel is not None:
-                    tel.counters("sweep.fault").inc("retries")
-                queue.append((key, spec))
-            else:
-                land(RunRecord.failure(
-                    spec, "error", attempts=attempts[key],
-                    detail=f"worker lost {attempts[key]} times "
-                           f"(retries={self.retries} exhausted)",
-                ), key)
+        def requeue_lost(unit: list[str]) -> None:
+            """A worker died holding this unit: retry each cell as a unit
+            of one, or quarantine it."""
+            for key in unit:
+                if attempts[key] < max_attempts:
+                    if tel is not None:
+                        tel.counters("sweep.fault").inc("retries")
+                    queue.append([key])
+                else:
+                    land(RunRecord.failure(
+                        to_run[key], "error", attempts=attempts[key],
+                        detail=f"worker lost {attempts[key]} times "
+                               f"(retries={self.retries} exhausted)",
+                    ), key)
 
+        solo = False        # inflight holds a cell's last retry
         try:
             while queue or inflight:
                 while queue and len(inflight) < self.jobs:
-                    key, spec = queue.popleft()
-                    attempts[key] += 1
+                    # A cell's last retry runs alone: only its own death
+                    # can quarantine it, never a co-scheduled culprit's.
+                    last = 0 < attempts[queue[0][0]] == self.retries
+                    if inflight and (solo or last):
+                        break
+                    solo = last
+                    unit = queue.popleft()
+                    for key in unit:
+                        attempts[key] += 1
                     try:
                         future = pool.submit(
-                            execute_spec_guarded, spec, tel is not None,
-                            self._execute, attempts[key],
+                            _unit_records, [to_run[key] for key in unit],
+                            tel is not None, self._execute,
                         )
                     except _POOL_ERRORS:
-                        attempts[key] -= 1
-                        queue.appendleft((key, spec))
+                        for key in unit:
+                            attempts[key] -= 1
+                        queue.appendleft(unit)
                         return computed       # degrade to the serial path
-                    inflight[future] = (key, spec, time.monotonic())
+                    inflight[future] = (unit, time.monotonic())
 
                 timeout = self._current_timeout()
-                wait_s = None
-                if timeout is not None and inflight:
-                    next_deadline = min(
-                        started + timeout
-                        for _, _, started in inflight.values()
-                    )
-                    wait_s = max(0.05, next_deadline - time.monotonic())
+                wait_s = None if timeout is None else max(0.05, min(
+                    started + timeout * len(unit)
+                    for unit, started in inflight.values()
+                ) - time.monotonic())
                 finished, _ = wait(set(inflight), timeout=wait_s,
                                    return_when=FIRST_COMPLETED)
 
                 broken = False
                 for future in finished:
-                    key, spec, _started = inflight.pop(future)
+                    unit, _started = inflight.pop(future)
                     try:
-                        record = future.result()
+                        outcomes = future.result()
                     except _POOL_ERRORS:
                         broken = True
-                        requeue_lost(key, spec)
+                        requeue_lost(unit)
                         continue
-                    record.attempts = attempts[key]
-                    land(record, key)
+                    for i, record in outcomes:
+                        record.attempts = attempts[unit[i]]
+                        land(record, unit[i])
 
                 if broken:
                     # One death poisons the whole generation: every other
@@ -437,52 +439,47 @@ class SweepRunner:
                     if tel is not None:
                         tel.counters("sweep.fault").inc("worker_lost")
                         tel.flight.dump("worker death", "sweep")
-                    for future, (key, spec, _started) in list(
-                            inflight.items()):
-                        requeue_lost(key, spec)
-                    inflight.clear()
-                    rebuilds += 1
-                    pool = self._rebuild_pool(pool, rebuilds)
-                    if pool is None:
-                        return computed
-                    continue
-
-                timeout = self._current_timeout()
-                if timeout is None or not inflight:
-                    continue
-                now = time.monotonic()
-                overdue = {
-                    future for future, (_k, _s, started) in inflight.items()
-                    if now - started > timeout
-                }
-                if not overdue:
-                    continue
-                # Watchdog: kill the generation, record the overdue specs
-                # as terminal timeouts, requeue the collateral.
-                span = tel.span("sweep.watchdog", overdue=len(overdue)) \
-                    if tel is not None else nullcontext()
-                with span:
-                    self._kill_pool(pool)
-                    for future, (key, spec, started) in list(
-                            inflight.items()):
-                        if future in overdue:
-                            if tel is not None:
-                                tel.counters("sweep.fault").inc("timeouts")
-                            land(RunRecord.failure(
-                                spec, "timeout",
-                                wall_time_s=now - started,
-                                attempts=attempts[key],
-                                detail=f"exceeded {timeout:.1f}s "
-                                       f"wall-clock budget",
-                            ), key)
-                        else:
-                            requeue_lost(key, spec)
-                    inflight.clear()
-                    rebuilds += 1
-                    pool = self._rebuild_pool(pool, rebuilds,
-                                              backoff=False)
-                    if pool is None:
-                        return computed
+                    for unit, _started in inflight.values():
+                        requeue_lost(unit)
+                else:
+                    timeout = self._current_timeout()
+                    now = time.monotonic()
+                    overdue = set() if timeout is None else {
+                        future for future, (unit, started) in inflight.items()
+                        if now - started > timeout * len(unit)
+                    }
+                    if not overdue:
+                        continue
+                    # Watchdog: kill the generation, land an overdue unit
+                    # of one as a terminal timeout and requeue the rest.
+                    span = tel.span("sweep.watchdog", overdue=len(overdue)) \
+                        if tel is not None else nullcontext()
+                    with span:
+                        self._kill_pool(pool)
+                        for future, (unit, started) in inflight.items():
+                            if future in overdue and len(unit) == 1:
+                                if tel is not None:
+                                    tel.counters("sweep.fault").inc(
+                                        "timeouts")
+                                land(RunRecord.failure(
+                                    to_run[unit[0]], "timeout",
+                                    wall_time_s=now - started,
+                                    attempts=attempts[unit[0]],
+                                    detail=f"exceeded {timeout:.1f}s "
+                                           f"wall-clock budget",
+                                ), unit[0])
+                                continue
+                            # Killed for another unit, or for its own
+                            # budget rather than one cell's: each cell
+                            # goes back as a unit of one, at no cost.
+                            for key in unit:
+                                attempts[key] -= 1
+                                queue.append([key])
+                inflight.clear()
+                rebuilds += 1
+                pool = self._rebuild_pool(pool, rebuilds, backoff=broken)
+                if pool is None:
+                    return computed
         finally:
             self._kill_pool(pool)
         return computed

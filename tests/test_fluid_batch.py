@@ -2,14 +2,16 @@
 
 :class:`~repro.fluid.FluidBatch` steps many fluid cells over one row
 block; :func:`~repro.runner.execute.execute_batch` runs fluid
-``load``/``flows`` specs that way, and ``SweepRunner(jobs=1)`` hands it
-every such spec of one ``run()`` call.  Each test holds a batched cell
-against the same cell run alone, record for record.
+``load``/``flows`` specs that way, and ``SweepRunner(jobs=N)`` deals
+every such spec of one ``run()`` call into N work units that each run
+as lockstep batches.  Each test holds a batched cell against the same
+cell run alone, record for record.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -256,6 +258,28 @@ class TestRunner:
         serial = files(tmp_path / "serial")
         assert len(serial) == len(specs)
         assert serial == files(tmp_path / "pool")
+
+    def test_pool_units_step_as_batches(self, tmp_path, monkeypatch):
+        """``jobs=2`` deals the batchable cells into two units, and each
+        worker steps its unit as one lockstep batch: same records as the
+        serial sweep's single batch."""
+        log = tmp_path / "batches.log"
+        init = FluidBatch.__init__
+
+        def spy(self, cells):          # runs in the forked workers
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {len(cells)}\n")
+            init(self, cells)
+
+        monkeypatch.setattr(FluidBatch, "__init__", spy)
+        specs = self.specs()
+        serial = SweepRunner(jobs=1).run(specs)
+        log.unlink()
+        pooled = SweepRunner(jobs=2).run(specs)
+        batches = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(size) for _, size in batches) == [2, 2]
+        assert os.getpid() not in {int(pid) for pid, _ in batches}
+        assert [payload(r) for r in pooled] == [payload(r) for r in serial]
 
     def test_cells_land_as_they_finish(self, tmp_path, monkeypatch):
         """Each batched cell is cached, journalled and reported when it

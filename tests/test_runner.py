@@ -459,6 +459,51 @@ class TestFaultTolerance:
         assert "wall-clock budget" in stuck.error["message"]
 
     @pytest.mark.chaos
+    def test_lone_hung_spec_times_out(self):
+        """The watchdog arms for a single spec too (a ``sweep --resume``
+        with one cell left): it runs in the pool, not in-process."""
+        [stuck] = self.chaos_runner(spec_timeout=1.0).run(
+            [tiny_flows_spec(label="stuck", **{"meta.chaos": "hang"})])
+        assert stuck.status == "timeout" and stuck.attempts == 1
+        assert "wall-clock budget" in stuck.error["message"]
+
+    @pytest.mark.chaos
+    def test_hung_cell_in_a_unit_times_out_alone(self):
+        """A unit past its budget (``spec_timeout`` per cell) is split
+        into units of one: the hung cell lands ``timeout``, its
+        unit-mates ``ok``."""
+        specs = [tiny_flows_spec(backend="fluid", seed=seed, label=f"m{seed}")
+                 for seed in (1, 2, 3)]
+        specs[2] = specs[2].replaced(label="stuck", **{"meta.chaos": "hang"})
+        assert [len(u) for u in SweepRunner(jobs=2)._units(
+            {s.spec_hash: s for s in specs})] == [2, 1]
+        records = self.chaos_runner(spec_timeout=1.0).run(specs)
+        assert [r.status for r in records] == ["ok", "ok", "timeout"]
+        assert [r.attempts for r in records] == [1, 1, 1]
+        assert records[2].wall_time_s >= 1.0
+        for spec, record in zip(specs[:2], records):
+            assert record.to_json() | {"wall_time_s": 0} \
+                == execute_spec(spec).to_json() | {"wall_time_s": 0}
+
+    @pytest.mark.chaos
+    def test_dead_worker_in_a_unit_spares_its_mates(self):
+        """A worker that dies holding a unit sends each of its cells
+        back as a unit of one: the culprit is quarantined once its
+        retries run out, and its batchable unit-mates land ok."""
+        specs = [tiny_flows_spec(backend="fluid", seed=seed, label=f"m{seed}")
+                 for seed in (1, 2, 3, 4, 5)]
+        specs[2] = specs[2].replaced(label="dead", **{"meta.chaos": "die"})
+        units = SweepRunner(jobs=2)._units({s.spec_hash: s for s in specs})
+        assert [len(u) for u in units] == [3, 2]
+        records = self.chaos_runner(retries=2).run(specs)
+        dead = records.pop(2)
+        assert dead.status == "error" and dead.attempts == 3
+        assert "worker lost 3 times" in dead.error["message"]
+        assert all(r.ok for r in records)
+        assert all(r.attempts > 1 for r in records
+                   if r.spec.spec_hash in units[0])
+
+    @pytest.mark.chaos
     def test_dead_worker_is_retried(self, tmp_path):
         specs = [
             tiny_flows_spec(label="flaky", **{"meta.chaos": "die_once",
