@@ -55,11 +55,11 @@ of one — the engine's own, kept across calls, which is what the
 hybrid's per-epoch calls and the dynamics drivers step.
 ``FluidBackend.run_batch`` is the K-cell entry point: a sweep
 (``SweepRunner(jobs=N)``) deals its uncached fluid ``load``/``flows``
-specs, dynamics included, into N work units, and each unit sets its
-specs up in order into batches that close once their links plus flows
-reach :attr:`FluidBatch.CAP` (a cell that reaches it alone, such as a
-k=16 FatTree's, runs alone).  Each record is handed back as its cell
-leaves, with a ``wall_time_s`` of its own setup and collect plus its
+specs, dynamics included, into N work units, each set up in order into
+batches that close once their links plus flows reach
+:attr:`FluidBatch.CAP`; a cell that reaches it alone (a k=16 FatTree's)
+runs alone, in a unit of its own.  Each record is handed back as its
+cell leaves, its ``wall_time_s`` its own setup and collect plus its
 share of the batch's ticks.  Hybrid cells and ``execute_spec`` run
 batches of one.
 

@@ -335,6 +335,25 @@ def batchable(spec: ScenarioSpec) -> bool:
     return spec.backend == "fluid" and PROGRAMS.get(spec.program) is _run_network
 
 
+def shares_batch(spec: ScenarioSpec) -> bool:
+    """Whether ``spec`` is :func:`batchable` and its footprint as the spec
+    tells it (directed links plus listed flows, or a ``load``'s mean
+    ``n_flows``) is under :attr:`~repro.fluid.FluidBatch.CAP`."""
+    from ..fluid import FluidBatch
+
+    if not batchable(spec):
+        return False
+    try:
+        links = build_topology(spec).links
+        flows = len(spec.workload["flows"]) if spec.program == "flows" \
+            else int(spec.workload["n_flows"])
+    except Exception:           # raised again when the cell itself runs
+        return False
+    pairs = {pair for link in links
+             for pair in ((link.a, link.b), (link.b, link.a))}
+    return len(pairs) + flows < FluidBatch.CAP
+
+
 class _RunScope:
     """One spec's run-scoped telemetry and decision tap, both opt-in
     (see :func:`execute_spec`)."""

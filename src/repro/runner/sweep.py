@@ -1,12 +1,10 @@
 """The sweep fabric: guarded work units and the fault-tolerant runner.
 
-:class:`SweepRunner` runs spec lists as work units (:func:`execute_unit`)
-in-process or over a ``ProcessPoolExecutor``.  Because every run is
-rebuilt from the spec's seed, serial and parallel sweeps produce
-byte-identical results.  With telemetry on, each worker's drained
-records ride back across the pool on the (non-persisted)
-``RunRecord.telemetry`` field and are ingested into the sweep's own
-file-backed instance.
+:class:`SweepRunner` runs spec lists as work units (:func:`execute_unit`),
+in-process or over a ``ProcessPoolExecutor``; every run is rebuilt from
+its spec's seed, so serial and parallel sweeps are byte-identical.  With
+telemetry on, each worker's drained records ride back on the
+(non-persisted) ``RunRecord.telemetry`` field into the sweep's own sink.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ if TYPE_CHECKING:
     from .journal import SweepJournal
 
 from ..obs import Telemetry
-from .execute import batchable, execute_batch, execute_spec, validate_specs
+from .execute import execute_batch, execute_spec, shares_batch, validate_specs
 from .results import RunCache, RunRecord
 from .spec import ScenarioSpec
 
@@ -47,16 +45,13 @@ def execute_unit(
 ) -> Iterator[tuple[int, RunRecord]]:
     """The sweep's work unit — a list of specs — with failure isolation.
 
-    Yields ``(i, record)`` as ``specs[i]`` finishes.  Several specs (all
-    :func:`~repro.runner.execute.batchable`) run through
-    :func:`~repro.runner.execute.execute_batch` in lockstep fluid
-    batches, one through :func:`execute_spec`; an injected ``execute``
-    (the test suite's chaos hooks) runs each spec in turn instead.  A
-    spec that raises becomes its own ``error``-status record instead of
-    tearing down the pool, as does each spec a fault of the batch itself
-    left unyielded.  The original exception rides back on the
-    non-persisted ``exception`` field (when picklable) so the
-    ``failures="raise"`` policy can re-raise it verbatim.
+    Yields ``(i, record)`` as ``specs[i]`` finishes: several specs run
+    through :func:`~repro.runner.execute.execute_batch`, one through
+    :func:`execute_spec`, and an injected ``execute`` (the chaos hooks)
+    runs each spec in turn.  A spec that raises, or that a fault of the
+    batch left unyielded, becomes an ``error`` record; the exception
+    rides back on the non-persisted ``exception`` field (when
+    picklable) for ``failures="raise"`` to re-raise verbatim.
     """
     started = time.perf_counter()
     if execute is not None or len(specs) == 1:
@@ -119,12 +114,11 @@ def raise_failure(record: RunRecord) -> None:
 class SweepRunner:
     """Executes spec lists: cache first, then one compute loop over units.
 
-    * ``jobs`` — worker processes; 1 (default) runs in-process.  A
-      call's uncached :func:`~repro.runner.execute.batchable` specs are
-      dealt into ``min(jobs, n)`` work units (:func:`execute_unit`), each
-      stepped as lockstep fluid batches; every other spec is a unit of
-      one.  Serially each record lands as its cell finishes; in a pool a
-      unit's records land when its worker returns.
+    * ``jobs`` — worker processes; 1 (default) runs in-process.  The
+      uncached specs that can share a fluid batch (:func:`shares_batch`)
+      are dealt into ``min(jobs, n)`` units (:func:`execute_unit`), each
+      run at its first spec's place; every other spec is a unit of one.
+      A pool lands a unit's records when its worker returns.
     * ``cache`` — a :class:`RunCache` (or a path); hits skip computation
       and completed runs are persisted as soon as they land.
     * ``progress`` — optional callback ``(record, done, total)``.
@@ -140,13 +134,13 @@ class SweepRunner:
       faults (a worker killed by the OOM killer, a broken pool); the
       pool is rebuilt with bounded exponential backoff.  Deterministic
       execution errors are never retried — same spec, same exception.
-    * ``spec_timeout`` — per-spec wall-clock budget in seconds (a unit
-      gets one per cell); a spec still running past it has its worker
-      killed and lands as a terminal ``timeout`` record.  ``"auto"``
-      derives the budget from observed runs (10x the slowest fresh ok
-      cell, floor 5s; no enforcement until one fresh cell lands).
-      Enforced on the pool path only, which ``jobs>1`` takes whenever a
-      budget is armed — a serial (``jobs=1``) run cannot kill itself.
+    * ``spec_timeout`` — per-spec wall-clock budget in seconds (per cell
+      of a unit); a spec still running past it has its worker killed
+      and lands as a terminal ``timeout`` record.  ``"auto"`` derives
+      the budget from observed runs (10x the slowest fresh ok cell,
+      floor 5s; no enforcement until one fresh cell lands).  Enforced
+      on the pool path only, which ``jobs>1`` takes whenever a budget is
+      armed — a serial (``jobs=1``) run cannot kill itself.
     * ``journal`` — a :class:`~repro.runner.journal.SweepJournal` (or a
       path); every landed cell is appended and fsynced as it lands,
       making the sweep resumable after a crash (``sweep --resume``).
@@ -288,13 +282,14 @@ class SweepRunner:
 
     def _units(self, to_run: dict[str, ScenarioSpec]) -> list[list[str]]:
         """The call's work units (spec keys), in the order of their first
-        spec: the :func:`batchable` specs dealt round-robin into
-        ``min(jobs, n)`` units, every other spec a unit of one."""
-        batch = [key for key, spec in to_run.items() if batchable(spec)]
-        width = min(self.jobs, len(batch))
-        dealt = {batch[j]: batch[j::width] for j in range(width)}
-        return [dealt.get(key, [key]) for key, spec in to_run.items()
-                if key in dealt or not batchable(spec)]
+        spec: the specs that can share a batch (:func:`shares_batch`)
+        dealt round-robin into ``min(jobs, n)`` units, every other spec a
+        unit of one."""
+        shared = [key for key, spec in to_run.items() if shares_batch(spec)]
+        width = min(self.jobs, len(shared))
+        dealt = {shared[j]: shared[j::width] for j in range(width)}
+        riding = set(shared) - set(dealt)
+        return [dealt.get(key, [key]) for key in to_run if key not in riding]
 
     # -- landing results ---------------------------------------------------------
 
@@ -342,56 +337,59 @@ class SweepRunner:
         whatever completed (possibly nothing if the platform cannot spawn
         a pool — the caller's serial loop fills the gaps).
 
-        The submission window is bounded by ``jobs`` so every inflight
-        future is actually *running* — which makes submit time a faithful
-        start time, and the per-unit deadline (``spec_timeout`` per cell)
-        meaningful.  An overdue unit gets the whole pool generation killed
-        (SIGKILL: a hung worker may ignore anything milder): an overdue
-        unit of one lands as a terminal ``timeout`` record, and every
-        other inflight cell is requeued, free, as a unit of one.  A worker
-        death (OOM kill, segfault) breaks the pool for every inflight
-        future; each of their cells is requeued as a unit of one — the
-        culprit is indistinguishable from the collateral — with attempts
-        bounded by ``retries`` (a cell's last retry runs alone) and a
-        bounded exponential backoff between rebuilds.
+        At most ``jobs`` units run at once, so a unit's deadline
+        (``spec_timeout`` per cell) counts from its submission.  An
+        overdue unit gets the pool generation killed (SIGKILL: a hung
+        worker may ignore anything milder) and, a unit of one, lands a
+        terminal ``timeout``.  A worker death (OOM kill, segfault) breaks
+        every inflight future; a unit of one it took is retried and
+        charged (culprit and collateral look alike) up to ``retries``
+        times, the last alone, with bounded exponential backoff.  Every
+        other unit taken down goes back free, split into units of one.
         """
         tel = self.telemetry
         computed: dict[str, RunRecord] = {}
         queue = deque(units)
         attempts = dict.fromkeys(to_run, 0)
-        max_attempts = 1 + self.retries
         rebuilds = 0
         pool = self._new_pool()
         if pool is None:
             return computed
-        # future -> (unit, started_at) for everything submitted.
-        inflight: dict = {}
+        inflight: dict = {}     # future -> (unit, started_at)
 
         def land(record: RunRecord, key: str) -> None:
             computed[key] = record
             self._land(record, notify)      # may raise: finally kills
 
-        def requeue_lost(unit: list[str]) -> None:
-            """A worker died holding this unit: retry each cell as a unit
-            of one, or quarantine it."""
+        def split(unit: list[str]) -> None:
+            """Send the unit's cells back as units of one, at no cost."""
             for key in unit:
-                if attempts[key] < max_attempts:
-                    if tel is not None:
-                        tel.counters("sweep.fault").inc("retries")
-                    queue.append([key])
-                else:
-                    land(RunRecord.failure(
-                        to_run[key], "error", attempts=attempts[key],
-                        detail=f"worker lost {attempts[key]} times "
-                               f"(retries={self.retries} exhausted)",
-                    ), key)
+                attempts[key] -= 1
+                queue.append([key])
+
+        def requeue_lost(unit: list[str]) -> None:
+            """A worker died holding this unit: split a larger unit (once),
+            retry a unit of one, or quarantine it."""
+            if len(unit) > 1:
+                return split(unit)
+            [key] = unit
+            if attempts[key] <= self.retries:
+                if tel is not None:
+                    tel.counters("sweep.fault").inc("retries")
+                queue.append(unit)
+            else:
+                land(RunRecord.failure(
+                    to_run[key], "error", attempts=attempts[key],
+                    detail=f"worker lost {attempts[key]} times "
+                           f"(retries={self.retries} exhausted)",
+                ), key)
 
         solo = False        # inflight holds a cell's last retry
         try:
             while queue or inflight:
                 while queue and len(inflight) < self.jobs:
-                    # A cell's last retry runs alone: only its own death
-                    # can quarantine it, never a co-scheduled culprit's.
+                    # A charged cell's last retry runs alone, or a partner
+                    # requeued beside a culprit dies with it every time.
                     last = 0 < attempts[queue[0][0]] == self.retries
                     if inflight and (solo or last):
                         break
@@ -405,9 +403,6 @@ class SweepRunner:
                             tel is not None, self._execute,
                         )
                     except _POOL_ERRORS:
-                        for key in unit:
-                            attempts[key] -= 1
-                        queue.appendleft(unit)
                         return computed       # degrade to the serial path
                     inflight[future] = (unit, time.monotonic())
 
@@ -434,8 +429,7 @@ class SweepRunner:
 
                 if broken:
                     # One death poisons the whole generation: every other
-                    # inflight future is about to raise BrokenProcessPool
-                    # too.  Requeue them all and start a fresh pool.
+                    # inflight future is about to raise BrokenProcessPool.
                     if tel is not None:
                         tel.counters("sweep.fault").inc("worker_lost")
                         tel.flight.dump("worker death", "sweep")
@@ -457,27 +451,25 @@ class SweepRunner:
                     with span:
                         self._kill_pool(pool)
                         for future, (unit, started) in inflight.items():
-                            if future in overdue and len(unit) == 1:
-                                if tel is not None:
-                                    tel.counters("sweep.fault").inc(
-                                        "timeouts")
-                                land(RunRecord.failure(
-                                    to_run[unit[0]], "timeout",
-                                    wall_time_s=now - started,
-                                    attempts=attempts[unit[0]],
-                                    detail=f"exceeded {timeout:.1f}s "
-                                           f"wall-clock budget",
-                                ), unit[0])
-                                continue
-                            # Killed for another unit, or for its own
-                            # budget rather than one cell's: each cell
-                            # goes back as a unit of one, at no cost.
-                            for key in unit:
-                                attempts[key] -= 1
-                                queue.append([key])
+                            if future not in overdue or len(unit) > 1:
+                                split(unit)     # killed for another unit,
+                                continue        # or for a larger unit
+                            if tel is not None:
+                                tel.counters("sweep.fault").inc("timeouts")
+                            land(RunRecord.failure(
+                                to_run[unit[0]], "timeout",
+                                wall_time_s=now - started,
+                                attempts=attempts[unit[0]],
+                                detail=f"exceeded {timeout:.1f}s "
+                                       f"wall-clock budget",
+                            ), unit[0])
                 inflight.clear()
+                self._kill_pool(pool)
                 rebuilds += 1
-                pool = self._rebuild_pool(pool, rebuilds, backoff=broken)
+                if broken:
+                    time.sleep(min(_BACKOFF_CAP_S,
+                                   _BACKOFF_BASE_S * 2 ** (rebuilds - 1)))
+                pool = self._new_pool()
                 if pool is None:
                     return computed
         finally:
@@ -491,15 +483,6 @@ class SweepRunner:
             return ProcessPoolExecutor(max_workers=self.jobs)
         except _POOL_ERRORS:
             return None
-
-    def _rebuild_pool(self, old: ProcessPoolExecutor | None, rebuilds: int,
-                      backoff: bool = True) -> ProcessPoolExecutor | None:
-        if old is not None:
-            self._kill_pool(old)
-        if backoff:
-            time.sleep(min(_BACKOFF_CAP_S,
-                           _BACKOFF_BASE_S * 2 ** (rebuilds - 1)))
-        return self._new_pool()
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor | None) -> None:

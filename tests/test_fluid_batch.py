@@ -24,7 +24,7 @@ from repro.obs import Telemetry
 from repro.runner import (
     CcChoice, RunCache, ScenarioSpec, SweepRunner, execute_spec, plan_resume,
 )
-from repro.runner.execute import execute_batch
+from repro.runner.execute import execute_batch, shares_batch
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
 from repro.topology import parking_lot, star
@@ -258,6 +258,25 @@ class TestRunner:
         serial = files(tmp_path / "serial")
         assert len(serial) == len(specs)
         assert serial == files(tmp_path / "pool")
+
+    def test_cells_at_the_cap_are_units_of_one(self, monkeypatch):
+        """Only cells that can share a batch are dealt into units: one
+        whose footprint, as its spec tells it, reaches the cap would run
+        alone in any batch, so it is a unit of its own."""
+        from repro.experiments import figure11
+
+        large, bench = (figure11.scenarios(scale)[0].replaced(backend="fluid")
+                        for scale in ("large", "bench"))
+        assert not shares_batch(large) and shares_batch(bench)
+        # Estimated footprints: 52 per star, 90 parking lot, 13 failover.
+        monkeypatch.setattr(FluidBatch, "CAP", 60)
+        specs = self.specs()
+        label = {spec.spec_hash: spec.label for spec in specs}
+        units = SweepRunner(jobs=2)._units(
+            {spec.spec_hash: spec for spec in specs})
+        assert [[label[key] for key in unit] for unit in units] == [
+            ["hpcc-star", "failover"], ["dcqcn+win-star"],
+            ["timely-parking_lot"]]
 
     def test_pool_units_step_as_batches(self, tmp_path, monkeypatch):
         """``jobs=2`` deals the batchable cells into two units, and each

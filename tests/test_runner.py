@@ -488,8 +488,8 @@ class TestFaultTolerance:
     @pytest.mark.chaos
     def test_dead_worker_in_a_unit_spares_its_mates(self):
         """A worker that dies holding a unit sends each of its cells
-        back as a unit of one: the culprit is quarantined once its
-        retries run out, and its batchable unit-mates land ok."""
+        back as a unit of one, at no cost: the culprit is quarantined
+        once its retries run out, and its batchable unit-mates land ok."""
         specs = [tiny_flows_spec(backend="fluid", seed=seed, label=f"m{seed}")
                  for seed in (1, 2, 3, 4, 5)]
         specs[2] = specs[2].replaced(label="dead", **{"meta.chaos": "die"})
@@ -500,8 +500,22 @@ class TestFaultTolerance:
         assert dead.status == "error" and dead.attempts == 3
         assert "worker lost 3 times" in dead.error["message"]
         assert all(r.ok for r in records)
-        assert all(r.attempts > 1 for r in records
-                   if r.spec.spec_hash in units[0])
+
+    @pytest.mark.chaos
+    def test_units_lost_to_a_death_are_split_free(self):
+        """Cells lost in a larger unit are not charged: with no retries,
+        the culprit (a unit of one) is quarantined after one attempt and
+        the three cells of the unit that died beside it land ok."""
+        specs = [tiny_flows_spec(backend="fluid", seed=seed, label=f"m{seed}")
+                 for seed in (1, 2, 3, 4, 5, 6)]
+        specs.insert(1, tiny_flows_spec(label="dead", **{"meta.chaos": "die"}))
+        units = SweepRunner(jobs=2)._units({s.spec_hash: s for s in specs})
+        assert [len(u) for u in units] == [3, 1, 3]
+        records = self.chaos_runner(retries=0).run(specs)
+        dead = records.pop(1)
+        assert dead.status == "error" and dead.attempts == 1
+        assert "worker lost 1 times" in dead.error["message"]
+        assert all(r.ok and r.attempts == 1 for r in records)
 
     @pytest.mark.chaos
     def test_dead_worker_is_retried(self, tmp_path):
