@@ -3,18 +3,23 @@
 
 Implements a deliberately naive AIMD scheme against the public
 ``CcAlgorithm`` interface, registers it, and races it against HPCC on the
-same incast.  Use this as the template for experimenting with new
-algorithms on the simulator.
+same incast: one spec per scheme, the registered name as the spec's
+``cc``, run through :class:`~repro.runner.SweepRunner`.  Use this as the
+template for experimenting with new algorithms on the simulator.
+
+The scheme is registered in this process, so the sweep runs here too
+(``SweepRunner()``'s default ``jobs=1``).
 
 Run:  python examples/custom_cc.py
 """
 
-from repro import Network, NetworkConfig
 from repro.core import CcAlgorithm, CcEnv, SchemeInfo, register
+from repro.metrics import percentile
 from repro.metrics.reporter import format_table
+from repro.runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, \
+    cc_axis
 from repro.sim.ecn import EcnPolicy
 from repro.sim.units import KB, MS, US, gbps
-from repro.topology import star
 
 
 class NaiveAimd(CcAlgorithm):
@@ -53,29 +58,33 @@ register(SchemeInfo(
 ))
 
 
-def race(cc_name: str):
-    topology = star(9, host_rate="25Gbps", link_delay="1us")
-    net = Network(topology, NetworkConfig(cc_name=cc_name, base_rtt=9 * US))
-    sampler = net.sample_queues(
-        interval=5 * US, labels={"b": net.port_between(9, 8)}
-    )
-    for s in range(8):
-        net.add_flow(net.make_flow(src=s, dst=8, size=2_000_000))
-    net.run_until_done(deadline=40 * MS)
-    fcts = [r.fct / MS for r in net.metrics.fct_records]
-    return {
-        "done": len(fcts),
-        "worst_fct_ms": max(fcts) if fcts else float("nan"),
-        "queue_p95_kb": sampler.pct(95) / 1000,
-    }
+# An 8-to-1 incast on 25Gbps, the bottleneck (switch 9 -> receiver 8)
+# sampled every 5us; one cell per scheme.
+INCAST = ScenarioSpec(
+    program="flows",
+    topology="star",
+    topology_params={"n_hosts": 9, "host_rate": "25Gbps",
+                     "link_delay": "1us"},
+    workload={"flows": [[s, 8, 2_000_000] for s in range(8)],
+              "deadline": 40 * MS},
+    config={"base_rtt": 9 * US},
+    measure={"sample_interval": 5 * US,
+             "sample_ports": [["b", "between", 9, 8]]},
+)
 
 
 def main() -> None:
+    grid = ScenarioGrid(INCAST, cc_axis(
+        [CcChoice("naive-aimd"), CcChoice("hpcc")]))
     rows = []
-    for name in ("naive-aimd", "hpcc"):
-        r = race(name)
-        rows.append((name, f"{r['done']}/8", f"{r['worst_fct_ms']:.2f}",
-                     f"{r['queue_p95_kb']:.1f}"))
+    for record in SweepRunner().run(grid.expand()):
+        fcts = [r.fct for r in record.fct_records()]
+        _, qlens = record.queue_series("b")
+        rows.append((
+            record.label, f"{len(fcts)}/8",
+            f"{max(fcts) / MS:.2f}" if fcts else "nan",
+            f"{percentile(qlens, 95) / 1000:.1f}",
+        ))
     print(format_table(
         ["scheme", "flows done", "worst FCT (ms)", "queue p95 (KB)"],
         rows, title="Your scheme vs HPCC on an 8-to-1 incast (25Gbps)",

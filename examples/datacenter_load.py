@@ -4,49 +4,49 @@
 Replays the WebSearch flow-size distribution (scaled 10x down for speed)
 at 30% average load on a scaled FatTree and prints the per-size-bucket FCT
 slowdown table for HPCC and DCQCN side by side — a miniature Figure 10.
+The cells are ``load`` specs (the program behind Figures 10 and 11), run
+through :class:`~repro.runner.SweepRunner`.
 
 Run:  python examples/datacenter_load.py
 """
 
-from repro import Network, NetworkConfig
 from repro.metrics import percentile, slowdown_by_bucket
 from repro.metrics.reporter import format_bucket_table, format_table
+from repro.runner import CcChoice, ScenarioGrid, ScenarioSpec, SweepRunner, \
+    cc_axis, workload_cdf
 from repro.sim.units import US
-from repro.topology import bench_fattree
-from repro.workloads import poisson_flows, websearch
 
 LOAD = 0.30
 N_FLOWS = 200
 SIZE_SCALE = 0.1
 
-
-def run(cc_name: str, cdf, seed: int = 42):
-    topology = bench_fattree()
-    net = Network(topology, NetworkConfig(cc_name=cc_name, base_rtt=13 * US))
-    rates = {h: topology.host_rate(h) for h in topology.hosts}
-    total_capacity = sum(rates.values())
-    wire = (net.config.mtu + net.header) / net.config.mtu
-    duration = N_FLOWS * cdf.mean() * wire / (LOAD * total_capacity)
-    specs = poisson_flows(
-        list(topology.hosts), rates, cdf, LOAD, duration,
-        seed=seed, wire_overhead=wire,
-    )
-    net.add_flows(specs)
-    net.run_until_done(deadline=3 * duration)
-    return net.metrics.fct_records
+# bench_fattree(): 2 pods x 2 ToRs x 4 hosts at 10/40Gbps.
+DAY = ScenarioSpec(
+    program="load",
+    topology="fattree",
+    topology_params={"n_pods": 2, "tors_per_pod": 2, "aggs_per_pod": 2,
+                     "n_core": 2, "hosts_per_tor": 4,
+                     "host_rate": "10Gbps", "fabric_rate": "40Gbps"},
+    workload={"cdf": "websearch", "size_scale": SIZE_SCALE, "load": LOAD,
+              "n_flows": N_FLOWS, "deadline_factor": 3.0},
+    config={"base_rtt": 13 * US},
+    seed=42,
+)
 
 
 def main() -> None:
-    cdf = websearch().scaled(SIZE_SCALE)
+    cdf = workload_cdf(DAY.workload)
     edges = [0] + [int(d) for d in cdf.deciles()]
+    grid = ScenarioGrid(DAY, cc_axis(
+        [CcChoice("hpcc", label="HPCC"), CcChoice("dcqcn", label="DCQCN")]))
     tables = {}
     summary_rows = []
-    for cc_name in ("hpcc", "dcqcn"):
-        records = run(cc_name, cdf)
-        tables[cc_name.upper()] = slowdown_by_bucket(records, edges)
-        slowdowns = [r.slowdown for r in records]
+    for record in SweepRunner().run(grid.expand()):
+        fcts = record.fct_records()
+        tables[record.label] = slowdown_by_bucket(fcts, edges)
+        slowdowns = [r.slowdown for r in fcts]
         summary_rows.append((
-            cc_name.upper(), len(records),
+            record.label, len(fcts),
             f"{percentile(slowdowns, 50):.2f}",
             f"{percentile(slowdowns, 95):.2f}",
             f"{percentile(slowdowns, 99):.2f}",

@@ -1,76 +1,77 @@
 #!/usr/bin/env python3
-"""Quickstart: build a network, run HPCC, inspect the results.
+"""Quickstart: declare a scenario, run HPCC, inspect the results.
 
-Builds a 4-host star (one switch), runs two 1MB flows into the same
-receiver under HPCC, and prints flow completion times, slowdowns and the
-bottleneck queue profile.  Everything here is public API.
+Declares a 4-host star (one switch) with two 1MB flows into the same
+receiver under HPCC as a :class:`~repro.runner.ScenarioSpec`, runs it
+through :class:`~repro.runner.SweepRunner`, and prints flow completion
+times, slowdowns and the bottleneck queue profile from the
+:class:`~repro.runner.RunRecord`.  Then the same spec runs on the
+flow-level fluid backend.  Everything here is public API.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import Network, NetworkConfig
+from repro.metrics import percentile
 from repro.metrics.reporter import ascii_series, format_table
+from repro.runner import CcChoice, ScenarioSpec, SweepRunner
 from repro.sim.units import MS, US
-from repro.topology import star
+
+# 1. The scenario, as data: 4 hosts x 100Gbps on one switch, 1us links,
+#    HPCC (eta=95%, maxStage=5 — the paper defaults), two 1MB flows into
+#    host 3 that must share its 100Gbps, and the bottleneck watched: the
+#    switch port (node 4) toward the receiver, sampled every 1us.
+SPEC = ScenarioSpec(
+    program="flows",
+    topology="star",
+    topology_params={"n_hosts": 4, "host_rate": "100Gbps",
+                     "link_delay": "1us"},
+    cc=CcChoice("hpcc"),
+    workload={"flows": [[0, 3, 1_000_000], [1, 3, 1_000_000]],
+              "deadline": 10 * MS},
+    config={"base_rtt": 9 * US},
+    measure={"sample_interval": 1 * US,
+             "sample_ports": [["to-receiver", "between", 4, 3]]},
+    label="quickstart",
+)
 
 
 def main() -> None:
-    # 1. A topology: 4 hosts x 100Gbps on one switch, 1us links.
-    topology = star(n_hosts=4, host_rate="100Gbps", link_delay="1us")
-
-    # 2. A network running HPCC (eta=95%, maxStage=5 — the paper defaults).
-    net = Network(topology, NetworkConfig(cc_name="hpcc", base_rtt=9 * US))
-
-    # 3. Watch the bottleneck: the switch port toward the receiver (host 3).
-    bottleneck = net.port_between(4, 3)          # node 4 is the switch
-    sampler = net.sample_queues(interval=1 * US, labels={"to-receiver": bottleneck})
-
-    # 4. Two flows into the same receiver — they must share 100Gbps.
-    net.add_flow(net.make_flow(src=0, dst=3, size=1_000_000))
-    net.add_flow(net.make_flow(src=1, dst=3, size=1_000_000))
-
-    # 5. Run until both complete.
-    done = net.run_until_done(deadline=10 * MS)
-    assert done, "flows did not finish"
+    # 2. Run it; the record is plain data (cacheable, picklable).
+    [record] = SweepRunner().run([SPEC])
+    assert record.completed, "flows did not finish"
 
     rows = [
         (r.spec.flow_id, f"{r.spec.size:,}", f"{r.fct / US:.1f}",
          f"{r.ideal / US:.1f}", f"{r.slowdown:.2f}")
-        for r in sorted(net.metrics.fct_records, key=lambda r: r.spec.flow_id)
+        for r in sorted(record.fct_records(), key=lambda r: r.spec.flow_id)
     ]
     print(format_table(
         ["flow", "bytes", "FCT (us)", "ideal (us)", "slowdown"],
         rows, title="Two flows sharing a 100Gbps bottleneck under HPCC",
     ))
     print()
-    times, qlens = sampler.series("to-receiver")
+    times, qlens = record.queue_series("to-receiver")
     print(ascii_series(
         times, [q / 1000 for q in qlens],
         label="bottleneck queue (KB) — HPCC keeps it near zero",
         t_unit=US,
     ))
     print()
-    print(f"queue p95: {sampler.pct(95) / 1000:.1f}KB, "
-          f"peak: {sampler.max() / 1000:.1f}KB, "
-          f"drops: {net.metrics.drop_count}")
+    print(f"queue p95: {percentile(qlens, 95) / 1000:.1f}KB, "
+          f"peak: {max(qlens) / 1000:.1f}KB, "
+          f"drops: {record.extras['drops']}")
 
-    # 6. The same scenario on the flow-level fluid backend: no packets,
+    # 3. The same scenario on the flow-level fluid backend: no packets,
     #    RTT-granularity steps, the same HPCC control law — use it
-    #    (`ScenarioSpec(backend="fluid")` / `hpcc-repro sweep --backend
-    #    fluid`) when sweeping scenarios too big for packet simulation.
-    from repro import FluidEngine
-    from repro.sim.flow import FlowSpec
-
-    engine = FluidEngine(topology, cc_name="hpcc", base_rtt=9 * US)
-    engine.add_flows([FlowSpec(1, 0, 3, 1_000_000, 0.0),
-                      FlowSpec(2, 1, 3, 1_000_000, 0.0)])
-    engine.run(deadline=10 * MS)
+    #    (`hpcc-repro sweep --backend fluid`) when sweeping scenarios too
+    #    big for packet simulation.
+    [fluid] = SweepRunner().run([SPEC.replaced(backend="fluid")])
     print()
-    for r in sorted(engine.fct_records, key=lambda r: r.spec.flow_id):
+    for r in sorted(fluid.fct_records(), key=lambda r: r.spec.flow_id):
         print(f"fluid backend: flow {r.spec.flow_id} "
               f"FCT {r.fct / US:.1f}us (slowdown {r.slowdown:.2f}) "
-              f"in {engine.steps} RTT steps instead of "
-              f"{net.sim.events_processed:,} packet events")
+              f"in {fluid.events_processed} RTT steps instead of "
+              f"{record.events_processed:,} packet events")
 
 
 if __name__ == "__main__":

@@ -47,9 +47,8 @@ subset CI uploads on every PR.
 ``--telemetry [PATH]`` (on ``run``, ``sweep`` and ``report``) records
 the run-telemetry JSONL stream (``repro.obs``: phase spans, engine
 probes, cache/utilization stats) alongside the primary output;
-``tele summarize PATH`` renders any such file — including
-``PacketTracer.to_jsonl`` exports — as a text digest (``--json`` for
-machine-readable aggregates).
+``tele summarize PATH`` renders any such file as a text digest
+(``--json`` for machine-readable aggregates).
 
 ``trace diff SPEC`` is the control-loop flight recorder's analyzer:
 it runs one scenario on *both* execution backends with the per-flow
@@ -221,32 +220,15 @@ def _cmd_sweep(args) -> int:
                 f"'auto', got {args.spec_timeout!r}"
             )
 
-    if args.resume is not None:
-        from .runner import plan_resume
-
-        if not Path(args.resume).is_file():
-            raise SystemExit(f"error: no sweep journal at {args.resume}")
-        to_run, skipped, _ = plan_resume(specs, args.resume)
-        print(
-            f"resuming from {args.resume}: {len(skipped)} ok cells "
-            f"skipped, {len(to_run)} to (re)run", file=sys.stderr,
-        )
-        if skipped and cache is None:
-            print(
-                "warning: --no-cache makes --resume re-run ok cells too "
-                "(their results only live in the cache)", file=sys.stderr,
-            )
-
     tel, tel_path = _make_telemetry(
         args, out / "telemetry.jsonl",
         run_id="sweep:" + "+".join(args.experiments),
     )
     started = time.perf_counter()
-    journal_path = out / "journal.jsonl"
     runner = SweepRunner(
         jobs=args.jobs, cache=cache, progress=_progress_ticker(args),
         telemetry=tel, failures=args.on_error, retries=args.retries,
-        spec_timeout=spec_timeout, journal=str(journal_path),
+        spec_timeout=spec_timeout, journal=str(out / "journal.jsonl"),
     )
     try:
         records = runner.run(specs)
@@ -278,8 +260,10 @@ def _cmd_sweep(args) -> int:
             f"{count} {status}" for status, count in sorted(by_status.items())
         )
         print(
-            f"warning: {len(failed)} cells failed ({detail}); "
-            f"re-run with --resume {journal_path}", file=sys.stderr,
+            f"warning: {len(failed)} cells failed ({detail}); re-run the "
+            f"same command to retry them"
+            + ("" if cache is None else " (ok cells come from the cache)"),
+            file=sys.stderr,
         )
         for record in failed:
             error = record.error or {}
@@ -633,11 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-cell wall-clock budget; overdue cells are killed and "
              "recorded as timeouts.  'auto' derives 10x the slowest "
              "fresh cell (floor 5s).  Needs --jobs >= 2.",
-    )
-    sweep.add_argument(
-        "--resume", default=None, metavar="JOURNAL",
-        help="resume from a sweep journal: cells it records as ok are "
-             "served from the cache, failed cells re-run",
     )
 
     report = sub.add_parser(

@@ -388,11 +388,3 @@ class Network:
         """Attach a queue sampler to (by default) every switch egress port."""
         ports = labels if labels is not None else self.switch_port_labels()
         return QueueSampler(self.sim, ports, interval)
-
-    def host_pause_fraction(self, duration: float) -> float:
-        """Fraction of host-uplink time spent PFC-paused (Figure 11b metric)."""
-        total = sum(
-            self.nics[h].port.paused_time(self.sim.now)
-            for h in self.topology.hosts
-        )
-        return total / (duration * self.topology.n_hosts)

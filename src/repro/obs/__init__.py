@@ -15,8 +15,8 @@ surface for everything instrumented code needs:
   :mod:`repro.obs.divergence` — the control-loop flight recorder and
   the packet-vs-fluid decision-timeline analyzer behind
   ``hpcc-repro trace diff``.
-* :mod:`repro.obs.schema` — the versioned JSONL record layout shared
-  with ``PacketTracer.to_jsonl`` and validated by ``tele summarize``.
+* :mod:`repro.obs.schema` — the versioned JSONL record layout,
+  validated by ``tele summarize``.
 
 Everything is opt-in: with no telemetry attached, the engines and the
 runner take branch-free (or single-``None``-check) paths; see

@@ -1,10 +1,10 @@
 """Versioned record schema for the run-telemetry JSONL format.
 
 Every telemetry artifact — the ``--telemetry`` sink, flight-recorder
-dumps, ``PacketTracer.to_jsonl`` exports — is a sequence of JSON
-objects, one per line, in this schema.  The first line is a ``meta``
-record naming the schema and its version; every later line carries a
-``kind`` from :data:`KINDS` plus that kind's required fields.  Readers
+dumps — is a sequence of JSON objects, one per line, in this schema.
+The first line is a ``meta`` record naming the schema and its version;
+every later line carries a ``kind`` from :data:`KINDS` plus that kind's
+required fields.  Readers
 (``hpcc-repro tele summarize``, the report builder) validate each line
 with :func:`validate_record` and skip-and-count rather than abort on a
 bad one, so a truncated file (e.g. a run killed mid-write) still
@@ -12,9 +12,8 @@ summarizes.
 
 Field conventions shared by all kinds:
 
-* ``t`` — seconds since the emitting run's ``meta`` record, wall clock
-  by default.  A producer on a different timebase (the packet tracer
-  uses the *sim* clock) says so in its meta ``labels["timebase"]``.
+* ``t`` — seconds since the emitting run's ``meta`` record (wall
+  clock).
 * ``sim_ns`` — optional simulated-time stamp in nanoseconds.
 * ``run_id`` — which run emitted the record; sweeps interleave runs in
   one file, so every record carries it.

@@ -23,7 +23,7 @@ from .execute import (
     workload_cdf,
 )
 from .harness import generate_load_flows
-from .journal import SweepJournal, plan_resume
+from .journal import SweepJournal
 from .results import RunCache, RunRecord, write_records_csv
 from .spec import (
     BACKENDS,
@@ -55,7 +55,6 @@ __all__ = [
     "execute_spec",
     "execute_unit",
     "generate_load_flows",
-    "plan_resume",
     "validate_specs",
     "workload_cdf",
     "seed_axis",

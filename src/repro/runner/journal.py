@@ -1,16 +1,16 @@
 """The sweep journal: an append-only JSONL log of cell outcomes.
 
 A sweep writes one line per landed cell — ``spec_hash``, terminal
-``status`` (``ok``/``error``/``timeout``), attempts consumed and wall
-time — flushed as each cell finishes, so the journal survives the sweep
-process dying mid-run.  ``hpcc-repro sweep --resume journal.jsonl``
-reads it back and skips every cell that already landed ``ok``; cells
-recorded as ``error`` or ``timeout`` (or never recorded at all) re-run.
+``status`` (``ok``/``error``/``timeout``), attempts consumed, wall time
+and whether the cache served it — fsynced as each cell finishes, so the
+journal survives the sweep process dying mid-run.
 
 The journal is *accounting*, not results: the run cache holds the data,
 the journal holds the ledger of what was attempted and how it went.
-Identity is the content-addressed spec hash, so a resumed sweep matches
-cells even if labels or metadata changed between invocations.
+Nothing reads it back to decide what to run: re-running the same sweep
+over the same cache serves every ok cell from the cache and re-runs the
+rest, and the journal's new lines (``"cached": true`` on the served
+cells) say so.
 
 Lines also carry a ``sweep`` header record (first line) with the spec
 count and start timestamp, purely for humans reading the file.
@@ -22,10 +22,8 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Iterable, Mapping
 
-from .results import RECORD_STATUSES, RunRecord
-from .spec import ScenarioSpec
+from .results import RunRecord
 
 JOURNAL_FORMAT = 1
 
@@ -33,11 +31,9 @@ JOURNAL_FORMAT = 1
 class SweepJournal:
     """Append-only JSONL ledger of sweep-cell outcomes.
 
-    Each :meth:`record` call appends one line and flushes it to the OS
-    immediately — a killed sweep leaves at worst one truncated final
-    line, which :meth:`load` skips.  Re-recording a hash supersedes the
-    earlier line (last-wins on load), so retries and resumed runs simply
-    append.
+    Each :meth:`record` call appends one line and fsyncs it — a killed
+    sweep leaves at worst one truncated final line.  A re-run appends;
+    for a spec hash the last line is its latest outcome.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -48,8 +44,15 @@ class SweepJournal:
     # -- writing ----------------------------------------------------------------
 
     def open(self, n_specs: int) -> None:
-        """Start (or continue) the journal file for a sweep of n_specs."""
+        """Start (or continue) the journal file for a sweep of n_specs.
+
+        A journal whose last line a killed sweep left torn is continued
+        on a fresh line, so the torn line stays the only unreadable one.
+        """
+        torn = self._ends_torn()
         self._handle = self.path.open("a")
+        if torn:
+            self._handle.write("\n")
         self._append({
             "kind": "sweep",
             "format": JOURNAL_FORMAT,
@@ -76,6 +79,18 @@ class SweepJournal:
             }
         self._append(entry)
 
+    def _ends_torn(self) -> bool:
+        """Whether the file's last byte is something other than a newline."""
+        try:
+            with self.path.open("rb") as handle:
+                handle.seek(0, os.SEEK_END)
+                if handle.tell() == 0:
+                    return False
+                handle.seek(-1, os.SEEK_END)
+                return handle.read(1) != b"\n"
+        except FileNotFoundError:
+            return False
+
     def _append(self, entry: dict) -> None:
         if self._handle is None:
             self._handle = self.path.open("a")
@@ -93,63 +108,3 @@ class SweepJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- reading ----------------------------------------------------------------
-
-    @classmethod
-    def load(cls, path: str | Path) -> dict[str, dict]:
-        """Latest outcome per spec hash: ``{spec_hash: cell_entry}``.
-
-        Tolerates a truncated final line (the crash case the journal
-        exists for) and unknown statuses from future formats (dropped).
-        """
-        outcomes: dict[str, dict] = {}
-        journal_path = Path(path)
-        if not journal_path.exists():
-            return outcomes
-        with journal_path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue        # truncated tail of a killed sweep
-                if entry.get("kind") != "cell":
-                    continue
-                if entry.get("status") not in RECORD_STATUSES:
-                    continue
-                spec_hash = entry.get("spec_hash")
-                if spec_hash:
-                    outcomes[spec_hash] = entry
-        return outcomes
-
-    @staticmethod
-    def completed_hashes(outcomes: Mapping[str, dict]) -> set[str]:
-        """Hashes whose latest outcome is ``ok`` — the resume skip-set."""
-        return {
-            spec_hash for spec_hash, entry in outcomes.items()
-            if entry.get("status") == "ok"
-        }
-
-
-def plan_resume(
-    specs: Iterable[ScenarioSpec], journal_path: str | Path
-) -> tuple[list[ScenarioSpec], list[str], dict[str, dict]]:
-    """Split a spec list against a prior journal.
-
-    Returns ``(to_run, skipped_hashes, outcomes)``: the specs whose
-    latest journalled outcome is not ``ok`` (plus any never attempted),
-    the hashes being skipped, and the raw outcome map for reporting.
-    """
-    outcomes = SweepJournal.load(journal_path)
-    done = SweepJournal.completed_hashes(outcomes)
-    to_run: list[ScenarioSpec] = []
-    skipped: list[str] = []
-    for spec in specs:
-        if spec.spec_hash in done:
-            skipped.append(spec.spec_hash)
-        else:
-            to_run.append(spec)
-    return to_run, skipped, outcomes

@@ -132,8 +132,10 @@ class SweepRunner:
       Input errors (unknown program/topology) raise under both policies.
     * ``retries`` — extra attempts for specs lost to *infrastructure*
       faults (a worker killed by the OOM killer, a broken pool); the
-      pool is rebuilt with bounded exponential backoff.  Deterministic
-      execution errors are never retried — same spec, same exception.
+      pool is rebuilt with bounded exponential backoff, and a death
+      charges an attempt only to a cell that was alone in flight (see
+      :meth:`_run_pool`).  Deterministic execution errors are never
+      retried — same spec, same exception.
     * ``spec_timeout`` — per-spec wall-clock budget in seconds (per cell
       of a unit); a spec still running past it has its worker killed
       and lands as a terminal ``timeout`` record.  ``"auto"`` derives
@@ -142,8 +144,9 @@ class SweepRunner:
       on the pool path only, which ``jobs>1`` takes whenever a budget is
       armed — a serial (``jobs=1``) run cannot kill itself.
     * ``journal`` — a :class:`~repro.runner.journal.SweepJournal` (or a
-      path); every landed cell is appended and fsynced as it lands,
-      making the sweep resumable after a crash (``sweep --resume``).
+      path); every landed cell is appended and fsynced as it lands.
+      With a cache, re-running a crashed or partly failed sweep is its
+      resume: the ok cells come back from the cache.
 
     Duplicate specs (same :attr:`~ScenarioSpec.spec_hash`) are computed
     once and shared.  If the platform refuses to fork a process pool the
@@ -342,10 +345,13 @@ class SweepRunner:
         overdue unit gets the pool generation killed (SIGKILL: a hung
         worker may ignore anything milder) and, a unit of one, lands a
         terminal ``timeout``.  A worker death (OOM kill, segfault) breaks
-        every inflight future; a unit of one it took is retried and
-        charged (culprit and collateral look alike) up to ``retries``
-        times, the last alone, with bounded exponential backoff.  Every
-        other unit taken down goes back free, split into units of one.
+        every inflight future, and the pool is rebuilt with bounded
+        exponential backoff.  Only a cell that died alone — the one cell
+        in flight — is charged an attempt: it is retried up to
+        ``retries`` times, then quarantined.  A death that takes more
+        than one cell down charges nobody, since culprit and collateral
+        look alike: each of those cells goes back as a unit of one that
+        runs alone from then on, so the culprit's next death is its own.
         """
         tel = self.telemetry
         computed: dict[str, RunRecord] = {}
@@ -367,33 +373,15 @@ class SweepRunner:
                 attempts[key] -= 1
                 queue.append([key])
 
-        def requeue_lost(unit: list[str]) -> None:
-            """A worker died holding this unit: split a larger unit (once),
-            retry a unit of one, or quarantine it."""
-            if len(unit) > 1:
-                return split(unit)
-            [key] = unit
-            if attempts[key] <= self.retries:
-                if tel is not None:
-                    tel.counters("sweep.fault").inc("retries")
-                queue.append(unit)
-            else:
-                land(RunRecord.failure(
-                    to_run[key], "error", attempts=attempts[key],
-                    detail=f"worker lost {attempts[key]} times "
-                           f"(retries={self.retries} exhausted)",
-                ), key)
-
-        solo = False        # inflight holds a cell's last retry
+        alone: set[str] = set()     # cells lost beside others
+        solo = False                # inflight holds one of them
         try:
             while queue or inflight:
                 while queue and len(inflight) < self.jobs:
-                    # A charged cell's last retry runs alone, or a partner
-                    # requeued beside a culprit dies with it every time.
-                    last = 0 < attempts[queue[0][0]] == self.retries
-                    if inflight and (solo or last):
+                    lone = queue[0][0] in alone
+                    if inflight and (solo or lone):
                         break
-                    solo = last
+                    solo = lone
                     unit = queue.popleft()
                     for key in unit:
                         attempts[key] += 1
@@ -414,19 +402,19 @@ class SweepRunner:
                 finished, _ = wait(set(inflight), timeout=wait_s,
                                    return_when=FIRST_COMPLETED)
 
-                broken = False
+                lost: list[str] = []
                 for future in finished:
                     unit, _started = inflight.pop(future)
                     try:
                         outcomes = future.result()
                     except _POOL_ERRORS:
-                        broken = True
-                        requeue_lost(unit)
+                        lost += unit
                         continue
                     for i, record in outcomes:
                         record.attempts = attempts[unit[i]]
                         land(record, unit[i])
 
+                broken = bool(lost)
                 if broken:
                     # One death poisons the whole generation: every other
                     # inflight future is about to raise BrokenProcessPool.
@@ -434,7 +422,21 @@ class SweepRunner:
                         tel.counters("sweep.fault").inc("worker_lost")
                         tel.flight.dump("worker death", "sweep")
                     for unit, _started in inflight.values():
-                        requeue_lost(unit)
+                        lost += unit
+                    key = lost[0]
+                    if len(lost) > 1:           # culprit unknown: free
+                        split(lost)
+                        alone.update(lost)
+                    elif attempts[key] <= self.retries:
+                        if tel is not None:
+                            tel.counters("sweep.fault").inc("retries")
+                        queue.append([key])
+                    else:
+                        land(RunRecord.failure(
+                            to_run[key], "error", attempts=attempts[key],
+                            detail=f"worker lost {attempts[key]} times "
+                                   f"(retries={self.retries} exhausted)",
+                        ), key)
                 else:
                     timeout = self._current_timeout()
                     now = time.monotonic()

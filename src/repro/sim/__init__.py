@@ -10,7 +10,6 @@ from .packet import IntHop, Packet, PacketType
 from .pfc import PauseInterval, PauseTracker, PfcConfig, PfcController
 from .queues import EgressPort
 from .switch import Switch
-from .trace import PacketTracer, TraceEvent
 
 __all__ = [
     "BufferConfig",
@@ -26,9 +25,7 @@ __all__ = [
     "Link",
     "NicConfig",
     "Packet",
-    "PacketTracer",
     "PacketType",
-    "TraceEvent",
     "PauseInterval",
     "PauseTracker",
     "PeriodicTask",

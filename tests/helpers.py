@@ -5,8 +5,8 @@ fabric's chaos tests: it runs in pool workers (picklable by reference —
 the pool forks, so ``tests.helpers`` is already importable there) and
 misbehaves according to ``spec.meta["chaos"]``.  Because ``meta`` is
 excluded from the spec's identity hash, a chaos spec shares its cache
-slot and journal entry with its clean twin — which is exactly what the
-resume-determinism tests need.
+slot with its clean twin — which is exactly what the re-run
+determinism tests need.
 """
 
 from __future__ import annotations
@@ -38,12 +38,17 @@ def chaos_execute_spec(spec, telemetry: bool = False):
       through a flag file at ``spec.meta["flag_dir"]`` (retries must
       then succeed);
     * absent/anything else — run the spec normally.
+
+    ``spec.meta["sleep_s"]`` sleeps that long first, whatever the mode:
+    it keeps a healthy cell in flight, or holds a culprit back until
+    its neighbours have started.
     """
     # Table-driven backend dispatch, same as execute_spec: an unknown
     # backend name raises here instead of silently falling through to
     # the packet engine (chaos records must misbehave on the *intended*
-    # backend, or resume-determinism comparisons are meaningless).
+    # backend, or re-run determinism comparisons are meaningless).
     backend_class(spec.backend)
+    time.sleep((spec.meta or {}).get("sleep_s", 0.0))
     mode = (spec.meta or {}).get("chaos")
     if mode == "raise":
         raise ChaosError(f"injected failure for {spec.label}")

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import EXPERIMENTS, figure01, figure13, resolve
 from repro.report.figures import FigureRender
-from repro.runner import ScenarioSpec
+from repro.runner import RunCache, ScenarioSpec
 
 
 class TestResolve:
@@ -168,31 +168,30 @@ class TestSweep:
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert "status" in header and "attempts" in header
 
-    def test_sweep_resume_skips_ok_cells(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_rerun_serves_ok_cells_from_cache(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """Re-running the same sweep is its resume: a cell missing from
+        the cache (as a failed one is) re-runs, the other comes back
+        cached, and the journal's new lines say which."""
         monkeypatch.setitem(EXPERIMENTS, "tiny", ("stub grid", _tiny_grid_module()))
         out = tmp_path / "r"
         assert main(["sweep", "tiny", "--quiet", "--out", str(out)]) == 0
+        specs = _tiny_grid_module().scenarios()
+        RunCache(out).path_for(specs[0]).unlink()
         capsys.readouterr()
-        journal = out / "journal.jsonl"
-        entries = [json.loads(line)
-                   for line in journal.read_text().splitlines()]
-        hashes = [e["spec_hash"] for e in entries if e["kind"] == "cell"]
-        # Pretend one cell failed (a later journal line supersedes).
-        with journal.open("a") as handle:
-            handle.write(json.dumps({
-                "kind": "cell", "spec_hash": hashes[0], "status": "error",
-                "attempts": 1, "wall_time_s": 0.0, "cached": False,
-            }) + "\n")
-        assert main(["sweep", "tiny", "--quiet", "--out", str(out),
-                     "--resume", str(journal)]) == 0
-        captured = capsys.readouterr()
-        assert "1 ok cells skipped, 1 to (re)run" in captured.err
-        assert "2 scenarios" in captured.out        # full record set anyway
+        assert main(["sweep", "tiny", "--quiet", "--out", str(out)]) == 0
+        assert "2 scenarios (1 cached)" in capsys.readouterr().out
+        entries = [json.loads(line) for line in
+                   (out / "journal.jsonl").read_text().splitlines()]
+        rerun = [(e["spec_hash"], e["cached"])
+                 for e in entries if e["kind"] == "cell"][2:]
+        assert sorted(rerun) == sorted([(specs[0].spec_hash, False),
+                                        (specs[1].spec_hash, True)])
 
-    def test_sweep_resume_missing_journal_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no sweep journal"):
+    def test_sweep_has_no_resume_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
             main(["sweep", "fig13", "--out", str(tmp_path),
-                  "--resume", str(tmp_path / "nope.jsonl")])
+                  "--resume", str(tmp_path / "journal.jsonl")])
 
     def test_sweep_bad_spec_timeout_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="spec-timeout"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics import pause_fraction
 from repro.network import Network, NetworkConfig
 from repro.sim.units import MS, US, gbps
 from repro.topology import bench_fattree, dumbbell, star
@@ -122,7 +123,9 @@ class TestHelpers:
     def test_host_pause_fraction_zero_without_pauses(self):
         net = Network(star(3), NetworkConfig())
         net.run(until=10 * US)
-        assert net.host_pause_fraction(10 * US) == 0.0
+        hosts = net.topology.hosts
+        assert pause_fraction(net.metrics.pause_tracker, 10 * US,
+                              devices=set(hosts), n_ports=len(hosts)) == 0.0
 
 
 class TestSchemesEndToEnd:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics import pause_fraction
 from repro.metrics.timeseries import GoodputTracker
 from repro.network import Network, NetworkConfig
 from repro.sim.packet import PacketType
@@ -33,6 +34,28 @@ class TestCnpPacing:
         gaps = [b - a for a, b in zip(flow0_cnps, flow0_cnps[1:])]
         assert all(gap >= 50 * US - 1e-6 for gap in gaps)
 
+    def test_congested_senders_receive_cnps_apart_from_acks(self):
+        """DCQCN's congestion signal reaches the senders as CNP frames of
+        their own type, fewer than the plain ACKs beside them."""
+        net = Network(star(4, host_rate="100Gbps"),
+                      NetworkConfig(cc_name="dcqcn", base_rtt=9 * US,
+                                    seed=3))
+        frames = {PacketType.CNP: 0, PacketType.ACK: 0}
+        for host in range(3):
+            nic = net.nics[host]
+
+            def spy(pkt, in_port, original=nic.receive):
+                if pkt.ptype in frames:
+                    frames[pkt.ptype] += 1
+                original(pkt, in_port)
+
+            nic.receive = spy
+        net.add_flow(net.make_flow(0, 3, 1_000_000, start_time=1_000.0))
+        net.add_flow(net.make_flow(1, 3, 700_000, start_time=1_003.0))
+        net.add_flow(net.make_flow(2, 3, 500_000, start_time=1_007.0))
+        assert net.run_until_done(deadline=5 * MS)
+        assert 0 < frames[PacketType.CNP] < frames[PacketType.ACK]
+
     def test_unmarked_traffic_generates_no_cnps(self):
         net = Network(star(3, host_rate="100Gbps"),
                       NetworkConfig(cc_name="dcqcn", base_rtt=9 * US))
@@ -60,8 +83,24 @@ class TestHostPauses:
             net.add_flow(net.make_flow(s, 8, 400_000))
         net.run_until_done(deadline=50 * MS)
         duration = net.sim.now
-        if net.metrics.pause_tracker.pause_count() > 0:
-            assert net.host_pause_fraction(duration) > 0
+        tracker = net.metrics.pause_tracker
+        hosts = net.topology.hosts
+        if tracker.pause_count() > 0:
+            assert pause_fraction(tracker, duration, devices=set(hosts),
+                                  n_ports=len(hosts)) > 0
+
+    def test_every_pause_is_resumed(self):
+        """A shallow-buffer incast with PFC on pauses, and every PAUSE
+        frame is matched by a RESUME once the queue drains."""
+        net = Network(star(4, host_rate="100Gbps"),
+                      NetworkConfig(cc_name="hpcc", base_rtt=9 * US,
+                                    buffer_bytes=20_000))
+        for s in range(3):
+            net.add_flow(net.make_flow(s, 3, 100_000))
+        assert net.run_until_done(deadline=100 * MS)
+        tracker = net.metrics.pause_tracker
+        assert tracker.pause_count() > 0
+        assert tracker.resume_frames_sent == tracker.pause_frames_sent > 0
 
     def test_pause_tracker_sees_host_devices(self):
         net = Network(star(9, host_rate="100Gbps"),

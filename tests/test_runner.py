@@ -15,14 +15,14 @@ from repro.runner import (
     RunRecord,
     ScenarioGrid,
     ScenarioSpec,
-    SweepJournal,
     SweepRunner,
     axis,
     build_topology,
     cc_axis,
     execute_spec,
-    plan_resume,
+    write_records_csv,
 )
+from repro.runner.results import fct_rows
 from repro.sim.units import US
 
 
@@ -218,6 +218,54 @@ class TestExecution:
             assert back.spec.backend == backend
             assert back.spec == record.spec
             assert back.fct == record.fct
+
+
+class TestRecordExport:
+    """What leaves a run as data: FCT rows, queue series, pause
+    intervals and the sweep's one-row-per-record ``summary.csv``."""
+
+    def test_fct_rows_invert_fct_records(self):
+        record = execute_spec(tiny_flows_spec())
+        assert fct_rows(record.fct_records()) == record.fct
+        for r in record.fct_records():
+            assert r.fct == pytest.approx(r.finish - r.start)
+            assert r.slowdown > 0.9
+
+    def test_queue_series_is_time_ordered(self):
+        record = execute_spec(tiny_flows_spec())
+        times, qlens = record.queue_series("bneck")
+        assert times == sorted(times) and len(set(times)) == len(times)
+        assert all(q >= 0 for q in qlens)
+        assert record.all_queue_samples() == qlens
+
+    def test_pause_intervals_rebuild_a_tracker(self):
+        record = RunRecord(spec=tiny_flows_spec(), extras={
+            "pause_intervals": [[3, 1, 100.0, 400.0], [4, 0, 50.0, 60.0]],
+        })
+        tracker = record.pause_tracker()
+        assert tracker.pause_count() == 2
+        assert sorted(i.end - i.start for i in tracker.intervals) \
+            == [10.0, 300.0]
+
+    def test_records_csv_one_row_per_record(self, tmp_path):
+        import csv
+
+        record = execute_spec(tiny_flows_spec())
+        failed = RunRecord.failure(tiny_flows_spec(seed=3), "timeout",
+                                   detail="watchdog")
+        path = tmp_path / "summary.csv"
+        assert write_records_csv([record, failed], path) == 2
+        with path.open() as handle:
+            ok_row, failed_row = csv.DictReader(handle)
+        assert ok_row["spec_hash"] == record.spec_hash
+        assert ok_row["status"] == "ok" and ok_row["cc"] == record.spec.cc.display
+        assert int(ok_row["flows_finished"]) == 2
+        assert 0.9 < float(ok_row["slowdown_p50"]) \
+            <= float(ok_row["slowdown_p99"])
+        # A failed cell finished no flows: its slowdowns stay blank.
+        assert failed_row["status"] == "timeout"
+        assert failed_row["flows_finished"] == "0"
+        assert failed_row["slowdown_p50"] == failed_row["slowdown_p99"] == ""
 
 
 class TestRunCache:
@@ -460,8 +508,8 @@ class TestFaultTolerance:
 
     @pytest.mark.chaos
     def test_lone_hung_spec_times_out(self):
-        """The watchdog arms for a single spec too (a ``sweep --resume``
-        with one cell left): it runs in the pool, not in-process."""
+        """The watchdog arms for a single spec too (a re-run with one
+        failed cell left): it runs in the pool, not in-process."""
         [stuck] = self.chaos_runner(spec_timeout=1.0).run(
             [tiny_flows_spec(label="stuck", **{"meta.chaos": "hang"})])
         assert stuck.status == "timeout" and stuck.attempts == 1
@@ -518,6 +566,28 @@ class TestFaultTolerance:
         assert all(r.ok and r.attempts == 1 for r in records)
 
     @pytest.mark.chaos
+    @pytest.mark.parametrize("healthy_sleep_s", [0.0, 0.6])
+    def test_death_beside_others_charges_nobody(self, healthy_sleep_s):
+        """With no retries, a cell that dies beside two healthy units of
+        one quarantines only itself.  With the healthy cells still in
+        flight (0.6 s), the death charges nobody, all three go back to
+        run alone, and the culprit's lone death is its own; without the
+        sleep they may land first, and the outcome is the same."""
+        specs = [
+            tiny_flows_spec(label="dead", **{"meta.chaos": "die",
+                                             "meta.sleep_s": 0.1}),
+            tiny_flows_spec(label="fine1", seed=3,
+                            **{"meta.sleep_s": healthy_sleep_s}),
+            tiny_flows_spec(label="fine2", seed=4,
+                            **{"meta.sleep_s": healthy_sleep_s}),
+        ]
+        records = self.chaos_runner(jobs=3, retries=0).run(specs)
+        dead = records.pop(0)
+        assert dead.status == "error" and dead.attempts == 1
+        assert "worker lost 1 times" in dead.error["message"]
+        assert all(r.ok and r.attempts == 1 for r in records)
+
+    @pytest.mark.chaos
     def test_dead_worker_is_retried(self, tmp_path):
         specs = [
             tiny_flows_spec(label="flaky", **{"meta.chaos": "die_once",
@@ -527,8 +597,11 @@ class TestFaultTolerance:
         records = self.chaos_runner(retries=3).run(specs)
         by_label = {r.spec.label: r for r in records}
         assert by_label["fine"].ok
+        # It died once and was run again: charged (2 attempts) when it
+        # died alone, free (1) when the death also took "fine" down.
+        assert (tmp_path / f"{specs[0].spec_hash}.died").exists()
         assert by_label["flaky"].ok
-        assert by_label["flaky"].attempts >= 2
+        assert by_label["flaky"].attempts in (1, 2)
 
     @pytest.mark.chaos
     def test_retries_exhausted_becomes_error(self):
@@ -557,15 +630,16 @@ class TestFaultTolerance:
         records = runner.run(specs)
         statuses = {r.spec.label: r.status for r in records}
         assert statuses == {"crash": "error", "hang": "timeout", "ok": "ok"}
-        # The journal landed one cell per spec, last status wins.
-        outcomes = SweepJournal.load(journal_path)
-        assert {e["status"] for e in outcomes.values()} == \
-            {"error", "timeout", "ok"}
+        # The journal landed one line per cell.
+        entries = [json.loads(line)
+                   for line in journal_path.read_text().splitlines()]
+        assert sorted(e["status"] for e in entries if e["kind"] == "cell") \
+            == ["error", "ok", "timeout"]
 
     @pytest.mark.chaos
     def test_resume_reruns_only_failed_cells(self, tmp_path):
-        """A resumed sweep re-runs error/timeout cells only and matches
-        an uninterrupted sweep record-for-record."""
+        """Re-running a sweep over its cache re-runs error/timeout cells
+        only and matches an uninterrupted sweep record-for-record."""
         journal_path = tmp_path / "journal.jsonl"
         cache = RunCache(tmp_path / "cache")
         # Chaos twins share spec hashes with the clean specs below
@@ -582,17 +656,11 @@ class TestFaultTolerance:
                                   journal=str(journal_path)).run(chaos_specs)
         assert [r.status for r in first] == ["error", "error", "ok"]
 
-        to_run, skipped, _ = plan_resume(clean_specs, journal_path)
-        assert [s.label for s in to_run] == ["a", "b"]   # failed cells only
-        assert skipped == [clean_specs[2].spec_hash]
-
-        executed = []
-        resumed = SweepRunner(
-            jobs=2, cache=cache, journal=str(journal_path),
-            progress=lambda r, d, t: executed.append((r.label, r.cached)),
-        ).run(clean_specs)
-        # The previously-ok cell came back from the cache, bit-identical.
-        assert dict(executed)["c"] is True
+        resumed = SweepRunner(jobs=2, cache=cache,
+                              journal=str(journal_path)).run(clean_specs)
+        # Only the failed cells re-ran; the ok one came back from the
+        # cache, bit-identical.
+        assert [r.cached for r in resumed] == [False, False, True]
         assert resumed[2].to_json() == first[2].to_json()
 
         # Record-for-record identical to a sweep that never failed.
@@ -607,20 +675,6 @@ class TestFaultTolerance:
         assert [canonical(r) for r in resumed] == \
             [canonical(r) for r in pristine]
         assert all(r.ok for r in resumed)
-
-    @pytest.mark.chaos
-    def test_journal_survives_truncation(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        journal = SweepJournal(journal_path)
-        journal.open(2)
-        record = execute_spec(tiny_flows_spec())
-        journal.record(record)
-        journal.close()
-        # A killed sweep leaves a torn final line; load() must shrug it off.
-        with journal_path.open("a") as handle:
-            handle.write('{"kind": "cell", "spec_hash": "tr')
-        outcomes = SweepJournal.load(journal_path)
-        assert outcomes[record.spec_hash]["status"] == "ok"
 
     @pytest.mark.chaos
     def test_fault_telemetry_counters(self, tmp_path):
