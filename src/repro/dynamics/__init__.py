@@ -1,6 +1,6 @@
 """Network dynamics: declarative fault injection and reconvergence.
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 * **timeline DSL** (:mod:`repro.dynamics.events`) — typed mid-run events
   (``fail_link``, ``restore_link``, ``degrade_link``, ``flap_link``,
@@ -8,16 +8,16 @@ The subsystem has three layers:
   round-trip, the hash-distinct ``dynamics`` field of a
   :class:`~repro.runner.spec.ScenarioSpec`, sweepable via
   :func:`dynamics_axis`;
-* **packet driver** (:mod:`repro.dynamics.packet`) — schedules events on
-  the discrete-event simulator; link state changes hit the data plane
-  immediately, routing reconverges after the timeline's
-  ``detection_delay`` through the scoped incremental recompute in
-  :class:`repro.sim.routing.RoutingState`;
-* **fluid driver** (:mod:`repro.dynamics.fluid`) — the same primitives
-  at flow level: pooled capacities move at event boundaries and paths
-  recompute at detection time, so failover scenarios run at fluid speed.
+* **timeline driver** (:mod:`repro.dynamics.driver`) — one
+  :class:`TimelineDriver` schedules the primitives on either engine's
+  calendar: link state changes hit the data plane (packet links, pooled
+  fluid capacities) at the event instant, and routing reconverges after
+  the timeline's ``detection_delay`` — on packet through the scoped
+  incremental recompute in :class:`repro.sim.routing.RoutingState`, on
+  fluid by recomputing every flow's path.  The engine's own link
+  methods hold everything that differs.
 
-Both drivers emit the same accounting shape into
+The driver emits one accounting shape into
 ``RunRecord.extras["link_events"]`` (fired flags, symmetric
 ``packets_lost_down`` on fail *and* restore, reroute counts, detection
 timestamps), so post-processing is backend-neutral.
@@ -35,8 +35,7 @@ from .events import (
     burst_flow_specs,
     dynamics_axis,
 )
-from .fluid import FluidDynamicsDriver
-from .packet import PacketDynamicsDriver
+from .driver import TimelineDriver
 
 __all__ = [
     "EVENT_TYPES",
@@ -44,11 +43,10 @@ __all__ = [
     "DynEvent",
     "FailLink",
     "FlapLink",
-    "FluidDynamicsDriver",
     "InjectBurst",
-    "PacketDynamicsDriver",
     "RestoreLink",
     "Timeline",
+    "TimelineDriver",
     "burst_flow_specs",
     "dynamics_axis",
 ]

@@ -52,7 +52,7 @@ on: ``FluidBatch.run`` yields each cell, with its outcome, as it
 leaves, and reads nothing of it afterwards, so the caller collects
 and frees it while the rest run.  :meth:`FluidEngine.run` is a batch
 of one — the engine's own, kept across calls, which is what the
-hybrid's per-epoch calls and the dynamics drivers step.
+hybrid's per-epoch calls and direct engine users step.
 ``FluidBackend.run_batch`` is the K-cell entry point: a sweep
 (``SweepRunner(jobs=N)``) deals its uncached fluid ``load``/``flows``
 specs, dynamics included, into N work units, each set up in order into
@@ -135,10 +135,16 @@ their exact instant, mutate the live
 very registers the step kernel reads, so nothing is synchronized — and
 rebuild the flow rows.  Routing reconvergence
 (:meth:`FluidEngine.reconverge`) recomputes every flow's ECMP path
-over the alive subgraph — reroute decisions depend only on
-topology and the deterministic ECMP hash, so they are identical across
-both engines.  A flow whose destination became unreachable parks (zero
-rate, CC frozen) until a restore re-routes it.
+over the alive subgraph — reroute decisions depend only on topology
+and the deterministic ECMP hash, so they are identical to the scalar
+oracle's (``tests/fluid_reference.py``).  They are *not* the packet
+engine's: :meth:`FluidGraph.path <repro.fluid.state.FluidGraph.path>`
+hashes ``(flow, src, dst, node)`` at each hop over the node's sorted
+alive peers, while the packet ``ecmp_select`` hashes ``(flow, src,
+dst)`` over the switch's port tuple in link order, so one flow can
+take different equal-cost paths on the two engines.  A flow whose
+destination became unreachable parks (zero rate, CC frozen) until a
+restore re-routes it.
 
 Cost per step is a handful of ``O(live rows x path width)`` numpy
 kernels plus ``O(touched links)`` link updates — independent of
@@ -461,33 +467,47 @@ class FluidEngine:
         heapq.heappush(self._events, (at, self._event_seq, fn))
         self._event_seq += 1
 
-    def fail_link(self, a: int, b: int) -> float:
+    def fail_link(self, a: int, b: int):
         """Cut one member of the pair; capacity pools down immediately.
 
-        Returns the queued bytes flushed (the in-flight casualty
-        estimate).  Paths are *not* recomputed — call :meth:`reconverge`
-        when routing detects the change.
+        Returns the member, the outage handle: its ``packets_lost_down``
+        is the queued fluid flushed (the in-flight casualty estimate) in
+        wire-packet equivalents.  Paths are *not* recomputed — call
+        :meth:`reconverge` when routing detects the change.
         """
-        flushed = self.graph.fail_link(a, b)
+        member, flushed = self.graph.fail_link(a, b)
+        member.packets_lost_down = int(flushed / (self.mtu + self.header))
         self._rebuild_rows()
         self._ecn_stale = True
-        return flushed
+        return member
 
-    def restore_link(self, a: int, b: int) -> None:
-        self.graph.restore_link(a, b)
+    def restore_link(self, a: int, b: int):
+        """Pool a failed member back in; returns it (the handle
+        :meth:`fail_link` returned)."""
+        member = self.graph.restore_link(a, b)
         self._rebuild_rows()
         self._ecn_stale = True
+        return member
 
     def degrade_link(
         self, a: int, b: int,
         rate_factor: float | None = None,
         delay_factor: float | None = None,
-    ) -> None:
+    ) -> dict:
+        """Scale the pair's first up member's rate and/or delay, then
+        reconverge.
+
+        The hop counts do not change, but paths cache per-link latency
+        constants and the ECN configs key off rates: both refresh at
+        the event instant.  Returns the accounting fields
+        (``detected_at``, ``reroutes``).
+        """
         self.graph.degrade_link(
             a, b, rate_factor=rate_factor, delay_factor=delay_factor
         )
         self._rebuild_rows()
         self._ecn_stale = True
+        return {"detected_at": self.now, "reroutes": self.reconverge()}
 
     def _take_rows(self) -> list[FluidFlow]:
         """Remove this cell's alive rows from its batch, synced into

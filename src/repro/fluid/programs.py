@@ -9,7 +9,7 @@ post-processing — slowdown buckets, queue series, goodput trajectories,
 link-event accounting, summary CSVs — works unchanged on fluid records.
 
 Network-dynamics timelines run natively: the
-:class:`~repro.dynamics.fluid.FluidDynamicsDriver` applies link events
+:class:`~repro.dynamics.driver.TimelineDriver` applies link events
 at step boundaries and recomputes paths at detection time, so failover
 scenarios execute at fluid speed instead of raising.
 
@@ -30,7 +30,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from typing import Iterator
 
-from ..dynamics import FluidDynamicsDriver, Timeline
+from ..dynamics import Timeline, TimelineDriver
 from ..obs import current as current_telemetry
 from ..obs import instrument_fluid, maybe_span
 from ..runner.results import RunRecord, fct_rows
@@ -73,17 +73,20 @@ class FluidBackend:
         engine.decision_tap = getattr(self.tel, "decisions", None)
         self.ignored = sorted(config)   # leftovers have no fluid meaning
         self.wire_factor = engine.wire_factor
-        self.driver: FluidDynamicsDriver | None = None
+        self.driver: TimelineDriver | None = None
         #: Wall seconds of a :meth:`run_batch` charged to this scenario.
         self.run_s = 0.0
 
     def admit(self, flows: list[FlowSpec], timeline: Timeline,
               burst_entries: list[dict]) -> None:
+        engine = self.engine
         if timeline:
-            self.driver = FluidDynamicsDriver(
-                self.engine, timeline, burst_entries)
+            self.driver = TimelineDriver(
+                engine, timeline, burst_entries,
+                engine.schedule_event, lambda: engine.now,
+                lambda _member: {"reroutes": engine.reconverge()})
             self.driver.install()
-        self.engine.add_flows(flows)
+        engine.add_flows(flows)
 
     @contextmanager
     def running(self):

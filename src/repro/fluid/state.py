@@ -84,14 +84,21 @@ class NoRoute(ValueError):
 
 
 class _Member:
-    """One physical link of a (possibly parallel) node pair."""
+    """One physical link of a (possibly parallel) node pair.
 
-    __slots__ = ("rate", "delay", "up")
+    It is the outage handle the engine's ``fail_link`` and
+    ``restore_link`` return: ``packets_lost_down`` is its last cut's
+    casualty estimate, which :meth:`FluidEngine.fail_link
+    <repro.fluid.engine.FluidEngine.fail_link>` sets.
+    """
+
+    __slots__ = ("rate", "delay", "up", "packets_lost_down")
 
     def __init__(self, rate: float, delay: float) -> None:
         self.rate = rate
         self.delay = delay
         self.up = True
+        self.packets_lost_down = 0
 
 
 class _Register:
@@ -309,8 +316,9 @@ class FluidGraph:
             flushed += lost
         return flushed
 
-    def fail_link(self, a: int, b: int) -> float:
-        """Cut one up member of the pair; returns the bytes flushed."""
+    def fail_link(self, a: int, b: int) -> tuple[_Member, float]:
+        """Cut one up member of the pair; returns it and the bytes
+        flushed."""
         members = self._members.get((a, b))
         if not members:
             raise LookupError(f"no link between {a} and {b}")
@@ -324,10 +332,10 @@ class FluidGraph:
             flushed = self._flush_share(a, b, member.rate / old_capacity)
         self._refresh_pair(a, b)
         self.invalidate()
-        return flushed
+        return member, flushed
 
-    def restore_link(self, a: int, b: int) -> None:
-        """Bring the oldest failed member of the pair back up."""
+    def restore_link(self, a: int, b: int) -> _Member:
+        """Bring the first failed member of the pair back up; returns it."""
         members = self._members.get((a, b))
         if not members:
             raise LookupError(f"no link between {a} and {b}")
@@ -337,6 +345,7 @@ class FluidGraph:
         member.up = True
         self._refresh_pair(a, b)
         self.invalidate()
+        return member
 
     def degrade_link(
         self,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..sim.engine import PeriodicTask, Simulator
 from ..sim.queues import EgressPort
-from .fct import percentile
 
 
 class QueueSampler:
@@ -39,30 +38,3 @@ class QueueSampler:
 
     def stop(self) -> None:
         self._task.cancel()
-
-    # -- statistics -----------------------------------------------------------
-
-    def all_samples(self, labels: list[str] | None = None) -> list[int]:
-        chosen = self.samples if labels is None else {
-            k: self.samples[k] for k in labels
-        }
-        merged: list[int] = []
-        for values in chosen.values():
-            merged.extend(values)
-        return merged
-
-    def pct(self, p: float, labels: list[str] | None = None) -> float:
-        return percentile(self.all_samples(labels), p)
-
-    def max(self, labels: list[str] | None = None) -> int:
-        values = self.all_samples(labels)
-        return max(values) if values else 0
-
-    def series(self, label: str) -> tuple[list[float], list[int]]:
-        return self.times, self.samples[label]
-
-    def cdf(self, labels: list[str] | None = None) -> tuple[list[int], list[float]]:
-        """(sorted queue lengths, cumulative fraction)."""
-        values = sorted(self.all_samples(labels))
-        n = len(values)
-        return values, [(i + 1) / n for i in range(n)]

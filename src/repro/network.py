@@ -28,7 +28,7 @@ from .sim.link import Link
 from .sim.nic import HostNic, NicConfig
 from .sim.packet import BASE_HEADER, INT_OVERHEAD
 from .sim.pfc import PfcConfig
-from .sim.routing import RerouteReport, RoutingState
+from .sim.routing import RoutingState
 from .sim.switch import Switch
 from .sim.units import MB, MS
 
@@ -201,41 +201,44 @@ class Network:
         state = "up" if up else "down"
         raise LookupError(f"no {state} link between {a} and {b}")
 
-    def fail_link(self, a: int, b: int, reroute: bool = True) -> Link:
-        """Cut one link between ``a`` and ``b``.
+    def fail_link(self, a: int, b: int) -> Link:
+        """Cut one up link between ``a`` and ``b``; returns it.
 
         In-flight and subsequently transmitted packets on the cut link are
-        lost (counted in ``link.packets_lost_down``); transports recover
-        them, and CC algorithms see the new path (HPCC resets its per-hop
-        INT state when the hop count changes).  With ``reroute=True`` (the
-        default) routing reconverges at the same instant; the dynamics
-        driver passes ``False`` and calls :meth:`reconverge` after its
-        configured detection delay, modelling a routing protocol that
-        notices the failure late.
+        lost, counted in ``link.packets_lost_down`` (zeroed here, so it
+        holds this outage's casualties); transports recover them, and CC
+        algorithms see the new path (HPCC resets its per-hop INT state
+        when the hop count changes).  Routing is untouched until
+        :meth:`reconverge`, which the dynamics driver calls after the
+        timeline's detection delay.
         """
         link = self._find_link(a, b, up=True)
         link.up = False
-        if reroute:
-            self.reconverge(link)
+        link.packets_lost_down = 0
         return link
 
-    def restore_link(self, a: int, b: int, reroute: bool = True) -> Link:
-        """Bring a failed link back (and, by default, reconverge routing)."""
+    def restore_link(self, a: int, b: int) -> Link:
+        """Bring a failed link back; returns it (the handle
+        :meth:`fail_link` returned).  Routing waits for
+        :meth:`reconverge`."""
         link = self._find_link(a, b, up=False)
         link.up = True
-        if reroute:
-            self.reconverge(link)
         return link
 
-    def reconverge(self, link: Link) -> RerouteReport:
+    def reconverge(self, link: Link) -> dict:
         """Align the routing view with ``link``'s current up/down state.
 
         Scoped: only the destination columns the change can affect are
         recomputed (see :class:`~repro.sim.routing.RoutingState`), and
         flows whose ECMP group changed rehash from their next packet.
-        Idempotent when the routing view already matches.
+        Idempotent when the routing view already matches.  Returns the
+        accounting fields: ``reroutes`` (ECMP groups changed) and
+        ``dests_recomputed``.
         """
-        return self.routing.set_link_state(self._link_index[id(link)], link.up)
+        report = self.routing.set_link_state(
+            self._link_index[id(link)], link.up)
+        return {"reroutes": report.groups_changed,
+                "dests_recomputed": report.dests_recomputed}
 
     def degrade_link(
         self,
@@ -243,13 +246,13 @@ class Network:
         b: int,
         rate_factor: float | None = None,
         delay_factor: float | None = None,
-    ) -> Link:
+    ) -> dict:
         """Scale an up link's rate and/or propagation delay in place.
 
-        Routing is untouched (hop counts do not change); subsequent
-        serializations use the new rate — INT's per-hop ``bandwidth``
-        field follows it, so HPCC's Eqn (2) sees the degraded capacity on
-        the very next ACK.
+        Routing is untouched (hop counts do not change), so there are no
+        accounting fields to return; subsequent serializations use the
+        new rate — INT's per-hop ``bandwidth`` field follows it, so
+        HPCC's Eqn (2) sees the degraded capacity on the very next ACK.
         """
         link = self._find_link(a, b, up=True)
         if rate_factor is not None:
@@ -257,7 +260,7 @@ class Network:
             link.port_b.rate *= rate_factor
         if delay_factor is not None:
             link.prop_delay *= delay_factor
-        return link
+        return {}
 
     # -- construction helpers ----------------------------------------------------
 

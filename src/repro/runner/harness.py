@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..dynamics import PacketDynamicsDriver, Timeline
+from ..dynamics import Timeline, TimelineDriver
 from ..metrics.queuestats import QueueSampler
 from ..network import Network, NetworkConfig
 from ..obs import current as current_telemetry
@@ -37,7 +37,7 @@ class PacketBackend:
         ))
         net.decision_tap = getattr(current_telemetry(), "decisions", None)
         self.wire_factor = (net.config.mtu + net.header) / net.config.mtu
-        self.driver: PacketDynamicsDriver | None = None
+        self.driver: TimelineDriver | None = None
         self.sampler: QueueSampler | None = None
         self.flows: list[FlowSpec] = []
 
@@ -47,7 +47,10 @@ class PacketBackend:
         scheduling order, so this order is part of the record."""
         net = self.net
         if timeline:
-            self.driver = PacketDynamicsDriver(net, timeline, burst_entries)
+            sim = net.sim
+            self.driver = TimelineDriver(
+                net, timeline, burst_entries,
+                sim.at, lambda: sim.now, net.reconverge)
             self.driver.install()
         interval = self.spec.measure.get("sample_interval")
         if interval is not None:

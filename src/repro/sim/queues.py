@@ -94,8 +94,6 @@ class EgressPort:
         # set, serialization slows down to model sharing the wire.
         # ``None`` (the default) keeps the pure-packet path untouched.
         self.bg_view = None
-        self._pause_started: float | None = None
-        self.total_paused = 0.0
 
     # -- queue state ---------------------------------------------------------
 
@@ -154,23 +152,10 @@ class EgressPort:
         if paused == self.paused:
             return
         self.paused = paused
-        now = self.sim.now
-        if paused:
-            self._pause_started = now
-        else:
-            if self._pause_started is not None:
-                self.total_paused += now - self._pause_started
-                self._pause_started = None
+        if not paused:
             self._kick()
             if self.on_idle is not None and self.idle:
                 self.on_idle(self)
-
-    def paused_time(self, now: float) -> float:
-        """Total paused duration including a still-open pause."""
-        open_time = 0.0
-        if self._pause_started is not None:
-            open_time = now - self._pause_started
-        return self.total_paused + open_time
 
     # -- transmission --------------------------------------------------------
 

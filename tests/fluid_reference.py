@@ -190,11 +190,11 @@ class ScalarFluidEngine:
         heapq.heappush(self._events, (at, self._event_seq, fn))
         self._event_seq += 1
 
-    def fail_link(self, a: int, b: int) -> float:
+    def fail_link(self, a: int, b: int):
         """Cut one member of the pair; capacity pools down immediately.
 
-        Returns the queued bytes flushed (the in-flight casualty
-        estimate).  Paths are *not* recomputed — call :meth:`reconverge`
+        Returns ``FluidGraph.fail_link``'s (member, queued bytes flushed
+        — the in-flight casualty estimate).  Paths are *not* recomputed — call :meth:`reconverge`
         when routing detects the change.
         """
         return self.graph.fail_link(a, b)

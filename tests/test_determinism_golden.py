@@ -107,8 +107,8 @@ def golden_failover_run(cc_name: str):
     )
     net.add_flow(net.make_flow(0, 2, 2_000_000, start_time=1_000.0))
     net.add_flow(net.make_flow(1, 3, 2_000_000, start_time=1_003.0))
-    net.sim.at(0.2 * MS, net.fail_link, 4, 5)
-    net.sim.at(0.6 * MS, net.restore_link, 4, 5)
+    net.sim.at(0.2 * MS, lambda: net.reconverge(net.fail_link(4, 5)))
+    net.sim.at(0.6 * MS, lambda: net.reconverge(net.restore_link(4, 5)))
     done = net.run_until_done(deadline=50 * MS)
     assert done, f"{cc_name} golden failover scenario did not finish"
     return net

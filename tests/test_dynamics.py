@@ -1,4 +1,4 @@
-"""The network-dynamics subsystem: DSL, routing reconvergence, drivers.
+"""The network-dynamics subsystem: DSL, routing reconvergence, driver.
 
 Covers the three layers plus the compatibility contract:
 
@@ -8,9 +8,9 @@ Covers the three layers plus the compatibility contract:
 * incremental routing — ``RoutingState``'s scoped recompute must equal a
   from-scratch ``build_routing_tables`` over the alive subgraph after
   any sequence of failures/restores;
-* drivers — detection delay, symmetric fail/restore accounting, degrade,
-  burst injection, fluid parking, and the zero-detection-delay
-  fail/restore golden (same FCTs, same event count as the pre-dynamics
+* the timeline driver — detection delay, symmetric fail/restore
+  accounting, outage pairing, degrade, burst injection, fluid parking,
+  and the zero-detection-delay fail/restore golden (same FCTs, same event count as the pre-dynamics
   hook — values captured at the PR-3 tip).
 """
 
@@ -28,8 +28,10 @@ from repro.dynamics import (
     burst_flow_specs,
     dynamics_axis,
 )
+from repro.fluid import FluidEngine
 from repro.network import Network, NetworkConfig
 from repro.runner import ScenarioGrid, ScenarioSpec, execute_spec
+from repro.sim.flow import FlowSpec
 from repro.sim.routing import RoutingState, build_routing_tables
 from repro.sim.units import MS, US
 from repro.topology import star
@@ -179,6 +181,13 @@ def rebuilt_reference(net):
     return build_routing_tables(view, net.port_map, dead_ports)
 
 
+def planner_report(net, link):
+    """The routing planner's full :class:`RerouteReport` for ``link``'s
+    state change (``Network.reconverge`` returns its accounting
+    fields only)."""
+    return net.routing.set_link_state(net.links.index(link), link.up)
+
+
 class TestIncrementalRouting:
     def test_initial_build_matches_reference(self):
         net = Network(fattree(FatTreeSpec(
@@ -206,31 +215,27 @@ class TestIncrementalRouting:
             ("restore", 0, tors[0]),
         ]
         for op, a, b in moves:
-            if op == "fail":
-                net.fail_link(a, b)
-            else:
-                net.restore_link(a, b)
+            net.reconverge(getattr(net, f"{op}_link")(a, b))
             assert tables_snapshot(net) == rebuilt_reference(net), (op, a, b)
 
     def test_parallel_trunk_member_toggle_matches_reference(self):
         net = Network(dual_trunk(n_pairs=2),
                       NetworkConfig(cc_name="hpcc", base_rtt=9 * US))
         for op in ("fail", "fail", "restore", "restore"):
-            getattr(net, f"{op}_link")(4, 5)
+            net.reconverge(getattr(net, f"{op}_link")(4, 5))
             assert tables_snapshot(net) == rebuilt_reference(net), op
 
     def test_reroute_report_counts(self):
         net = Network(dual_trunk(n_pairs=2),
                       NetworkConfig(cc_name="hpcc", base_rtt=9 * US))
-        link = net.fail_link(4, 5, reroute=False)
-        report = net.reconverge(link)
+        link = net.fail_link(4, 5)
+        report = planner_report(net, link)
         # Cross-rack destinations on both ToRs shrink their ECMP group.
         assert report.dests_recomputed == 4
         assert report.groups_changed == 4
         assert report.switches_touched == {4, 5}
         # Idempotent: the routing view already matches.
-        empty = net.reconverge(link)
-        assert empty.groups_changed == 0 and empty.dests_recomputed == 0
+        assert net.reconverge(link) == {"reroutes": 0, "dests_recomputed": 0}
 
     def test_equidistant_link_change_is_skipped(self):
         """A link on no shortest path reroutes nothing — the scoped
@@ -252,8 +257,8 @@ class TestIncrementalRouting:
         )
         net = Network(shortcut, NetworkConfig(cc_name="hpcc", base_rtt=13 * US))
         before = tables_snapshot(net)
-        link = net.fail_link(aggs[0], aggs[1], reroute=False)
-        report = net.reconverge(link)
+        link = net.fail_link(aggs[0], aggs[1])
+        report = planner_report(net, link)
         assert report.dests_recomputed == 0
         assert report.groups_changed == 0
         assert tables_snapshot(net) == before == rebuilt_reference(net)
@@ -263,9 +268,9 @@ class TestIncrementalRouting:
         trunk endpoints' columns are touched."""
         net = Network(dual_trunk(n_pairs=2),
                       NetworkConfig(cc_name="hpcc", base_rtt=9 * US))
-        net.fail_link(4, 5)
-        link = net.restore_link(4, 5, reroute=False)
-        report = net.reconverge(link)
+        net.reconverge(net.fail_link(4, 5))
+        link = net.restore_link(4, 5)
+        report = planner_report(net, link)
         assert report.switches_touched <= {4, 5}
         assert report.groups_changed == 4
         assert tables_snapshot(net) == rebuilt_reference(net)
@@ -455,6 +460,95 @@ class TestBurstDeterminism:
             [(f.flow_id, f.src) for f in two]
         other, _ = burst_flow_specs(timeline, range(8), seed=8, next_flow_id=10)
         assert [f.src for f in one] != [f.src for f in other]
+
+
+class TestLinkHandles:
+    """The engine link methods the timeline driver calls: a cut returns
+    an outage handle carrying that outage's loss, the restore returns
+    the same handle, and a degrade returns its accounting fields."""
+
+    def test_packet_outage_counts_only_its_own_losses(self):
+        from repro.sim.packet import Packet, PacketType
+
+        net = Network(dual_trunk(n_pairs=2),
+                      NetworkConfig(cc_name="hpcc", base_rtt=9 * US))
+        link = net.fail_link(4, 5)
+        link.transmit(Packet(PacketType.DATA, 1, 0, 2, payload=100),
+                      link.port_a, ser_delay=8.0)
+        assert link.packets_lost_down == 1
+        assert net.restore_link(4, 5) is link
+        assert net.fail_link(4, 5) is link
+        assert link.packets_lost_down == 0
+
+    def test_fluid_restore_returns_the_member_it_brings_back(self):
+        engine = FluidEngine(dual_trunk(n_pairs=2), cc_name="hpcc")
+        first, second = engine.fail_link(4, 5), engine.fail_link(5, 4)
+        assert first is not second
+        assert engine.restore_link(4, 5) is first
+        assert engine.fail_link(4, 5) is first
+        assert engine.restore_link(5, 4) is first
+        assert engine.restore_link(4, 5) is second
+
+    def test_fluid_degrade_refreshes_paths_and_reports(self):
+        engine = FluidEngine(star(n_hosts=3, host_rate="10Gbps"),
+                             cc_name="hpcc", base_rtt=9 * US)
+        engine.add_flow(FlowSpec(1, 0, 2, 2_000_000, 0.0))
+        seen = []
+
+        def degrade():
+            [flow] = engine._starts
+            before = flow.path.base_rtt
+            seen.append(engine.degrade_link(2, 3, delay_factor=4.0))
+            seen.append(flow.path.base_rtt > before)
+
+        engine.schedule_event(50 * US, degrade)
+        assert engine.run(deadline=50 * MS)
+        assert seen == [{"detected_at": 50 * US, "reroutes": 0}, True]
+
+
+class TestOutagePairing:
+    """A restore closes the outage of the member it brings back, on both
+    backends: ``restore_link`` returns the handle ``fail_link`` did.
+
+    Both trunk members are cut, the first is restored, cut again and
+    restored, then the second comes back.  Either engine restores the
+    first down member in link order, so the restores close the 1st,
+    3rd and 2nd cuts — not the order the cuts happened in."""
+
+    TIMELINE = Timeline([
+        FailLink(at=5 * US, a=8, b=9),
+        FailLink(at=10 * US, a=8, b=9),
+        RestoreLink(at=100 * US, a=8, b=9),
+        FailLink(at=150 * US, a=8, b=9),
+        RestoreLink(at=300 * US, a=8, b=9),
+        RestoreLink(at=400 * US, a=8, b=9),
+    ], detection_delay=20 * US)
+
+    def events(self, backend):
+        spec = dual_trunk_spec(
+            self.TIMELINE, n_pairs=4, backend=backend,
+            topology_params={"n_pairs": 4, "host_rate": "50Gbps"})
+        record = execute_spec(spec)
+        assert record.completed
+        return record.link_events()
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    def test_each_restore_carries_its_own_outage_loss(self, backend):
+        f1, f2, r1, f3, r2, r3 = self.events(backend)
+        assert [e["type"] for e in (f1, f2, f3)] == ["fail_link"] * 3
+        assert [e["type"] for e in (r1, r2, r3)] == ["restore_link"] * 3
+        # The three outages lost different amounts, so a mispaired
+        # restore would show.
+        lost = [f["packets_lost_down"] for f in (f1, f2, f3)]
+        assert len(set(lost)) == 3, lost
+        for fail, restore in ((f1, r1), (f3, r2), (f2, r3)):
+            assert restore["packets_lost_down"] == fail["packets_lost_down"]
+
+    def test_entry_keys_match_across_backends(self):
+        packet, fluid = self.events("packet"), self.events("fluid")
+        # Fluid has no ECMP columns to count; every other key is shared.
+        assert [set(e) for e in packet] == [
+            set(e) | {"dests_recomputed"} for e in fluid]
 
 
 class TestFluidDriver:

@@ -30,8 +30,8 @@ class TestFailLink:
     def test_double_fail_cuts_both_trunks(self):
         net = make_dual_trunk_net()
         sw_a, sw_b = 4, 5
-        net.fail_link(sw_a, sw_b)
-        net.fail_link(sw_a, sw_b)
+        net.reconverge(net.fail_link(sw_a, sw_b))
+        net.reconverge(net.fail_link(sw_a, sw_b))
         with pytest.raises(LookupError):
             net.fail_link(sw_a, sw_b)
         # No route remains between the racks.
@@ -42,9 +42,11 @@ class TestFailLink:
         net = make_dual_trunk_net()
         sw_a, sw_b = 4, 5
         assert len(net.switches[sw_a].routing_table[2]) == 2
-        net.fail_link(sw_a, sw_b)
+        link = net.fail_link(sw_a, sw_b)
+        assert len(net.switches[sw_a].routing_table[2]) == 2
+        net.reconverge(link)
         assert len(net.switches[sw_a].routing_table[2]) == 1
-        net.restore_link(sw_a, sw_b)
+        net.reconverge(net.restore_link(sw_a, sw_b))
         assert len(net.switches[sw_a].routing_table[2]) == 2
 
     def test_down_link_discards_and_counts(self):
@@ -63,7 +65,7 @@ class TestFailoverBehaviour:
         specs = [net.make_flow(src=i, dst=2 + i, size=2_000_000)
                  for i in range(2)]
         net.add_flows(specs)
-        net.sim.at(0.2 * MS, lambda: net.fail_link(4, 5))
+        net.sim.at(0.2 * MS, lambda: net.reconverge(net.fail_link(4, 5)))
         assert net.run_until_done(deadline=50 * MS)
         for r in net.metrics.fct_records:
             assert r.fct > 0
@@ -73,7 +75,7 @@ class TestFailoverBehaviour:
                       NetworkConfig(cc_name="hpcc", base_rtt=9 * US,
                                     rto=300 * US))
         net.add_flow(net.make_flow(0, 2, 500_000))
-        net.sim.at(0.1 * MS, lambda: net.fail_link(2, 3))
+        net.sim.at(0.1 * MS, lambda: net.reconverge(net.fail_link(2, 3)))
         done = net.run_until_done(deadline=3 * MS)
         assert not done                    # receiver is unreachable
         assert net.metrics.drop_count > 0  # blackholed, not crashed
@@ -83,6 +85,7 @@ class TestFailoverBehaviour:
                       NetworkConfig(cc_name="hpcc", base_rtt=9 * US,
                                     rto=200 * US))
         net.add_flow(net.make_flow(0, 2, 300_000))
-        net.sim.at(0.1 * MS, lambda: net.fail_link(2, 3))
-        net.sim.at(1.0 * MS, lambda: net.restore_link(2, 3))
+        net.sim.at(0.1 * MS, lambda: net.reconverge(net.fail_link(2, 3)))
+        net.sim.at(1.0 * MS,
+                   lambda: net.reconverge(net.restore_link(2, 3)))
         assert net.run_until_done(deadline=50 * MS)

@@ -496,7 +496,7 @@ class TestArrayInternals:
             link = max(engine.graph.switch_egress_links(),
                        key=lambda l: l.queue)
             cut.append((link.a, link.b))
-            assert engine.fail_link(*cut[0]) > 0.0     # a queue flushed
+            engine.fail_link(*cut[0])
             assert link.capacity == 0.0 and link.dropped_bytes > 0.0
             self._assert_links_read_registers(engine)
             checked.append("fail")

@@ -135,30 +135,19 @@ class TestPause:
         kinds = [p.ptype for p, _ in port.link.delivered]
         assert kinds[1] == PacketType.PAUSE
 
-    def test_paused_time_accounting(self):
-        sim = Simulator()
-        port = make_port(sim)
-        port.set_paused(True)
-        sim.schedule(500.0, port.set_paused, False)
-        sim.run()
-        assert port.total_paused == pytest.approx(500.0)
-        assert port.paused_time(sim.now) == pytest.approx(500.0)
-
-    def test_open_pause_included_in_paused_time(self):
-        sim = Simulator()
-        port = make_port(sim)
-        sim.schedule(100.0, port.set_paused, True)
-        sim.run(until=400.0)
-        assert port.paused_time(400.0) == pytest.approx(300.0)
-
     def test_double_pause_is_idempotent(self):
         sim = Simulator()
         port = make_port(sim)
+        kicks = []
+        kick = port._kick
+        port._kick = lambda: (kicks.append(sim.now), kick())
         port.set_paused(True)
         port.set_paused(True)
+        assert port.paused
         sim.schedule(100.0, port.set_paused, False)
         sim.run()
-        assert port.total_paused == pytest.approx(100.0)
+        assert not port.paused
+        assert kicks == [100.0]             # one resume, one kick
 
 
 class TestHooks:

@@ -1,27 +1,10 @@
-"""Leftover helper coverage: format_cdf, goodput introspection, units."""
+"""Leftover helper coverage: table formatting, goodput introspection, units."""
 
 import pytest
 
-from repro.metrics.reporter import format_cdf, format_table
+from repro.metrics.reporter import format_table
 from repro.metrics.timeseries import GoodputTracker
 from repro.sim.units import fmt_bytes, fmt_time
-
-
-class TestFormatCdf:
-    def test_percentile_points(self):
-        values = list(range(1, 101))
-        probs = [i / 100 for i in values]
-        out = format_cdf(values, probs, points=(0.5, 0.99))
-        assert "p50=50.0" in out
-        assert "p99=99.0" in out
-
-    def test_empty(self):
-        assert format_cdf([], []) == "(no samples)"
-
-    def test_custom_format(self):
-        out = format_cdf([1000.0], [1.0], points=(1.0,),
-                         value_fmt="{:.0f}B")
-        assert "p100=1000B" in out
 
 
 class TestFormatTableEdges:
