@@ -136,15 +136,11 @@ very registers the step kernel reads, so nothing is synchronized — and
 rebuild the flow rows.  Routing reconvergence
 (:meth:`FluidEngine.reconverge`) recomputes every flow's ECMP path
 over the alive subgraph — reroute decisions depend only on topology
-and the deterministic ECMP hash, so they are identical to the scalar
-oracle's (``tests/fluid_reference.py``).  They are *not* the packet
-engine's: :meth:`FluidGraph.path <repro.fluid.state.FluidGraph.path>`
-hashes ``(flow, src, dst, node)`` at each hop over the node's sorted
-alive peers, while the packet ``ecmp_select`` hashes ``(flow, src,
-dst)`` over the switch's port tuple in link order, so one flow can
-take different equal-cost paths on the two engines.  A flow whose
-destination became unreachable parks (zero rate, CC frozen) until a
-restore re-routes it.
+and on the ECMP rule the packet switches use too
+(:func:`~repro.sim.routing.ecmp_next_hop`), so a flow takes the same
+nodes as on the scalar oracle (``tests/fluid_reference.py``) and on the
+packet engine.  A flow whose destination became unreachable parks
+(zero rate, CC frozen) until a restore re-routes it.
 
 Cost per step is a handful of ``O(live rows x path width)`` numpy
 kernels plus ``O(touched links)`` link updates — independent of

@@ -17,12 +17,13 @@ as Python floats, so the dynamics mutators below, tests and the scalar
 oracle (``tests/fluid_reference.py``) see what the engine integrated,
 and the engine sees what they changed, with nothing to synchronize.
 
-Paths are chosen with the same deterministic ECMP-by-hash discipline as
-the packet simulator: at every switch the next hop is drawn from the
-neighbours one BFS hop closer to the destination, keyed by ``(flow_id,
-src, dst, node)``.  Parallel links between the same node pair are
-aggregated into one fluid link with the summed capacity — fluid rates
-have no notion of per-member hashing.
+Paths follow the packet simulator's ECMP rule,
+:func:`~repro.sim.routing.ecmp_next_hop`: at every node the next hop is
+drawn from the neighbours one BFS hop closer to the destination, in
+ascending id, keyed by ``(flow_id, src, dst, node)`` — so both engines
+route a flow over the same nodes.  Parallel links between the same node
+pair are aggregated into one fluid link with the summed capacity — fluid
+rates have no notion of per-member hashing.
 
 Routing state is compact.  Per topology version the graph holds one
 CSR adjacency of the *alive* subgraph (links with capacity > 0) and, per
@@ -55,7 +56,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..sim.routing import ecmp_hash
+from ..sim.routing import ecmp_next_hop
 from ..topology.base import Topology
 
 __all__ = ["FluidGraph", "FluidLink", "FluidPath", "LinkArrays", "NoRoute"]
@@ -472,12 +473,7 @@ class FluidGraph:
             candidates = [peer for peer in peers[node] if dist[peer] == d_next]
             if not candidates:
                 raise NoRoute(f"no route from {src} to {dst} at {node}")
-            if len(candidates) == 1:
-                peer = candidates[0]
-            else:
-                peer = candidates[
-                    ecmp_hash(flow_id, src, dst, node) % len(candidates)
-                ]
+            peer = ecmp_next_hop(candidates, flow_id, src, dst, node)
             links.append(self.links[(node, peer)])
             node = peer
         # Uncontended round trip: full-MTU store-and-forward out, an

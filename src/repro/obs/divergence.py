@@ -14,7 +14,9 @@ they part ways:
   where the backends disagreed";
 * **bottleneck-attribution agreement** — for INT schemes, how often
   both backends blamed the *same hop* for the congestion they reacted
-  to (``inputs["bottleneck_hop"]``, path-ordered on both engines).
+  to (``inputs["bottleneck_hop"]``, path-ordered on both engines; both
+  route a flow by one ECMP rule, so a hop index names the same link on
+  an ECMP fabric too).
 
 The analyzer reads ``decision`` rows: the telemetry stream's records,
 or a ``measure["decisions"]`` run's record columns expanded by

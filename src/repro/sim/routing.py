@@ -1,10 +1,14 @@
 """Shortest-path routing with ECMP, and incremental reconvergence.
 
 Initial routing tables are computed by a BFS from every host: at each
-switch, the next hops toward a destination host are all neighbors one hop
-closer to it.  Per-flow ECMP picks one of the equal-cost ports with a
-deterministic hash of (flow id, src, dst), so the forward and reverse
-directions of a flow hash independently, like a 5-tuple hash would.
+switch, the next hops toward a destination host are all neighbours one
+hop closer to it, held as an ECMP group of ``(peer, ports)`` pairs in
+ascending peer id.  :func:`ecmp_next_hop` is the one per-flow ECMP rule,
+shared by the packet switch and the fluid path walker: it hashes
+``(flow id, src, dst, node)`` over the group, so a flow's forward and
+reverse directions hash independently, like a 5-tuple hash would, and
+each switch salts the hash with its own id, so successive tiers do not
+all make the same choice.
 
 :class:`RoutingState` keeps that routing *live*: when a link fails or
 recovers mid-run it recomputes only the destination columns the change
@@ -75,56 +79,31 @@ def shortest_path_delays(topology: Topology, source: int, mtu_wire: int) -> dict
     return delay
 
 
-def build_routing_tables(
-    topology: Topology,
-    port_map: dict[tuple[int, int], list[int]],
-    excluded_ports: set[tuple[int, int]] | None = None,
-) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Compute per-switch ECMP routing tables.
+#: ``tables[switch][dst_host]``: ``switch``'s equal-cost next hops toward
+#: ``dst_host`` as ``(peer, ports)`` pairs in ascending peer id, each
+#: peer's up ports in wiring order.
+EcmpGroup = tuple[tuple[int, tuple[int, ...]], ...]
 
-    ``port_map[(node, peer)]`` lists the local port ids on ``node`` that
-    attach to ``peer`` (parallel links give several); ``excluded_ports``
-    removes (node, port) pairs whose link is down, so reconvergence after
-    a failure steers ECMP around the cut.  Returns
-    ``tables[switch][dst_host] = (out_port, ...)``.
+
+#: ``ecmp_hash`` memoised for the switches, which ask per packet.  One
+#: entry per (flow direction, switch with a choice): a bench Figure 11
+#: packet cell makes 1 040 (53k hits), the ledger's ``hybrid_fig11``
+#: 1 257 with its fluid paths, so 2048 holds a whole cell; an entry
+#: measures ~0.25 KiB under tracemalloc, ~0.5 MiB at most.
+cached_ecmp_hash = lru_cache(maxsize=2048)(ecmp_hash)
+
+
+def ecmp_next_hop(group, flow_id: int, src: int, dst: int, node: int):
+    """The ECMP rule of both engines: ``node``'s pick for a flow direction.
+
+    ``group`` holds ``node``'s equal-cost next hops in ascending peer id
+    (the fluid walker's peer ids, a switch's :data:`EcmpGroup` pairs);
+    the pick is ``group[ecmp_hash(flow_id, src, dst, node) % len(group)]``,
+    or the only member when there is one.
     """
-    adj = topology.adjacency()
-    excluded = excluded_ports or set()
-    tables: dict[int, dict[int, tuple[int, ...]]] = {
-        s: {} for s in topology.switches
-    }
-    for dst in topology.hosts:
-        dist = bfs_distances(topology, dst)
-        for switch in topology.switches:
-            if switch not in dist:
-                continue
-            ports: list[int] = []
-            for peer, _ in adj[switch]:
-                if dist.get(peer, -1) == dist[switch] - 1:
-                    ports.extend(
-                        p for p in port_map[(switch, peer)]
-                        if (switch, p) not in excluded
-                    )
-            if ports:
-                # De-duplicate parallel-link entries while keeping order.
-                seen: dict[int, None] = dict.fromkeys(ports)
-                tables[switch][dst] = tuple(seen)
-    return tables
-
-
-#: ``ecmp_hash`` memoised for the switches, which ask per packet while a
-#: run has a few hundred live flow directions (an entry measures ~0.2 KiB
-#: under tracemalloc, so 1024 bounds the cache at ~0.2 MiB).  ``ecmp_hash``
-#: itself stays uncached: the fluid path picker hashes each ``(flow, src,
-#: dst, node)`` once, so a cache there only costs memory.
-_flow_direction_hash = lru_cache(maxsize=1024)(ecmp_hash)
-
-
-def ecmp_select(ports: tuple[int, ...], flow_id: int, src: int, dst: int) -> int:
-    """Pick the ECMP member port for a flow direction."""
-    if len(ports) == 1:
-        return ports[0]
-    return ports[_flow_direction_hash(flow_id, src, dst) % len(ports)]
+    if len(group) == 1:
+        return group[0]
+    return group[cached_ecmp_hash(flow_id, src, dst, node) % len(group)]
 
 
 # -- incremental reconvergence -----------------------------------------------------
@@ -135,7 +114,7 @@ class RerouteReport:
 
     ``dests_recomputed`` counts destination columns rebuilt (full BFS or
     endpoint-scoped); ``groups_changed`` counts (switch, destination)
-    ECMP groups whose port tuple actually changed — every flow hashed
+    ECMP groups that actually changed — every flow hashed
     onto a changed group rehashes onto the new member set from its next
     packet, so this is also the reroute count the dynamics accounting
     reports.
@@ -149,10 +128,11 @@ class RerouteReport:
 class RoutingState:
     """Live ECMP routing over a topology with mutable link state.
 
-    Produces byte-identical tables to :func:`build_routing_tables` on the
-    alive subgraph at every point in time — the golden determinism
-    fixtures pin that equivalence — but recomputes only what a link-state
-    change can affect:
+    Produces byte-identical tables to a from-scratch build over the
+    alive subgraph at every point in time — ``tests/test_dynamics.py``
+    keeps one as the oracle, and the golden determinism fixtures pin the
+    forwarding — but recomputes only what a link-state change can
+    affect:
 
     * a change whose endpoints are *equidistant* from a destination lies
       on none of that destination's shortest paths: skipped outright;
@@ -173,9 +153,7 @@ class RoutingState:
     ) -> None:
         self.topology = topology
         self.port_map = port_map
-        # node -> [(peer, link index)], in topology.links order — the same
-        # iteration order Topology.adjacency() yields, which fixes the ECMP
-        # member order inside each rebuilt group.
+        # node -> [(peer, link index)], in topology.links order.
         self._adj: dict[int, list[tuple[int, int]]] = {
             n: [] for n in range(topology.n_hosts + topology.n_switches)
         }
@@ -188,7 +166,7 @@ class RoutingState:
         )
         self._excluded: set[tuple[int, int]] = set()
         self._dist: dict[int, dict[int, int]] = {}
-        self.tables: dict[int, dict[int, tuple[int, ...]]] = {
+        self.tables: dict[int, dict[int, EcmpGroup]] = {
             sw: {} for sw in topology.switches
         }
 
@@ -200,7 +178,7 @@ class RoutingState:
 
     # -- construction ------------------------------------------------------------
 
-    def build(self) -> dict[int, dict[int, tuple[int, ...]]]:
+    def build(self) -> dict[int, dict[int, EcmpGroup]]:
         """Full build: every destination column, distances cached."""
         for dst in self.topology.hosts:
             self._dist[dst] = self._bfs(dst)
@@ -286,25 +264,22 @@ class RoutingState:
     ) -> None:
         table = self.tables[switch]
         d = dist.get(switch)
-        ports: list[int] = []
+        new: EcmpGroup = ()
         if d is not None:
             up = self.link_up
             excluded = self._excluded
-            for peer, idx in self._adj[switch]:
-                if up[idx] and dist.get(peer, -1) == d - 1:
-                    ports.extend(
-                        p for p in self.port_map[(switch, peer)]
-                        if (switch, p) not in excluded
-                    )
-        if ports:
-            new = tuple(dict.fromkeys(ports))
-            if table.get(dst) != new:
+            peers = sorted({peer for peer, idx in self._adj[switch]
+                            if up[idx] and dist.get(peer, -1) == d - 1})
+            new = tuple(
+                (peer, tuple(p for p in self.port_map[(switch, peer)]
+                             if (switch, p) not in excluded))
+                for peer in peers
+            )
+        if new != table.get(dst, ()):
+            if new:
                 table[dst] = new
-                if report is not None:
-                    report.groups_changed += 1
-                    report.switches_touched.add(switch)
-        elif dst in table:
-            del table[dst]
+            else:
+                del table[dst]
             if report is not None:
                 report.groups_changed += 1
                 report.switches_touched.add(switch)

@@ -61,7 +61,7 @@ from .packet import (
 )
 from .pfc import PauseTracker, PfcConfig, PfcController
 from .queues import EgressPort
-from .routing import ecmp_select
+from .routing import EcmpGroup, cached_ecmp_hash, ecmp_next_hop
 
 
 class Switch:
@@ -89,8 +89,8 @@ class Switch:
         self.ports: dict[int, EgressPort] = {}
         self.port_peer: dict[int, int] = {}
         self._peer_port: dict[int, int] = {}  # peer -> first port, built at wiring
-        # dst host -> tuple of candidate egress ports (ECMP group)
-        self.routing_table: dict[int, tuple[int, ...]] = {}
+        # dst host -> ECMP group, (peer, ports) pairs (sim/routing.py)
+        self.routing_table: dict[int, EcmpGroup] = {}
         self._ecn_policy = ecn_policy
         self._markers: dict[int, EcnMarker] = {}
         self._seed = seed
@@ -120,7 +120,7 @@ class Switch:
             )
         return port
 
-    def install_routes(self, table: dict[int, tuple[int, ...]]) -> None:
+    def install_routes(self, table: dict[int, EcmpGroup]) -> None:
         self.routing_table = table
 
     # -- data path -------------------------------------------------------------
@@ -133,14 +133,19 @@ class Switch:
             self._handle_pfc_frame(pkt, in_port)
             recycle_packet(pkt)
             return
-        ports = self.routing_table.get(pkt.dst)
-        if not ports:
+        group = self.routing_table.get(pkt.dst)
+        if not group:
             # No route: either a mis-wired topology or a destination cut
             # off by failure injection.  Real switches blackhole this.
             self.no_route_drops += 1
             self._drop(pkt)
             return
-        out_id = ecmp_select(ports, pkt.flow_id, pkt.src, pkt.dst)
+        # The next-hop peer by the ECMP rule, then a parallel link to it
+        # by the flow direction alone.
+        ports = ecmp_next_hop(group, pkt.flow_id, pkt.src, pkt.dst,
+                              self.node_id)[1]
+        out_id = ports[0] if len(ports) == 1 else ports[
+            cached_ecmp_hash(pkt.flow_id, pkt.src, pkt.dst) % len(ports)]
         size = pkt.wire_size
         prio = pkt.priority
         out = self.ports[out_id]

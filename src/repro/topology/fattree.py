@@ -5,7 +5,8 @@ Full scale: 16 Core, 20 Agg, 20 ToR switches, 320 servers (16 per rack),
 max base RTT ~12us, ``T = 13us``.
 
 Pods pair ToRs with Aggs (full bipartite inside a pod); each Agg connects
-to an even share of the Core layer.  The builder is fully parameterized:
+to ``ceil(n_core / aggs_per_pod)`` cores, dealt round-robin, so every pod
+reaches every core.  The builder is fully parameterized:
 packet-level simulation of the full fabric in Python is possible but slow,
 so experiments default to a scaled instance (same oversubscription ratio,
 same tiering — README "`bench` vs `full` scale").
@@ -49,9 +50,6 @@ def fattree(spec: FatTreeSpec | None = None) -> Topology:
     s = spec or FatTreeSpec()
     if s.n_pods < 1 or s.tors_per_pod < 1 or s.aggs_per_pod < 1:
         raise ValueError("pods/tors/aggs must be positive")
-    if s.n_core % s.aggs_per_pod and s.aggs_per_pod % s.n_core:
-        # Allow uneven sharing; links are assigned round-robin below.
-        pass
     host_rate = parse_bandwidth(s.host_rate)
     fabric_rate = parse_bandwidth(s.fabric_rate)
     delay = parse_time(s.link_delay)
@@ -77,10 +75,10 @@ def fattree(spec: FatTreeSpec | None = None) -> Topology:
         for tor in pod_tors:
             for agg in pod_aggs:
                 links.append(LinkSpec(tor, agg, fabric_rate, delay))
-    # Agg -> Core: spread each Agg's uplinks across the core layer so every
-    # pod reaches every core (round-robin keeps it balanced when the counts
-    # do not divide evenly).
-    uplinks_per_agg = max(1, s.n_core // s.aggs_per_pod)
+    # Agg -> Core: ceil(n_core / aggs_per_pod) uplinks per Agg, dealt
+    # round-robin over the core layer, so every pod reaches every core
+    # (when the counts do not divide, the first cores get a second Agg).
+    uplinks_per_agg = -(-s.n_core // s.aggs_per_pod)
     for pod in range(s.n_pods):
         for j in range(s.aggs_per_pod):
             agg = aggs[pod * s.aggs_per_pod + j]

@@ -1,7 +1,8 @@
 """The step-by-step switch hop, kept as the oracle for the one-frame hop.
 
 ``ReferenceSwitch.receive`` is ``Switch.receive`` as it stood at 296a431,
-the parent of the one-frame hop, verbatim: ``ecmp_select`` ->
+the parent of the one-frame hop, verbatim but for its ECMP pick, which
+follows the one rule of ``sim/routing.py``: ``ecmp_next_hop`` ->
 ``SharedBuffer.occupy`` -> ``_ingress_ref`` -> ECN mark ->
 ``EgressPort.enqueue`` (which kicks the port, which calls ``_on_emit``,
 which releases the buffer and checks PFC) -> second PFC check.  Every
@@ -18,7 +19,7 @@ parent-captured goldens in ``test_determinism_golden.py`` pin that.
 from __future__ import annotations
 
 from repro.sim.packet import Packet, PacketType, recycle_hops, recycle_packet
-from repro.sim.routing import ecmp_select
+from repro.sim.routing import cached_ecmp_hash, ecmp_next_hop
 from repro.sim.switch import Switch
 
 
@@ -31,8 +32,8 @@ class ReferenceSwitch(Switch):
             self._handle_pfc_frame(pkt, in_port)
             recycle_packet(pkt)
             return
-        ports = self.routing_table.get(pkt.dst)
-        if not ports:
+        group = self.routing_table.get(pkt.dst)
+        if not group:
             # No route: either a mis-wired topology or a destination cut
             # off by failure injection.  Real switches blackhole this.
             self.no_route_drops += 1
@@ -41,7 +42,10 @@ class ReferenceSwitch(Switch):
             recycle_hops(pkt)
             recycle_packet(pkt)
             return
-        out_id = ecmp_select(ports, pkt.flow_id, pkt.src, pkt.dst)
+        ports = ecmp_next_hop(group, pkt.flow_id, pkt.src, pkt.dst,
+                              self.node_id)[1]
+        out_id = ports[0] if len(ports) == 1 else ports[
+            cached_ecmp_hash(pkt.flow_id, pkt.src, pkt.dst) % len(ports)]
         size = pkt.wire_size
         prio = pkt.priority
         if not self.buffer.occupy(in_port, out_id, prio, size):

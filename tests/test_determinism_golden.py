@@ -237,3 +237,42 @@ def test_golden_bidirectional_determinism(cc_name):
         "the two flows no longer overlap, so no ACK meets a data frame")
     assert (net.sim.events_processed,
             fct_digest(net.metrics.fct_records)) == GOLDEN_BIDIR[cc_name]
+
+
+# (events_processed, sha256 of FCT records) for HPCC on the bench Figure
+# 11 FatTree, captured when the packet switches took up the ECMP rule
+# they share with the fluid engine (``sim/routing.py::ecmp_next_hop``).
+# Every other golden runs on a fabric whose switches have one next-hop
+# peer per destination; here each ToR and Agg picks one of two for the
+# cross-pod flows, so a change to that pick moves this value.
+GOLDEN_FATTREE = (25561, "b2ac024b750b84ed5c97a5e78f90555833c91ae870fe3354781413c45253ffb9")
+
+
+def golden_fattree_run():
+    """40 staggered cross-rack HPCC flows on the bench FatTree."""
+    from repro.topology import bench_fattree
+
+    net = Network(
+        bench_fattree(),
+        NetworkConfig(cc_name="hpcc", base_rtt=13 * US, seed=3),
+    )
+    for i in range(40):
+        src = i % 16
+        dst = (src + 4 * (1 + i % 3)) % 16        # another ToR's host
+        net.add_flow(net.make_flow(src, dst, 20_000 + 5_000 * (i % 5),
+                                   start_time=1_000.0 + 2.0 * i))
+    done = net.run_until_done(deadline=50 * MS)
+    assert done, "golden FatTree scenario did not finish"
+    return net
+
+
+def test_golden_fattree_determinism():
+    net = golden_fattree_run()
+    topo = net.topology
+    assert any(len(group) > 1 for tor in topo.switch_tiers["tor"]
+               for group in net.switches[tor].routing_table.values()), (
+        "no ToR has two next-hop peers, so the scenario pins no ECMP pick")
+    assert all(any(port.tx_bytes for port in net.switches[core].ports.values())
+               for core in topo.switch_tiers["core"])
+    assert (net.sim.events_processed,
+            fct_digest(net.metrics.fct_records)) == GOLDEN_FATTREE

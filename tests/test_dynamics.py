@@ -6,8 +6,8 @@ Covers the three layers plus the compatibility contract:
   expansion, spec integration (hash distinctness, legacy hash
   preservation pinned to the pre-dynamics value);
 * incremental routing — ``RoutingState``'s scoped recompute must equal a
-  from-scratch ``build_routing_tables`` over the alive subgraph after
-  any sequence of failures/restores;
+  from-scratch build over the alive subgraph (``rebuilt_reference``)
+  after any sequence of failures/restores;
 * the timeline driver — detection delay, symmetric fail/restore
   accounting, outage pairing, degrade, burst injection, fluid parking,
   and the zero-detection-delay fail/restore golden (same FCTs, same event count as the pre-dynamics
@@ -32,7 +32,7 @@ from repro.fluid import FluidEngine
 from repro.network import Network, NetworkConfig
 from repro.runner import ScenarioGrid, ScenarioSpec, execute_spec
 from repro.sim.flow import FlowSpec
-from repro.sim.routing import RoutingState, build_routing_tables
+from repro.sim.routing import RoutingState, bfs_distances
 from repro.sim.units import MS, US
 from repro.topology import star
 from repro.topology.base import Topology
@@ -178,7 +178,25 @@ def rebuilt_reference(net):
         n_switches=net.topology.n_switches, links=alive,
         switch_tiers=net.topology.switch_tiers,
     )
-    return build_routing_tables(view, net.port_map, dead_ports)
+    # Per switch and destination: every peer one BFS hop closer, in
+    # ascending peer id, with its up ports in wiring order.
+    adj = view.adjacency()
+    tables = {sw: {} for sw in view.switches}
+    for dst in view.hosts:
+        dist = bfs_distances(view, dst)
+        for switch in view.switches:
+            if switch not in dist:
+                continue
+            peers = sorted({peer for peer, _ in adj[switch]
+                            if dist.get(peer, -1) == dist[switch] - 1})
+            group = tuple(
+                (peer, tuple(p for p in net.port_map[(switch, peer)]
+                             if (switch, p) not in dead_ports))
+                for peer in peers
+            )
+            if group:
+                tables[switch][dst] = group
+    return tables
 
 
 def planner_report(net, link):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fluid import FluidEngine
 from repro.fluid.state import FluidGraph, NoRoute
 from repro.sim.flow import FlowSpec
-from repro.sim.routing import ecmp_hash
+from repro.sim.routing import ecmp_next_hop
 from repro.topology import LinkSpec, Topology, dual_trunk, star
 from repro.topology import testbed as make_testbed
 from repro.topology.fattree import fattree_k
@@ -58,7 +58,7 @@ def oracle_path(graph: FluidGraph, flow_id: int, src: int, dst: int):
         candidates = [
             p for p in neighbors[node] if dist.get(p, -1) == dist[node] - 1
         ]
-        peer = candidates[ecmp_hash(flow_id, src, dst, node) % len(candidates)]
+        peer = ecmp_next_hop(candidates, flow_id, src, dst, node)
         hops.append((node, peer))
         node = peer
     return hops

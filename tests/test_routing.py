@@ -1,12 +1,12 @@
-"""Routing: BFS tables, ECMP selection, hash determinism."""
+"""Routing: BFS tables, the ECMP next-hop rule, hash determinism."""
 
 from collections import Counter
 
 from repro.sim.routing import (
+    RoutingState,
     bfs_distances,
-    build_routing_tables,
     ecmp_hash,
-    ecmp_select,
+    ecmp_next_hop,
 )
 from repro.topology.base import LinkSpec, Topology
 from repro.topology.fattree import FatTreeSpec, fattree
@@ -44,7 +44,7 @@ class TestBfs:
 class TestRoutingTables:
     def test_star_routes_direct(self):
         topo = star(4)
-        tables = build_routing_tables(topo, port_map_for(topo))
+        tables = RoutingState(topo, port_map_for(topo)).build()
         switch_table = tables[4]
         # Every host reachable through exactly one port.
         assert set(switch_table) == {0, 1, 2, 3}
@@ -53,17 +53,17 @@ class TestRoutingTables:
     def test_dumbbell_cross_traffic_uses_trunk(self):
         topo = dumbbell(2, 2)
         pm = port_map_for(topo)
-        tables = build_routing_tables(topo, pm)
+        tables = RoutingState(topo, pm).build()
         left_switch = 4
         trunk_ports = pm[(left_switch, 5)]
-        assert tables[left_switch][2] == tuple(trunk_ports)
+        assert tables[left_switch][2] == ((5, tuple(trunk_ports)),)
 
     def test_fattree_all_hosts_reachable_from_all_switches(self):
         topo = fattree(FatTreeSpec(
             n_pods=2, tors_per_pod=2, aggs_per_pod=2, n_core=2,
             hosts_per_tor=2,
         ))
-        tables = build_routing_tables(topo, port_map_for(topo))
+        tables = RoutingState(topo, port_map_for(topo)).build()
         for sw in topo.switches:
             assert set(tables[sw]) == set(topo.hosts)
 
@@ -73,10 +73,13 @@ class TestRoutingTables:
         spec = FatTreeSpec(n_pods=2, tors_per_pod=2, aggs_per_pod=2,
                            n_core=2, hosts_per_tor=2)
         topo = fattree(spec)
-        tables = build_routing_tables(topo, port_map_for(topo))
+        tables = RoutingState(topo, port_map_for(topo)).build()
         tor0 = topo.switch_tiers["tor"][0]
         remote_host = topo.n_hosts - 1
-        assert len(tables[tor0][remote_host]) == spec.aggs_per_pod
+        group = tables[tor0][remote_host]
+        assert len(group) == spec.aggs_per_pod
+        peers = [peer for peer, _ in group]
+        assert peers == sorted(peers)        # ascending peer id
 
 
 class TestEcmp:
@@ -87,26 +90,48 @@ class TestEcmp:
         values = {ecmp_hash(f, 0, 1) for f in range(100)}
         assert len(values) == 100
 
-    def test_select_single_port_shortcut(self):
-        assert ecmp_select((9,), 123, 0, 1) == 9
+    def test_next_hop_single_member_shortcut(self):
+        assert ecmp_next_hop((9,), 123, 0, 1, 5) == 9
 
-    def test_select_stable_per_flow(self):
-        ports = (0, 1, 2, 3)
-        choice = ecmp_select(ports, 42, 7, 9)
-        assert all(ecmp_select(ports, 42, 7, 9) == choice for _ in range(10))
+    def test_next_hop_is_the_salted_hash(self):
+        group = (3, 5, 8)
+        for f in range(50):
+            assert ecmp_next_hop(group, f, 0, 1, 20) \
+                == group[ecmp_hash(f, 0, 1, 20) % 3]
 
-    def test_select_spreads_flows(self):
-        ports = (0, 1, 2, 3)
-        counts = Counter(ecmp_select(ports, f, 0, 1) for f in range(4000))
-        assert set(counts) == set(ports)
-        for port in ports:
-            assert 0.15 < counts[port] / 4000 < 0.35
+    def test_next_hop_stable_per_flow(self):
+        group = (0, 1, 2, 3)
+        choice = ecmp_next_hop(group, 42, 7, 9, 20)
+        assert all(ecmp_next_hop(group, 42, 7, 9, 20) == choice
+                   for _ in range(10))
+
+    def test_next_hop_spreads_flows(self):
+        group = (0, 1, 2, 3)
+        counts = Counter(ecmp_next_hop(group, f, 0, 1, 20)
+                         for f in range(4000))
+        assert set(counts) == set(group)
+        for member in group:
+            assert 0.15 < counts[member] / 4000 < 0.35
 
     def test_forward_reverse_hash_independent(self):
-        ports = (0, 1)
-        forward = [ecmp_select(ports, f, 0, 1) for f in range(200)]
-        reverse = [ecmp_select(ports, f, 1, 0) for f in range(200)]
+        group = (0, 1)
+        forward = [ecmp_next_hop(group, f, 0, 1, 20) for f in range(200)]
+        reverse = [ecmp_next_hop(group, f, 1, 0, 20) for f in range(200)]
         assert forward != reverse      # directions hash independently
+
+    def test_successive_switches_do_not_polarise(self):
+        # Two 2-way choices in a row (a ToR, then an Agg): the node salt
+        # makes the second independent of the first, so all four
+        # combinations occur about equally.  An unsalted hash repeats
+        # the first pick and uses two of the four.
+        group = (0, 1)
+        pairs = Counter(
+            (ecmp_next_hop(group, f, 0, 1, 20), ecmp_next_hop(group, f, 0, 1, 24))
+            for f in range(4000)
+        )
+        assert len(pairs) == 4
+        for count in pairs.values():
+            assert 0.2 < count / 4000 < 0.3
 
 
 class TestParallelLinks:
@@ -122,5 +147,6 @@ class TestParallelLinks:
             ],
         )
         pm = port_map_for(topo)
-        tables = build_routing_tables(topo, pm)
-        assert len(tables[2][1]) == 2
+        tables = RoutingState(topo, pm).build()
+        # One next-hop peer, both parallel ports under it.
+        assert tables[2][1] == ((3, (1, 2)),)

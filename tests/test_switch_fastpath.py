@@ -255,7 +255,7 @@ def wired_switch(switch_cls, n_ports: int, buffer_config: BufferConfig,
         port = switch.add_port(port_id, RATE, peer=port_id)
         Link(sim, switch, port, sink, EgressPort(sim, sink, 0, RATE), PROP)
         sinks.append(sink)
-    switch.install_routes({p: (p,) for p in range(n_ports)})
+    switch.install_routes({p: ((p, (p,)),) for p in range(n_ports)})
     return sim, switch, sinks
 
 

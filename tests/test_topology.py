@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.figure11 import SCALES as FIG11_SCALES
 from repro.sim.units import gbps
 from repro.topology import (
     FatTreeSpec,
@@ -16,6 +17,7 @@ from repro.topology import (
     star,
 )
 from repro.topology import testbed as make_testbed
+from repro.topology.fattree import fattree_k_spec
 
 
 class TestValidation:
@@ -152,6 +154,21 @@ class TestFatTree:
         cores = set(topo.switch_tiers["core"])
         for agg in topo.switch_tiers["agg"]:
             assert any(p in cores for p, _ in adj[agg])
+
+    @pytest.mark.parametrize("spec", [
+        *(tier["fattree"] for tier in FIG11_SCALES.values()),
+        fattree_k_spec(8),
+    ], ids=[*FIG11_SCALES, "k8"])
+    def test_every_core_links_into_every_pod(self, spec):
+        # The paper's 16 cores over 5 Aggs per pod do not divide evenly;
+        # a floor share of uplinks used to leave core 15 unwired.
+        topo = fattree(spec)
+        adj = topo.adjacency()
+        aggs = topo.switch_tiers["agg"]
+        pod_of = {agg: i // spec.aggs_per_pod for i, agg in enumerate(aggs)}
+        for core in topo.switch_tiers["core"]:
+            pods = {pod_of[p] for p, _ in adj[core]}
+            assert pods == set(range(spec.n_pods)), core
 
     def test_scaled_factory(self):
         scaled = FatTreeSpec().scaled(4)
