@@ -118,7 +118,7 @@ described in :mod:`repro.fluid.state`.
 CC adapters fire once per accumulated RTT: arrival- and
 event-shortened mini-steps accumulate ``elapsed``/``delivered``/
 ``marked`` per flow, and the adapter sees one aggregated
-:class:`StepSignals` when a full ``step`` has elapsed
+:class:`StepSignals` when a full base RTT has elapsed
 (``tests/fluid_reference.py`` fires on every mini-step; on runs whose
 steps are never shortened the two produce bit-identical trajectories).
 That is *not* Algorithm 1's cadence — react to every ACK against W^c,
@@ -247,7 +247,6 @@ class FluidEngine:
         base_rtt: float | None = None,
         mtu: int = 1000,
         buffer_bytes: float = 32 * MB,
-        step: float | None = None,
         sample_interval: float | None = None,
         goodput_bin: float | None = None,
     ) -> None:
@@ -262,11 +261,9 @@ class FluidEngine:
             if base_rtt is not None
             else 1.05 * topology.base_rtt_estimate(mtu + self.header)
         )
-        #: Step length: one base RTT by default — the cadence the CC
-        #: adapters fire at (see the module docstring).
-        self.step = step if step is not None else self.base_rtt
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        # The step is one base RTT, the cadence the CC adapters fire at.
+        if self.base_rtt <= 0:
+            raise ValueError(f"base_rtt must be positive, got {self.base_rtt}")
         self.graph = FluidGraph(topology, float(buffer_bytes))
         #: The graph's link registers (see LinkArrays), which the engine
         #: steps in place; in a multi-cell batch they are views of the
@@ -314,7 +311,7 @@ class FluidEngine:
         self._ecn_stale = True
         #: Adapters fire when a full step has accumulated; the epsilon
         #: absorbs float dust from summing shortened mini-steps.
-        self._fire_at = self.step - 1e-9
+        self._fire_at = self.base_rtt - 1e-9
         #: One CcEnv per host line rate (frozen, so every flow of that
         #: rate shares it) and the install-time ``(rate, window)`` an
         #: adapter built on it starts a flow at.
@@ -563,7 +560,7 @@ class FluidEngine:
     def run(self, deadline: float) -> bool:
         """Advance until every flow finished or ``deadline`` (ns) hits.
 
-        Returns True when all flows completed.  Steps are ``self.step``
+        Returns True when all flows completed.  Steps are one base RTT
         long, shortened to land exactly on the next flow arrival or the
         next scheduled dynamics event, so both are honoured precisely.
         May be called again with a later deadline (the hybrid's
@@ -637,7 +634,7 @@ class FluidEngine:
                     self.now = target
                     self.clock.now = self.now
                 continue
-            dt = self.step
+            dt = self.base_rtt
             if next_start is not None:
                 dt = min(dt, next_start - self.now)
             if next_event is not None:

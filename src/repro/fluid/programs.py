@@ -62,7 +62,6 @@ class FluidBackend:
             base_rtt=config.pop("base_rtt", None),
             mtu=config.pop("mtu", 1000),
             buffer_bytes=config.pop("buffer_bytes", 32 * MB),
-            step=config.pop("fluid_step", None),
             sample_interval=spec.measure.get("sample_interval")
             if sampled else None,
             goodput_bin=config.pop("goodput_bin", None),

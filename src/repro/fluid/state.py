@@ -17,71 +17,42 @@ as Python floats, so the dynamics mutators below, tests and the scalar
 oracle (``tests/fluid_reference.py``) see what the engine integrated,
 and the engine sees what they changed, with nothing to synchronize.
 
-Paths follow the packet simulator's ECMP rule,
-:func:`~repro.sim.routing.ecmp_next_hop`: at every node the next hop is
-drawn from the neighbours one BFS hop closer to the destination, in
-ascending id, keyed by ``(flow_id, src, dst, node)`` — so both engines
-route a flow over the same nodes.  Parallel links between the same node
-pair are aggregated into one fluid link with the summed capacity — fluid
-rates have no notion of per-member hashing.
+Paths follow the routing view both engines share
+(:class:`~repro.sim.routing.ShortestPathRows`): at every node the next
+hop is :func:`~repro.sim.routing.ecmp_next_hop` over the neighbours one
+hop closer to the destination, in ascending id, keyed by ``(flow_id,
+src, dst, node)`` — so both engines route a flow over the same nodes,
+and :func:`~repro.sim.routing.round_trip` prices it on both.  Parallel
+links between the same node pair are aggregated into one fluid link
+with the summed capacity — fluid rates have no notion of per-member
+hashing — but a path is priced at the pair's first up member, the one
+link a packet crosses.
 
-Routing state is compact.  Per topology version the graph holds one
-CSR adjacency of the *alive* subgraph (links with capacity > 0) and, per
-destination routed so far, one **distance row**: a ``bytes`` object of
-length ``n_nodes`` whose entry ``row[node]`` is ``node``'s hop count to
-that destination (255 = unreachable).  A *leaf* destination — exactly
-one alive neighbour, itself not a leaf — can only be reached through
-that neighbour, so its row is the neighbour's row plus one hop (a
-``bytes.translate``); every other row is filled by a level-synchronous
-BFS over the CSR arrays.  On a FatTree every host is a leaf, so the k=16
-tier runs 128 BFS passes (one per ToR) instead of 1024.  Rows are built
-lazily on the first :meth:`FluidGraph.path` toward a destination and
-cost one byte per node: the k=16 FatTree's 1024 host rows plus the 128
-ToR rows they derive from hold 1152 x 1344 bytes = 1.5 MiB, and k=32's
-8192 + 512 rows 79 MiB (a ``dict`` per destination, the layout before
-rows, took 37 MiB and ~2 GiB respectively).
+Per topology version the graph holds one set of rows over the *alive*
+subgraph (pairs with capacity > 0), filled lazily on the first
+:meth:`FluidGraph.path` toward a destination, one byte per node per
+row: the k=16 FatTree's 1024 host rows plus the 128 ToR rows they
+derive from hold 1152 x 1344 bytes = 1.5 MiB, and k=32's 8192 + 512
+rows 79 MiB (a ``dict`` per destination, the layout before rows, took
+37 MiB and ~2 GiB respectively).
 
 The graph is *live*: the network-dynamics subsystem fails, restores and
-degrades individual link members mid-run.  Pooled capacities move,
-every distance row and the CSR adjacency are dropped
-(:meth:`FluidGraph.invalidate`, called by each mutation), and subsequent
-:meth:`FluidGraph.path` calls route over the alive subgraph only — the
-fluid analogue of routing reconvergence (the engine decides *when* to
-recompute paths, honouring the timeline's detection delay).
+degrades individual link members mid-run.  Pooled capacities move, the
+rows are dropped (:meth:`FluidGraph.invalidate`, called by each
+mutation), and subsequent :meth:`FluidGraph.path` calls route over the
+alive subgraph only — the fluid analogue of routing reconvergence (the
+engine decides *when* to recompute paths, honouring the timeline's
+detection delay).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from ..sim.routing import ecmp_next_hop
+from ..sim.routing import NoRoute, ShortestPathRows, round_trip
 from ..topology.base import Topology
 
 __all__ = ["FluidGraph", "FluidLink", "FluidPath", "LinkArrays", "NoRoute"]
-
-#: Distance-row entry of a node the destination cannot be reached from.
-_UNREACHED = 255
-#: ``bytes.translate`` table adding one hop to a distance row
-#: (unreachable stays unreachable).
-_PLUS_ONE = bytes(range(1, _UNREACHED + 1)) + bytes([_UNREACHED])
-
-
-def _too_far(dst: int) -> str:
-    return (
-        f"node {dst} is more than {_UNREACHED - 1} hops from another "
-        "node: too far for one-byte distance rows"
-    )
-
-
-class NoRoute(ValueError):
-    """No path between two nodes over the links currently up.
-
-    A transient condition (a restore brings the route back), which is
-    why the engines catch exactly this and park the flow; a plain
-    ``ValueError`` from :meth:`FluidGraph.path` means a malformed flow.
-    """
 
 
 class _Member:
@@ -139,7 +110,7 @@ class FluidLink:
     """
 
     __slots__ = (
-        "arrays", "index", "a", "b", "delay", "is_switch_egress",
+        "arrays", "index", "a", "b", "member", "is_switch_egress",
         "buffer_bytes", "label",
         # The test oracle (tests/fluid_reference.py) integrates on these
         # objects and keeps its per-step scratch registers on them.
@@ -158,7 +129,7 @@ class FluidLink:
         index: int,
         a: int,
         b: int,
-        delay: float,
+        member: _Member,
         is_switch_egress: bool,
         buffer_bytes: float,
     ) -> None:
@@ -166,7 +137,9 @@ class FluidLink:
         self.index = index
         self.a = a
         self.b = b
-        self.delay = delay              # propagation, ns
+        #: The pair's first up member: the one link a packet crosses,
+        #: which prices the hop (:func:`~repro.sim.routing.round_trip`).
+        self.member = member
         self.is_switch_egress = is_switch_egress
         self.buffer_bytes = buffer_bytes
         self.label = f"sw{a}->{b}"
@@ -240,64 +213,57 @@ class FluidGraph:
         self.topology = topology
         # Undirected member lists keyed by directed pair (both directions
         # share the list object, so one state flip moves both), and each
-        # pair's pooled capacity and first member's delay.
+        # pair's pooled capacity.
         self._members: dict[tuple[int, int], list[_Member]] = {}
-        pooled: dict[tuple[int, int], list[float]] = {}
+        pooled: dict[tuple[int, int], float] = {}
         for spec in topology.links:
             member = _Member(spec.rate, spec.delay)
             for a, b in ((spec.a, spec.b), (spec.b, spec.a)):
                 existing = self._members.get((a, b))
                 if existing is not None:
                     existing.append(member)
-                    pooled[(a, b)][0] += spec.rate      # parallel pool
+                    pooled[(a, b)] += spec.rate     # parallel pool
                 else:
                     self._members[(a, b)] = [member]
-                    pooled[(a, b)] = [spec.rate, spec.delay]
+                    pooled[(a, b)] = spec.rate
         # Fix the duplicated member list: both directions must share one.
         for spec in topology.links:
             self._members[(spec.b, spec.a)] = self._members[(spec.a, spec.b)]
         egress = [not topology.is_host(a) for a, _ in pooled]
         #: The link registers (see :class:`LinkArrays`).
-        self.arrays = LinkArrays(
-            [capacity for capacity, _ in pooled.values()], egress,
-            buffer_bytes,
-        )
+        self.arrays = LinkArrays(list(pooled.values()), egress, buffer_bytes)
         self.links: dict[tuple[int, int], FluidLink] = {
-            (a, b): FluidLink(self.arrays, i, a, b, delay, egress[i],
-                              buffer_bytes)
-            for i, ((a, b), (_, delay)) in enumerate(pooled.items())
+            pair: FluidLink(self.arrays, i, *pair, self._members[pair][0],
+                            egress[i], buffer_bytes)
+            for i, pair in enumerate(pooled)
         }
         #: Fixed enumeration of the directed links, in register row order.
         self.link_list: list[FluidLink] = list(self.links.values())
         self._egress_links: list[FluidLink] = [
             l for l in self.link_list if l.is_switch_egress
         ]
-        self._n_nodes = topology.n_hosts + topology.n_switches
-        self._neighbors: list[list[int]] = [[] for _ in range(self._n_nodes)]
+        self._neighbors: list[list[int]] = [
+            [] for _ in range(topology.n_hosts + topology.n_switches)]
         for a, b in self.links:
             self._neighbors[a].append(b)
-        #: dst -> distance row (see the module docstring).
-        self._dist_rows: dict[int, bytes] = {}
-        #: ``(peers, indptr, indices, capacity)`` of the alive subgraph,
-        #: or ``None`` until :meth:`_alive_adjacency` next builds it.
-        self._adjacency = None
+        #: The rows over the alive subgraph, or ``None`` until
+        #: :meth:`rows` next builds them.
+        self._rows: ShortestPathRows | None = None
 
     # -- dynamics ----------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop the routing caches (after any member state change)."""
-        self._dist_rows.clear()
-        self._adjacency = None
+        """Drop the routing rows (after any member state change)."""
+        self._rows = None
 
     def _refresh_pair(self, a: int, b: int) -> None:
-        members = self._members[(a, b)]
-        capacity = sum(m.rate for m in members if m.up)
-        up = [m for m in members if m.up]
-        delay = up[0].delay if up else self.links[(a, b)].delay
+        up = [m for m in self._members[(a, b)] if m.up]
+        capacity = sum(m.rate for m in up)
         for key in ((a, b), (b, a)):
             link = self.links[key]
             link.capacity = capacity
-            link.delay = delay
+            if up:
+                link.member = up[0]
 
     def _flush_share(self, a: int, b: int, fraction: float) -> float:
         """Flush ``fraction`` of both directions' queues to drops.
@@ -371,116 +337,33 @@ class FluidGraph:
 
     # -- routing -----------------------------------------------------------------
 
-    def _alive_adjacency(
-        self,
-    ) -> tuple[list[list[int]], np.ndarray, np.ndarray, list[float]]:
-        """The alive subgraph, rebuilt lazily per topology version.
-
-        ``peers[node]`` is the node's sorted alive neighbours as a list
-        (what ECMP selection iterates); ``indptr``/``indices`` are the
-        same lists flattened into CSR arrays (what the BFS gathers);
-        ``capacity`` is a read-only snapshot of every link's capacity
-        register as a list (what :meth:`path` prices hops with, without
-        a register read per hop).
-        """
-        adjacency = self._adjacency
-        if adjacency is None:
+    def rows(self) -> ShortestPathRows:
+        """The routing rows over the alive subgraph (the pairs with
+        capacity > 0), rebuilt lazily per topology version."""
+        rows = self._rows
+        if rows is None:
             links = self.links
             capacity = self.arrays.capacity.tolist()
-            peers = [
+            rows = self._rows = ShortestPathRows([
                 sorted(p for p in around
                        if capacity[links[(node, p)].index] > 0.0)
                 for node, around in enumerate(self._neighbors)
-            ]
-            indptr = np.zeros(self._n_nodes + 1, dtype=np.intp)
-            np.cumsum([len(p) for p in peers], out=indptr[1:])
-            indices = np.fromiter(
-                chain.from_iterable(peers), dtype=np.intp, count=int(indptr[-1])
-            )
-            adjacency = self._adjacency = (peers, indptr, indices,
-                                           capacity)
-        return adjacency
-
-    def _distances(self, dst: int) -> bytes:
-        """``dst``'s distance row, built on first use.
-
-        A leaf — a destination with exactly one alive neighbour, itself
-        not a leaf — is reached through that neighbour only, so its row
-        is the neighbour's row plus one hop (0 at the leaf itself).
-        Every other row comes from a BFS.
-        """
-        row = self._dist_rows.get(dst)
-        if row is None:
-            peers = self._alive_adjacency()[0]
-            around = peers[dst]
-            if len(around) == 1 and len(peers[around[0]]) > 1:
-                via = self._distances(around[0])
-                if _UNREACHED - 1 in via:
-                    raise ValueError(_too_far(dst))
-                row = via.translate(_PLUS_ONE)
-                row = row[:dst] + b"\0" + row[dst + 1:]
-            else:
-                row = self._bfs(dst)
-            self._dist_rows[dst] = row
-        return row
-
-    def _bfs(self, dst: int) -> bytes:
-        """``dst``'s distance row by level-synchronous BFS."""
-        _, indptr, indices, _ = self._alive_adjacency()
-        dist = np.full(self._n_nodes, _UNREACHED, dtype=np.uint8)
-        dist[dst] = 0
-        frontier = np.array([dst], dtype=np.intp)
-        for d in range(1, _UNREACHED + 1):
-            # Concatenate the frontier nodes' CSR slices in one gather.
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            ends = counts.cumsum()
-            reached = indices[
-                np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-            ]
-            reached = reached[dist[reached] == _UNREACHED]
-            if not reached.size:
-                break
-            if d == _UNREACHED:
-                raise ValueError(_too_far(dst))
-            dist[reached] = d
-            frontier = (dist == d).nonzero()[0]
-        return dist.tobytes()
+            ])
+        return rows
 
     def path(self, flow_id: int, src: int, dst: int,
              mtu_wire: int, ack_size: int) -> FluidPath:
-        """The flow's ECMP route over the links currently up.
+        """The flow's ECMP route over the links currently up, priced by
+        :func:`~repro.sim.routing.round_trip`.
 
         Raises :class:`NoRoute` while ``dst`` is unreachable from
         ``src``, and a plain ``ValueError`` naming the flow for an
-        endpoint that is not a node of the topology (a negative id
-        would otherwise index the distance row from its end).
+        endpoint that is not a node of the topology.
         """
-        for node in (src, dst):
-            if not 0 <= node < self._n_nodes:
-                raise ValueError(
-                    f"flow {flow_id}: endpoint {node} is not a node of the "
-                    f"topology (nodes are 0..{self._n_nodes - 1})"
-                )
-        dist = self._distances(dst)
-        if dist[src] == _UNREACHED:
-            raise NoRoute(f"no route from {src} to {dst}")
-        peers, _, _, capacity = self._alive_adjacency()
-        links: list[FluidLink] = []
-        node = src
-        while node != dst:
-            d_next = dist[node] - 1
-            candidates = [peer for peer in peers[node] if dist[peer] == d_next]
-            if not candidates:
-                raise NoRoute(f"no route from {src} to {dst} at {node}")
-            peer = ecmp_next_hop(candidates, flow_id, src, dst, node)
-            links.append(self.links[(node, peer)])
-            node = peer
-        # Uncontended round trip: full-MTU store-and-forward out, an
-        # ACK-sized frame back — the ``Network.pair_base_rtt`` formula.
-        forward = sum(l.delay + mtu_wire / capacity[l.index] for l in links)
-        backward = sum(l.delay + ack_size / capacity[l.index] for l in links)
-        return FluidPath(links, forward + backward)
+        nodes = self.rows().walk(flow_id, src, dst)
+        links = [self.links[pair] for pair in zip(nodes, nodes[1:])]
+        hops = [(l.member.delay, l.member.rate) for l in links]
+        return FluidPath(links, round_trip(hops, mtu_wire, ack_size))
 
     # -- introspection -----------------------------------------------------------
 

@@ -8,8 +8,8 @@ queue runs to the epoch boundary, the measured foreground rates are
 folded back into the fluid capacity terms, and the fluid step loop runs
 to the same boundary.  Both clocks therefore agree at every boundary
 and each half sees the other at most one epoch stale — the documented
-coupling error, which shrinks with ``hybrid_epoch`` (default: the fluid
-step, one base RTT).
+coupling error, which shrinks with ``hybrid_epoch`` (default: one
+base RTT, the fluid step).
 
 The loop ends when the deadline hits or both halves report completion
 (matching each engine's own run-until-done semantics — pending timeline
@@ -35,7 +35,7 @@ class HybridEngine:
     def __init__(self, net, engine, epoch: float | None = None) -> None:
         self.net = net
         self.engine = engine
-        self.epoch = epoch if epoch is not None else engine.step
+        self.epoch = epoch if epoch is not None else engine.base_rtt
         if self.epoch <= 0:
             raise ValueError(f"epoch must be positive, got {self.epoch}")
         self.coupler = HybridCoupler(net, engine)

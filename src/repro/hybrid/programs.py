@@ -19,11 +19,9 @@ Config keys by consumer — the contract documented in
 
 * shared: ``base_rtt``, ``mtu``, ``buffer_bytes``, ``goodput_bin``;
 * packet half only: ``transport``, ``pfc_enabled``, ``int_enabled``,
-  ``pfc``, ``ecn``, ``rto``, ``gbn_recovery_cap`` (and every other
-  ``NetworkConfig`` knob);
-* fluid half only: ``fluid_step``;
-* hybrid only: ``hybrid_epoch`` (default: the fluid step, one base
-  RTT).
+  ``ecn``, ``rto`` (and every other ``NetworkConfig`` knob);
+* hybrid only: ``hybrid_epoch`` (default: one base RTT, the fluid
+  step).
 
 Mixed-mode records carry both halves: merged FCTs (sorted by finish
 time), packet-half queue samples, merged goodput bins, packet events
@@ -45,12 +43,6 @@ from ..topology.base import Topology
 from .engine import HybridEngine
 from .select import partition_specs
 
-#: Config keys only the hybrid coupling consumes.
-_HYBRID_KEYS = ("hybrid_epoch",)
-#: Config keys only the fluid half understands (stripped before the
-#: packet ``NetworkConfig`` sees them).
-_FLUID_KEYS = ("fluid_step",)
-
 
 class HybridBackend:
     """Packet foreground + fluid background, coupled per epoch."""
@@ -69,9 +61,6 @@ class HybridBackend:
         self.foreground: list[FlowSpec] = []
         self.background: list[FlowSpec] = []
 
-    def _config(self, *dropped: str) -> dict:
-        return {k: v for k, v in self.spec.config.items() if k not in dropped}
-
     def admit(self, flows: list[FlowSpec], timeline: Timeline,
               burst_entries: list[dict]) -> None:
         """Partition, then build and populate only the halves needed.
@@ -83,16 +72,15 @@ class HybridBackend:
         spec = self.spec
         fg, bg = partition_specs(flows, spec.workload.get("foreground"))
         self.foreground, self.background = fg, bg
+        # Each half takes every key but the coupler's own.
+        config = {k: v for k, v in spec.config.items() if k != "hybrid_epoch"}
         if fg or not bg:
-            self.packet = PacketBackend(
-                spec, self.topology, self._config(*_HYBRID_KEYS, *_FLUID_KEYS))
+            self.packet = PacketBackend(spec, self.topology, config)
             self.packet.admit(fg, timeline, burst_entries)
             burst_entries = []
         if bg:
-            self.fluid = FluidBackend(
-                spec, self.topology, self._config(*_HYBRID_KEYS),
-                sampled=self.packet is None,
-            )
+            self.fluid = FluidBackend(spec, self.topology, config,
+                                      sampled=self.packet is None)
             self.fluid.admit(bg, timeline, burst_entries)
         if self.packet is not None and self.fluid is not None:
             self.engine = HybridEngine(

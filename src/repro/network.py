@@ -26,9 +26,9 @@ from .sim.engine import Simulator
 from .sim.flow import FlowSpec
 from .sim.link import Link
 from .sim.nic import HostNic, NicConfig
-from .sim.packet import BASE_HEADER, INT_OVERHEAD
+from .sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD
 from .sim.pfc import PfcConfig
-from .sim.routing import RoutingState
+from .sim.routing import NoRoute, RoutingState, round_trip
 from .sim.switch import Switch
 from .sim.units import MB, MS
 
@@ -49,16 +49,9 @@ class NetworkConfig:
     int_enabled: bool | None = None
     mtu: int = 1000
     buffer_bytes: int = 32 * MB         # per switch (paper's device: 32MB)
-    buffer_lossy_alpha: float = 1.0     # footnote 6: alpha=1 in lossy modes
-    pfc: PfcConfig | None = None
     ecn: EcnPolicy | None = None
     base_rtt: float | None = None
     rto: float | None = None
-    #: GBN post-rewind retransmission-burst cap in bytes (None disables;
-    #: inert on lossless fabrics, which never rewind).  Bounds the
-    #: full-window retransmission storms that collapse goodput under
-    #: buffers too shallow for ECN marking to bite.
-    gbn_recovery_cap: int | None = 16_000
     goodput_bin: float | None = None    # enable goodput time series
     seed: int = 1
 
@@ -106,17 +99,10 @@ class Network:
         if ecn_policy is None:
             ecn_policy = self.scheme.default_ecn(config.cc_params)
         cnp_interval = self.scheme.cnp_interval(config.cc_params)
-        pfc_config = config.pfc or PfcConfig(enabled=config.pfc_enabled)
-        if pfc_config.enabled != config.pfc_enabled:
-            pfc_config = PfcConfig(
-                enabled=config.pfc_enabled,
-                dynamic_alpha=pfc_config.dynamic_alpha,
-                xon_fraction=pfc_config.xon_fraction,
-            )
+        pfc_config = PfcConfig(enabled=config.pfc_enabled)
         buffer_config = BufferConfig(
             total_bytes=config.buffer_bytes,
             lossy=not config.pfc_enabled,
-            dynamic_alpha=config.buffer_lossy_alpha,
         )
         rto = config.rto if config.rto is not None else max(100 * self.base_rtt, MS)
 
@@ -133,7 +119,6 @@ class Network:
                 cnp_interval=cnp_interval,
                 rto=rto,
                 min_rewind_gap=self.base_rtt,
-                gbn_recovery_cap=config.gbn_recovery_cap,
                 irn_window=(
                     rate * self.base_rtt if config.transport == "irn" else None
                 ),
@@ -190,7 +175,8 @@ class Network:
         self._link_index = {id(link): i for i, link in enumerate(self.links)}
 
         self._next_flow_id = 0
-        self._pair_rtt: dict[tuple[int, int], float] = {}
+        #: flow id -> the base RTT :meth:`add_flow` priced it at.
+        self._base_rtts: dict[int, float] = {}
 
     # -- failure injection ---------------------------------------------------
 
@@ -306,7 +292,8 @@ class Network:
         )
 
     def add_flow(self, spec: FlowSpec) -> None:
-        """Register a flow and schedule its start."""
+        """Price, register and schedule a flow's start."""
+        self._base_rtts[spec.flow_id] = self.flow_base_rtt(spec)
         self.metrics.register_flow(spec)
         self._next_flow_id = max(self._next_flow_id, spec.flow_id)
         self.sim.at(spec.start_time, self.nics[spec.src].start_flow, spec)
@@ -315,32 +302,32 @@ class Network:
         for spec in specs:
             self.add_flow(spec)
 
-    def pair_base_rtt(self, src: int, dst: int) -> float:
-        """Base RTT of one host pair: full-MTU store-and-forward out, an
-        ACK-sized frame back (footnote 1 normalizes FCT by the flow's own
-        uncontended completion time, which depends on the pair)."""
-        key = (src, dst)
-        cached = self._pair_rtt.get(key)
-        if cached is not None:
-            return cached
-        from .sim.packet import ACK_SIZE
-        from .sim.routing import shortest_path_delays
-        forward = shortest_path_delays(
-            self.topology, src, self.config.mtu + self.header
-        )
-        backward = shortest_path_delays(self.topology, dst, ACK_SIZE)
-        rtt = forward[dst] + backward[src]
-        self._pair_rtt[key] = rtt
-        return rtt
+    def flow_base_rtt(self, spec: FlowSpec) -> float:
+        """The flow's uncontended round trip: its own ECMP path over the
+        routing view, priced by :func:`~repro.sim.routing.round_trip`
+        as the fluid engine prices it (footnote 1 normalizes FCT by the
+        flow's own uncontended completion time).  One base RTT while
+        the destination is unreachable."""
+        routing = self.routing
+        try:
+            nodes = routing.rows.walk(spec.flow_id, spec.src, spec.dst)
+        except NoRoute:
+            return self.base_rtt
+        hops = []
+        for pair in zip(nodes, nodes[1:]):
+            link = self.links[routing.first_up(*pair)]
+            hops.append((link.prop_delay, link.port_a.rate))
+        return round_trip(hops, self.config.mtu + self.header, ACK_SIZE)
 
     def ideal_fct(self, spec: FlowSpec) -> float:
-        """Uncontended FCT: transmit at the host line rate + one base RTT."""
+        """Uncontended FCT of an added flow: transmit at the host line
+        rate plus its base RTT, priced when it was added."""
         rate = min(
             self.topology.host_rate(spec.src), self.topology.host_rate(spec.dst)
         )
         wire_factor = (self.config.mtu + self.header) / self.config.mtu
         return (spec.size * wire_factor / rate
-                + self.pair_base_rtt(spec.src, spec.dst))
+                + self._base_rtts[spec.flow_id])
 
     # -- running -------------------------------------------------------------------
 

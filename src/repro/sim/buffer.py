@@ -25,7 +25,8 @@ from dataclasses import dataclass
 class BufferConfig:
     total_bytes: int
     lossy: bool = False
-    dynamic_alpha: float = 1.0   # egress dynamic threshold (lossy mode only)
+    dynamic_alpha: float = 1.0   # egress dynamic threshold (lossy mode only;
+                                 # footnote 6: alpha = 1)
 
     def __post_init__(self) -> None:
         if self.total_bytes <= 0:

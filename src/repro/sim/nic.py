@@ -33,6 +33,11 @@ from .queues import EgressPort
 from .transport import make_receiver, make_sender
 
 
+#: GBN post-rewind retransmission-burst cap, bytes (see ``GbnSender``;
+#: inert on lossless fabrics, which never rewind).
+GBN_RECOVERY_CAP = 16_000
+
+
 @dataclass
 class NicConfig:
     """Host NIC behaviour knobs (shared across all hosts of a network)."""
@@ -43,7 +48,6 @@ class NicConfig:
     cnp_interval: float | None = None   # DCQCN NP min CNP gap, ns
     rto: float = 1_000_000.0            # retransmission timeout, ns
     min_rewind_gap: float = 10_000.0    # GBN rewind suppression window, ns
-    gbn_recovery_cap: int | None = 16_000   # GBN post-rewind burst cap, bytes
     irn_window: float | None = None     # IRN's fixed BDP window cap, bytes
     rate_floor: float = 1e-5            # pacing floor, bytes/ns
 
@@ -135,7 +139,7 @@ class HostNic:
         sender = make_sender(
             self.config.transport, spec.size,
             min_rewind_gap=self.config.min_rewind_gap,
-            recovery_cap=self.config.gbn_recovery_cap,
+            recovery_cap=GBN_RECOVERY_CAP,
         )
         flow = SenderFlow(spec, cc, sender)
         cc.install(flow)

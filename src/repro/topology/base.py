@@ -105,11 +105,12 @@ class Topology:
         13us simulation), but this estimate makes small topologies usable
         without tuning.
         """
-        from ..sim.routing import shortest_path_delays
+        from ..sim.routing import ShortestPathRows, shortest_path_delays
 
+        adj, rows = self.adjacency(), ShortestPathRows.of(self)
         worst = 0.0
         for src in self.hosts:
-            delays = shortest_path_delays(self, src, mtu_wire)
+            delays = shortest_path_delays(adj, rows.row(src), src, mtu_wire)
             for dst in self.hosts:
                 if dst != src and delays.get(dst, 0.0) > worst:
                     worst = delays[dst]

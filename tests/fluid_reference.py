@@ -75,7 +75,6 @@ class ScalarFluidEngine:
         base_rtt: float | None = None,
         mtu: int = 1000,
         buffer_bytes: float = 32 * MB,
-        step: float | None = None,
         sample_interval: float | None = None,
         goodput_bin: float | None = None,
     ) -> None:
@@ -90,11 +89,10 @@ class ScalarFluidEngine:
             if base_rtt is not None
             else 1.05 * topology.base_rtt_estimate(mtu + self.header)
         )
-        #: Step length: one base RTT by default — the cadence at which
-        #: every scheme in the paper reacts to feedback anyway.
-        self.step = step if step is not None else self.base_rtt
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        # The step is one base RTT, the cadence at which every scheme in
+        # the paper reacts to feedback anyway.
+        if self.base_rtt <= 0:
+            raise ValueError(f"base_rtt must be positive, got {self.base_rtt}")
         self.graph = FluidGraph(topology, float(buffer_bytes))
         self.clock = FluidClock()
         self.now = 0.0
@@ -254,7 +252,7 @@ class ScalarFluidEngine:
     def run(self, deadline: float) -> bool:
         """Advance until every flow finished or ``deadline`` (ns) hits.
 
-        Returns True when all flows completed.  Steps are ``self.step``
+        Returns True when all flows completed.  Steps are one base RTT
         long, shortened to land exactly on the next flow arrival or the
         next scheduled dynamics event, so both are honoured precisely.
         """
@@ -307,7 +305,7 @@ class ScalarFluidEngine:
                     self.now = target
                     self.clock.now = self.now
                 continue
-            dt = self.step
+            dt = self.base_rtt
             if next_start is not None:
                 dt = min(dt, next_start - self.now)
             if next_event is not None:

@@ -15,6 +15,7 @@ Covers the three layers plus the compatibility contract:
 """
 
 import hashlib
+from collections import deque
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.fluid import FluidEngine
 from repro.network import Network, NetworkConfig
 from repro.runner import ScenarioGrid, ScenarioSpec, execute_spec
 from repro.sim.flow import FlowSpec
-from repro.sim.routing import RoutingState, bfs_distances
+from repro.sim.routing import RoutingState
 from repro.sim.units import MS, US
 from repro.topology import star
 from repro.topology.base import Topology
@@ -179,11 +180,19 @@ def rebuilt_reference(net):
         switch_tiers=net.topology.switch_tiers,
     )
     # Per switch and destination: every peer one BFS hop closer, in
-    # ascending peer id, with its up ports in wiring order.
+    # ascending peer id, with its up ports in wiring order.  The BFS is
+    # a plain dict one, independent of the rows the routing reads.
     adj = view.adjacency()
     tables = {sw: {} for sw in view.switches}
     for dst in view.hosts:
-        dist = bfs_distances(view, dst)
+        dist = {dst: 0}
+        frontier = deque([dst])
+        while frontier:
+            node = frontier.popleft()
+            for peer, _ in adj[node]:
+                if peer not in dist:
+                    dist[peer] = dist[node] + 1
+                    frontier.append(peer)
         for switch in view.switches:
             if switch not in dist:
                 continue

@@ -1,11 +1,13 @@
 """Fluid routing state: distance rows vs a dict-BFS oracle, and their cost.
 
 :class:`~repro.fluid.state.FluidGraph` keeps each destination's hop
-distances as one ``bytes`` row filled by a vectorised BFS.  The oracle
-below is the per-destination ``dict`` + ``deque`` BFS that layout
-replaced, kept here as the reference: it reads only the graph's public
-``links`` (alive = capacity > 0) and must pick the same ECMP path for
-every flow, on every topology, after every dynamics mutation.
+distances as one ``bytes`` row of
+:class:`~repro.sim.routing.ShortestPathRows`, filled by a vectorised
+BFS.  The oracle below is the per-destination ``dict`` + ``deque`` BFS
+that layout replaced, kept here as the reference: it reads only the
+graph's public ``links`` (alive = capacity > 0) and must pick the same
+ECMP path for every flow, on every topology, after every dynamics
+mutation.
 
 The memory contract is pinned with ``tracemalloc`` (deterministic,
 unlike RSS): routing toward all 1024 hosts of the k=16 FatTree may hold
@@ -176,9 +178,9 @@ class TestDynamics:
             (lambda a, b: graph.degrade_link(a, b, rate_factor=0.5), True),
             (lambda a, b: graph.degrade_link(a, b, rate_factor=0.0), False),
         ):
-            assert graph._dist_rows and graph._adjacency is not None
+            assert graph._rows is not None and graph._rows.rows
             mutate(*uplink)
-            assert not graph._dist_rows and graph._adjacency is None
+            assert graph._rows is None
             routed = graph_path(graph, 1, 0, 15)
             assert (uplink in routed) is takes_uplink
             assert routed == oracle_path(graph, 1, 0, 15)
@@ -187,7 +189,7 @@ class TestDynamics:
         topology = star(n_hosts=3)
         graph = FluidGraph(topology, 1e6)
         graph.fail_link(2, 3)
-        row = graph._distances(0)
+        row = graph.rows().row(0)
         assert isinstance(row, bytes)
         assert list(row) == [0, 2, 255, 1]      # host 2 is cut off
 
@@ -211,15 +213,17 @@ class TestDynamics:
 
 
 def bfs_calls(graph: FluidGraph, monkeypatch) -> list[int]:
-    """The destinations ``graph`` runs a BFS for from now on."""
+    """The destinations ``graph``'s current rows run a BFS for from now
+    on."""
     calls = []
-    bfs = graph._bfs
+    rows = graph.rows()
+    bfs = rows._bfs
 
     def spy(dst):
         calls.append(dst)
         return bfs(dst)
 
-    monkeypatch.setattr(graph, "_bfs", spy)
+    monkeypatch.setattr(rows, "_bfs", spy)
     return calls
 
 
@@ -232,11 +236,11 @@ class TestLeafRows:
         graph = FluidGraph(topology, 1e6)
         calls = bfs_calls(graph, monkeypatch)
         nodes = range(topology.n_hosts + topology.n_switches)
-        rows = {dst: graph._distances(dst) for dst in nodes}
+        rows = {dst: graph.rows().row(dst) for dst in nodes}
         derived = set(nodes) - set(calls)
         assert set(topology.hosts) <= derived       # every host is a leaf
         for dst in nodes:
-            assert rows[dst] == graph._bfs(dst), dst
+            assert rows[dst] == graph.rows()._bfs(dst), dst
 
     @staticmethod
     def _odd_graph() -> FluidGraph:
@@ -251,12 +255,12 @@ class TestLeafRows:
         graph = self._odd_graph()
         calls = bfs_calls(graph, monkeypatch)
         for dst in (0, 2, 5):
-            graph._distances(dst)
+            graph.rows().row(dst)
         assert calls == [0, 2, 5]
-        graph._distances(1)
+        graph.rows().row(1)
         assert calls == [0, 2, 5, 3]                # 1 derives from 3
-        assert graph._distances(1) == graph._bfs(1)
-        assert graph._distances(2) == bytes([255, 255, 0, 255, 255, 1])
+        assert graph.rows().row(1) == graph.rows()._bfs(1)
+        assert graph.rows().row(2) == bytes([255, 255, 0, 255, 255, 1])
         assert graph_path(graph, 0, 5, 2) == [(5, 2)]
         assert graph_path(graph, 0, 0, 2) is None
 
@@ -268,12 +272,12 @@ class TestLeafRows:
             with pytest.raises(NoRoute):
                 graph.path(0, src, dst, MTU_WIRE, ACK)
         assert 2 in calls                           # no neighbour: a BFS
-        assert graph._distances(2) == bytes([255, 255, 0, 255])
+        assert graph.rows().row(2) == bytes([255, 255, 0, 255])
 
     def test_dual_homed_host_derives_after_losing_one_uplink(self):
         graph = self._odd_graph()
         graph.fail_link(0, 4)
-        assert graph._distances(0) == graph._bfs(0)
+        assert graph.rows().row(0) == graph.rows()._bfs(0)
         assert graph_path(graph, 0, 1, 0) == oracle_path(graph, 0, 1, 0) \
             == [(1, 3), (3, 0)]
 
@@ -285,7 +289,7 @@ class TestMemoryBudget:
         n = topology.n_hosts
         assert n == 1024
         graph.path(0, 1, 0, MTU_WIRE, ACK)      # adjacency built untraced
-        graph._dist_rows.clear()
+        graph.rows().rows.clear()
         tracemalloc.start()
         try:
             for dst in range(n):
@@ -295,7 +299,7 @@ class TestMemoryBudget:
             tracemalloc.stop()
         # Each host row derives from its ToR's row, which is cached too:
         # one row per host plus one per ToR (k * k / 2 = 128).
-        assert len(graph._dist_rows) == n + 128
+        assert len(graph.rows().rows) == n + 128
         n_nodes = n + topology.n_switches
         # One byte per (destination, node) plus the bytes/dict overhead;
         # the per-destination dicts this replaced held ~37 MiB here.

@@ -74,20 +74,33 @@ class TestFlows:
         net = Network(star(3, host_rate="100Gbps"),
                       NetworkConfig(base_rtt=9 * US))
         spec = net.make_flow(0, 2, 1_000_000)
+        net.add_flow(spec)
         wire_factor = (1000 + net.header) / 1000
         expected = (1_000_000 * wire_factor / gbps(100)
-                    + net.pair_base_rtt(0, 2))
+                    + net.flow_base_rtt(spec))
         assert net.ideal_fct(spec) == pytest.approx(expected)
 
-    def test_pair_base_rtt_reasonable(self):
-        # star with 1us links: ~4us propagation + store-and-forward terms.
+    def test_flow_base_rtt_reasonable(self):
+        # star with 1us links: 4us propagation, then per hop one MTU
+        # frame out and one ACK back at 100 Gbps.
         net = Network(star(3, host_rate="100Gbps"),
                       NetworkConfig(base_rtt=9 * US))
-        rtt = net.pair_base_rtt(0, 2)
-        assert 4 * US < rtt < 5 * US
-        # Cached and symmetric in structure for a symmetric topology.
-        assert net.pair_base_rtt(0, 2) == rtt
-        assert net.pair_base_rtt(2, 0) == pytest.approx(rtt)
+        rtt = net.flow_base_rtt(net.make_flow(0, 2, 1_000))
+        wire = 1000 + net.header
+        assert rtt == pytest.approx(4 * US + 2 * (wire + 60) / gbps(100))
+        assert net.flow_base_rtt(net.make_flow(2, 0, 1_000)) == rtt
+
+    def test_flow_base_rtt_is_priced_when_the_flow_is_added(self):
+        # A link cut after admission does not move the flow's ideal.
+        net = Network(star(3), NetworkConfig(base_rtt=9 * US))
+        spec = net.make_flow(0, 2, 1_000)
+        net.add_flow(spec)
+        ideal = net.ideal_fct(spec)
+        net.reconverge(net.fail_link(2, 3))
+        assert net.ideal_fct(spec) == ideal
+        # Unreachable at admission: one base RTT.
+        late = net.make_flow(0, 2, 1_000)
+        assert net.flow_base_rtt(late) == net.base_rtt
 
     def test_run_until_done_true_when_finished(self):
         net = Network(star(3), NetworkConfig(base_rtt=9 * US))

@@ -6,21 +6,27 @@ groups with :func:`~repro.sim.routing.ecmp_next_hop` (the call
 :meth:`~repro.fluid.state.FluidGraph.path`.  On the bench Figure 11
 FatTree the two node sequences must be identical for every flow of the
 grid, before a fabric link cut, after it reconverges, and after the
-restore.  A k=8 run checks the node salt end to end: inter-pod packets
-reach every core, where an unsalted hash repeats the ToR's pick at the
-Agg and reaches a quarter of them.
+restore.  Over random fail/restore sequences on ``fattree_k(4)`` and
+``dual_trunk()``, every switch's packet ECMP group toward every host
+holds exactly the fluid walker's candidate peers after every flip.  A
+k=8 run checks the node salt end to end: inter-pod packets reach every
+core, where an unsalted hash repeats the ToR's pick at the Agg and
+reaches a quarter of them.
 """
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from repro.experiments import figure11
 from repro.fluid.state import FluidGraph
 from repro.network import Network, NetworkConfig
 from repro.runner.execute import _setup_network
-from repro.sim.routing import ecmp_next_hop
+from repro.sim.routing import UNREACHED, ecmp_next_hop
 from repro.sim.units import MS, US
+from repro.topology import dual_trunk
 from repro.topology.fattree import fattree_k
 
 MTU_WIRE, ACK = 1048, 60
@@ -65,6 +71,48 @@ def test_bench_fig11_routes_match_before_and_after_a_cut():
     net.reconverge(net.restore_link(agg, core))
     graph.restore_link(agg, core)
     assert_agree()
+
+
+def assert_groups_match_candidates(net: Network, graph: FluidGraph):
+    rows = graph.rows()
+    for host in net.topology.hosts:
+        row = rows.row(host)
+        for switch in net.topology.switches:
+            group = net.switches[switch].routing_table.get(host, ())
+            fluid = (rows.next_hops(switch, row)
+                     if row[switch] != UNREACHED else [])
+            assert [peer for peer, _ in group] == fluid, (switch, host)
+
+
+FLIP_TOPOLOGIES = {"fattree_k4": lambda: fattree_k(4),
+                   "dual_trunk": dual_trunk}
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    name=st.sampled_from(sorted(FLIP_TOPOLOGIES)),
+    flips=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=10_000)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_packet_groups_equal_fluid_candidates_after_every_flip(name, flips):
+    topology = FLIP_TOPOLOGIES[name]()
+    net = Network(topology, NetworkConfig(cc_name="hpcc", base_rtt=13 * US))
+    graph = FluidGraph(topology, 1_000_000)
+    assert_groups_match_candidates(net, graph)
+    for fail, pick in flips:
+        link = topology.links[pick % len(topology.links)]
+        try:
+            if fail:
+                net.reconverge(net.fail_link(link.a, link.b))
+                graph.fail_link(link.a, link.b)
+            else:
+                net.reconverge(net.restore_link(link.b, link.a))
+                graph.restore_link(link.b, link.a)
+        except LookupError:
+            continue            # nothing up to cut / down to restore
+        assert_groups_match_candidates(net, graph)
 
 
 def test_k8_inter_pod_packets_reach_every_core():

@@ -1,10 +1,11 @@
-"""Routing: BFS tables, the ECMP next-hop rule, hash determinism."""
+"""Routing: distance rows, tables, the ECMP next-hop rule, hash determinism."""
 
-from collections import Counter
+from collections import Counter, deque
 
 from repro.sim.routing import (
+    UNREACHED,
     RoutingState,
-    bfs_distances,
+    ShortestPathRows,
     ecmp_hash,
     ecmp_next_hop,
 )
@@ -26,19 +27,45 @@ def port_map_for(topology):
     return port_map
 
 
+def dict_bfs(topology, source):
+    """The oracle: hop distance from every reachable node to ``source``,
+    by a plain ``dict`` + ``deque`` BFS over the topology's links."""
+    adj = topology.adjacency()
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for peer, _ in adj[node]:
+            if peer not in dist:
+                dist[peer] = dist[node] + 1
+                frontier.append(peer)
+    return dist
+
+
+def assert_rows_match_oracle(topology):
+    rows = ShortestPathRows.of(topology)
+    for dst in range(topology.n_hosts + topology.n_switches):
+        dist = dict_bfs(topology, dst)
+        assert list(rows.row(dst)) == [
+            dist.get(node, UNREACHED) for node in range(len(rows.peers))
+        ], dst
+
+
 class TestBfs:
     def test_distances_on_star(self):
         topo = star(3)
-        dist = bfs_distances(topo, 0)
+        dist = ShortestPathRows.of(topo).row(0)
         assert dist[3] == 1          # switch
         assert dist[1] == 2          # other host
+        assert_rows_match_oracle(topo)
 
     def test_distances_on_dumbbell(self):
         topo = dumbbell(2, 2)
-        dist = bfs_distances(topo, 0)
+        dist = ShortestPathRows.of(topo).row(0)
         assert dist[4] == 1          # left switch
         assert dist[5] == 2          # right switch
         assert dist[2] == 3          # right host
+        assert_rows_match_oracle(topo)
 
 
 class TestRoutingTables:
