@@ -40,20 +40,24 @@ over one row block and one set of link vectors: cell ``k``'s links are
 the slice ``[off_k, off_k + n_k)`` of the batch's vectors, and its
 ``LinkArrays`` registers are views of that slice.  Every row carries
 its cell, and through it the cell's ``T``, fire threshold and step
-length ``dt``.  One tick runs each cell's control loop (dynamics
-events, admission, deadline, idle fast-forward) to its next ``dt``, then
-one ``_advance`` steps every cell at once: a tick pays one cell's numpy
-dispatches instead of K cells'.  Cells share no link, so every per-link
-sum still adds one cell's own rows in admission order, and every
-element-wise operation is the IEEE operation the cell would run alone:
-a cell's record is bit-identical whichever batch it runs in.  A cell
-that raises leaves the batch with its exception and the others step
-on: ``FluidBatch.run`` yields each cell, with its outcome, as it
-leaves, and reads nothing of it afterwards, so the caller collects
-and frees it while the rest run.  :meth:`FluidEngine.run` is a batch
-of one — the engine's own, kept across calls, which is what the
-hybrid's per-epoch calls and direct engine users step.
-``FluidBackend.run_batch`` is the K-cell entry point: a sweep
+length ``dt``, gathered per row (and per touched link) on every step.
+One tick runs each cell's control loop (dynamics events, admission,
+deadline, idle fast-forward) to its next ``dt``, then one ``_advance``
+steps every cell at once: a tick pays one cell's numpy dispatches
+instead of K cells'.  Cells share no link, so every per-link sum still
+adds one cell's own rows in admission order, and every element-wise
+operation is the IEEE operation the cell would run alone: a cell's
+record is bit-identical whichever batch it runs in.  A batch of one is
+no special case: K = 1 runs the same gathers and the same kernels.  A
+cell that raises leaves the batch with its exception and the others
+step on: ``FluidBatch.run`` yields each cell, with its outcome, as it
+leaves, and reads nothing of it afterwards, so the caller collects and
+frees it while the rest run.  Every tick's wall time is charged to the
+cells it stepped (``FluidBatch.run_s``), whatever K is.
+:meth:`FluidEngine.run` steps the engine's own batch of one, kept
+across calls; a batch of one keeps its rows at its deadline, so the
+hybrid's next epoch resumes it.
+``FluidBackend.run_batch`` runs a batch of any K: a sweep
 (``SweepRunner(jobs=N)``) deals its uncached fluid ``load``/``flows``
 specs, dynamics included, into N work units, each set up in order into
 batches that close once their links plus flows reach
@@ -61,7 +65,8 @@ batches that close once their links plus flows reach
 runs alone, in a unit of its own.  Each record is handed back as its
 cell leaves, its ``wall_time_s`` its own setup and collect plus its
 share of the batch's ticks.  Hybrid cells and ``execute_spec`` run
-batches of one.
+batches of one; hybrid coupling (``ext_rates``/``ext_qlen``) is
+one-cell by construction.
 
 Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index
@@ -196,7 +201,7 @@ class FluidFlow:
 
     __slots__ = (
         "spec", "path", "proxy", "adapter", "line_rate", "ideal",
-        "remaining", "req", "achieved", "topo_version",
+        "remaining", "topo_version",
         "elapsed", "acc_delivered", "acc_marked", "int_last",
     )
 
@@ -217,8 +222,6 @@ class FluidFlow:
         self.line_rate = line_rate
         self.ideal = ideal              # uncontended FCT, ns
         self.remaining = wire_bytes     # wire bytes still to deliver
-        self.req = 0.0                  # requested rate this step
-        self.achieved = 0.0             # post-throttle rate this step
         self.topo_version = 0           # graph version the path was built on
         self.elapsed = 0.0              # ns since the last CC adapter fire
         self.acc_delivered = 0.0        # wire bytes since the last fire
@@ -564,7 +567,8 @@ class FluidEngine:
         long, shortened to land exactly on the next flow arrival or the
         next scheduled dynamics event, so both are honoured precisely.
         May be called again with a later deadline (the hybrid's
-        per-epoch call): the engine's batch of one resumes.
+        per-epoch call): the engine's batch of one, which kept its rows
+        at the deadline, resumes.
         """
         batch = self._batch or FluidBatch([self])
         if len(batch.cells) > 1:
@@ -689,7 +693,6 @@ class FluidEngine:
         the benchmark ledger attributes the CC replay by this name.
         """
         cells = batch.cells
-        one = len(cells) == 1
         flows = batch._flows
         fl = fidx.tolist()
         rtt_l = (batch._brtt[fidx] + qdelay).tolist()
@@ -706,16 +709,10 @@ class FluidEngine:
             ).tolist()
         else:
             mark_l = None
-        # Each fired row's cell clock and T (one cell: scalars, which
-        # broadcast like the gathered vectors).
-        if one:
-            now = cells[0].now
-            T = cells[0].base_rtt
-        else:
-            rc = batch._cell[fidx]
-            now = batch._now[rc]
-            T = batch._T[rc]
-            now_l = now.tolist()
+        # Each fired row's cell, clock and T.
+        rc = batch._cell[fidx]
+        now = batch._now[rc]
+        T = batch._T[rc]
         needs_int = batch._needs_int
         if needs_int:
             # The fired rows' hop columns; unmasked ones (host links, cut
@@ -743,7 +740,7 @@ class FluidEngine:
             if batch._extq is not None:
                 qv = qv + batch._extq.take(hops, mode="clip")
             tapped = batch._tapped
-            now_r = now if one else now[:, None]
+            now_r = now[:, None]
             u_max, tau, bn = int_samples(
                 ints, batch._has_last[fidx], now_r,
                 batch.capacity.take(hops, mode="clip"), regv, qv,
@@ -762,7 +759,7 @@ class FluidEngine:
                 # The bottleneck inputs Hpcc.int_sample gives a tap, in
                 # its key order, for the tapped rows with a sample.
                 hop_l, bq_l, br_l, n_l = (a.tolist() for a in bn)
-                rc_l = [0] * len(fl) if one else rc.tolist()
+                rc_l = rc.tolist()
                 for k in np.flatnonzero(u_max >= 0.0).tolist():
                     if tapped[rc_l[k]]:
                         bn_l[k] = {
@@ -772,15 +769,14 @@ class FluidEngine:
                             "n_hops": n_l[k],
                         }
         sig = batch._sig
-        sig.now = now if one else 0.0
+        now_l = now.tolist()
         for k, i in enumerate(fl):
             flow = flows[i]
             if needs_int:
                 sig.u_sample = u_l[k]
                 sig.tau = tau_l[k]
                 sig.bn = bn_l[k]
-            if not one:
-                sig.now = now_l[k]
+            sig.now = now_l[k]
             sig.rtt = rtt_l[k]
             sig.mark_prob = mark_l[k] if mark_l is not None else 0.0
             sig.delivered = del_l[k]
@@ -869,17 +865,13 @@ class FluidBatch:
             raise ValueError("a hybrid-coupled cell runs as a batch of one")
         sizes = [c.arrays.n for c in cells]
         offsets = np.cumsum([0] + sizes[:-1]).tolist()
-        if len(cells) == 1:
-            for name in self._LINK_VECTORS:
-                setattr(self, name, getattr(cells[0].arrays, name))
-        else:
-            # One vector per register; each cell's LinkArrays becomes a
-            # view of its slice, so its links and dynamics act in place.
-            for name in self._LINK_VECTORS:
-                joined = np.concatenate([getattr(c.arrays, name) for c in cells])
-                setattr(self, name, joined)
-                for c, off, n in zip(cells, offsets, sizes):
-                    setattr(c.arrays, name, joined[off:off + n])
+        # One vector per register; each cell's LinkArrays becomes a view
+        # of its slice, so its links and dynamics act in place.
+        for name in self._LINK_VECTORS:
+            joined = np.concatenate([getattr(c.arrays, name) for c in cells])
+            setattr(self, name, joined)
+            for c, off, n in zip(cells, offsets, sizes):
+                setattr(c.arrays, name, joined[off:off + n])
         L = sum(sizes)
         #: Padding target: one row past the real links; scale/queue-delay/
         #: mark lookups are extended with an inert entry at this index.
@@ -898,8 +890,7 @@ class FluidBatch:
         self._rx_cells = np.zeros(K, dtype=bool)
         self._tapped = [c.decision_tap is not None for c in cells]
         #: Wall seconds of the ticks charged to each cell, evenly among
-        #: the cells each tick ran (multi-cell batches only: a batch of
-        #: one is timed by its caller).
+        #: the cells each tick ran.
         self.run_s = [0.0] * K
         for k, (c, off) in enumerate(zip(cells, offsets)):
             c._batch = self
@@ -1093,8 +1084,7 @@ class FluidBatch:
         em = self.egress[ti]
         self._touched_eg_mask = em
         self._touched_eg_idx = ti[em]
-        if len(self.cells) > 1:
-            self._touched_cell = self._link_cell[ti]
+        self._touched_cell = self._link_cell[ti]
         self._touched_stale = False
 
     def _refresh_ecn(self, k: int) -> None:
@@ -1125,7 +1115,9 @@ class FluidBatch:
 
     def _externals(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The hybrid coupling's ``ext_rates`` and ``ext_qlen``, each
-        ``None`` when unset (a hybrid's fluid half is a batch of one)."""
+        ``None`` when unset.  A coupled cell runs only as a batch of one
+        (``__init__`` refuses it in a larger batch), so a K-cell batch
+        has none."""
         if len(self.cells) > 1:
             return None, None
         cell, L = self.cells[0], self._dummy
@@ -1169,9 +1161,11 @@ class FluidBatch:
         cells = self.cells
         running = list(range(len(cells)))
         timed = any(c.telemetry is not None for c in cells)
-        multi = len(cells) > 1          # a batch of one is timed outside
+        # A batch of one keeps its rows at its deadline: the engine's own
+        # batch resumes there on the next ``FluidEngine.run``.
+        multi = len(cells) > 1
         while running:
-            tick0 = time.perf_counter() if multi else 0.0
+            tick0 = time.perf_counter()
             stepping = []
             left = []
             for k in running:
@@ -1212,10 +1206,9 @@ class FluidBatch:
                     probe = cells[k].telemetry
                     if probe is not None:
                         probe.record_step(cells[k], share)
-            if multi:
-                share = (time.perf_counter() - tick0) / len(stepping)
-                for k in stepping:
-                    self.run_s[k] += share
+            share = (time.perf_counter() - tick0) / len(stepping)
+            for k in stepping:
+                self.run_s[k] += share
             running = []
             for k in stepping:
                 if cells[k]._error is not None:
@@ -1241,25 +1234,18 @@ class FluidBatch:
         alive = self._alive[:n]
         hopm = self._hopm[:n]
         remaining = self._remaining[:n]
-        if len(cells) == 1:
-            # One cell: its scalars broadcast like the gathered vectors.
-            only = cells[0]
-            dt = dt_t = only._dt
-            T = only.base_rtt
-            fire_at = only._fire_at
-            rc = None
-        else:
-            dts = self._dts
-            nows = self._now
-            dts[:] = 0.0
-            for k in stepping:
-                dts[k] = cells[k]._dt
-                nows[k] = cells[k].now
-            rc = self._cell[:n]
-            dt = dts[rc]
-            dt_t = dts[self._touched_cell]
-            T = self._T[rc]
-            fire_at = self._fire_at[rc]
+        # Each row's and each touched link's cell step, T and threshold.
+        dts = self._dts
+        nows = self._now
+        dts[:] = 0.0
+        for k in stepping:
+            dts[k] = cells[k]._dt
+            nows[k] = cells[k].now
+        rc = self._cell[:n]
+        dt = dts[rc]
+        dt_t = dts[self._touched_cell]
+        T = self._T[rc]
+        fire_at = self._fire_at[rc]
 
         # 1. requested rates (window-limited schemes pace at W/T).
         req = np.minimum(self._rate[:n], self._window[:n] / T)
@@ -1284,7 +1270,7 @@ class FluidBatch:
             cap = np.maximum(capacity - ext, 0.01 * capacity)
             if self._ext_bytes is None:
                 self._ext_bytes = np.zeros(L)
-            self._ext_bytes += ext * dt
+            self._ext_bytes += ext * dts[self._link_cell]
         H = self._H
         flat = hopm.ravel()
         arrival = np.bincount(flat, weights=req.repeat(H), minlength=L + 1)
@@ -1385,9 +1371,7 @@ class FluidBatch:
         if any_done:
             remaining[idxs] = 0.0
         if self._any_goodput:
-            mask = alive & (delivered > 0)
-            if rc is not None:
-                mask &= self._goodput_cells[rc]
+            mask = alive & (delivered > 0) & self._goodput_cells[rc]
             rows = np.flatnonzero(mask)
             if rows.size:
                 d_l = delivered[rows].tolist()

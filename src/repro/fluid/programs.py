@@ -26,7 +26,6 @@ What fluid cannot express is zeroed or approximated openly, never faked:
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack, contextmanager
 from typing import Iterator
 
@@ -120,18 +119,15 @@ class FluidBackend:
         batch holds it no longer.
         """
         backends = list(backends)
-        one = len(backends) == 1
         batch = FluidBatch([b.engine for b in backends])
         stacks = [ExitStack() for _ in backends]
         try:
             for backend, stack in zip(backends, stacks):
                 stack.enter_context(backend.running())
-            started = time.perf_counter()
             for k, outcome in batch.run(deadlines):
                 backend, stack = backends[k], stacks[k]
                 backends[k] = stacks[k] = None
-                backend.run_s = (time.perf_counter() - started if one
-                                 else batch.run_s[k])
+                backend.run_s = batch.run_s[k]
                 if backend.tel is not None:
                     labels = ({"error": type(outcome).__name__}
                               if isinstance(outcome, Exception) else {})

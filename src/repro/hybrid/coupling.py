@@ -40,11 +40,13 @@ import numpy as np
 class BgLinkView:
     """One link's background share, as seen by the packet half.
 
-    Updated in place once per epoch by :class:`HybridCoupler`; the
-    packet hot paths read it through a single ``is None`` gate:
-    ``Switch.receive`` (ECN mark, and on its one-frame hop also the INT
-    stamp and the ``residual`` serialization), ``Switch._on_emit`` (INT
-    stamp of a queued packet) and ``EgressPort._kick`` (``residual``).
+    Updated in place once per epoch by :class:`HybridCoupler` and bound
+    to the egress port it belongs to (``EgressPort.bg_view``, its one
+    home); the packet hot paths read it there through a single
+    ``is None`` gate: ``Switch.receive`` (ECN mark, and on its one-frame
+    hop also the INT stamp and the ``residual`` serialization),
+    ``Switch._on_emit`` (INT stamp of a queued packet) and
+    ``EgressPort._kick`` (``residual``).
     """
 
     __slots__ = ("qlen", "tx0", "rate", "t0", "residual")
@@ -81,14 +83,14 @@ class HybridCoupler:
     """Builds and drives the per-link bindings between the two halves.
 
     Construction walks ``net.port_map`` and binds every directed link
-    that also exists in the fluid graph: switch egress ports get their
-    view registered on the owning switch (INT/ECN fold-in) *and* on the
-    port (residual serialization); host NIC uplinks get the port-side
-    view only (hosts stamp no INT hops).
+    that also exists in the fluid graph: each of the link's egress ports
+    gets the link's view as its ``bg_view``.  On a switch port the switch
+    reads it for the ECN/INT fold-in and the port for the residual
+    serialization; a host NIC uplink reads only the residual (hosts
+    stamp no INT hops).
     """
 
     def __init__(self, net, engine) -> None:
-        self.net = net
         self.engine = engine
         self.bindings: list[_Binding] = []
         self.ext_rates = np.zeros(engine.arrays.n)
@@ -105,12 +107,6 @@ class HybridCoupler:
             binding = _Binding(link.index, link, ports)
             for port in ports:
                 port.bg_view = binding.view
-            if a in net.switches:
-                switch = net.switches[a]
-                if switch.bg_views is None:
-                    switch.bg_views = {}
-                for pid in port_ids:
-                    switch.bg_views[pid] = binding.view
             self.bindings.append(binding)
 
     # -- per-epoch exchanges -----------------------------------------------------
@@ -172,7 +168,5 @@ class HybridCoupler:
         for binding in self.bindings:
             for port in binding.ports:
                 port.bg_view = None
-        for switch in self.net.switches.values():
-            switch.bg_views = None
         self.engine.ext_rates = None
         self.engine.ext_qlen = None

@@ -89,10 +89,13 @@ class EgressPort:
         self.packets_emitted = 0
         self.on_emit = on_emit                # hook: INT stamping, buffer release
         self.on_idle = on_idle                # hook: NIC pump
-        # Hybrid coupling: a BgLinkView whose ``residual`` fraction of
-        # the line rate is left over by fluid background traffic; when
-        # set, serialization slows down to model sharing the wire.
-        # ``None`` (the default) keeps the pure-packet path untouched.
+        # Hybrid coupling: the BgLinkView (repro.hybrid.coupling) of this
+        # port's link, its one home.  When set, serialization slows to
+        # the ``residual`` fraction of the line rate the fluid background
+        # leaves, and a switch owning the port marks ECN on the combined
+        # fg+bg queue and folds the background registers into its INT
+        # stamp.  ``None`` (the default) keeps the pure-packet path
+        # untouched.
         self.bg_view = None
 
     # -- queue state ---------------------------------------------------------

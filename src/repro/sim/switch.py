@@ -29,8 +29,9 @@ a packet.
 *What the frame keeps* — the ``SharedBuffer.admits`` test with both drop
 counters and ``peak_used``; ``rx_bytes``/``tx_bytes``/``packets_emitted``;
 ``_busy_until`` and the fused-completion credit (``sim/queues.py``); the
-WRED decision and the INT stamp with the hybrid background view looked
-up once for both; the PFC check; the arrival event.
+WRED decision and the INT stamp, with the hybrid background view
+(``EgressPort.bg_view``) read once for them and the serialization; the
+PFC check; the arrival event.
 
 *Ordering rules* — statement order in the frame is ABI, pinned by the
 determinism goldens and by ``tests/switch_reference.py`` (the
@@ -96,13 +97,6 @@ class Switch:
         self._seed = seed
         self.drops = 0
         self.no_route_drops = 0
-        # Hybrid coupling: port_id -> BgLinkView (repro.hybrid.coupling)
-        # exposing the fluid background share of this port's link.  When
-        # set, ``receive`` marks ECN on combined fg+bg queue depth and
-        # the INT stamp (``receive``'s one-frame hop, ``_on_emit``
-        # otherwise) folds the background registers in; ``None`` (the
-        # default) leaves the pure-packet data path untouched.
-        self.bg_views = None
 
     # -- wiring (called by Network) -------------------------------------------
 
@@ -187,8 +181,8 @@ class Switch:
             out.tx_bytes += size
             out.packets_emitted += 1
             ser = size / out.rate
-            if (residual_view := out.bg_view) is not None:
-                ser /= residual_view.residual
+            if (view := out.bg_view) is not None:
+                ser /= view.residual
             # Rule 1: busy-until and the fused-completion credit before
             # the PFC check.  A PAUSE that leaves by this very port (the
             # hairpin case) must find it busy and un-fuse the completion,
@@ -196,8 +190,6 @@ class Switch:
             out._busy_until = done = now + ser
             sim.events_processed += 1
             if ptype is PacketType.DATA:
-                views = self.bg_views
-                view = None if views is None else views.get(out_id)
                 qlen = out.qlen_bytes       # 0: the queue is empty
                 if view is not None:
                     qlen += view.qlen
@@ -255,8 +247,7 @@ class Switch:
             and (marker := self._markers.get(out_id)) is not None
         ):
             qlen = out.qlen_bytes
-            if (views := self.bg_views) is not None \
-                    and (view := views.get(out_id)) is not None:
+            if (view := out.bg_view) is not None:
                 qlen += view.qlen
             if marker.should_mark(qlen):
                 pkt.ecn = True
@@ -278,8 +269,7 @@ class Switch:
             tx = port.tx_bytes
             qlen = port.qlen_bytes
             rx = port.rx_bytes
-            if (views := self.bg_views) is not None \
-                    and (view := views.get(port.port_id)) is not None:
+            if (view := port.bg_view) is not None:
                 # Fold the fluid background share into the register
                 # snapshot: cumulative bytes extrapolate linearly at the
                 # background rate inside the epoch so inter-ACK txRate

@@ -10,7 +10,8 @@ goodput bins, reroute counts and queue trajectories against this
 implementation per scheme.  No spec, CLI flag or config key selects it.
 
 Semantics are documented in :mod:`repro.fluid.engine`; the two engines
-share :class:`~repro.fluid.engine.FluidFlow`, the adapters, the graph
+share :class:`~repro.fluid.engine.FluidFlow` (:class:`ReferenceFlow` adds
+the per-step rates this engine keeps on it), the adapters, the graph
 and the goodput recorder, and differ only in how the five sub-steps of
 ``_advance`` are executed.  One deliberate difference: this engine
 fires every flow's CC adapter on *every* mini-step (even
@@ -56,6 +57,18 @@ from repro.fluid.goodput import GoodputRecorder
 from repro.fluid.state import FluidGraph, FluidPath, NoRoute
 
 _EPS = 1e-9
+
+
+class ReferenceFlow(FluidFlow):
+    """A :class:`FluidFlow` plus the per-step rates only this engine's
+    loops keep on the flow: the array engine holds them in its rows."""
+
+    __slots__ = ("req", "achieved")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.req = 0.0                  # requested rate this step
+        self.achieved = 0.0             # post-throttle rate this step
 
 
 class ScalarFluidEngine:
@@ -152,7 +165,7 @@ class ScalarFluidEngine:
             trace.record(spec.start_time, "install", None, proxy.rate,
                          proxy.window, proxy.rate, proxy.window, {})
         bottleneck = min(line_rate, self.topology.host_rate(spec.dst))
-        flow = FluidFlow(
+        flow = ReferenceFlow(
             spec, path, proxy, adapter, line_rate,
             ideal=spec.size * self.wire_factor / bottleneck
             + (path.base_rtt if path is not None else self.base_rtt),
@@ -430,7 +443,7 @@ class ScalarFluidEngine:
 
     # -- per-flow feedback -------------------------------------------------------
 
-    def _int_ack(self, f: FluidFlow, dt: float) -> None:
+    def _int_ack(self, f: ReferenceFlow, dt: float) -> None:
         """The INT family's fire: one synthetic ACK through ``on_ack``."""
         # A capacity-0 link is a cut edge still on this flow's
         # pre-reconvergence path: no ACKs return from beyond a cut, so
@@ -450,7 +463,7 @@ class ScalarFluidEngine:
         ack.int_hops = hops
         f.adapter.algo.on_ack(f.proxy, ack, self.now)
 
-    def _signals(self, f: FluidFlow, dt: float) -> StepSignals:
+    def _signals(self, f: ReferenceFlow, dt: float) -> StepSignals:
         delivered = f.achieved * dt
         mark_prob = 0.0
         if self._ecn_policy is not None:

@@ -2,7 +2,9 @@
 
 ``ReferenceSwitch.receive`` is ``Switch.receive`` as it stood at 296a431,
 the parent of the one-frame hop, verbatim but for its ECMP pick, which
-follows the one rule of ``sim/routing.py``: ``ecmp_next_hop`` ->
+follows the one rule of ``sim/routing.py``, and its hybrid background
+view, which it reads off the egress port (``EgressPort.bg_view``) as
+``Switch`` does: ``ecmp_next_hop`` ->
 ``SharedBuffer.occupy`` -> ``_ingress_ref`` -> ECN mark ->
 ``EgressPort.enqueue`` (which kicks the port, which calls ``_on_emit``,
 which releases the buffer and checks PFC) -> second PFC check.  Every
@@ -63,8 +65,7 @@ class ReferenceSwitch(Switch):
             and (marker := self._markers.get(out_id)) is not None
         ):
             qlen = out.qlen_bytes
-            if (views := self.bg_views) is not None \
-                    and (view := views.get(out_id)) is not None:
+            if (view := out.bg_view) is not None:
                 qlen += view.qlen
             if marker.should_mark(qlen):
                 pkt.ecn = True

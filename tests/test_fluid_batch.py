@@ -153,6 +153,21 @@ class TestBatchEqualsSolo:
         assert all(r.ok and r.wall_time_s > 0 for r in records)
         assert sum(r.wall_time_s for r in records) <= elapsed
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_batch_charges_its_ticks_to_run_s(self, k):
+        """A batch of one times its ticks as a K-cell batch does."""
+        cells = []
+        for _ in range(k):
+            engine = FluidEngine(star(n_hosts=4, host_rate="10Gbps"), "hpcc",
+                                 base_rtt=9 * US)
+            engine.add_flows([FlowSpec(i, i, 3, 1_000_000, 0.0)
+                              for i in range(3)])
+            cells.append(engine)
+        batch = FluidBatch(cells)
+        assert dict(batch.run([1e7] * k)) == {i: True for i in range(k)}
+        assert all(c.steps > 0 for c in cells)
+        assert all(s > 0.0 for s in batch.run_s)
+
     def test_telemetry_streams_stay_per_cell(self):
         specs = [load_spec("hpcc"), load_spec("dctcp")]
         solo = [execute_spec(spec, telemetry=True) for spec in specs]
