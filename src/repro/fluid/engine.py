@@ -64,9 +64,12 @@ batches that close once their links plus flows reach
 :attr:`FluidBatch.CAP`; a cell that reaches it alone (a k=16 FatTree's)
 runs alone, in a unit of its own.  Each record is handed back as its
 cell leaves, its ``wall_time_s`` its own setup and collect plus its
-share of the batch's ticks.  Hybrid cells and ``execute_spec`` run
-batches of one; hybrid coupling (``ext_rates``/``ext_qlen``) is
-one-cell by construction.
+share of the batch's ticks.  One executor
+(``repro.runner.execute.execute_specs``) runs every spec, a single
+``execute_spec`` included, and puts each fluid ``load``/``flows`` cell
+into such a batch; a hybrid cell's background half is a batch of one,
+since hybrid coupling (``ext_rates``/``ext_qlen``) is one-cell by
+construction.
 
 Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index

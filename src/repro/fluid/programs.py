@@ -65,8 +65,9 @@ class FluidBackend:
             if sampled else None,
             goodput_bin=config.pop("goodput_bin", None),
         )
-        #: The ambient telemetry at construction (the run's own, in
-        #: ``execute_spec``): a batch runs many backends under none.
+        #: The ambient telemetry at construction: the run's own, as the
+        #: one executor sets each spec up under its own scope; a batch
+        #: then runs many backends under none.
         self.tel = current_telemetry()
         engine.decision_tap = getattr(self.tel, "decisions", None)
         self.ignored = sorted(config)   # leftovers have no fluid meaning

@@ -22,8 +22,10 @@ Register ownership is strict and disjoint: packet ports own the
 foreground queue (bytes physically enqueued), the fluid arrays own the
 background queue (modeled fluid), and each half only ever *reads* the
 other's contribution through this coupler — neither mutates the other's
-registers, so there is no double counting and detaching the coupler
-restores both engines bit-identically.
+registers, so there is no double counting.  A degenerate partition
+never builds a coupler, so its one engine runs its pure hot paths and
+its record is the pure backend's, bit for bit (``tests/test_hybrid.py``
+pins this).
 
 Approximations, stated openly: background state is piecewise-constant
 within an epoch (the first epoch sees no background at all), parallel
@@ -62,11 +64,10 @@ class BgLinkView:
 class _Binding:
     """One shared link: the fluid row and its packet egress ports."""
 
-    __slots__ = ("index", "link", "ports", "view", "prev_fg_tx", "prev_bg_tx")
+    __slots__ = ("index", "ports", "view", "prev_fg_tx", "prev_bg_tx")
 
-    def __init__(self, index: int, link, ports: list) -> None:
+    def __init__(self, index: int, ports: list) -> None:
         self.index = index
-        self.link = link
         self.ports = ports
         self.view = BgLinkView()
         self.prev_fg_tx = 0.0       # summed packet tx_bytes at last epoch
@@ -104,7 +105,7 @@ class HybridCoupler:
                 ports = [switch.ports[pid] for pid in port_ids]
             else:
                 ports = [net.nics[a].port]
-            binding = _Binding(link.index, link, ports)
+            binding = _Binding(link.index, ports)
             for port in ports:
                 port.bg_view = binding.view
             self.bindings.append(binding)
@@ -162,11 +163,3 @@ class HybridCoupler:
             binding.prev_fg_tx = fg_tx
         self.engine.ext_rates = ext
         self.engine.ext_qlen = extq
-
-    def detach(self) -> None:
-        """Remove every view, restoring both engines' pure hot paths."""
-        for binding in self.bindings:
-            for port in binding.ports:
-                port.bg_view = None
-        self.engine.ext_rates = None
-        self.engine.ext_qlen = None

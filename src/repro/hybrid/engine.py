@@ -41,16 +41,6 @@ class HybridEngine:
         self.coupler = HybridCoupler(net, engine)
         self.epochs = 0
 
-    @property
-    def events_processed(self) -> int:
-        """Packet events plus fluid steps — the hybrid work metric."""
-        return self.net.sim.events_processed + self.engine.steps
-
-    @property
-    def now(self) -> float:
-        """The co-simulation clock (both halves agree at boundaries)."""
-        return max(self.net.sim.now, self.engine.now)
-
     def run(self, deadline: float) -> bool:
         """Advance both halves to ``deadline`` or joint completion.
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .core.base import CcEnv
 from .core.registry import get_scheme
 from .metrics.hub import Metrics
-from .metrics.queuestats import QueueSampler
 from .topology.base import Topology
 from .sim.buffer import BufferConfig
 from .sim.ecn import EcnPolicy
@@ -30,7 +29,12 @@ from .sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD
 from .sim.pfc import PfcConfig
 from .sim.routing import NoRoute, RoutingState, round_trip
 from .sim.switch import Switch
-from .sim.units import MB, MS
+from .sim.units import MB, MS, US
+
+
+#: Simulated time between :meth:`Network.run_until_done`'s checks for
+#: completion (ns).
+DONE_CHECK_INTERVAL = 100 * US
 
 
 @dataclass
@@ -334,17 +338,16 @@ class Network:
     def run(self, until: float | None = None) -> None:
         self.sim.run(until=until)
 
-    def run_until_done(
-        self, deadline: float, check_interval: float = 100_000.0
-    ) -> bool:
-        """Run until every registered flow finished or the deadline hits.
+    def run_until_done(self, deadline: float) -> bool:
+        """Run until every registered flow finished or the deadline hits,
+        looking every :data:`DONE_CHECK_INTERVAL` of simulated time.
 
         Returns True when all flows completed.
         """
         while self.sim.now < deadline:
             if self.metrics.flows.n_outstanding == 0:
                 break
-            step = min(self.sim.now + check_interval, deadline)
+            step = min(self.sim.now + DONE_CHECK_INTERVAL, deadline)
             self.sim.run(until=step)
         self.metrics.finalize()
         return self.metrics.flows.n_outstanding == 0
@@ -371,10 +374,3 @@ class Network:
                 peer = switch.port_peer[port_id]
                 labels[f"sw{sw_id}->{peer}"] = port
         return labels
-
-    def sample_queues(
-        self, interval: float, labels: dict[str, object] | None = None
-    ) -> QueueSampler:
-        """Attach a queue sampler to (by default) every switch egress port."""
-        ports = labels if labels is not None else self.switch_port_labels()
-        return QueueSampler(self.sim, ports, interval)

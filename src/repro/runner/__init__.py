@@ -5,7 +5,8 @@ Four layers (see ``ROADMAP.md`` and the module docstrings):
 * **spec** — :class:`ScenarioSpec` (hashable, JSON-able, picklable) and
   :class:`ScenarioGrid` for cartesian sweep expansion;
 * **execution** — :class:`SweepRunner` (process-pool parallelism with a
-  serial fallback) over generic scenario programs (:func:`execute_spec`);
+  serial fallback) over one executor, ``execute.execute_specs``, which
+  runs every spec list, the one spec of :func:`execute_spec` included;
 * **results** — :class:`RunRecord` persistence and the content-addressed
   :class:`RunCache`;
 * **consumers** — every ``repro.experiments`` figure declares a grid and

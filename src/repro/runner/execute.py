@@ -5,11 +5,12 @@ returns a :class:`RunRecord` (pure data again) — nothing live crosses
 the boundary, which is what lets :class:`~repro.runner.sweep.SweepRunner`
 fan specs out over a ``ProcessPoolExecutor``.
 
-``load`` and ``flows`` are one program, :func:`_run_network`, over a
-:class:`Backend`: build the topology, construct the backend, generate
+``load`` and ``flows`` (:data:`NETWORK_PROGRAMS`) are one program over
+a :class:`Backend`: build the topology, construct the backend, generate
 the flow population (the only step the two differ in), materialise the
-timeline's bursts, ``admit``, ``run``, ``record``, stamp
-``flow_ids``/``final_windows``.  Every backend is therefore offered the
+timeline's bursts, ``admit`` (:func:`_setup_network`); ``run``; then
+``record`` and stamp ``flow_ids``/``final_windows``
+(:func:`_collect_network`).  Every backend is therefore offered the
 identical traffic.  The contract's fine print:
 
 1. The packet half installs the timeline driver, *then* creates the
@@ -27,7 +28,12 @@ identical traffic.  The contract's fine print:
 6. The hybrid can only choose its halves once it has the population,
    which is why ``admit`` takes the timeline along with the flows.
 
-Telemetry (``repro.obs``) is opt-in: :func:`execute_spec` builds a
+There is one executor, :func:`execute_specs`: every spec list — a sweep
+unit, or the one spec of :func:`execute_spec` — runs through it, each
+spec under its own :class:`_RunScope`.  Fluid ``load``/``flows`` cells
+share lockstep batches; every other cell runs on its own as it comes.
+
+Telemetry (``repro.obs``) is opt-in: the executor builds a
 run-scoped memory-sink :class:`~repro.obs.Telemetry` when asked, and the
 program marks its setup/run/collect phases through the ambient
 :func:`~repro.obs.maybe_span` context (a no-op otherwise).
@@ -97,7 +103,7 @@ def workload_cdf(workload: dict):
 # -- the backend contract -----------------------------------------------------------
 
 class Backend(Protocol):
-    """What :func:`_run_network` needs from an execution engine.
+    """What the ``load``/``flows`` program needs from an execution engine.
 
     Constructed from ``(spec, topology)``; the calls come once each, in
     the order below.
@@ -129,6 +135,11 @@ def backend_class(name: str) -> type[Backend]:
 
 # -- programs ---------------------------------------------------------------------
 
+#: The programs every backend runs, through :func:`_setup_network`, the
+#: backend's run and :func:`_collect_network`.
+NETWORK_PROGRAMS = ("load", "flows")
+
+
 class _NetworkJob(NamedTuple):
     """A ``load``/``flows`` scenario between setup and collect."""
 
@@ -140,7 +151,22 @@ class _NetworkJob(NamedTuple):
 
 
 def _setup_network(spec: ScenarioSpec) -> _NetworkJob:
-    """Build the topology and backend, offer the population (setup)."""
+    """Build the topology and backend, offer the population (setup).
+
+    ``load`` — Poisson background traffic from a size CDF, optional
+    incast bursts.  workload: ``{"cdf", "size_scale", "load", "n_flows",
+    "incast"?, "deadline_factor"?}``.
+
+    ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
+    dst, size, start?, tag?], ...], "deadline"}``.
+
+    Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
+    "pause_intervals"?, "decisions"?}`` (the last read by
+    :class:`_RunScope`); config: ``NetworkConfig`` overrides
+    (``base_rtt`` required for paper fidelity) plus the backend's own
+    keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
+    Hybrid specs add ``workload["foreground"]``.
+    """
     workload = spec.workload
     explicit = spec.program == "flows"
     with maybe_span("setup"):
@@ -199,31 +225,6 @@ def _collect_network(spec: ScenarioSpec, job: _NetworkJob,
         if spec.measure.get("windows"):
             record.extras["final_windows"] = job.backend.windows()
     return record
-
-
-def _run_network(spec: ScenarioSpec) -> RunRecord:
-    """The ``load`` and ``flows`` programs, on any backend.
-
-    ``load`` — Poisson background traffic from a size CDF, optional
-    incast bursts.  workload: ``{"cdf", "size_scale", "load", "n_flows",
-    "incast"?, "deadline_factor"?}``.
-
-    ``flows`` — an explicit flow list.  workload: ``{"flows": [[src,
-    dst, size, start?, tag?], ...], "deadline"}``.
-
-    Both — measure: ``{"sample_interval"?, "sample_ports"?, "windows"?,
-    "pause_intervals"?, "decisions"?}`` (the last read by
-    :func:`execute_spec`); config: ``NetworkConfig`` overrides
-    (``base_rtt`` required for paper fidelity) plus the backend's own
-    keys; dynamics: a timeline of mid-run events (``repro.dynamics``).
-    Hybrid specs add ``workload["foreground"]``.
-
-    Three phases — setup, run, collect — which :func:`execute_batch`
-    takes apart to run many fluid scenarios' middle phase together.
-    """
-    job = _setup_network(spec)
-    completed = job.backend.run(job.deadline)
-    return _collect_network(spec, job, completed)
 
 
 def _run_appendix_a1(spec: ScenarioSpec) -> RunRecord:
@@ -294,9 +295,8 @@ def _run_appendix_a2(spec: ScenarioSpec) -> RunRecord:
     return RunRecord(spec=spec, extras=extras, completed=True)
 
 
+#: The programs run whole, outside the backend contract.
 PROGRAMS: dict[str, Callable[[ScenarioSpec], RunRecord]] = {
-    "load": _run_network,
-    "flows": _run_network,
     "appendix_a1": _run_appendix_a1,
     "appendix_a2": _run_appendix_a2,
 }
@@ -314,9 +314,10 @@ def validate_specs(specs: list[ScenarioSpec]) -> None:
     they are spelled.
     """
     for spec in specs:
-        require_known("program", spec.program, PROGRAMS)
+        require_known("program", spec.program,
+                      (*NETWORK_PROGRAMS, *PROGRAMS))
         require_known("backend", spec.backend, _BACKENDS)
-        if PROGRAMS[spec.program] is _run_network:
+        if spec.program in NETWORK_PROGRAMS:
             require_known("topology", spec.topology, TOPOLOGIES)
             if "events" in spec.workload:
                 rows = [dict(zip(("type", "at", "a", "b"), row))
@@ -329,19 +330,14 @@ def validate_specs(specs: list[ScenarioSpec]) -> None:
                 require_known("workload.cdf", spec.workload.get("cdf"), CDFS)
 
 
-def batchable(spec: ScenarioSpec) -> bool:
-    """Whether :func:`execute_batch` can run ``spec``: the ``load`` and
-    ``flows`` programs on the fluid backend."""
-    return spec.backend == "fluid" and PROGRAMS.get(spec.program) is _run_network
-
-
 def shares_batch(spec: ScenarioSpec) -> bool:
-    """Whether ``spec`` is :func:`batchable` and its footprint as the spec
-    tells it (directed links plus listed flows, or a ``load``'s mean
-    ``n_flows``) is under :attr:`~repro.fluid.FluidBatch.CAP`."""
+    """Whether ``spec`` is a fluid ``load``/``flows`` cell whose
+    footprint as the spec tells it (directed links plus listed flows, or
+    a ``load``'s mean ``n_flows``) is under
+    :attr:`~repro.fluid.FluidBatch.CAP`."""
     from ..fluid import FluidBatch
 
-    if not batchable(spec):
+    if spec.backend != "fluid" or spec.program not in NETWORK_PROGRAMS:
         return False
     try:
         links = build_topology(spec).links
@@ -378,9 +374,16 @@ class _RunScope:
 
                 self.tel.decisions = DecisionTap()
 
-    def active(self):
-        """The scope's telemetry as the ambient one (if it has any)."""
-        return using(self.tel) if self.tel is not None else nullcontext()
+    def attempt(self, step: Callable, *args):
+        """``step(*args)`` under the scope's telemetry: what it returns,
+        or the exception it raised, noted and the flight recorder
+        dumped."""
+        try:
+            with using(self.tel) if self.tel is not None else nullcontext():
+                return step(*args)
+        except Exception as exc:
+            self.failed()
+            return exc
 
     def failed(self) -> None:
         """The run raised: note it and dump the flight recorder."""
@@ -389,12 +392,18 @@ class _RunScope:
             self.tel.flight.dump("exception",
                                  self.spec.label or self.spec.spec_hash)
 
-    def finish(self, record: RunRecord, wall_s: float) -> RunRecord:
-        """Stamp the wall time; attach decisions and drained telemetry."""
+    def finish(self, outcome: RunRecord | Exception, wall_s: float
+               ) -> RunRecord | Exception:
+        """A record's wall time and ``total`` span; its decisions and
+        drained telemetry attached.  An exception passes through."""
+        if isinstance(outcome, Exception):
+            return outcome
+        record = outcome
         record.wall_time_s = wall_s
         tel = self.tel
         if tel is None:
             return record
+        tel.record_span("total", wall_s)
         if not record.completed:
             tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
             tel.flight.dump("deadline overrun",
@@ -409,7 +418,7 @@ class _RunScope:
 
 
 def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
-    """Run one scenario to completion: a sweep unit of one.
+    """Run one scenario to completion: :func:`execute_specs` of one.
 
     With ``telemetry=True`` the run executes under a run-scoped,
     memory-backed :class:`~repro.obs.Telemetry` (programs and engine
@@ -426,62 +435,52 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False) -> RunRecord:
     With ``telemetry=True`` as well, one ``decision`` record per CC
     control decision also goes into the telemetry stream.
     """
-    validate_specs([spec])
-    program = PROGRAMS[spec.program]
-    scope = _RunScope(spec, telemetry)
-    started = time.perf_counter()
-    tel = scope.tel
-    if tel is None:
-        record = program(spec)
-    else:
-        try:
-            with using(tel), tel.span("total"):
-                record = program(spec)
-        except BaseException:
-            scope.failed()
-            raise
-    return scope.finish(record, time.perf_counter() - started)
+    [(_, outcome)] = execute_specs([spec], telemetry)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def execute_batch(specs: list[ScenarioSpec], telemetry: bool = False
+def execute_specs(specs: list[ScenarioSpec], telemetry: bool = False
                   ) -> Iterator[tuple[int, RunRecord | Exception]]:
-    """Run fluid ``load``/``flows`` scenarios (:func:`batchable`) with
-    their run phases stepped in lockstep fluid batches.
+    """Run a spec list, the fluid ``load``/``flows`` cells stepped in
+    lockstep fluid batches.
 
     Yields ``(i, outcome)`` as ``specs[i]`` finishes: its record, or the
     exception it raised — in setup, in the run or in collect — after
-    which the others run on.  Each spec is set up and collected on its
-    own, under its own scope (telemetry, decision tap) exactly as
-    :func:`execute_spec` runs it, and its record equals that record but
-    for ``wall_time_s``: its own setup and collect plus its share of the
+    which the others run on.  Each spec runs under its own scope
+    (telemetry, decision tap; see :func:`execute_spec`), and a batched
+    cell's record is the record it would have alone but for
+    ``wall_time_s``: its own setup and collect plus its share of the
     batch's ticks (its telemetry's ``run`` span says the same).
 
-    Specs are set up in order.  One whose footprint reaches
-    :attr:`~repro.fluid.FluidBatch.CAP` runs alone at once; the others
-    join the open batch, which runs once its footprint reaches the cap
-    (or the specs run out).  Each spec is collected — and its cell
-    released — as it leaves its batch.
+    Specs start in order.  A fluid cell whose footprint reaches
+    :attr:`~repro.fluid.FluidBatch.CAP` runs alone at once; the other
+    fluid cells join the open batch, which runs once its footprint
+    reaches the cap (or the specs run out).  Each is collected — and
+    its cell released — as it leaves its batch.  Every other cell runs,
+    and is collected, as it comes.
     """
     from ..fluid import FluidBatch
 
     validate_specs(specs)
-    for spec in specs:
-        if not batchable(spec):
-            raise ValueError(
-                f"{spec.label or spec.spec_hash}: only fluid load/flows "
-                f"specs run in a batch, got {spec.backend}/{spec.program}"
-            )
     pending: dict[int, tuple[_RunScope, _NetworkJob, float]] = {}
     size = 0
     for i, spec in enumerate(specs):
         scope = _RunScope(spec, telemetry)
         started = time.perf_counter()
-        try:
-            with scope.active():
-                job = _setup_network(spec)
-        except Exception as exc:
-            scope.failed()
-            yield i, exc
+        if spec.program not in NETWORK_PROGRAMS:
+            outcome = scope.attempt(PROGRAMS[spec.program], spec)
+            yield i, scope.finish(outcome, time.perf_counter() - started)
+            continue
+        job = scope.attempt(_setup_network, spec)
+        if isinstance(job, Exception):
+            yield i, job
+            continue
+        if spec.backend != "fluid":
+            outcome = scope.attempt(_run_alone, spec, job)
+            del job
+            yield i, scope.finish(outcome, time.perf_counter() - started)
             continue
         spent = time.perf_counter() - started
         footprint = job.backend.engine.footprint
@@ -501,10 +500,15 @@ def execute_batch(specs: list[ScenarioSpec], telemetry: bool = False
     yield from _run_together(pending)
 
 
+def _run_alone(spec: ScenarioSpec, job: _NetworkJob) -> RunRecord:
+    """Run a set-up cell that shares no batch, then collect it."""
+    return _collect_network(spec, job, job.backend.run(job.deadline))
+
+
 def _run_together(pending: dict[int, tuple[_RunScope, _NetworkJob, float]]
                   ) -> Iterator[tuple[int, RunRecord | Exception]]:
-    """Run the set-up specs of :func:`execute_batch` as one batch,
-    collecting each (and popping it from ``pending``) as it leaves."""
+    """Run set-up fluid cells as one batch, collecting each (and
+    popping it from ``pending``) as it leaves."""
     order = list(pending)
     if not order:
         return
@@ -520,16 +524,8 @@ def _run_together(pending: dict[int, tuple[_RunScope, _NetworkJob, float]]
             yield i, completed
             continue
         started = time.perf_counter()
-        try:
-            with scope.active():
-                record = _collect_network(scope.spec, job, completed)
-        except Exception as exc:
-            scope.failed()
-            yield i, exc
-            continue
+        record = scope.attempt(_collect_network, scope.spec, job, completed)
         wall = spent + job.backend.run_s + time.perf_counter() - started
         # The cell goes before the next one leaves.
         del job
-        if scope.tel is not None:
-            scope.tel.record_span("total", wall)
         yield i, scope.finish(record, wall)

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .journal import SweepJournal
 
 from ..obs import Telemetry
-from .execute import execute_batch, execute_spec, shares_batch, validate_specs
+from .execute import execute_specs, shares_batch, validate_specs
 from .results import RunCache, RunRecord
 from .spec import ScenarioSpec
 
@@ -45,26 +45,26 @@ def execute_unit(
 ) -> Iterator[tuple[int, RunRecord]]:
     """The sweep's work unit — a list of specs — with failure isolation.
 
-    Yields ``(i, record)`` as ``specs[i]`` finishes: several specs run
-    through :func:`~repro.runner.execute.execute_batch`, one through
-    :func:`execute_spec`, and an injected ``execute`` (the chaos hooks)
-    runs each spec in turn.  A spec that raises, or that a fault of the
-    batch left unyielded, becomes an ``error`` record; the exception
-    rides back on the non-persisted ``exception`` field (when
-    picklable) for ``failures="raise"`` to re-raise verbatim.
+    Yields ``(i, record)`` as ``specs[i]`` finishes: the specs run
+    through :func:`~repro.runner.execute.execute_specs`, or an injected
+    ``execute`` (the chaos hooks) runs each spec in turn.  A spec that
+    raises, or that a fault of the executor left unyielded, becomes an
+    ``error`` record; the exception rides back on the non-persisted
+    ``exception`` field (when picklable) for ``failures="raise"`` to
+    re-raise verbatim.
     """
     started = time.perf_counter()
-    if execute is not None or len(specs) == 1:
+    if execute is not None:
         for i, spec in enumerate(specs):
             try:
-                yield i, (execute or execute_spec)(spec, telemetry)
+                yield i, execute(spec, telemetry)
             except Exception as exc:
                 yield i, _error_record(spec, exc, started)
             started = time.perf_counter()
         return
     left = set(range(len(specs)))
     try:
-        for i, outcome in execute_batch(specs, telemetry):
+        for i, outcome in execute_specs(specs, telemetry):
             left.discard(i)
             yield i, (outcome if isinstance(outcome, RunRecord)
                       else _error_record(specs[i], outcome, started))

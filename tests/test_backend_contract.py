@@ -6,7 +6,8 @@
   program copies were folded into one, so they hold the refactor to
   bit-identical records — including mixed-mode hybrid, which the rest
   of the suite holds only to tolerances.
-* **dispatch** — every backend runs the same program callable.
+* **dispatch** — every backend's ``load`` and ``flows`` go through the
+  one setup.
 * **composition** — a degenerate hybrid partition builds exactly the
   one half it needs.
 * **record shape** — the extras keys the docs promise on every backend.
@@ -26,7 +27,6 @@ import repro.runner.harness as harness
 from repro.dynamics import FailLink, InjectBurst, RestoreLink, Timeline
 from repro.runner import (
     BACKENDS,
-    PROGRAMS,
     ScenarioSpec,
     SweepRunner,
     execute_spec,
@@ -138,8 +138,22 @@ class TestWholeRecordDigests:
 
 
 class TestDispatch:
-    def test_one_program_serves_load_and_flows(self):
-        assert PROGRAMS["load"] is PROGRAMS["flows"]
+    def test_one_program_serves_load_and_flows(self, monkeypatch):
+        import repro.runner.execute as execute
+
+        seen = []
+        setup = execute._setup_network
+
+        def spy(spec):
+            seen.append((spec.program, spec.backend))
+            return setup(spec)
+
+        monkeypatch.setattr(execute, "_setup_network", spy)
+        for spec in (LOAD, FLOWS):
+            for backend in BACKENDS:
+                execute_spec(spec.replaced(backend=backend))
+        assert seen == [(spec.program, backend) for spec in (LOAD, FLOWS)
+                        for backend in BACKENDS]
 
     def test_every_backend_resolves_to_a_contract_class(self):
         classes = {backend_class(name) for name in BACKENDS}

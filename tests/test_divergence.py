@@ -219,8 +219,7 @@ def tapped_run(backend: str, scheme: str, maxlen: int):
     """A 3-to-1 incast with a small-ring tap riding the ambient
     telemetry, exactly where ``execute_spec`` puts its own."""
     from repro.obs import DecisionTap, Telemetry, using
-    from repro.runner import CcChoice, ScenarioSpec
-    from repro.runner.execute import PROGRAMS
+    from repro.runner import CcChoice, ScenarioSpec, execute_spec
     from repro.sim.units import US
 
     spec = ScenarioSpec(
@@ -238,7 +237,7 @@ def tapped_run(backend: str, scheme: str, maxlen: int):
     tel = Telemetry(run_id="columns")
     tel.decisions = DecisionTap(maxlen=maxlen)
     with using(tel):
-        PROGRAMS[spec.program](spec)
+        execute_spec(spec)
     return tel.decisions
 
 

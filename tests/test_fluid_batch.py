@@ -1,7 +1,7 @@
 """Lockstep fluid batches: a cell's record does not depend on its batch.
 
 :class:`~repro.fluid.FluidBatch` steps many fluid cells over one row
-block; :func:`~repro.runner.execute.execute_batch` runs fluid
+block; :func:`~repro.runner.execute.execute_specs` runs fluid
 ``load``/``flows`` specs that way, and ``SweepRunner(jobs=N)`` deals
 every such spec of one ``run()`` call into N work units that each run
 as lockstep batches.  Each test holds a batched cell against the same
@@ -22,9 +22,9 @@ from repro.fluid import ADAPTER_FAMILIES, FluidBatch, FluidEngine
 from repro.fluid.adapters import RttAdapter
 from repro.obs import Telemetry
 from repro.runner import (
-    CcChoice, RunCache, ScenarioSpec, SweepRunner, execute_spec,
+    CcChoice, RunCache, RunRecord, ScenarioSpec, SweepRunner, execute_spec,
 )
-from repro.runner.execute import execute_batch, shares_batch
+from repro.runner.execute import execute_specs, shares_batch
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
 from repro.topology import parking_lot, star
@@ -51,8 +51,8 @@ def count_ticks(monkeypatch) -> list[int]:
 
 
 def in_order(specs, telemetry=False) -> list:
-    """:func:`execute_batch`'s outcomes, in spec order."""
-    out = dict(execute_batch(specs, telemetry))
+    """:func:`execute_specs`'s outcomes, in spec order."""
+    out = dict(execute_specs(specs, telemetry))
     return [out[i] for i in range(len(specs))]
 
 
@@ -374,21 +374,55 @@ class TestRunner:
         import repro.runner.sweep as sweep
 
         batches = []
-        real = sweep.execute_batch
+        real = sweep.execute_specs
 
         def spy(specs, telemetry=False):
             batches.append(len(specs))
             return real(specs, telemetry)
 
-        monkeypatch.setattr(sweep, "execute_batch", spy)
+        monkeypatch.setattr(sweep, "execute_specs", spy)
         specs = self.specs() + [load_spec("hpcc").replaced(backend="packet")]
         SweepRunner(jobs=1).run(specs)
         SweepRunner(jobs=1, telemetry=Telemetry(run_id="sweep")).run(specs)
-        assert batches == [4, 4]
+        # The fluid unit, then the packet cell as a unit of one.
+        assert batches == [4, 1, 4, 1]
         seen = []
         SweepRunner(jobs=1, execute=lambda spec, tel: (
             seen.append(spec.label), execute_spec(spec, tel))[1]).run(specs)
-        assert batches == [4, 4] and len(seen) == len(specs)
+        assert batches == [4, 1, 4, 1] and len(seen) == len(specs)
+
+
+class TestOneExecutor:
+    def test_every_program_and_backend_in_one_list(self, monkeypatch):
+        """One ``execute_specs`` call runs any mix of specs: each yields
+        its own ``execute_spec`` record, and the fluid cells among them
+        still step as one batch."""
+        from repro.experiments.appendix_a import a1_scenario
+
+        specs = [
+            FAILOVER.replaced(backend="packet"),
+            FAILOVER,
+            load_spec("hpcc", backend="hybrid",
+                      **{"workload.foreground": {"kind": "frac", "x": 0.5}}),
+            a1_scenario(n_sources=20, rho=0.95),
+            load_spec("dcqcn"),
+        ]
+        solo = [payload(execute_spec(spec)) for spec in specs]
+        sizes = []
+        init = FluidBatch.__init__
+
+        def spy(self, cells):
+            sizes.append(len(cells))
+            init(self, cells)
+
+        monkeypatch.setattr(FluidBatch, "__init__", spy)
+        outcomes = list(execute_specs(specs))
+        # Cells that share no batch land as they come, the batch last.
+        assert [i for i, _ in outcomes] == [0, 2, 3, 1, 4]
+        assert all(isinstance(r, RunRecord) for _, r in outcomes)
+        assert {i: payload(r) for i, r in outcomes} == dict(enumerate(solo))
+        # The hybrid's background half is a batch of one by construction.
+        assert sizes == [1, 2]
 
 
 class TestHopMatrixWidth:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import pause_fraction
+from repro.metrics import QueueSampler, pause_fraction
 from repro.network import Network, NetworkConfig
 from repro.sim.units import MS, US, gbps
 from repro.topology import bench_fattree, dumbbell, star
@@ -129,7 +129,7 @@ class TestHelpers:
 
     def test_sample_queues_default_all_switch_ports(self):
         net = Network(star(3), NetworkConfig())
-        sampler = net.sample_queues(interval=10 * US)
+        sampler = QueueSampler(net.sim, net.switch_port_labels(), 10 * US)
         net.run(until=100 * US)
         assert len(sampler.times) == 10
 

@@ -344,7 +344,7 @@ class TestRebuildRunsNothing:
         return {name: (out / name).read_bytes() for name in names}
 
     def test_warm_rebuild_simulates_nothing(self, tmp_path, monkeypatch):
-        from repro.runner.execute import PROGRAMS
+        import repro.runner.execute as execute
 
         out = tmp_path / "out"
         self._build(out, tmp_path)
@@ -355,8 +355,9 @@ class TestRebuildRunsNothing:
         def refuse(spec):
             raise AssertionError(f"rebuild simulated {spec.label}")
 
-        for name in list(PROGRAMS):
-            monkeypatch.setitem(PROGRAMS, name, refuse)
+        # Every cell of this build is a load/flows cell: one that runs
+        # is set up first.
+        monkeypatch.setattr(execute, "_setup_network", refuse)
         report = self._build(out, tmp_path)
         [fig] = report.figures
         assert fig.n_cached == fig.n_specs and fig.divergence is not None
@@ -375,23 +376,46 @@ class TestRebuildRunsNothing:
         assert hybrid[0] == hybrid[1]
         assert second == first
 
+        # The seam bites: a cold build under it runs every cell into it.
+        cold = tmp_path / "cold"
+        report = self._build(cold, tmp_path)
+        [fig] = report.figures
+        assert fig.n_failed == fig.n_specs
+        cells = [json.loads(line) for line in
+                 (cold / "journal.jsonl").read_text().splitlines()]
+        cells = [c for c in cells if c["kind"] == "cell"]
+        assert len(cells) == fig.n_specs + 3
+        assert all(c["status"] == "error"
+                   and c["error"]["message"].startswith("rebuild simulated")
+                   for c in cells)
+
     def test_failed_runs_are_noted_not_cached_and_retried(self, tmp_path,
                                                           monkeypatch):
+        import repro.runner.execute as execute
+        from repro.fluid import FluidBatch
         from repro.runner import RunCache
-        from repro.runner.execute import PROGRAMS
 
-        real = dict(PROGRAMS)
+        setup = execute._setup_network
 
         def boom(spec):
             if spec.measure.get("decisions") or spec.backend == "hybrid":
                 raise RuntimeError("boom")
-            return real[spec.program](spec)
+            return setup(spec)
 
-        for name in ("flows", "load"):
-            monkeypatch.setitem(PROGRAMS, name, boom)
+        monkeypatch.setattr(execute, "_setup_network", boom)
+        sizes = []
+        init = FluidBatch.__init__
+
+        def spy(self, cells):
+            sizes.append(len(cells))
+            init(self, cells)
+
+        monkeypatch.setattr(FluidBatch, "__init__", spy)
         out = tmp_path / "out"
         report = self._build(out, tmp_path)
         [fig] = report.figures
+        # The patched seam leaves the figure's fluid cells one batch.
+        assert sizes == [fig.n_specs]
         assert fig.n_failed == 0 and fig.divergence is None
         assert "divergence drilldown skipped: RuntimeError: boom" in fig.notes
         assert report.metadata["hybrid cell"] == "skipped: RuntimeError: boom"
