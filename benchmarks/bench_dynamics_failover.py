@@ -32,12 +32,13 @@ SCHEMES = (CcChoice("hpcc", label="HPCC"),)
 
 
 def run_failure_sweep_comparison() -> dict:
-    packet_specs = linkfail.scenarios(schemes=SCHEMES, backend="packet")
+    packet_specs = [spec.replaced(backend="packet")
+                    for spec in linkfail.scenarios(schemes=SCHEMES)]
     started = time.perf_counter()
     packet_records = SweepRunner().run(packet_specs)
     packet_s = time.perf_counter() - started
 
-    fluid_specs = linkfail.scenarios(schemes=SCHEMES, backend="fluid")
+    fluid_specs = linkfail.scenarios(schemes=SCHEMES)
     started = time.perf_counter()
     fluid_records = SweepRunner().run(fluid_specs)
     fluid_s = time.perf_counter() - started
@@ -65,7 +66,8 @@ def run_dual_trunk_smoke() -> dict:
     out = {}
     for backend in ("packet", "fluid"):
         started = time.perf_counter()
-        specs = failover.scenarios(schemes=SCHEMES, backend=backend)
+        specs = [spec.replaced(backend=backend)
+                 for spec in failover.scenarios(schemes=SCHEMES)]
         stats = failover.render(specs, SweepRunner().run(specs)).stats
         out[f"{backend}_s"] = time.perf_counter() - started
         out[f"{backend}_recovery_us"] = stats["recovery_us/HPCC"]

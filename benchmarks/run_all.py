@@ -99,10 +99,16 @@ def _dynamics_failover():
     """Dynamics smoke: the FatTree failure sweep and the dual-trunk
     failover, both on the fluid backend (the packet-vs-fluid comparison
     with the >=10x assertion lives in bench_dynamics_failover.py)."""
-    from repro.runner import CcChoice
+    from repro.experiments import failover, linkfail
+    from repro.runner import CcChoice, SweepRunner
 
-    return _figure("linkfail", "failover", backend="fluid",
-                   schemes=(CcChoice("hpcc", label="HPCC"),))()
+    schemes = (CcChoice("hpcc", label="HPCC"),)
+    renders = []
+    for module in (linkfail, failover):
+        specs = [spec.replaced(backend="fluid")
+                 for spec in module.scenarios(schemes=schemes)]
+        renders.append(module.render(specs, SweepRunner().run(specs)))
+    return renders
 
 
 def _fig11_fluid():

@@ -97,7 +97,7 @@ def scenarios(scale: str = "bench", seed: int | None = None) -> list[ScenarioSpe
 def render(specs, records):
     """Report hook: analytic-vs-simulated bars (A.1), lemma counts
     (A.2) and the A.4 incast summary, identified by program."""
-    from ..report.figures import FigureRender, Panel, Series, queue_series
+    from ..report.figures import FigureRender, Panel, Series
 
     panels = []
     stats: dict[str, float] = {}
@@ -143,7 +143,7 @@ def render(specs, records):
                 y_label="fraction of trials",
             ))
         else:                                   # A.4 flows scenario
-            t, q = queue_series(record, "root")
+            t, q = record.queue_series("root")
             panels.append(Panel(
                 key="a4-root-queue",
                 title="A.4: root queue through a 64-to-1 incast",

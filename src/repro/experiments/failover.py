@@ -11,9 +11,10 @@ should re-converge quickly to the new fair rates; HPCC additionally
 resets its per-hop INT state when the path (hop count) changes.
 
 The cut is declared as a network-dynamics timeline (``repro.dynamics``),
-so the same spec runs on either backend: ``backend="packet"`` for full
-per-packet fidelity, ``backend="fluid"`` for the ~30x-faster flow-level
-twin (pooled trunk capacity halves at the event boundary).
+so the same spec runs on either backend: the grid's packet cells for
+full per-packet fidelity, ``spec.replaced(backend="fluid")`` for the
+~30x-faster flow-level twin (pooled trunk capacity halves at the event
+boundary).
 
 Reported per scheme: goodput before / during / after recovery, packets
 lost to the cut, time to regain 80% of the surviving capacity.
@@ -86,7 +87,6 @@ def scenarios(
     seed: int = 1,
     schemes: tuple[CcChoice, ...] = SCHEMES,
     params: dict | None = None,
-    backend: str = "packet",
 ) -> list[ScenarioSpec]:
     """The grid: one dual-trunk run per scheme, trunk cut mid-run."""
     p = dict(BENCH)
@@ -115,7 +115,6 @@ def scenarios(
         },
         seed=seed,
         scale=scale,
-        backend=backend,
         meta={"figure": "failover", "params": p, "sw_a": sw_a},
     )
     return ScenarioGrid(base, cc_axis(schemes)).expand()

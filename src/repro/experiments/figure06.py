@@ -82,13 +82,13 @@ def scenarios(scale: str = "bench", seed: int = 1,
 
 def render(specs, records):
     """Report hook: bottleneck-queue trajectory for both feedback variants."""
-    from ..report.figures import FigureRender, Panel, Series, queue_series
+    from ..report.figures import FigureRender, Panel, Series
 
     series = []
     stats: dict[str, float] = {}
     for spec, record in zip(specs, records):
         label = spec.label
-        t, q = queue_series(record, "bneck")
+        t, q = record.queue_series("bneck")
         series.append(Series(
             name=label,
             x=[tt / US for tt in t],

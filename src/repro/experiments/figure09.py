@@ -201,9 +201,7 @@ def render(specs, records):
     full ``scenarios()`` grid; callers replaying a partial sweep get
     only the panels their records cover).
     """
-    from ..report.figures import (
-        FigureRender, Panel, Series, cdf_series, queue_series,
-    )
+    from ..report.figures import FigureRender, Panel, Series, cdf_series
 
     groups: dict[str, list[tuple]] = {}
     for spec, record in zip(specs, records):
@@ -237,7 +235,7 @@ def render(specs, records):
     incast_series = []
     for spec, record in groups.get("incast", []):
         p = spec.meta["params"]
-        t, q = queue_series(record, "bneck")
+        t, q = record.queue_series("bneck")
         incast_series.append(Series(
             name=spec.label,
             x=[tt / US for tt in t], y=[v / 1000 for v in q],
@@ -271,7 +269,7 @@ def render(specs, records):
         stats[f"mice_p95_us/{spec.label}"] = (
             percentile(mice, 95) if mice else float("nan")
         )
-        t_q, q = queue_series(record, "bneck")
+        t_q, q = record.queue_series("bneck")
         steady = [v for tt, v in zip(t_q, q) if tt >= p["warmup"]]
         stats[f"queue_p95_kb/{spec.label}"] = (
             percentile(steady, 95) / 1000 if steady else float("nan")

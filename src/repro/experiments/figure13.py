@@ -115,7 +115,7 @@ def render(specs, records):
     item 2; README "Simulation backends").  The HPCC drain/recover shape
     is the backend-neutral core of the figure.
     """
-    from ..report.figures import FigureRender, Panel, Series, queue_series
+    from ..report.figures import FigureRender, Panel, Series
 
     tput_series = []
     queue_panel_series = []
@@ -127,7 +127,7 @@ def render(specs, records):
         tput_series.append(Series(
             name=label, x=[tt / US for tt in t_g], y=gbps,
         ))
-        t_q, q = queue_series(record, "bneck")
+        t_q, q = record.queue_series("bneck")
         queue_panel_series.append(Series(
             name=label, x=[tt / US for tt in t_q], y=[v / 1000 for v in q],
         ))

@@ -69,7 +69,7 @@ def scenarios(scale: str = "bench", seed: int = 1,
 
 def render(specs, records):
     """Report hook: steady queue and fairness as functions of WAI."""
-    from ..report.figures import FigureRender, Panel, Series, queue_series
+    from ..report.figures import FigureRender, Panel, Series
 
     wais = []
     q95 = []
@@ -78,7 +78,7 @@ def render(specs, records):
     for spec, record in zip(specs, records):
         wai = spec.meta["wai"]
         p = spec.meta["params"]
-        t_q, q = queue_series(record, "bneck")
+        t_q, q = record.queue_series("bneck")
         steady = [v for t, v in zip(t_q, q) if t >= p["duration"] * 0.1]
         queue_p95 = percentile(steady, 95) / 1000 if steady else 0.0
         half = p["duration"] / 2

@@ -89,7 +89,6 @@ def scenarios(
     seed: int = 1,
     schemes: tuple[CcChoice, ...] = SCHEMES,
     params: dict | None = None,
-    backend: str = "packet",
 ) -> list[ScenarioSpec]:
     """The grid: one flapping-trunk run per scheme."""
     p = dict(BENCH)
@@ -122,7 +121,6 @@ def scenarios(
         },
         seed=seed,
         scale=scale,
-        backend=backend,
         meta={"figure": "flapping", "params": p},
     )
     return ScenarioGrid(base, cc_axis(schemes)).expand()

@@ -8,7 +8,8 @@ axis (a ToR-Agg link in pod 0, an Agg-Core uplink, ...).
 
 Every scenario is the Figure-11 load shape (fbhadoop CDF + incast
 pulses) with a fail/restore timeline attached via the hash-distinct
-``dynamics`` spec field.  The grid defaults to the fluid backend: a
+``dynamics`` spec field.  The grid's cells are fluid
+(``spec.replaced(backend="packet")`` gives the packet twin): a
 packet-level FatTree failure sweep takes minutes where fluid takes
 seconds (``benchmarks/bench_dynamics_failover.py`` pins the >=10x
 margin), which is what makes "sweep every possible failure" a usable
@@ -110,10 +111,9 @@ def scenarios(
     seed: int = 1,
     schemes: tuple[CcChoice, ...] = SCHEMES,
     params: dict | None = None,
-    backend: str = "fluid",
     cuts: list[tuple[str, int, int]] | None = None,
 ) -> list[ScenarioSpec]:
-    """The grid: CC scheme x failed fabric link, fluid by default."""
+    """The grid: CC scheme x failed fabric link, on the fluid backend."""
     s = dict(SCALES[require_scale(scale)])
     p = dict(BENCH)
     if params:
@@ -158,7 +158,7 @@ def scenarios(
         },
         seed=seed,
         scale=scale,
-        backend=backend,
+        backend="fluid",
         meta={"figure": "linkfail", "duration": duration},
     )
     grid = ScenarioGrid(

@@ -254,6 +254,7 @@ class FluidEngine:
         mtu: int = 1000,
         buffer_bytes: float = 32 * MB,
         sample_interval: float | None = None,
+        probes: dict[str, tuple[int, int]] | None = None,
         goodput_bin: float | None = None,
     ) -> None:
         self.topology = topology
@@ -315,9 +316,6 @@ class FluidEngine:
         self._needs_int = self.scheme.needs_int
         self._ecn_policy = self.scheme.default_ecn(self.cc_params)
         self._ecn_stale = True
-        #: Adapters fire when a full step has accumulated; the epsilon
-        #: absorbs float dust from summing shortened mini-steps.
-        self._fire_at = self.base_rtt - 1e-9
         #: One CcEnv per host line rate (frozen, so every flow of that
         #: rate shares it) and the install-time ``(rate, window)`` an
         #: adapter built on it starts a flow at.
@@ -338,20 +336,22 @@ class FluidEngine:
         self._dt = 0.0                  # ... and length
         self._error: Exception | None = None
 
+        #: Every ``sample_interval``, each probe's queue register is
+        #: sampled under its label (``probes``: label -> directed node
+        #: pair, as :func:`~repro.runner.harness.sample_probes` resolves
+        #: a spec's).
         self.sample_interval = sample_interval
         self._last_sample = -_INF
-        self._sample_links = (
-            self.graph.switch_egress_links() if sample_interval is not None else []
-        )
+        if sample_interval is None or probes is None:
+            probes = {}
         self.queue_samples: dict[str, dict[str, list[float]]] = {
-            link.label: {"times": [], "qlens": []} for link in self._sample_links
+            label: {"times": [], "qlens": []} for label in probes
         }
         self._sample_idx = np.array(
-            [link.index for link in self._sample_links], dtype=np.int64
+            [self.graph.links[pair].index for pair in probes.values()],
+            dtype=np.int64,
         )
-        self._sample_series = [
-            self.queue_samples[link.label] for link in self._sample_links
-        ]
+        self._sample_series = list(self.queue_samples.values())
         self.goodput_bin = goodput_bin
         self._goodput = (
             GoodputRecorder(goodput_bin) if goodput_bin is not None else None
@@ -715,7 +715,7 @@ class FluidEngine:
         # Each fired row's cell, clock and T.
         rc = batch._cell[fidx]
         now = batch._now[rc]
-        T = batch._T[rc]
+        T = batch._T[fidx]
         needs_int = batch._needs_int
         if needs_int:
             # The fired rows' hop columns; unmasked ones (host links, cut
@@ -844,6 +844,7 @@ class FluidBatch:
         "_line",        # NIC line rate cap
         "_remaining",   # wire bytes left
         "_brtt",        # path base RTT
+        "_T",           # its cell's base RTT: step and CC window
         "_elapsed",     # ns since last CC fire
         "_dacc",        # delivered since last fire
         "_macc",        # mark-weighted bytes since
@@ -881,8 +882,6 @@ class FluidBatch:
         self._dummy = L
         K = len(cells)
         self._link_cell = np.repeat(np.arange(K), sizes)
-        self._T = np.array([c.base_rtt for c in cells])
-        self._fire_at = np.array([c._fire_at for c in cells])
         self._dts = np.zeros(K)         # this tick's dt per cell ...
         self._now = np.zeros(K)         # ... and its clock at the tick's end
         #: Each cell's hop-matrix width (``FluidEngine._H``).
@@ -988,6 +987,7 @@ class FluidBatch:
         self._line[n] = flow.line_rate
         self._remaining[n] = flow.remaining
         self._brtt[n] = flow.path.base_rtt
+        self._T[n] = cell.base_rtt
         self._elapsed[n] = flow.elapsed
         self._dacc[n] = flow.acc_delivered
         self._macc[n] = flow.acc_marked
@@ -1237,7 +1237,7 @@ class FluidBatch:
         alive = self._alive[:n]
         hopm = self._hopm[:n]
         remaining = self._remaining[:n]
-        # Each row's and each touched link's cell step, T and threshold.
+        # Each row's and each touched link's cell step.
         dts = self._dts
         nows = self._now
         dts[:] = 0.0
@@ -1247,8 +1247,7 @@ class FluidBatch:
         rc = self._cell[:n]
         dt = dts[rc]
         dt_t = dts[self._touched_cell]
-        T = self._T[rc]
-        fire_at = self._fire_at[rc]
+        T = self._T[:n]
 
         # 1. requested rates (window-limited schemes pace at W/T).
         req = np.minimum(self._rate[:n], self._window[:n] / T)
@@ -1414,7 +1413,9 @@ class FluidBatch:
             # product over telemetry links only (1.0 factors are exact).
             mark_flow = 1.0 - one_minus[hopm].prod(axis=1)
             macc += mark_flow * delivered
-        fire = alive & (elapsed >= fire_at)
+        # Adapters fire once a full step has accumulated; the epsilon
+        # absorbs float dust from summing shortened mini-steps.
+        fire = alive & (elapsed >= T - 1e-9)
         if fire.any():
             fidx = np.flatnonzero(fire)
             FluidEngine._fire(

@@ -32,6 +32,7 @@ from typing import Iterator
 from ..dynamics import Timeline, TimelineDriver
 from ..obs import current as current_telemetry
 from ..obs import instrument_fluid, maybe_span
+from ..runner.harness import sample_probes
 from ..runner.results import RunRecord, fct_rows
 from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
@@ -47,13 +48,14 @@ class FluidBackend:
     from; keys it has no use for land in ``fluid_ignored_config``.
     The hybrid backend passes its fluid half's share of the config and,
     in mixed mode, ``sampled=False``: queue series then come from the
-    packet half alone (one coherent label set).
+    packet half alone.
     """
 
     def __init__(self, spec: ScenarioSpec, topology: Topology,
                  config: dict | None = None, sampled: bool = True) -> None:
         self.spec = spec
         config = dict(spec.config if config is None else config)
+        interval = spec.measure.get("sample_interval") if sampled else None
         self.engine = engine = FluidEngine(
             topology,
             cc_name=spec.cc.name,
@@ -61,8 +63,9 @@ class FluidBackend:
             base_rtt=config.pop("base_rtt", None),
             mtu=config.pop("mtu", 1000),
             buffer_bytes=config.pop("buffer_bytes", 32 * MB),
-            sample_interval=spec.measure.get("sample_interval")
-            if sampled else None,
+            sample_interval=interval,
+            probes=None if interval is None else sample_probes(
+                topology, spec.measure.get("sample_ports")),
             goodput_bin=config.pop("goodput_bin", None),
         )
         #: The ambient telemetry at construction: the run's own, as the

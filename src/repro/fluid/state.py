@@ -105,13 +105,12 @@ class FluidLink:
 
     The five registers live in row ``index`` of the graph's
     :class:`LinkArrays` block (``arrays``); the link holds the block,
-    not the graph, so the two form no reference cycle.  ``label`` is
-    precomputed: it sits on the queue-sampling path.
+    not the graph, so the two form no reference cycle.
     """
 
     __slots__ = (
         "arrays", "index", "a", "b", "member", "is_switch_egress",
-        "buffer_bytes", "label",
+        "buffer_bytes",
         # The test oracle (tests/fluid_reference.py) integrates on these
         # objects and keeps its per-step scratch registers on them.
         "__dict__",
@@ -142,7 +141,6 @@ class FluidLink:
         self.member = member
         self.is_switch_egress = is_switch_egress
         self.buffer_bytes = buffer_bytes
-        self.label = f"sw{a}->{b}"
 
     def queue_delay(self) -> float:
         if self.capacity <= 0.0:
@@ -366,10 +364,6 @@ class FluidGraph:
         return FluidPath(links, round_trip(hops, mtu_wire, ack_size))
 
     # -- introspection -----------------------------------------------------------
-
-    def switch_egress_links(self) -> list[FluidLink]:
-        """Every switch-egress link (cached; membership never changes)."""
-        return self._egress_links
 
     def total_queued_bytes(self) -> dict[int, float]:
         """Bytes queued per switch (mirrors ``switch_queued_bytes``)."""

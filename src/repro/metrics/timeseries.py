@@ -21,6 +21,27 @@ class GoodputTracker:
         self.bin_ns = bin_ns
         self._bins: dict[int, dict[int, int]] = defaultdict(dict)
 
+    def payload(self) -> dict:
+        """The ``RunRecord.extras["goodput"]`` shape."""
+        return {
+            "bin_ns": self.bin_ns,
+            "bins": {
+                str(flow_id): {str(idx): n for idx, n in bins.items()}
+                for flow_id, bins in self._bins.items()
+            },
+        }
+
+    @classmethod
+    def from_payload(cls, data: dict) -> "GoodputTracker":
+        """The tracker a :meth:`payload` describes (on any backend's
+        record: fluid's ``GoodputRecorder.payload`` has the same shape)."""
+        tracker = cls(data["bin_ns"])
+        for flow_id, bins in data["bins"].items():
+            tracker._bins[int(flow_id)] = {
+                int(idx): nbytes for idx, nbytes in bins.items()
+            }
+        return tracker
+
     def record(self, flow_id: int, now: float, nbytes: int) -> None:
         if nbytes <= 0:
             return

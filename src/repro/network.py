@@ -365,12 +365,3 @@ class Network:
         if self.topology.is_host(a):
             return self.nics[a].port
         return self.switches[a].ports[ports[0]]
-
-    def switch_port_labels(self) -> dict[str, object]:
-        """Label -> egress port for every switch port (for samplers)."""
-        labels = {}
-        for sw_id, switch in self.switches.items():
-            for port_id, port in switch.ports.items():
-                peer = switch.port_peer[port_id]
-                labels[f"sw{sw_id}->{peer}"] = port
-        return labels

@@ -38,7 +38,6 @@ from .figures import (
     Series,
     bucket_panel,
     cdf_series,
-    queue_series,
 )
 from .refdata import (
     RefCheck,
@@ -71,7 +70,6 @@ __all__ = [
     "load_refdata",
     "nice_ticks",
     "nrmse",
-    "queue_series",
     "refdata_path",
     "render_panel",
     "resample",

@@ -10,13 +10,14 @@ scorer (:mod:`repro.report.fidelity`), which compares them against the
 digitized paper curves in :mod:`repro.report.refdata`.
 
 Keep render hooks defensive about backend differences: fluid records
-report zero PFC telemetry and label queue samples by fluid-link name
-instead of the spec's probe label (:func:`queue_series` bridges that).
+report zero PFC telemetry.  Queue series need no such care: every
+backend samples the probes a spec declares in ``measure.sample_ports``
+under the declared labels, so ``record.queue_series(label)`` reads the
+same queue on each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..metrics.fct import BucketStats
@@ -27,7 +28,6 @@ __all__ = [
     "Series",
     "bucket_panel",
     "cdf_series",
-    "queue_series",
 ]
 
 
@@ -146,26 +146,3 @@ def cdf_series(name: str, values: list[float]) -> Series:
         x=[float(v) for v in ordered],
         y=[(i + 1) / n for i in range(n)],
     )
-
-
-def queue_series(record, label: str) -> tuple[list[float], list[float]]:
-    """A record's bottleneck-queue series, backend-neutral.
-
-    Packet records key queue samples by the spec's probe label
-    (``"bneck"``); fluid records key them by fluid-link name
-    (``"sw17->16"``).  When the requested label is absent, fall back to
-    the sampled series with the largest peak — the congested egress is
-    the one every figure's probe points at.
-    """
-    if label in record.queues:
-        times, qlens = record.queue_series(label)
-        return list(times), [float(q) for q in qlens]
-    best: tuple[list[float], list[float]] = ([], [])
-    best_peak = -math.inf
-    for candidate in record.queues:
-        times, qlens = record.queue_series(candidate)
-        peak = max(qlens, default=0.0)
-        if peak > best_peak:
-            best_peak = peak
-            best = (list(times), [float(q) for q in qlens])
-    return best

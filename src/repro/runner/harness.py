@@ -1,9 +1,11 @@
-"""The packet engine behind the backend contract, and the load workload.
+"""The packet engine behind the backend contract, the load workload and
+the queue probes.
 
 :class:`PacketBackend` is the packet :class:`~repro.network.Network`
 driven through the call sequence of
 :class:`~repro.runner.execute.Backend`; :func:`generate_load_flows` is
-the flow population every backend's ``load`` run is offered.
+the flow population every backend's ``load`` run is offered, and
+:func:`sample_probes` the egress queues every backend samples.
 """
 
 from __future__ import annotations
@@ -54,44 +56,14 @@ class PacketBackend:
             self.driver.install()
         interval = self.spec.measure.get("sample_interval")
         if interval is not None:
-            self.sampler = QueueSampler(net.sim, self._sample_ports(), interval)
+            probes = sample_probes(net.topology,
+                                   self.spec.measure.get("sample_ports"))
+            self.sampler = QueueSampler(net.sim, {
+                label: net.port_between(a, b)
+                for label, (a, b) in probes.items()
+            }, interval)
         net.add_flows(flows)
         self.flows = flows
-
-    def _sample_ports(self) -> dict:
-        """``measure["sample_ports"]`` as live egress ports (default:
-        every switch port).
-
-        Each entry is ``[label, "between", a, b]`` (egress of device
-        ``a`` toward ``b``) or ``[label, "to_host", h]`` (the switch
-        egress feeding host ``h`` — the usual bottleneck probe).
-        """
-        net = self.net
-        declarations = self.spec.measure.get("sample_ports")
-        if declarations is None:
-            return net.switch_port_labels()
-        ports = {}
-        for entry in declarations:
-            try:
-                label, kind = entry[0], entry[1]
-                if kind == "between":
-                    a, b = entry[2], entry[3]
-                elif kind == "to_host":
-                    b = entry[2]
-                    a = next(peer for (node, peer) in net.port_map
-                             if node == b)
-                else:
-                    raise LookupError(f"unknown kind {kind!r}")
-                ports[label] = net.port_between(a, b)
-            except (LookupError, StopIteration) as exc:
-                topo = net.topology
-                raise ValueError(
-                    f"measure.sample_ports: {str(exc) or 'no such host'} in "
-                    f"{entry!r}; known kinds: between, to_host; known "
-                    f"nodes: hosts 0..{topo.n_hosts - 1}, switches "
-                    f"{topo.n_hosts}..{topo.n_hosts + topo.n_switches - 1}"
-                ) from None
-        return ports
 
     @contextmanager
     def running(self):
@@ -138,13 +110,7 @@ class PacketBackend:
                 for (device, port), peer in net.origin_of.items()
             ]
         if net.metrics.goodput is not None:
-            extras["goodput"] = {
-                "bin_ns": net.metrics.goodput.bin_ns,
-                "bins": {
-                    str(flow_id): {str(idx): n for idx, n in bins.items()}
-                    for flow_id, bins in net.metrics.goodput._bins.items()
-                },
-            }
+            extras["goodput"] = net.metrics.goodput.payload()
         if self.driver is not None:
             extras["link_events"] = self.driver.report()
         sampler = self.sampler
@@ -208,3 +174,45 @@ def generate_load_flows(
             start_offset=period / 2,
         )
     return specs, duration
+
+
+def sample_probes(topology: Topology, declarations: list | None
+                  ) -> dict[str, tuple[int, int]]:
+    """``measure["sample_ports"]`` as ``label -> (a, b)``: the egress of
+    node ``a`` toward node ``b``, which every backend samples under
+    ``label`` (a packet port, a fluid link row).
+
+    Each declaration is ``[label, "between", a, b]`` or
+    ``[label, "to_host", h]`` (the switch egress feeding host ``h`` —
+    the usual bottleneck probe).  Without declarations: every switch
+    egress, labelled ``sw{a}->{b}``, switches in id order and each
+    switch's peers in link order.  A parallel pair is one probe, its
+    first member's port on the packet engine.
+    """
+    adjacency = topology.adjacency()
+    if declarations is None:
+        return {f"sw{a}->{b}": (a, b)
+                for a in topology.switches for b, _ in adjacency[a]}
+    probes = {}
+    for entry in declarations:
+        try:
+            label, kind = entry[0], entry[1]
+            if kind == "between":
+                a, b = entry[2], entry[3]
+                if all(peer != b for peer, _ in adjacency.get(a, ())):
+                    raise LookupError(f"no link {a} -> {b}")
+            elif kind == "to_host":
+                b = entry[2]
+                link = topology.host_link(b)
+                a = link.a if link.b == b else link.b
+            else:
+                raise LookupError(f"unknown kind {kind!r}")
+        except (LookupError, ValueError) as exc:
+            raise ValueError(
+                f"measure.sample_ports: {exc} in {entry!r}; known kinds: "
+                f"between, to_host; known nodes: hosts "
+                f"0..{topology.n_hosts - 1}, switches {topology.n_hosts}.."
+                f"{topology.n_hosts + topology.n_switches - 1}"
+            ) from None
+        probes[label] = (a, b)
+    return probes

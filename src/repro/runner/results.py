@@ -140,14 +140,7 @@ class RunRecord:
     def goodput(self) -> GoodputTracker | None:
         """Rebuild the goodput tracker (if the run recorded one)."""
         data = self.extras.get("goodput")
-        if not data:
-            return None
-        tracker = GoodputTracker(data["bin_ns"])
-        for flow_id, bins in data["bins"].items():
-            tracker._bins[int(flow_id)] = {
-                int(idx): nbytes for idx, nbytes in bins.items()
-            }
-        return tracker
+        return GoodputTracker.from_payload(data) if data else None
 
     def pause_tracker(self) -> PauseTracker:
         """Rebuild a tracker from recorded intervals (requires the

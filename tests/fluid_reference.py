@@ -89,6 +89,7 @@ class ScalarFluidEngine:
         mtu: int = 1000,
         buffer_bytes: float = 32 * MB,
         sample_interval: float | None = None,
+        probes: dict[str, tuple[int, int]] | None = None,
         goodput_bin: float | None = None,
     ) -> None:
         self.topology = topology
@@ -135,11 +136,13 @@ class ScalarFluidEngine:
 
         self.sample_interval = sample_interval
         self._last_sample = -float("inf")
-        self._sample_links = (
-            self.graph.switch_egress_links() if sample_interval is not None else []
-        )
+        if sample_interval is None or probes is None:
+            probes = {}
+        self._sample_links = {
+            label: self.graph.links[pair] for label, pair in probes.items()
+        }
         self.queue_samples: dict[str, dict[str, list[float]]] = {
-            link.label: {"times": [], "qlens": []} for link in self._sample_links
+            label: {"times": [], "qlens": []} for label in probes
         }
         self.goodput_bin = goodput_bin
         self._goodput = (
@@ -436,8 +439,8 @@ class ScalarFluidEngine:
             and self.now - self._last_sample >= self.sample_interval
         ):
             self._last_sample = self.now
-            for link in self._sample_links:
-                series = self.queue_samples[link.label]
+            for label, link in self._sample_links.items():
+                series = self.queue_samples[label]
                 series["times"].append(self.now)
                 series["qlens"].append(link.queue)
 

@@ -86,7 +86,11 @@ VARIANTS = {
 #: engines came to price a path alike: fluid had priced the dual trunk
 #: at its pooled 100 Gbps, and each fluid flow's ``ideal`` rose by
 #: 92 ns (146 348 -> 146 440 ns) to the packet value; nothing else in
-#: those records moved.
+#: those records moved.  The fluid and all-background ``flows`` digests
+#: were re-captured again when fluid came to sample the declared probes:
+#: diffed field by field, only ``queues`` moved, its six ``sw{a}->{b}``
+#: series replaced by ``trunk`` and ``rx``, each equal to the parent's
+#: ``sw4->5`` and ``sw5->2`` series.
 PINNED = {
     ("load", "packet"):
         "84c9973af37b9d01f232c5d2e2b00c60ae102dc35a44c7d0cbbdad3c0520031d",
@@ -101,13 +105,13 @@ PINNED = {
     ("flows", "packet"):
         "8135142a0439bb0dfbafeb0ef8092244c718f38efb637f2b44c9e166374b5d66",
     ("flows", "fluid"):
-        "59c255c891651edae47d1b76999fc41478bcdee7f7f2543ede051956984d3ba4",
+        "6ade14bdb5b83e35fc6aa2b3eb55f68ad3b908eb7843f803e3b89c300ce850b5",
     ("flows", "hybrid_mixed"):
         "cb4e2c4ef4ea76b25986a9c320bd13d580a9ca3854f5c59164ae5855c5c22df5",
     ("flows", "hybrid_all"):
         "e8811cbc0d670e16e707bf999a78f284843c19070b74a1b150a98195e8b91c29",
     ("flows", "hybrid_none"):
-        "55632cf68ff893ee36f6d1094f2780e605d5ff7345d84ae1ba0354b8bb94caa6",
+        "f4116d9d0f9e1d2f60f51ccb42d794e9b2beed2ff9df494dc0840eef004aa9d2",
 }
 
 
@@ -212,6 +216,38 @@ class TestCommonRecordShape:
         assert set(record.extras["final_windows"]) == {"1", "2"}
 
 
+class TestDeclaredProbes:
+    """Every backend samples the queues a spec declares, under the
+    declared labels: one ``queues`` key set per spec."""
+
+    @staticmethod
+    def probed_cells() -> list[ScenarioSpec]:
+        """The bench grids of every figure with refdata: the cells that
+        declare ``measure.sample_ports``."""
+        from repro.experiments import EXPERIMENTS
+        from repro.report import available_refdata
+
+        return [
+            spec
+            for key in available_refdata() if key in EXPERIMENTS
+            for spec in EXPERIMENTS[key][1].scenarios(scale="bench")
+            if "sample_ports" in spec.measure
+        ]
+
+    def test_packet_and_fluid_records_carry_the_declared_labels(self):
+        import repro.runner.execute as execute
+
+        cells = self.probed_cells()
+        assert len(cells) >= 10, "fig6, fig9, fig13, fig14, appendix"
+        for spec in cells:
+            declared = [entry[0] for entry in spec.measure["sample_ports"]]
+            for backend in ("packet", "fluid"):
+                # The labels are fixed at setup: collect without running.
+                job = execute._setup_network(spec.replaced(backend=backend))
+                queues = job.backend.record(False).queues
+                assert list(queues) == declared, (spec.label, backend)
+
+
 class TestDiagnosableRejections:
     #: name -> (malformed spec, fragments the error message must carry)
     MALFORMED = {
@@ -238,11 +274,15 @@ class TestDiagnosableRejections:
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(MALFORMED))
-    def test_error_names_field_value_and_known_values(self, name):
+    @pytest.mark.parametrize("name,backend", [
+        (name, backend) for name in sorted(MALFORMED)
+        for backend in (sorted(VARIANTS) if name == "sample_port"
+                        else ["packet"])
+    ])
+    def test_error_names_field_value_and_known_values(self, name, backend):
         spec, fragments = self.MALFORMED[name]
         with pytest.raises(ValueError) as err:
-            execute_spec(spec)
+            execute_spec(variant(spec, backend))
         for fragment in fragments:
             assert fragment in str(err.value)
 

@@ -18,6 +18,7 @@ import pytest
 from repro import Network, NetworkConfig
 from repro.fluid import FluidEngine, fluid_supported
 from repro.runner import RunRecord, ScenarioSpec, execute_spec
+from repro.runner.harness import sample_probes
 from repro.sim.flow import FlowSpec
 from repro.sim.units import US
 from repro.topology import star
@@ -108,6 +109,7 @@ class TestFluidEngine:
         engine = FluidEngine(
             _topology(), cc_name="hpcc", base_rtt=BASE_RTT,
             sample_interval=BASE_RTT,
+            probes=sample_probes(_topology(), None),
         )
         engine.add_flows(two_flows())
         engine.run(deadline=DEADLINE)
@@ -190,7 +192,8 @@ class TestFailoverCrossValidation:
         )
         out = {}
         for backend in ("packet", "fluid"):
-            specs = failover.scenarios(schemes=schemes, backend=backend)
+            specs = [spec.replaced(backend=backend)
+                     for spec in failover.scenarios(schemes=schemes)]
             out[backend] = failover.render(
                 specs, SweepRunner().run(specs)).stats
         return out

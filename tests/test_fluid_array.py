@@ -44,6 +44,7 @@ from repro.fluid import FluidBatch, FluidEngine, GoodputRecorder
 from repro.fluid.adapters import int_samples
 from repro.fluid.programs import FluidBackend
 from repro.runner import ScenarioSpec
+from repro.runner.harness import sample_probes
 from repro.sim.flow import FlowSpec
 from repro.sim.packet import IntHop
 from repro.sim.units import US
@@ -113,6 +114,25 @@ class TestBitExactEquivalence:
         scalar = _run(ScalarFluidEngine, "hpcc", flows, goodput_bin=10_000.0)
         assert array.goodput_bins == scalar.goodput_bins
         assert array.goodput_payload() == scalar.goodput_payload()
+
+    def test_queue_samples_bit_identical(self):
+        """Both engines sample one probe map: every switch egress by
+        default, then the busiest one declared under its own label."""
+        flows = _fattree_flows()
+        declared = None
+        for _ in range(2):
+            probes = sample_probes(bench_fattree(), declared)
+            array = _run(FluidEngine, "dcqcn", flows,
+                         sample_interval=BASE_RTT, probes=probes)
+            scalar = _run(ScalarFluidEngine, "dcqcn", flows,
+                          sample_interval=BASE_RTT, probes=probes)
+            assert list(array.queue_samples) == list(probes)
+            assert array.queue_samples == scalar.queue_samples
+            busiest = max(probes, key=lambda label: max(
+                array.queue_samples[label]["qlens"]))
+            assert max(array.queue_samples[busiest]["qlens"]) > 0.0
+            declared = [["bneck", "between", *probes[busiest]]]
+        assert list(array.queue_samples) == ["bneck"]
 
 
 class TestStaggeredTolerance:
@@ -246,17 +266,6 @@ class TestGoodputRecorder:
 
 
 class TestStateCaches:
-    def test_link_labels_precomputed_and_stable(self):
-        engine = FluidEngine(bench_fattree(), cc_name="hpcc")
-        for link in engine.graph.link_list:
-            assert link.label == f"sw{link.a}->{link.b}"
-
-    def test_switch_egress_links_cached(self):
-        engine = FluidEngine(bench_fattree(), cc_name="hpcc")
-        first = engine.graph.switch_egress_links()
-        assert engine.graph.switch_egress_links() is first
-        assert all(l.is_switch_egress for l in first)
-
     def test_link_indices_match_arrays(self):
         engine = FluidEngine(bench_fattree(), cc_name="hpcc")
         arrays = engine.arrays
@@ -493,8 +502,7 @@ class TestArrayInternals:
         cut = []
 
         def fail():
-            link = max(engine.graph.switch_egress_links(),
-                       key=lambda l: l.queue)
+            link = max(engine.graph.link_list, key=lambda l: l.queue)
             cut.append((link.a, link.b))
             engine.fail_link(*cut[0])
             assert link.capacity == 0.0 and link.dropped_bytes > 0.0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.metrics import QueueSampler, pause_fraction
 from repro.network import Network, NetworkConfig
+from repro.runner.harness import sample_probes
 from repro.sim.units import MS, US, gbps
 from repro.topology import bench_fattree, dumbbell, star
 from repro.topology import testbed as make_testbed
@@ -121,15 +122,24 @@ class TestHelpers:
         with pytest.raises(LookupError):
             net.port_between(0, 2)       # hosts are not adjacent
 
-    def test_switch_port_labels(self):
-        net = Network(star(3), NetworkConfig())
-        labels = net.switch_port_labels()
-        assert len(labels) == 3
-        assert all(label.startswith("sw3->") for label in labels)
+    def test_default_probes_are_every_switch_port_in_port_order(self):
+        assert sample_probes(star(3), None) == {
+            "sw3->0": (3, 0), "sw3->1": (3, 1), "sw3->2": (3, 2)}
+        net = Network(bench_fattree(), NetworkConfig())
+        probes = sample_probes(net.topology, None)
+        assert list(probes) == [
+            f"sw{sw}->{switch.port_peer[port]}"
+            for sw, switch in net.switches.items() for port in switch.ports
+        ]
+        for label, (a, b) in probes.items():
+            assert net.switches[a].port_peer[net.port_between(a, b).port_id] == b
 
     def test_sample_queues_default_all_switch_ports(self):
         net = Network(star(3), NetworkConfig())
-        sampler = QueueSampler(net.sim, net.switch_port_labels(), 10 * US)
+        sampler = QueueSampler(net.sim, {
+            label: net.port_between(a, b)
+            for label, (a, b) in sample_probes(net.topology, None).items()
+        }, 10 * US)
         net.run(until=100 * US)
         assert len(sampler.times) == 10
 

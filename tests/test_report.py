@@ -18,7 +18,6 @@ from repro.report import (
     load_refdata,
     nice_ticks,
     nrmse,
-    queue_series,
     refdata_path,
     render_panel,
     resample,
@@ -327,29 +326,6 @@ class TestFigureHelpers:
         panel = bucket_panel("k", "t", {"A": stats})
         assert panel.series[0].x == [1.0]
         assert panel.series[0].y == [2.0]
-
-    def test_queue_series_prefers_exact_label(self):
-        record = RunRecord(
-            spec=ScenarioSpec(program="flows"),
-            queues={
-                "bneck": {"times": [1.0], "qlens": [5]},
-                "other": {"times": [1.0], "qlens": [99]},
-            },
-        )
-        t, q = queue_series(record, "bneck")
-        assert q == [5.0]
-
-    def test_queue_series_falls_back_to_largest_peak(self):
-        # Fluid records label queues by link name, not probe label.
-        record = RunRecord(
-            spec=ScenarioSpec(program="flows"),
-            queues={
-                "sw17->0": {"times": [1.0], "qlens": [0]},
-                "sw17->16": {"times": [1.0], "qlens": [123]},
-            },
-        )
-        t, q = queue_series(record, "bneck")
-        assert q == [123.0]
 
 
 # -- SVG emitter ------------------------------------------------------------------
