@@ -33,7 +33,7 @@ from ..dynamics import Timeline, TimelineDriver
 from ..obs import current as current_telemetry
 from ..obs import instrument_fluid, maybe_span
 from ..runner.harness import sample_probes
-from ..runner.results import RunRecord, fct_rows
+from ..runner.results import FctTable, RunRecord
 from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
 from ..sim.units import MB
@@ -168,7 +168,7 @@ class FluidBackend:
             extras["fluid_ignored_config"] = self.ignored
         return RunRecord(
             spec=self.spec,
-            fct=fct_rows(engine.fct_records),
+            fct_table=FctTable.of(engine.fct_records),
             queues={
                 label: {"times": list(s["times"]), "qlens": list(s["qlens"])}
                 for label, s in engine.queue_samples.items()

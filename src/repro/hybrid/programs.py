@@ -111,11 +111,11 @@ class HybridBackend:
         """The packet half's record with the fluid half folded in.
 
         Queue series, pause accounting, ``switch_queued_bytes`` and
-        ``link_events`` stay the packet half's; FCT rows, goodput bins,
-        drops and the work counters are summed or unioned.
+        ``link_events`` stay the packet half's; the two FCT tables are
+        joined in ``(finish, flow_id)`` order, and goodput bins, drops and
+        the work counters are summed or unioned.
         """
-        record.fct = sorted(
-            record.fct + bg.fct, key=lambda r: (r["finish"], r["flow_id"]))
+        record.fct_table = record.fct_table.merged(bg.fct_table)
         record.events_processed += bg.events_processed
         record.duration_ns = max(record.duration_ns, bg.duration_ns)
         extras = record.extras

@@ -422,7 +422,7 @@ def _build_hybrid_cell(out: Path, runner: SweepRunner,
         "hybrid_epochs": extras.get("hybrid_epochs"),
         "events_processed": record.events_processed,
         "duration_ns": _json_number(record.duration_ns),
-        "n_fct": len(record.fct),
+        "n_fct": len(record.fct_table),
         "wall_time_s": round(wall, 3),
         "cached": record.cached,
     }

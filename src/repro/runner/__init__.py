@@ -25,7 +25,7 @@ from .execute import (
 )
 from .harness import generate_load_flows
 from .journal import SweepJournal
-from .results import RunCache, RunRecord, write_records_csv
+from .results import FctTable, RunCache, RunRecord, write_records_csv
 from .spec import (
     BACKENDS,
     CcChoice,
@@ -41,6 +41,7 @@ __all__ = [
     "BACKENDS",
     "CDFS",
     "CcChoice",
+    "FctTable",
     "PROGRAMS",
     "RunCache",
     "RunRecord",

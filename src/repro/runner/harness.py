@@ -19,7 +19,7 @@ from ..obs import current as current_telemetry
 from ..obs import instrument_simulator, maybe_span
 from ..sim.flow import FlowSpec
 from ..topology.base import Topology
-from .results import RunRecord, fct_rows
+from .results import FctTable, RunRecord
 from .spec import ScenarioSpec
 
 
@@ -116,7 +116,7 @@ class PacketBackend:
         sampler = self.sampler
         return RunRecord(
             spec=self.spec,
-            fct=fct_rows(net.metrics.fct_records),
+            fct_table=FctTable.of(net.metrics.fct_records),
             queues={} if sampler is None else {
                 label: {"times": list(sampler.times), "qlens": list(values)}
                 for label, values in sampler.samples.items()

@@ -1,9 +1,10 @@
 """Run results: serializable records, persistence and the on-disk cache.
 
 A :class:`RunRecord` is everything a figure needs from one scenario run,
-as plain JSON-able data: FCT records, queue-length series, goodput bins,
-pause intervals and assorted counters.  Reconstruction helpers hand back
-the same objects the live network would have produced
+as plain JSON-able data: the finished flows (an :class:`FctTable` of
+typed columns), queue-length series, goodput bins, pause intervals and
+assorted counters.  Reconstruction helpers hand back the same objects
+the live network would have produced
 (:class:`~repro.sim.flow.FctRecord`,
 :class:`~repro.metrics.timeseries.GoodputTracker`,
 :class:`~repro.sim.pfc.PauseTracker`), so figure post-processing is
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -29,25 +32,124 @@ from ..sim.pfc import PauseInterval, PauseTracker
 from .spec import ScenarioSpec
 
 #: The one record layout written and read: 2 added ``status``/``error``/
-#: ``attempts`` (the fault-tolerance fields).
-RECORD_FORMAT = 2
+#: ``attempts`` (the fault-tolerance fields), 3 stores the finished flows
+#: as columns (``"fct": {column: [values]}``) instead of one object per
+#: flow.
+RECORD_FORMAT = 3
 
 #: Terminal execution outcomes a record can carry.
 RECORD_STATUSES = ("ok", "error", "timeout")
 
+#: The FCT table's columns, in the key order of a :attr:`RunRecord.fct` row.
+FCT_COLUMNS = ("flow_id", "src", "dst", "size", "start_time", "tag",
+               "start", "finish", "ideal")
+_FLOW_ID = FCT_COLUMNS.index("flow_id")
+_FINISH = FCT_COLUMNS.index("finish")
 
-def fct_rows(records: Iterable[FctRecord]) -> list[dict]:
-    """Finished flows as ``RunRecord.fct`` rows — every backend's FCT
-    payload, and the inverse of :meth:`RunRecord.fct_records`."""
-    return [
-        {
-            "flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
-            "size": r.spec.size, "start_time": r.spec.start_time,
-            "tag": r.spec.tag, "start": r.start, "finish": r.finish,
-            "ideal": r.ideal,
-        }
-        for r in records
-    ]
+
+def _column(name: str, values) -> array | tuple:
+    """``tag`` as a tuple of interned strings; every other column an
+    ``array('q')`` while all its values are ints, else ``array('d')``, so
+    a value reads back as the type it was stored as (a declared ``0``
+    start stays ``0``; a column mixing ints and floats reads floats)."""
+    if name == "tag":
+        return tuple(map(sys.intern, values))
+    try:
+        return array("q", values)
+    except TypeError:
+        return array("d", values)
+
+
+class _Row(dict):
+    """One row of :attr:`RunRecord.fct`.  Rows are rebuilt from the table
+    on every access, so they refuse writes rather than drop them."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("RunRecord.fct rows are read-only views of "
+                        "RunRecord.fct_table")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+@dataclass(frozen=True, slots=True)
+class FctTable:
+    """A run's finished flows as typed columns, one entry per flow:
+    ≈72 bytes a flow, against ≈400 for a dict per flow."""
+
+    flow_id: array
+    src: array
+    dst: array
+    size: array
+    start_time: array
+    tag: tuple
+    start: array
+    finish: array
+    ideal: array
+
+    @classmethod
+    def of(cls, records: Iterable[FctRecord] = ()) -> "FctTable":
+        """The table of ``records``, in their order: every backend's FCT
+        payload, and the inverse of :meth:`records`."""
+        records = list(records)
+        specs = [r.spec for r in records]
+        return cls._build([
+            [s.flow_id for s in specs], [s.src for s in specs],
+            [s.dst for s in specs], [s.size for s in specs],
+            [s.start_time for s in specs], [s.tag for s in specs],
+            [r.start for r in records], [r.finish for r in records],
+            [r.ideal for r in records],
+        ])
+
+    @classmethod
+    def from_json(cls, data: dict) -> "FctTable":
+        return cls._build([data[name] for name in FCT_COLUMNS])
+
+    @classmethod
+    def _build(cls, columns: list) -> "FctTable":
+        if len({len(values) for values in columns}) > 1:
+            raise ValueError("FCT columns differ in length")
+        return cls(*(_column(name, values)
+                     for name, values in zip(FCT_COLUMNS, columns)))
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in FCT_COLUMNS)
+
+    def to_json(self) -> dict:
+        return {name: list(values)
+                for name, values in zip(FCT_COLUMNS, self.columns())}
+
+    def __len__(self) -> int:
+        return len(self.flow_id)
+
+    def rows(self) -> tuple[dict, ...]:
+        return tuple(_Row(zip(FCT_COLUMNS, values))
+                     for values in zip(*self.columns()))
+
+    def records(self) -> list[FctRecord]:
+        return [
+            FctRecord(
+                spec=FlowSpec(flow_id=flow_id, src=src, dst=dst, size=size,
+                              start_time=start_time, tag=tag),
+                start=start, finish=finish, ideal=ideal,
+            )
+            for (flow_id, src, dst, size, start_time, tag, start, finish,
+                 ideal) in zip(*self.columns())
+        ]
+
+    def merged(self, other: "FctTable") -> "FctTable":
+        """Both tables' flows in ``(finish, flow_id)`` order."""
+        columns = [list(mine) + list(theirs)
+                   for mine, theirs in zip(self.columns(), other.columns())]
+        finish, flow_id = columns[_FINISH], columns[_FLOW_ID]
+        order = sorted(range(len(flow_id)),
+                       key=lambda i: (finish[i], flow_id[i]))
+        return self._build([[values[i] for i in order] for values in columns])
 
 
 @dataclass
@@ -55,7 +157,9 @@ class RunRecord:
     """One executed scenario: the spec, its results, and run accounting."""
 
     spec: ScenarioSpec
-    fct: list[dict] = field(default_factory=list)
+    #: The finished flows, the record's one FCT storage; :attr:`fct` is
+    #: its row view.
+    fct_table: FctTable = field(default_factory=FctTable.of)
     queues: dict[str, dict] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     events_processed: int = 0
@@ -92,6 +196,13 @@ class RunRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def fct(self) -> tuple[dict, ...]:
+        """The finished flows as rows, one read-only dict per flow with
+        the keys of :data:`FCT_COLUMNS`, built from :attr:`fct_table` on
+        each access and never stored."""
+        return self.fct_table.rows()
+
     @classmethod
     def failure(cls, spec: ScenarioSpec, status: str,
                 exc: BaseException | None = None,
@@ -118,19 +229,10 @@ class RunRecord:
 
     def fct_records(self) -> list[FctRecord]:
         """The run's finished flows as live :class:`FctRecord` objects."""
-        return [
-            FctRecord(
-                spec=FlowSpec(
-                    flow_id=r["flow_id"], src=r["src"], dst=r["dst"],
-                    size=r["size"], start_time=r["start_time"], tag=r["tag"],
-                ),
-                start=r["start"], finish=r["finish"], ideal=r["ideal"],
-            )
-            for r in self.fct
-        ]
+        return self.fct_table.records()
 
     def finish_times(self) -> dict[int, float]:
-        return {r["flow_id"]: r["finish"] for r in self.fct}
+        return dict(zip(self.fct_table.flow_id, self.fct_table.finish))
 
     def flow_ids(self, tag: str) -> list[int]:
         """Flow ids of one workload tag, in spec order."""
@@ -202,7 +304,7 @@ class RunRecord:
             "format": RECORD_FORMAT,
             "spec": self.spec.to_json(),
             "spec_hash": self.spec_hash,
-            "fct": self.fct,
+            "fct": self.fct_table.to_json(),
             "queues": self.queues,
             "extras": self.extras,
             "events_processed": self.events_processed,
@@ -227,7 +329,7 @@ class RunRecord:
             raise ValueError(f"unknown record status {status!r}")
         return cls(
             spec=ScenarioSpec.from_json(data["spec"]),
-            fct=data["fct"],
+            fct_table=FctTable.from_json(data["fct"]),
             queues=data["queues"],
             extras=data["extras"],
             events_processed=data["events_processed"],
@@ -262,15 +364,16 @@ def write_records_csv(records: Iterable[RunRecord], path: str | Path) -> int:
             "cached", "status", "attempts",
         ])
         for record in records:
+            table = record.fct_table
             slowdowns = [
-                (r["finish"] - r["start"]) / r["ideal"]
-                if r["ideal"] > 0 else float("inf")
-                for r in record.fct
+                (finish - start) / ideal if ideal > 0 else float("inf")
+                for start, finish, ideal
+                in zip(table.start, table.finish, table.ideal)
             ]
             writer.writerow([
                 record.spec_hash, record.spec.label, record.spec.program,
                 record.spec.topology, record.spec.cc.display, record.spec.seed,
-                record.spec.scale, len(record.fct), record.completed,
+                record.spec.scale, len(table), record.completed,
                 f"{record.duration_ns:.1f}", record.events_processed,
                 f"{percentile(slowdowns, 50):.4f}" if slowdowns else "",
                 f"{percentile(slowdowns, 95):.4f}" if slowdowns else "",

@@ -616,7 +616,7 @@ class TestFluidDriver:
         )
         record = execute_spec(spec)
         assert not record.completed
-        assert record.fct == []
+        assert record.fct == ()
 
     def test_unfired_events_after_completion_fluid(self):
         """Backend-neutral accounting: like the packet path, fluid stops

@@ -406,7 +406,6 @@ def _synthetic_fig13():
         }
         records.append(RunRecord(
             spec=spec,
-            fct=[],
             queues=queues,
             extras={"goodput": {"bin_ns": bin_ns, "bins": bins},
                     "flow_ids": {"incast": [1]}},

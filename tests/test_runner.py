@@ -5,6 +5,7 @@ Includes the determinism guarantee the sweep runner is built on: the same
 in another process, or comes back from the cache.
 """
 
+import copy
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from repro.runner import (
     execute_spec,
     write_records_csv,
 )
-from repro.runner.results import fct_rows
+from repro.runner.results import FCT_COLUMNS, FctTable
 from repro.sim.units import US
 
 
@@ -224,9 +225,9 @@ class TestRecordExport:
     """What leaves a run as data: FCT rows, queue series, pause
     intervals and the sweep's one-row-per-record ``summary.csv``."""
 
-    def test_fct_rows_invert_fct_records(self):
+    def test_fct_table_inverts_fct_records(self):
         record = execute_spec(tiny_flows_spec())
-        assert fct_rows(record.fct_records()) == record.fct
+        assert FctTable.of(record.fct_records()) == record.fct_table
         for r in record.fct_records():
             assert r.fct == pytest.approx(r.finish - r.start)
             assert r.slowdown > 0.9
@@ -266,6 +267,127 @@ class TestRecordExport:
         assert failed_row["status"] == "timeout"
         assert failed_row["flows_finished"] == "0"
         assert failed_row["slowdown_p50"] == failed_row["slowdown_p99"] == ""
+
+
+def _plain_rows(records) -> list[dict]:
+    """FCT rows built straight from ``FctRecord``s, key for key."""
+    return [
+        {"flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
+         "size": r.spec.size, "start_time": r.spec.start_time,
+         "tag": r.spec.tag, "start": r.start, "finish": r.finish,
+         "ideal": r.ideal}
+        for r in records
+    ]
+
+
+class TestFctTable:
+    """A record's finished flows are one table of typed columns; ``fct``
+    is a row view built from it on every access."""
+
+    def test_columns_survive_json_and_pickle(self):
+        import pickle
+
+        record = execute_spec(tiny_load_spec())
+        table = record.fct_table
+        assert len(table) > 0
+        payload = json.loads(json.dumps(record.to_json()))
+        assert set(payload["fct"]) == set(FCT_COLUMNS)
+        for back in (RunRecord.from_json(payload).fct_table,
+                     pickle.loads(pickle.dumps(table))):
+            assert back == table
+            for mine, theirs in zip(table.columns(), back.columns()):
+                assert type(mine) is type(theirs)
+                assert getattr(mine, "typecode", None) \
+                    == getattr(theirs, "typecode", None)
+
+    def test_row_view_is_json_identical_to_plain_rows(self):
+        record = execute_spec(tiny_load_spec())
+        rows = record.fct
+        assert [list(row) for row in rows] == [list(FCT_COLUMNS)] * len(rows)
+        expected = _plain_rows(record.fct_records())
+        assert json.dumps(rows) == json.dumps(expected)
+        assert json.dumps(rows, sort_keys=True) \
+            == json.dumps(expected, sort_keys=True)
+
+    def test_declared_int_start_stays_int(self):
+        spec = tiny_flows_spec(**{"workload.flows": [
+            [0, 2, 60_000, 0, "a"], [1, 2, 60_000, 0, "b"]]})
+        for record in (execute_spec(spec),
+                       execute_spec(spec.replaced(backend="fluid"))):
+            back = RunRecord.from_json(
+                json.loads(json.dumps(record.to_json())))
+            for row in record.fct + back.fct:
+                assert type(row["start_time"]) is int
+                assert type(row["start"]) is int
+                assert type(row["finish"]) is float
+
+    def test_row_view_refuses_writes(self):
+        record = execute_spec(tiny_flows_spec())
+        row = record.fct[0]
+        with pytest.raises(TypeError, match="read-only"):
+            row["finish"] = 0.0
+        with pytest.raises(TypeError, match="read-only"):
+            row.update(finish=0.0)
+        with pytest.raises(AttributeError):
+            record.fct = []
+        with pytest.raises(AttributeError):
+            record.fct.append(dict(row))
+        assert record.fct[0] == row
+        assert copy.deepcopy(row) == row and type(copy.copy(row)) is dict
+
+    def test_readers_match_the_rows(self):
+        record = execute_spec(tiny_load_spec(backend="fluid"))
+        rows = record.fct
+        assert _plain_rows(record.fct_records()) == list(rows)
+        assert record.finish_times() \
+            == {r["flow_id"]: r["finish"] for r in rows}
+
+    def test_merge_orders_by_finish_then_flow_id(self):
+        from repro.sim.flow import FctRecord, FlowSpec
+
+        def table(entries):
+            return FctTable.of(
+                FctRecord(FlowSpec(flow_id, 0, 1, 1_000, 0.0, tag),
+                          start=0.0, finish=finish, ideal=1.0)
+                for flow_id, finish, tag in entries)
+
+        packet = table([(4, 30.0, "fg"), (2, 10.0, "fg"), (7, 20.0, "fg")])
+        fluid = table([(3, 20.0, "bg"), (1, 30.0, "bg"), (5, 10.0, "bg")])
+        merged = packet.merged(fluid)
+        expected = sorted(list(packet.rows()) + list(fluid.rows()),
+                          key=lambda r: (r["finish"], r["flow_id"]))
+        assert list(merged.rows()) == expected
+        assert list(merged.flow_id) == [2, 5, 3, 7, 1, 4]
+
+    def test_hybrid_record_is_in_finish_order(self):
+        record = execute_spec(tiny_load_spec(
+            backend="hybrid",
+            **{"workload.foreground": {"kind": "frac", "x": 0.5}}))
+        assert record.extras["hybrid_mode"] == "mixed"
+        rows = list(record.fct)
+        assert rows == sorted(rows, key=lambda r: (r["finish"], r["flow_id"]))
+
+    def test_storage_is_under_100_bytes_per_flow(self):
+        """The parent layout, a dict per flow, held ≈400 B a flow."""
+        import tracemalloc
+
+        record = execute_spec(tiny_load_spec(
+            backend="fluid", **{"workload.n_flows": 2_200}))
+        finished = record.fct_records()
+        payload = json.loads(json.dumps(record.fct_table.to_json()))
+        assert len(finished) >= 2_000
+        tracemalloc.start()
+        try:
+            for build in (lambda: FctTable.of(finished),
+                          lambda: FctTable.from_json(payload)):
+                before = tracemalloc.get_traced_memory()[0]
+                table = build()
+                held = tracemalloc.get_traced_memory()[0] - before
+                assert table == record.fct_table
+                assert held / len(table) <= 100
+                del table
+        finally:
+            tracemalloc.stop()
 
 
 class TestRunCache:
@@ -315,21 +437,23 @@ class TestRunCache:
         assert cache.get(spec) is None
         assert path.with_suffix(".corrupt").exists()
 
-    @pytest.mark.parametrize("fmt", [999, 1, None])
+    @pytest.mark.parametrize("fmt", [999, 2, 1, None])
     def test_schema_mismatch_is_quarantined(self, tmp_path, fmt):
-        """One readable format: a future one, the retired format 1 and a
-        payload with no ``format`` are all refused by name, sidelined,
-        and recomputed."""
+        """One readable format: a future one, the retired formats 2 (one
+        FCT row per flow) and 1, and a payload with no ``format`` are all
+        refused by name, sidelined, and recomputed."""
         cache = RunCache(tmp_path)
         spec = tiny_flows_spec()
-        SweepRunner(cache=cache).run([spec])
+        [record] = SweepRunner(cache=cache).run([spec])
         path = cache.path_for(spec)
         data = json.loads(path.read_text())
         if fmt is None:
             del data["format"]
         else:
             data["format"] = fmt
-        with pytest.raises(ValueError, match="reads format 2"):
+        if fmt == 2:
+            data["fct"] = [dict(row) for row in record.fct]
+        with pytest.raises(ValueError, match="reads format 3"):
             RunRecord.from_json(data)
         path.write_text(json.dumps(data))
         assert cache.get(spec) is None
@@ -396,7 +520,8 @@ class TestSweepRunner:
         runner = SweepRunner(progress=lambda r, d, t: runs.append(r))
         records = runner.run(specs)
         assert len(runs) == 2                      # both notified...
-        assert records[0].fct is records[1].fct    # ...one computation shared
+        # ...one computation shared
+        assert records[0].fct_table is records[1].fct_table
         assert records[0].spec.label == "a"
         assert records[1].spec.label == "b"
 
