@@ -12,14 +12,14 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from .journal import SweepJournal
 
 from ..obs import Telemetry
@@ -27,9 +27,14 @@ from .execute import execute_specs, shares_batch, validate_specs
 from .results import RunCache, RunRecord
 from .spec import ScenarioSpec
 
-# Infrastructure failures that mean "this environment cannot fork a pool";
-# real execution errors inside a worker become error-status records.
-_POOL_ERRORS = (BrokenProcessPool, OSError, PermissionError, ImportError)
+
+def _pool_errors() -> tuple[type[BaseException], ...]:
+    """Infrastructure failures that mean "this environment cannot fork a
+    pool"; real execution errors inside a worker become error-status
+    records.  The pool's modules load only when a pool starts."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (BrokenProcessPool, OSError, PermissionError, ImportError)
 
 ProgressFn = Callable[[RunRecord, int, int], None]
 
@@ -353,6 +358,9 @@ class SweepRunner:
         look alike: each of those cells goes back as a unit of one that
         runs alone from then on, so the culprit's next death is its own.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        pool_errors = _pool_errors()
         tel = self.telemetry
         computed: dict[str, RunRecord] = {}
         queue = deque(units)
@@ -390,7 +398,7 @@ class SweepRunner:
                             _unit_records, [to_run[key] for key in unit],
                             tel is not None, self._execute,
                         )
-                    except _POOL_ERRORS:
+                    except pool_errors:
                         return computed       # degrade to the serial path
                     inflight[future] = (unit, time.monotonic())
 
@@ -407,7 +415,7 @@ class SweepRunner:
                     unit, _started = inflight.pop(future)
                     try:
                         outcomes = future.result()
-                    except _POOL_ERRORS:
+                    except pool_errors:
                         lost += unit
                         continue
                     for i, record in outcomes:
@@ -481,9 +489,11 @@ class SweepRunner:
     # -- pool lifecycle ----------------------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             return ProcessPoolExecutor(max_workers=self.jobs)
-        except _POOL_ERRORS:
+        except _pool_errors():
             return None
 
     @staticmethod

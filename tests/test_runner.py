@@ -525,6 +525,22 @@ class TestSweepRunner:
         assert records[0].spec.label == "a"
         assert records[1].spec.label == "b"
 
+    def test_pool_modules_load_only_when_a_pool_starts(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = ("import sys, repro.runner; "
+                 "print('concurrent.futures' in sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "False"
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
