@@ -13,12 +13,14 @@ from ..sim.queues import EgressPort
 
 
 class QueueSampler:
-    """Periodically samples the queue length of a set of egress ports."""
+    """Periodically samples the queue length of a set of probes, each the
+    egress ports of one node pair: a parallel pair's probe reads the sum
+    of its member ports' queues, as the fluid engine's pooled link does."""
 
     def __init__(
         self,
         sim: Simulator,
-        ports: dict[str, EgressPort],
+        ports: dict[str, list[EgressPort]],
         interval: float,
         start_delay: float | None = None,
     ) -> None:
@@ -33,8 +35,9 @@ class QueueSampler:
 
     def _sample(self) -> None:
         self.times.append(self.sim.now)
-        for label, port in self.ports.items():
-            self.samples[label].append(port.qlen_bytes)
+        for label, members in self.ports.items():
+            self.samples[label].append(
+                sum(port.qlen_bytes for port in members))
 
     def stop(self) -> None:
         self._task.cancel()

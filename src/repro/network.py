@@ -357,11 +357,17 @@ class Network:
 
     # -- introspection ----------------------------------------------------------------
 
-    def port_between(self, a: int, b: int):
-        """The egress port on device ``a`` facing device ``b``."""
+    def ports_between(self, a: int, b: int) -> list:
+        """Every egress port on device ``a`` facing device ``b``, in port
+        order: more than one on a parallel pair."""
         ports = self.port_map.get((a, b))
         if not ports:
             raise LookupError(f"no link {a} -> {b}")
         if self.topology.is_host(a):
-            return self.nics[a].port
-        return self.switches[a].ports[ports[0]]
+            return [self.nics[a].port]
+        switch = self.switches[a]
+        return [switch.ports[port] for port in ports]
+
+    def port_between(self, a: int, b: int):
+        """The first egress port on device ``a`` facing device ``b``."""
+        return self.ports_between(a, b)[0]

@@ -59,7 +59,7 @@ class PacketBackend:
             probes = sample_probes(net.topology,
                                    self.spec.measure.get("sample_ports"))
             self.sampler = QueueSampler(net.sim, {
-                label: net.port_between(a, b)
+                label: net.ports_between(a, b)
                 for label, (a, b) in probes.items()
             }, interval)
         net.add_flows(flows)

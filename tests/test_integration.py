@@ -19,7 +19,7 @@ class TestHpccHeadlines:
     def test_near_zero_steady_queue(self):
         """Two elephants under HPCC: q95 stays a few KB (Figure 9f)."""
         net = incast_net("hpcc", fan_in=3)
-        sampler = QueueSampler(net.sim, {"b": net.port_between(4, 3)}, 1 * US)
+        sampler = QueueSampler(net.sim, {"b": net.ports_between(4, 3)}, 1 * US)
         for s in range(2):
             net.add_flow(net.make_flow(s, 3, 4_000_000))
         net.run_until_done(deadline=10 * MS)

@@ -6,7 +6,7 @@ from repro.metrics import QueueSampler, pause_fraction
 from repro.network import Network, NetworkConfig
 from repro.runner.harness import sample_probes
 from repro.sim.units import MS, US, gbps
-from repro.topology import bench_fattree, dumbbell, star
+from repro.topology import bench_fattree, dual_trunk, dumbbell, star
 from repro.topology import testbed as make_testbed
 
 
@@ -137,11 +137,29 @@ class TestHelpers:
     def test_sample_queues_default_all_switch_ports(self):
         net = Network(star(3), NetworkConfig())
         sampler = QueueSampler(net.sim, {
-            label: net.port_between(a, b)
+            label: net.ports_between(a, b)
             for label, (a, b) in sample_probes(net.topology, None).items()
         }, 10 * US)
         net.run(until=100 * US)
         assert len(sampler.times) == 10
+
+    def test_parallel_pair_probe_reads_the_pooled_queue(self):
+        """A probe on a parallel pair samples the sum of its members'
+        queues, read at the same instants as each member alone."""
+        net = Network(dual_trunk(n_pairs=4, trunk_rate="10Gbps"),
+                      NetworkConfig(base_rtt=9 * US))
+        members = net.ports_between(8, 9)
+        assert len(members) == 2
+        assert net.port_between(8, 9) is members[0]
+        sampler = QueueSampler(net.sim, {
+            "trunk": members, "m0": members[:1], "m1": members[1:],
+        }, 2 * US)
+        for i in range(4):
+            net.add_flow(net.make_flow(i, i + 4, 200_000))
+        net.run_until_done(deadline=5 * MS)
+        m0, m1 = sampler.samples["m0"], sampler.samples["m1"]
+        assert max(m0) > 0 and max(m1) > 0
+        assert sampler.samples["trunk"] == [a + b for a, b in zip(m0, m1)]
 
     def test_host_pause_fraction_zero_without_pauses(self):
         net = Network(star(3), NetworkConfig())
