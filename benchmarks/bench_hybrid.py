@@ -54,8 +54,8 @@ def run_comparison() -> dict:
         "packet_s": packet_s,
         "hybrid_s": hybrid_s,
         "speedup": packet_s / hybrid_s,
-        "packet_flows": [len(r.fct) for r in packet_records],
-        "hybrid_flows": [len(r.fct) for r in hybrid_records],
+        "packet_flows": [len(r.fct_table) for r in packet_records],
+        "hybrid_flows": [len(r.fct_table) for r in hybrid_records],
         "foreground": [r.extras.get("foreground_flows")
                        for r in hybrid_records],
         "background": [r.extras.get("background_flows")

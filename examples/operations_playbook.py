@@ -77,7 +77,7 @@ def main() -> None:
     n_rows = write_records_csv([record], out_dir / "summary.csv")
     samples = sum(len(q["qlens"]) for q in record.queues.values())
     print(f"\nwrote to {out_dir}:")
-    print(f"  {cache.path_for(FAILOVER).name} ({len(record.fct)} flows, "
+    print(f"  {cache.path_for(FAILOVER).name} ({len(record.fct_table)} flows, "
           f"{samples} queue samples, "
           f"{len(record.pause_tracker().intervals)} pause intervals), "
           f"summary.csv ({n_rows} row), telemetry.jsonl")

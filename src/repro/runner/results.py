@@ -43,8 +43,6 @@ RECORD_STATUSES = ("ok", "error", "timeout")
 #: The FCT table's columns, in the key order of a :attr:`RunRecord.fct` row.
 FCT_COLUMNS = ("flow_id", "src", "dst", "size", "start_time", "tag",
                "start", "finish", "ideal")
-_FLOW_ID = FCT_COLUMNS.index("flow_id")
-_FINISH = FCT_COLUMNS.index("finish")
 
 
 def _column(name: str, values) -> array | tuple:
@@ -98,20 +96,22 @@ class FctTable:
         payload, and the inverse of :meth:`records`."""
         records = list(records)
         specs = [r.spec for r in records]
-        return cls._build([
-            [s.flow_id for s in specs], [s.src for s in specs],
-            [s.dst for s in specs], [s.size for s in specs],
-            [s.start_time for s in specs], [s.tag for s in specs],
-            [r.start for r in records], [r.finish for r in records],
-            [r.ideal for r in records],
-        ])
+        return cls.from_json({
+            "flow_id": [s.flow_id for s in specs],
+            "src": [s.src for s in specs],
+            "dst": [s.dst for s in specs],
+            "size": [s.size for s in specs],
+            "start_time": [s.start_time for s in specs],
+            "tag": [s.tag for s in specs],
+            "start": [r.start for r in records],
+            "finish": [r.finish for r in records],
+            "ideal": [r.ideal for r in records],
+        })
 
     @classmethod
     def from_json(cls, data: dict) -> "FctTable":
-        return cls._build([data[name] for name in FCT_COLUMNS])
-
-    @classmethod
-    def _build(cls, columns: list) -> "FctTable":
+        """The table of ``{column: [values]}``, as :meth:`to_json` writes."""
+        columns = [data[name] for name in FCT_COLUMNS]
         if len({len(values) for values in columns}) > 1:
             raise ValueError("FCT columns differ in length")
         return cls(*(_column(name, values)
@@ -144,12 +144,13 @@ class FctTable:
 
     def merged(self, other: "FctTable") -> "FctTable":
         """Both tables' flows in ``(finish, flow_id)`` order."""
-        columns = [list(mine) + list(theirs)
-                   for mine, theirs in zip(self.columns(), other.columns())]
-        finish, flow_id = columns[_FINISH], columns[_FLOW_ID]
+        joined = {name: [*getattr(self, name), *getattr(other, name)]
+                  for name in FCT_COLUMNS}
+        finish, flow_id = joined["finish"], joined["flow_id"]
         order = sorted(range(len(flow_id)),
                        key=lambda i: (finish[i], flow_id[i]))
-        return self._build([[values[i] for i in order] for values in columns])
+        return self.from_json({name: [values[i] for i in order]
+                               for name, values in joined.items()})
 
 
 @dataclass

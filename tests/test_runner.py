@@ -368,7 +368,7 @@ class TestFctTable:
         assert rows == sorted(rows, key=lambda r: (r["finish"], r["flow_id"]))
 
     def test_storage_is_under_100_bytes_per_flow(self):
-        """The parent layout, a dict per flow, held ≈400 B a flow."""
+        """Columns, not a dict per flow (≈400 B a flow under tracemalloc)."""
         import tracemalloc
 
         record = execute_spec(tiny_load_spec(
