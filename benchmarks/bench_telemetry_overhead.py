@@ -6,8 +6,10 @@ probes attached the overhead must stay under the same bar — which is
 what the call-site-granularity probe design buys (one ``None`` check
 per ``run()`` call / per step, never per event).
 
-Three measurements, each min-of-N with the variants interleaved so
-machine noise hits both sides equally:
+Three measurements, each timed in the process's own CPU time
+(``time.process_time``) over N rounds that run both variants back to
+back, and judged on the median round's ratio, so host load that
+comes and goes across rounds weighs on both sides alike:
 
 * **packet off** — the true off-path cost: ``Simulator.run`` (the thin
   dispatch wrapper) vs ``Simulator._run`` (the loop body the wrapper
@@ -32,8 +34,8 @@ hot-path work, so it gets its own bar (:data:`DECISIONS_LIMIT`, <3%)
 ring.
 
 A small absolute grace (:data:`GRACE_S`) keeps sub-hundred-millisecond
-measurements from failing on scheduler jitter alone; the ratio bar is
-what matters at real workload sizes.
+measurements from failing on timer and cache jitter alone; the ratio bar
+is what matters at real workload sizes.
 
 Run standalone for a report::
 
@@ -43,6 +45,7 @@ Run standalone for a report::
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 from conftest import run_once
@@ -51,7 +54,7 @@ from repro.runner import CcChoice
 from repro.runner.execute import execute_spec
 from repro.sim.engine import Simulator
 
-#: Overhead bar: instrumented / baseline wall time.
+#: Overhead bar: instrumented / baseline CPU time.
 LIMIT = 1.02
 
 #: Overhead bar for the per-ACK decision tap (over a telemetry run).
@@ -83,45 +86,38 @@ def _drive(sim: Simulator, run) -> None:
         run(until)
 
 
-def _interleaved_min(variant_a, variant_b, repeats: int = REPEATS):
-    """Best-of-N wall time for two thunks, alternating a/b each round.
-
-    GC is collected before and disabled during each timed section so an
-    allocation-heavy variant doesn't eat a stochastic collection pause
-    that the other side dodged.
-    """
-    best_a = best_b = float("inf")
-    gc_was_enabled = gc.isenabled()
+def _cpu_s(thunk) -> float:
+    """The process's own CPU seconds for one call, GC collected before and
+    held off during it, so an allocation-heavy variant doesn't eat a
+    stochastic collection pause that the other side dodged."""
+    gc.collect()
+    gc.disable()
     try:
-        for _ in range(repeats):
-            gc.collect()
-            gc.disable()
-            started = time.perf_counter()
-            variant_a()
-            best_a = min(best_a, time.perf_counter() - started)
-            gc.enable()
-            gc.collect()
-            gc.disable()
-            started = time.perf_counter()
-            variant_b()
-            best_b = min(best_b, time.perf_counter() - started)
-            gc.enable()
+        started = time.process_time()
+        thunk()
+        return time.process_time() - started
     finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best_a, best_b
+        gc.enable()
 
 
-def _verdict(baseline_s: float, tested_s: float,
-             limit: float = LIMIT) -> dict:
+def _interleaved(variant_a, variant_b, repeats: int = REPEATS):
+    """``repeats`` rounds of ``(a, b)`` CPU seconds, a then b each round."""
+    return [(_cpu_s(variant_a), _cpu_s(variant_b)) for _ in range(repeats)]
+
+
+def _verdict(pairs: list[tuple[float, float]], limit: float = LIMIT) -> dict:
+    """The median round's ratio and delta: each round's two runs share
+    the host's state, so a slow stretch that spans several rounds moves
+    both sides of each and only the outlying rounds of the median."""
+    ratio = statistics.median(b / a for a, b in pairs)
+    delta = statistics.median(b - a for a, b in pairs)
     return {
-        "baseline_s": baseline_s,
-        "tested_s": tested_s,
-        "ratio": tested_s / baseline_s,
-        "delta_s": tested_s - baseline_s,
+        "baseline_s": statistics.median(a for a, _ in pairs),
+        "tested_s": statistics.median(b for _, b in pairs),
+        "ratio": ratio,
+        "delta_s": delta,
         "limit": limit,
-        "ok": tested_s / baseline_s <= limit
-        or tested_s - baseline_s <= GRACE_S,
+        "ok": ratio <= limit or delta <= GRACE_S,
     }
 
 
@@ -138,8 +134,7 @@ def run_packet_off() -> dict:
         _drive(sim, lambda until: sim.run(until=until))
         assert sim.events_processed == N_EVENTS
 
-    direct_s, wrapped_s = _interleaved_min(direct, wrapped)
-    return _verdict(direct_s, wrapped_s)
+    return _verdict(_interleaved(direct, wrapped))
 
 
 def run_packet_on() -> dict:
@@ -157,8 +152,7 @@ def run_packet_on() -> dict:
         probe.finish(sim)
         tel.close()
 
-    off_s, on_s = _interleaved_min(off, on)
-    return _verdict(off_s, on_s)
+    return _verdict(_interleaved(off, on))
 
 
 def _fluid_spec():
@@ -181,8 +175,7 @@ def run_fluid_on() -> dict:
         record = execute_spec(spec, telemetry=True)
         assert record.telemetry, "telemetry run produced no records"
 
-    off_s, on_s = _interleaved_min(off, on, repeats=3)
-    return _verdict(off_s, on_s)
+    return _verdict(_interleaved(off, on))
 
 
 def _decision_spec(backend: str):
@@ -211,8 +204,7 @@ def run_decisions(backend: str) -> dict:
             "decision run recorded no decisions"
         assert record.extras["decisions"], "decision run stored no columns"
 
-    off_s, on_s = _interleaved_min(off, on)
-    return _verdict(off_s, on_s, limit=DECISIONS_LIMIT)
+    return _verdict(_interleaved(off, on), limit=DECISIONS_LIMIT)
 
 
 def run_all() -> dict:
