@@ -47,15 +47,18 @@ FCT_COLUMNS = ("flow_id", "src", "dst", "size", "start_time", "tag",
 
 def _column(name: str, values) -> array | tuple:
     """``tag`` as a tuple of interned strings; every other column an
-    ``array('q')`` while all its values are ints, else ``array('d')``, so
-    a value reads back as the type it was stored as (a declared ``0``
-    start stays ``0``; a column mixing ints and floats reads floats)."""
+    ``array('i')`` while all its values are ints that fit, else
+    ``array('q')``, else ``array('d')``, so a value reads back as the
+    type it was stored as (a declared ``0`` start stays ``0``; a column
+    mixing ints and floats reads floats)."""
     if name == "tag":
         return tuple(map(sys.intern, values))
-    try:
-        return array("q", values)
-    except TypeError:
-        return array("d", values)
+    for typecode in "iq":
+        try:
+            return array(typecode, values)
+        except (TypeError, OverflowError):
+            pass
+    return array("d", values)
 
 
 class _Row(dict):
@@ -111,11 +114,15 @@ class FctTable:
     @classmethod
     def from_json(cls, data: dict) -> "FctTable":
         """The table of ``{column: [values]}``, as :meth:`to_json` writes."""
-        columns = [data[name] for name in FCT_COLUMNS]
-        if len({len(values) for values in columns}) > 1:
+        table = {name: _column(name, data[name]) for name in FCT_COLUMNS}
+        if len({len(values) for values in table.values()}) > 1:
             raise ValueError("FCT columns differ in length")
-        return cls(*(_column(name, values)
-                     for name, values in zip(FCT_COLUMNS, columns)))
+        # Every producer writes ``start = spec.start_time``: one array
+        # then holds both columns.
+        start, start_time = table["start"], table["start_time"]
+        if start.typecode == start_time.typecode and start == start_time:
+            table["start"] = start_time
+        return cls(**table)
 
     def columns(self) -> tuple:
         return tuple(getattr(self, name) for name in FCT_COLUMNS)

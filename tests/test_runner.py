@@ -389,6 +389,25 @@ class TestFctTable:
         finally:
             tracemalloc.stop()
 
+    def test_int_columns_narrow_and_start_shares_start_time(self):
+        data = {
+            "flow_id": [1, 2], "src": [0, 1], "dst": [1, 0],
+            "size": [1_000, 2**40], "start_time": [0.0, 5.5],
+            "tag": ["a", "a"], "start": [0.0, 5.5],
+            "finish": [10.0, 20.0], "ideal": [1.0, 2.0],
+        }
+        table = FctTable.from_json(data)
+        assert table.flow_id.typecode == "i"
+        assert table.size.typecode == "q"
+        assert table.start_time.typecode == "d"
+        assert list(table.size) == [1_000, 2**40]
+        assert type(table.size[1]) is int and type(table.src[0]) is int
+        assert table.start is table.start_time
+        assert table.to_json() == data
+        apart = FctTable.from_json({**data, "start": [0.0, 6.0]})
+        assert apart.start is not apart.start_time
+        assert list(apart.start) == [0.0, 6.0]
+
 
 class TestRunCache:
     def test_miss_compute_hit(self, tmp_path):
