@@ -7,23 +7,38 @@ struct-of-arrays block, every link as a row in
 :class:`~repro.fluid.state.LinkArrays`, and the five sub-steps of the
 fluid model run as numpy operations over all flows at once.
 
+A step lasts one base RTT T, the cadence HPCC and the other schemes
+react at; only a dynamics event or the deadline cuts it short.  A flow
+that starts inside a step joins it at the step's start with its
+*offset* ``o`` into it: in that step it sends for ``dt - o``, loads its
+links by ``(dt - o) / dt`` of its rate, and its RTT window (``elapsed``)
+counts from its own start, while its FCT keeps ``spec.start_time``.
+
 The model per step (semantics identical to the scalar test oracle,
 ``tests/fluid_reference.py``):
 
 1. every active flow requests its CC-controlled rate (window-limited
    schemes request ``min(rate, W/T)``) — one ``np.minimum`` chain;
-2. requested rates aggregate into per-link arrivals (``np.bincount``
-   over the flows' flattened path-link rows); oversubscribed links
-   throttle proportionally;
+2. requested rates, each weighted by the share of the step its flow
+   sends for, aggregate into per-link arrivals (``np.bincount`` over the
+   flows' flattened path-link rows); oversubscribed links throttle
+   proportionally;
 3. the throttle cascades along each flow's path (an upstream bottleneck
    shields downstream links) — an exclusive per-path prefix-min, run as
-   one ``np.minimum`` per hop column;
+   one ``np.minimum`` per hop column.  A flow that finishes inside the
+   step (``remaining / achieved < dt - o``) loads its links only while
+   it sends: it is re-weighted to that share and steps 2-3 run once
+   more, so a flow shorter than T is not charged the whole step's
+   contention;
 4. link queues integrate ``(arrival - capacity) x dt`` and the
    cumulative ``tx/rx`` byte registers advance — element-wise over the
    links currently touched by live flows (untouched queues freeze,
    exactly as in ``tests/fluid_reference.py``);
-5. flows deliver ``achieved_rate x dt`` bytes, complete mid-step by
-   interpolation, and — once per accumulated RTT — each flow's adapter
+5. flows deliver ``achieved_rate x (dt - o)`` bytes and complete
+   mid-step by interpolation, at ``t0 + o + remaining / achieved`` plus
+   the path's base RTT and its queueing delay interpolated between the
+   step's start and end queues at that instant; and — once per
+   accumulated RTT — each flow's adapter
    replays one RTT of its scheme's packet events (INT sample, CNP
    stream, RTT echo, ECN marks) against the *real* ``core/`` algorithm,
    producing the next step's rate.  For the INT family, ``_fire`` first
@@ -123,13 +138,16 @@ Path queueing delay is summed only for the rows that finish or fire in
 a step.  Routing state (the distance rows ``FluidGraph.path`` walks) is
 described in :mod:`repro.fluid.state`.
 
-CC adapters fire once per accumulated RTT: arrival- and
-event-shortened mini-steps accumulate ``elapsed``/``delivered``/
-``marked`` per flow, and the adapter sees one aggregated
-:class:`StepSignals` when a full base RTT has elapsed
-(``tests/fluid_reference.py`` fires on every mini-step; on runs whose
-steps are never shortened the two produce bit-identical trajectories).
-That is *not* Algorithm 1's cadence — react to every ACK against W^c,
+CC adapters fire once per accumulated RTT: event- and deadline-shortened
+mini-steps accumulate ``elapsed``/``delivered``/``marked`` per flow, and
+the adapter sees one aggregated :class:`StepSignals` when a full base
+RTT has elapsed.  A flow admitted inside a step fires at that step's
+end, with the flows it joined, over the ``dt - o`` it sent for (an INT
+flow's first fire only records L, so its first reaction comes one step
+later).  ``tests/fluid_reference.py`` fires at the same cadence, and the
+two produce bit-identical trajectories wherever they sum a path's
+queueing delay in the same order.  That is *not* Algorithm 1's
+cadence — react to every ACK against W^c,
 sync W^c once per RTT: ``IntAdapter.update`` advances ``snd_nxt`` before
 its one ``on_int_sample`` call, so ``update_wc`` is true on every fire
 and fluid ``hpcc``, ``hpcc-perack`` and ``hpcc-perrtt`` all execute the
@@ -417,8 +435,9 @@ class FluidEngine:
             state = self._installs[line_rate] = (proxy.rate, proxy.window)
         return state
 
-    def _admit(self, flow: FluidFlow) -> None:
-        """Give a routed flow its CC state (first time only) and a row."""
+    def _admit(self, flow: FluidFlow, offset: float = 0.0) -> None:
+        """Give a routed flow its CC state (first time only) and a row,
+        which starts sending ``offset`` ns into the coming step."""
         if flow.proxy is None:
             adapter = adapter_for(
                 self.scheme, self._env(flow.line_rate), self.cc_params
@@ -434,7 +453,9 @@ class FluidEngine:
                 self._rate_key = adapter.algo.rate_key
             flow.proxy = proxy
             flow.adapter = adapter
-        (self._batch or FluidBatch([self]))._append_row(flow, self._index)
+        batch = self._batch or FluidBatch([self])
+        batch._append_row(flow, self._index)
+        batch._offset[batch._n - 1] = offset
 
     @property
     def footprint(self) -> int:
@@ -567,8 +588,9 @@ class FluidEngine:
         """Advance until every flow finished or ``deadline`` (ns) hits.
 
         Returns True when all flows completed.  Steps are one base RTT
-        long, shortened to land exactly on the next flow arrival or the
-        next scheduled dynamics event, so both are honoured precisely.
+        long, shortened only to land exactly on the next scheduled
+        dynamics event or the deadline; a flow that starts inside a step
+        joins it at its offset (see the module docstring).
         May be called again with a later deadline (the hybrid's
         per-epoch call): the engine's batch of one, which kept its rows
         at the deadline, resumes.
@@ -589,8 +611,9 @@ class FluidEngine:
 
         Fires the dynamics events and admits the flows that are due,
         fast-forwards over idle stretches, and returns the next step's
-        length — shortened to land on the next arrival, event or the
-        deadline — or ``None`` once the cell is done.
+        length — one base RTT, shortened to land on the next event or
+        the deadline — or ``None`` once the cell is done.  A flow that
+        starts inside the step is admitted now, at its offset into it.
         """
         if not self._sorted:
             self._starts.sort(key=lambda f: (f.spec.start_time, f.spec.flow_id))
@@ -601,20 +624,7 @@ class FluidEngine:
             # Fire dynamics events that are due.
             while events and events[0][0] <= self.now + _EPS:
                 heapq.heappop(events)[2]()
-            # Admit flows that are due (on the current topology).
-            while (
-                self._next_idx < len(starts)
-                and starts[self._next_idx].spec.start_time <= self.now + _EPS
-            ):
-                flow = starts[self._next_idx]
-                self._next_idx += 1
-                if flow.topo_version != self._topo_version:
-                    flow.path = self._route(flow.spec)
-                    flow.topo_version = self._topo_version
-                if flow.path is None:
-                    self._parked.append(flow)
-                else:
-                    self._admit(flow)
+            self._admit_starts(self.now)
             if self.now >= deadline - _EPS:
                 break
             next_start = (
@@ -642,19 +652,38 @@ class FluidEngine:
                     self.clock.now = self.now
                 continue
             dt = self.base_rtt
-            if next_start is not None:
-                dt = min(dt, next_start - self.now)
             if next_event is not None:
                 dt = min(dt, next_event - self.now)
             dt = min(dt, deadline - self.now)
             if dt <= _EPS:
                 dt = _EPS
+            self._admit_starts(self.now + dt)
             return dt
         self.completed = (
             not self._alive_n and not self._parked
             and self._next_idx >= len(starts)
         )
         return None
+
+    def _admit_starts(self, end: float) -> None:
+        """Admit (on the current topology) every flow due now or starting
+        before ``end``; one that starts inside the step sends from its
+        offset into it."""
+        starts = self._starts
+        now = self.now
+        while self._next_idx < len(starts):
+            flow = starts[self._next_idx]
+            start = flow.spec.start_time
+            if start > now + _EPS and start >= end:
+                break
+            self._next_idx += 1
+            if flow.topo_version != self._topo_version:
+                flow.path = self._route(flow.spec)
+                flow.topo_version = self._topo_version
+            if flow.path is None:
+                self._parked.append(flow)
+            else:
+                self._admit(flow, start - now if start > now + _EPS else 0.0)
 
     def _sample(self) -> None:
         """Record the sampled queues if a sample interval has elapsed."""
@@ -845,6 +874,7 @@ class FluidBatch:
         "_remaining",   # wire bytes left
         "_brtt",        # path base RTT
         "_T",           # its cell's base RTT: step and CC window
+        "_offset",      # ns into its admission step it starts; else 0
         "_elapsed",     # ns since last CC fire
         "_dacc",        # delivered since last fire
         "_macc",        # mark-weighted bytes since
@@ -988,6 +1018,7 @@ class FluidBatch:
         self._remaining[n] = flow.remaining
         self._brtt[n] = flow.path.base_rtt
         self._T[n] = cell.base_rtt
+        self._offset[n] = 0.0
         self._elapsed[n] = flow.elapsed
         self._dacc[n] = flow.acc_delivered
         self._macc[n] = flow.acc_marked
@@ -1135,6 +1166,30 @@ class FluidBatch:
         if cell._error is None:
             cell._error = exc
 
+    def _throttle(self, flat: np.ndarray, load: np.ndarray,
+                  cap_t: np.ndarray) -> np.ndarray:
+        """Steps 2 and 3 for rows that load their links by ``load``: the
+        proportional throttle of every oversubscribed touched link,
+        cascaded along each row's path.  Column ``j`` of the result is
+        the smallest scale over hops ``0..j``."""
+        L = self._dummy
+        ti = self._touched_idx
+        arrival = np.bincount(flat, weights=load.repeat(self._H),
+                              minlength=L + 1)
+        # Only touched links can be oversubscribed: every other link's
+        # arrival is a sum of dead rows' exact zeros.
+        arrival_t = arrival[ti]
+        over = arrival_t > cap_t
+        scale = np.ones(L + 1)
+        scale[ti[over]] = cap_t[over] / arrival_t[over]
+        # Upstream bottlenecks shield downstream links: an inclusive
+        # prefix-min per row, one column at a time (min is exact, so the
+        # order of the comparisons is immaterial).
+        sc = scale[self._hopm[:self._n]]
+        for j in range(1, self._H):
+            np.minimum(sc[:, j - 1], sc[:, j], out=sc[:, j])
+        return sc
+
     def _path_qdelay(self, qdiv: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Each row's path queueing delay, summed at its cell's width."""
         hops = self._hopm[rows]
@@ -1248,15 +1303,20 @@ class FluidBatch:
         dt = dts[rc]
         dt_t = dts[self._touched_cell]
         T = self._T[:n]
+        # Each row sends for the whole step, but a row admitted inside it
+        # only from its own start, ``_offset`` into the step.
+        off = self._offset[:n]
+        span = dt - off
 
         # 1. requested rates (window-limited schemes pace at W/T).
         req = np.minimum(self._rate[:n], self._window[:n] / T)
         np.minimum(req, self._line[:n], out=req)
         req *= alive
-        # 2. per-link offered arrivals -> proportional throttle factors.
-        #    Row-major ravel order means per-link accumulation order is
-        #    flow-major — the same order as the loops of
-        #    tests/fluid_reference.py.
+        # 2. each row loads its links by its rate times the share of the
+        #    step it sends for; oversubscribed links throttle
+        #    proportionally.  Row-major ravel order means per-link
+        #    accumulation order is flow-major — the same order as the
+        #    loops of tests/fluid_reference.py.
         # Effective capacity: pure-fluid runs keep ``capacity`` itself
         # (no cell has ``ext_rates`` — same array object, bit-identical);
         # under hybrid coupling the background half sees only the
@@ -1273,28 +1333,27 @@ class FluidBatch:
             if self._ext_bytes is None:
                 self._ext_bytes = np.zeros(L)
             self._ext_bytes += ext * dts[self._link_cell]
-        H = self._H
         flat = hopm.ravel()
-        arrival = np.bincount(flat, weights=req.repeat(H), minlength=L + 1)
-        # Only touched links can be oversubscribed: every other link's
-        # arrival is a sum of dead rows' exact zeros.
         ti = self._touched_idx
         cap_t = cap[ti]
-        arrival_t = arrival[ti]
-        over = arrival_t > cap_t
-        scale = np.ones(L + 1)
-        scale[ti[over]] = cap_t[over] / arrival_t[over]
-        # 3. cascade the throttle along each path (upstream bottlenecks
-        #    shield downstream links): an exclusive prefix-min per row,
-        #    one column at a time (min is exact, so the order of the
-        #    comparisons is immaterial).
-        sc = scale[hopm]
-        for j in range(1, H):
-            np.minimum(sc[:, j - 1], sc[:, j], out=sc[:, j])
-        w = np.empty_like(sc)
-        w[:, 0] = req
-        np.multiply(sc[:, :-1], req[:, None], out=w[:, 1:])
+        load = req * np.divide(span, dt, out=np.ones(n), where=off > 0.0)
+        # 3. cascade the throttle along each path and pin each row's
+        #    achieved rate.
+        sc = self._throttle(flat, load, cap_t)
         achieved = req * sc[:, -1]
+        # A row that finishes inside the step loads its links only while
+        # it sends: re-weighted to that share, the throttle runs once
+        # more (it can only loosen, so every such row still finishes).
+        t_send = np.divide(remaining, achieved, out=np.full(n, _INF),
+                           where=achieved > 0.0)
+        short = np.flatnonzero(t_send < span)
+        if short.size:
+            load[short] = req[short] * (t_send[short] / dt[short])
+            sc = self._throttle(flat, load, cap_t)
+            achieved = req * sc[:, -1]
+        w = np.empty_like(sc)
+        w[:, 0] = load
+        np.multiply(sc[:, :-1], load[:, None], out=w[:, 1:])
         throttled = np.bincount(flat, weights=w.ravel(), minlength=L + 1)
         # 4. integrate link state on the touched subset (untouched queues
         #    freeze, matching tests/fluid_reference.py).  Only switch
@@ -1321,7 +1380,7 @@ class FluidBatch:
         # 5. deliver bytes; complete by interpolation; accumulate CC
         #    signals and fire adapters whose RTT window filled up (the
         #    cells' clocks already read the step's end).
-        delivered = achieved * dt
+        delivered = achieved * span
         done = delivered >= (remaining - 1e-6)
         done &= alive
         qc = self.queue if extq is None else self.queue + extq
@@ -1336,18 +1395,28 @@ class FluidBatch:
         any_done = done.any()
         if any_done:
             idxs = done.nonzero()[0]
+            # A finishing row's queueing delay is its path's, interpolated
+            # between the step's start and end queues at its completion.
+            qdiv0 = np.zeros(L + 1)
+            q0 = qt if extq is None else qt + extq[ti]
+            qdiv0[ti] = np.divide(q0, cap_t, out=np.zeros(ti.size),
+                                  where=cap_t > 0.0)
             ach_l = achieved[idxs].tolist()
             rem_l = remaining[idxs].tolist()
-            qd_l = self._path_qdelay(qdiv, idxs).tolist()
+            qd0_l = self._path_qdelay(qdiv0, idxs).tolist()
+            qd1_l = self._path_qdelay(qdiv, idxs).tolist()
+            off_l = off[idxs].tolist()
             brtt_l = self._brtt[idxs].tolist()
             cell_l = self._cell[idxs].tolist()
-            for i, k, ach, rem, qd, brtt in zip(
-                idxs.tolist(), cell_l, ach_l, rem_l, qd_l, brtt_l
+            for i, k, ach, rem, qd0, qd1, o, brtt in zip(
+                idxs.tolist(), cell_l, ach_l, rem_l, qd0_l, qd1_l, off_l,
+                brtt_l,
             ):
                 cell = cells[k]
                 flow = flows[i]
-                start_t = cell._t0
-                t_send = rem / ach if ach > 0 else cell._dt
+                start_t = cell._t0 + o
+                t_send = rem / ach if ach > 0 else cell._dt - o
+                qd = qd0 + (qd1 - qd0) * ((o + t_send) / cell._dt)
                 goodput = cell._goodput
                 if goodput is not None and rem > 0:
                     goodput.record(
@@ -1378,21 +1447,23 @@ class FluidBatch:
             if rows.size:
                 d_l = delivered[rows].tolist()
                 k_l = self._cell[rows].tolist()
-                for i, k, d in zip(rows.tolist(), k_l, d_l):
+                o_l = off[rows].tolist()
+                for i, k, d, o in zip(rows.tolist(), k_l, d_l, o_l):
                     cell = cells[k]
                     cell._goodput.record(
-                        flows[i].spec.flow_id, cell._t0, cell.now,
+                        flows[i].spec.flow_id, cell._t0 + o, cell.now,
                         d / cell.wire_factor,
                     )
-        # CC accumulators: elapsed time, delivered and mark-weighted
-        # bytes per flow; fire adapters once a full step accumulated.
+        # CC accumulators: elapsed time (from each row's own start),
+        # delivered and mark-weighted bytes per flow; fire adapters once
+        # a full step accumulated.
         elapsed = self._elapsed[:n]
         dacc = self._dacc[:n]
         macc = self._macc[:n]
         marking = self._marking
         # Single-mini-step window so far; only the mark average reads it.
         first = elapsed == 0.0 if marking else None
-        elapsed += dt
+        elapsed += span
         dacc += delivered
         mark_flow = None
         if marking:
@@ -1413,9 +1484,11 @@ class FluidBatch:
             # product over telemetry links only (1.0 factors are exact).
             mark_flow = 1.0 - one_minus[hopm].prod(axis=1)
             macc += mark_flow * delivered
-        # Adapters fire once a full step has accumulated; the epsilon
-        # absorbs float dust from summing shortened mini-steps.
-        fire = alive & (elapsed >= T - 1e-9)
+        # Adapters fire once a full step has accumulated (a row admitted
+        # inside the step fires at its end, with the rows it joined); the
+        # epsilon absorbs float dust from summing shortened mini-steps.
+        fire = alive & (elapsed + off >= T - 1e-9)
+        off[:] = 0.0
         if fire.any():
             fidx = np.flatnonzero(fire)
             FluidEngine._fire(

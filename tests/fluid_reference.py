@@ -11,13 +11,12 @@ implementation per scheme.  No spec, CLI flag or config key selects it.
 
 Semantics are documented in :mod:`repro.fluid.engine`; the two engines
 share :class:`~repro.fluid.engine.FluidFlow` (:class:`ReferenceFlow` adds
-the per-step rates this engine keeps on it), the adapters, the graph
+the per-step state this engine keeps on it), the adapters, the graph
 and the goodput recorder, and differ only in how the five sub-steps of
-``_advance`` are executed.  One deliberate difference: this engine
-fires every flow's CC adapter on *every* mini-step (even
-arrival-shortened ones), while the array engine batches adapter fires
-to once per accumulated RTT.  On runs whose steps are never shortened
-the two are numerically identical.
+``_advance`` are executed.  Both admit a flow that starts inside a step
+at its offset into it, and both fire each flow's CC adapter once a full
+base RTT of its own sending has accumulated (a flow admitted inside a
+step fires at that step's end), so their trajectories are bit-identical.
 
 The INT family does not go through the adapters here.  This engine
 builds each fire's ``IntHop`` stack from the links' registers and hands
@@ -60,15 +59,19 @@ _EPS = 1e-9
 
 
 class ReferenceFlow(FluidFlow):
-    """A :class:`FluidFlow` plus the per-step rates only this engine's
-    loops keep on the flow: the array engine holds them in its rows."""
+    """A :class:`FluidFlow` plus the per-step state only this engine's
+    loops keep on the flow: the array engine holds it in its rows."""
 
-    __slots__ = ("req", "achieved")
+    __slots__ = ("req", "achieved", "offset", "send", "load", "qd0")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.req = 0.0                  # requested rate this step
         self.achieved = 0.0             # post-throttle rate this step
+        self.offset = 0.0               # ns into the step it starts at
+        self.send = 0.0                 # ns it sends for this step
+        self.load = 0.0                 # rate it loads its links by
+        self.qd0 = 0.0                  # path queueing delay at step start
 
 
 class ScalarFluidEngine:
@@ -269,8 +272,9 @@ class ScalarFluidEngine:
         """Advance until every flow finished or ``deadline`` (ns) hits.
 
         Returns True when all flows completed.  Steps are one base RTT
-        long, shortened to land exactly on the next flow arrival or the
-        next scheduled dynamics event, so both are honoured precisely.
+        long, shortened only to land exactly on the next scheduled
+        dynamics event or the deadline; a flow that starts inside a step
+        joins it at its offset.
         """
         if not self._sorted:
             self._starts.sort(key=lambda f: (f.spec.start_time, f.spec.flow_id))
@@ -281,20 +285,7 @@ class ScalarFluidEngine:
             # Fire dynamics events that are due.
             while events and events[0][0] <= self.now + _EPS:
                 heapq.heappop(events)[2]()
-            # Admit flows that are due (on the current topology).
-            while (
-                self._next_idx < len(starts)
-                and starts[self._next_idx].spec.start_time <= self.now + _EPS
-            ):
-                flow = starts[self._next_idx]
-                self._next_idx += 1
-                if flow.topo_version != self._topo_version:
-                    flow.path = self._route(flow.spec)
-                    flow.topo_version = self._topo_version
-                if flow.path is None:
-                    self._parked.append(flow)
-                else:
-                    self._active.append(flow)
+            self._admit_starts(self.now)
             if self.now >= deadline - _EPS:
                 break
             next_start = (
@@ -322,13 +313,12 @@ class ScalarFluidEngine:
                     self.clock.now = self.now
                 continue
             dt = self.base_rtt
-            if next_start is not None:
-                dt = min(dt, next_start - self.now)
             if next_event is not None:
                 dt = min(dt, next_event - self.now)
             dt = min(dt, deadline - self.now)
             if dt <= _EPS:
                 dt = _EPS
+            self._admit_starts(self.now + dt)
             self._advance(dt)
         self.completed = (
             not self._active and not self._parked
@@ -336,9 +326,60 @@ class ScalarFluidEngine:
         )
         return self.completed
 
+    def _admit_starts(self, end: float) -> None:
+        """Admit (on the current topology) every flow due now or starting
+        before ``end``, at its offset into the step starting now."""
+        starts = self._starts
+        while self._next_idx < len(starts):
+            flow = starts[self._next_idx]
+            start = flow.spec.start_time
+            if start > self.now + _EPS and start >= end:
+                break
+            self._next_idx += 1
+            if flow.topo_version != self._topo_version:
+                flow.path = self._route(flow.spec)
+                flow.topo_version = self._topo_version
+            if flow.path is None:
+                self._parked.append(flow)
+            else:
+                flow.offset = start - self.now if start > self.now + _EPS \
+                    else 0.0
+                self._active.append(flow)
+
+    def _throttle(self, active: list[ReferenceFlow]) -> list:
+        """Steps 2 and 3 for flows loading their links by ``f.load``;
+        returns the links they touch."""
+        # 2. per-link offered arrivals -> proportional throttle factors.
+        touched: dict[int, object] = {}
+        for f in active:
+            for link in f.path.links:
+                key = id(link)
+                if key not in touched:
+                    touched[key] = link
+                    link.arrival = 0.0
+                    link.throttled = 0.0
+                link.arrival += f.load
+        for link in touched.values():
+            link.scale = (
+                1.0 if link.arrival <= link.capacity
+                else link.capacity / link.arrival
+            )
+        # 3. cascade the throttle along each path (upstream bottlenecks
+        #    shield downstream links) and pin each flow's achieved rate.
+        for f in active:
+            s = 1.0
+            for link in f.path.links:
+                link.throttled += f.load * s
+                if link.scale < s:
+                    s = link.scale
+            f.achieved = f.req * s
+        return list(touched.values())
+
     def _advance(self, dt: float) -> None:
         active = self._active
-        # 1. requested rates (window-limited schemes pace at W/T).
+        # 1. requested rates (window-limited schemes pace at W/T), and
+        #    the share of the step each flow sends for: all of it, or,
+        #    admitted inside it, from its own start.
         for f in active:
             r = f.proxy.rate
             w = f.proxy.window
@@ -349,36 +390,26 @@ class ScalarFluidEngine:
             if r > f.line_rate:
                 r = f.line_rate
             f.req = r
-        # 2. per-link offered arrivals -> proportional throttle factors.
-        touched: dict[int, object] = {}
+            f.send = dt - f.offset
+            f.load = r if f.offset == 0.0 else r * (f.send / dt)
+        touched = self._throttle(active)
+        # A flow that finishes inside the step loads its links only while
+        # it sends: re-weighted to that share, the throttle runs again.
+        short = False
         for f in active:
-            for link in f.path.links:
-                key = id(link)
-                if key not in touched:
-                    touched[key] = link
-                    link.arrival = 0.0
-                    link.throttled = 0.0
-                link.arrival += f.req
-        for link in touched.values():
-            link.scale = (
-                1.0 if link.arrival <= link.capacity
-                else link.capacity / link.arrival
-            )
-        # 3. cascade the throttle along each path (upstream bottlenecks
-        #    shield downstream links) and pin each flow's achieved rate.
+            if f.achieved > 0 and f.remaining / f.achieved < f.send:
+                f.load = f.req * ((f.remaining / f.achieved) / dt)
+                short = True
+        if short:
+            touched = self._throttle(active)
         for f in active:
-            s = 1.0
-            req = f.req
-            for link in f.path.links:
-                link.throttled += req * s
-                if link.scale < s:
-                    s = link.scale
-            f.achieved = req * s
+            if f.achieved * f.send >= f.remaining - 1e-6:
+                f.qd0 = f.path.queue_delay()
         # 4. integrate link state.  Only switch egress queues: a host's
         #    own uplink is paced at the source (excess was throttled in
         #    step 2/3), so it never queues or drops — matching the
         #    packet NIC, which contributes no INT hop either.
-        for link in touched.values():
+        for link in touched:
             inflow = link.throttled * dt
             tx = link.queue + inflow
             cap = link.capacity * dt
@@ -393,20 +424,24 @@ class ScalarFluidEngine:
                 link.dropped_bytes += q - link.buffer_bytes
                 q = link.buffer_bytes
             link.queue = q if q > _EPS else 0.0
-        # 5. deliver bytes; complete by interpolation; update CC.
-        start_t = self.now
-        self.now = start_t + dt
+        # 5. deliver bytes; complete by interpolation (the queueing delay
+        #    interpolated between the step's start and end at the
+        #    completion instant); accumulate CC signals and fire each
+        #    flow's adapter once a full base RTT accumulated.
+        t0 = self.now
+        self.now = t0 + dt
         self.clock.now = self.now
         goodput = self._goodput
         survivors: list[FluidFlow] = []
         for f in active:
-            delivered = f.achieved * dt
+            delivered = f.achieved * f.send
+            start_t = t0 + f.offset
             if delivered >= f.remaining - 1e-6:
-                t_send = f.remaining / f.achieved if f.achieved > 0 else dt
-                finish = (
-                    start_t + t_send
-                    + f.path.base_rtt + f.path.queue_delay()
-                )
+                t_send = (f.remaining / f.achieved if f.achieved > 0
+                          else f.send)
+                qd = f.qd0 + (f.path.queue_delay() - f.qd0) * (
+                    (f.offset + t_send) / dt)
+                finish = start_t + t_send + f.path.base_rtt + qd
                 if goodput is not None and f.remaining > 0:
                     goodput.record(
                         f.spec.flow_id, start_t, start_t + t_send,
@@ -428,10 +463,32 @@ class ScalarFluidEngine:
                 survivors.append(f)
         self._active = survivors
         for f in survivors:
+            delivered = f.achieved * f.send
+            first = f.elapsed == 0.0
+            f.elapsed += f.send
+            f.acc_delivered += delivered
+            mark = 0.0
+            if self._ecn_policy is not None:
+                mark = self._mark_prob(f)
+                f.acc_marked += mark * delivered
+            # Admitted inside the step, it fires at its end with the flows
+            # it joined.
+            ripe = f.elapsed + f.offset
+            f.offset = 0.0
+            if ripe < self.base_rtt - 1e-9:
+                continue
             if self.scheme.needs_int:
-                self._int_ack(f, dt)
+                self._int_ack(f)
             else:
-                f.adapter.update(f.proxy, self._signals(f, dt))
+                if not first:
+                    mark = (f.acc_marked / f.acc_delivered
+                            if f.acc_delivered > 0.0 else 0.0)
+                f.adapter.update(f.proxy, StepSignals(
+                    rtt=f.path.base_rtt + f.path.queue_delay(),
+                    mark_prob=mark, delivered=f.acc_delivered,
+                    now=self.now, dt=f.elapsed,
+                ))
+            f.elapsed = f.acc_delivered = f.acc_marked = 0.0
         self.steps += 1
         self.flow_steps += len(active)
         if (
@@ -446,7 +503,7 @@ class ScalarFluidEngine:
 
     # -- per-flow feedback -------------------------------------------------------
 
-    def _int_ack(self, f: ReferenceFlow, dt: float) -> None:
+    def _int_ack(self, f: ReferenceFlow) -> None:
         """The INT family's fire: one synthetic ACK through ``on_ack``."""
         # A capacity-0 link is a cut edge still on this flow's
         # pre-reconvergence path: no ACKs return from beyond a cut, so
@@ -460,34 +517,27 @@ class ScalarFluidEngine:
             for link in f.path.int_links
             if link.capacity > 0.0
         ]
-        f.proxy.snd_nxt += max(1.0, f.achieved * dt)
+        f.proxy.snd_nxt += max(1.0, f.acc_delivered)
         ack = Packet(PacketType.ACK, flow_id=f.spec.flow_id, src=0, dst=0)
         ack.seq = f.proxy.snd_nxt
         ack.int_hops = hops
         f.adapter.algo.on_ack(f.proxy, ack, self.now)
 
-    def _signals(self, f: ReferenceFlow, dt: float) -> StepSignals:
-        delivered = f.achieved * dt
-        mark_prob = 0.0
-        if self._ecn_policy is not None:
-            clear = 1.0
-            for link in f.path.int_links:
-                if link.capacity <= 0.0:
-                    continue
-                key = id(link)
-                config = self._ecn_configs.get(key)
-                if config is None:
-                    config = self._ecn_policy.for_rate(link.capacity)
-                    self._ecn_configs[key] = config
-                p = _marking_probability(config, link.queue)
-                if p > 0.0:
-                    clear *= 1.0 - p
-            mark_prob = 1.0 - clear
-        rtt = f.path.base_rtt + f.path.queue_delay()
-        return StepSignals(
-            rtt=rtt, mark_prob=mark_prob, delivered=delivered,
-            now=self.now, dt=dt,
-        )
+    def _mark_prob(self, f: ReferenceFlow) -> float:
+        """The probability a packet of ``f`` is marked on its path now."""
+        clear = 1.0
+        for link in f.path.int_links:
+            if link.capacity <= 0.0:
+                continue
+            key = id(link)
+            config = self._ecn_configs.get(key)
+            if config is None:
+                config = self._ecn_policy.for_rate(link.capacity)
+                self._ecn_configs[key] = config
+            p = _marking_probability(config, link.queue)
+            if p > 0.0:
+                clear *= 1.0 - p
+        return 1.0 - clear
 
     # -- results -----------------------------------------------------------------
 

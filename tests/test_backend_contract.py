@@ -90,28 +90,32 @@ VARIANTS = {
 #: were re-captured again when fluid came to sample the declared probes:
 #: diffed field by field, only ``queues`` moved, its six ``sw{a}->{b}``
 #: series replaced by ``trunk`` and ``rx``, each equal to the parent's
-#: ``sw4->5`` and ``sw5->2`` series.
+#: ``sw4->5`` and ``sw5->2`` series.  All six fluid-half digests were
+#: re-captured when a fluid arrival came to join the step it falls in
+#: at its offset instead of cutting that step short: the fluid side's
+#: finish times, goodput bins, queue samples, step counts and end time
+#: moved.
 PINNED = {
     ("load", "packet"):
         "84c9973af37b9d01f232c5d2e2b00c60ae102dc35a44c7d0cbbdad3c0520031d",
     ("load", "fluid"):
-        "2ffb0e6cb029e76ae596f95e55220e76bdf9c17f29d22d533de09e4aa13ac381",
+        "20845670978ba1ec7a24ffe9d45786ed83393885ce70c9899d6437571cc0eba7",
     ("load", "hybrid_mixed"):
-        "340e9da761c1d1db02afe19cbbfd1db88e4b6505ca10f20c9d34e27793147924",
+        "963ec98fcf5b1ae6b3cc101c17290dcd7eefc3416205e561526bb17e5b136a2f",
     ("load", "hybrid_all"):
         "71e4d8ca266129a681785e347eed5dc5358aa22b211b1b63187eaafca707520e",
     ("load", "hybrid_none"):
-        "fd505623d0d97b7402f2f044a2ff751220bafff1f5754b89830b55dac017eca1",
+        "d3719deb857a384be592128212ab88562db67c79c8c61a35ba98c0df7bee83ed",
     ("flows", "packet"):
         "8135142a0439bb0dfbafeb0ef8092244c718f38efb637f2b44c9e166374b5d66",
     ("flows", "fluid"):
-        "6ade14bdb5b83e35fc6aa2b3eb55f68ad3b908eb7843f803e3b89c300ce850b5",
+        "50aa90983f9713e2493bf39fb4c1a2a1d60597d251c7d394a7f3e8ede2c53929",
     ("flows", "hybrid_mixed"):
-        "cb4e2c4ef4ea76b25986a9c320bd13d580a9ca3854f5c59164ae5855c5c22df5",
+        "72a1b907eca68cf9a5b81a9b7beb71dd9d8a5c3a3de3955daa62d3405c1c5182",
     ("flows", "hybrid_all"):
         "e8811cbc0d670e16e707bf999a78f284843c19070b74a1b150a98195e8b91c29",
     ("flows", "hybrid_none"):
-        "f4116d9d0f9e1d2f60f51ccb42d794e9b2beed2ff9df494dc0840eef004aa9d2",
+        "3109156d404b12af6d4fbe0f79989b498045372b3367bd710f7527062ef4c048",
 }
 
 

@@ -5,20 +5,19 @@ The vectorized :class:`~repro.fluid.FluidEngine` and the loop-per-flow
 lives beside these tests) implement the same fluid model;
 this module pins *how* equal they must stay:
 
-* **Bit-exact** when steps are never shortened (simultaneous starts, no
-  dynamics): the array kernels were built to replay the scalar
-  arithmetic operation-for-operation (flow-major accumulation order,
-  matching division/branch structure), so every scheme's FCTs and
-  goodput bins must match to the last bit.
-* **Pinned tolerances** when arrivals shorten steps: the engines then
-  fire CC at different cadences (the reference fires every mini-step,
-  the array engine once per accumulated RTT), so trajectories drift by
-  a bounded, *pinned* amount.
-  A tolerance regression here means the engines diverged beyond the
-  documented cadence effect.
-* **Identical dynamics decisions**: fail/restore + reconvergence must
-  produce the same reroute counts and parked-flow behaviour — routing
-  is topology + deterministic ECMP hash, never numerical.
+* **Bit-exact**, with simultaneous or staggered starts: the array
+  kernels were built to replay the scalar arithmetic
+  operation-for-operation (flow-major accumulation order, matching
+  division/branch structure), and both engines admit a flow that starts
+  inside a step at its offset into it and fire CC once per accumulated
+  RTT, so every scheme's FCTs and goodput bins must match to the last
+  bit.
+* **Identical dynamics**: fail/restore + reconvergence must produce the
+  same reroute counts, parked-flow behaviour and FCTs — routing is
+  topology + deterministic ECMP hash, never numerical.
+* **In-step admission** keeps a flow's own clock: on an idle path it
+  finishes at its ideal FCT, and no flow delivers less than its bytes
+  or finishes faster than its line rate allows.
 
 Plus regression tests for the supporting cast: the O(1) goodput
 recorder against a brute-force bin fill across thousands of bins, the
@@ -40,6 +39,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.base import CcEnv, DecisionTap
 from repro.core.hpcc import Hpcc
 from repro.core.hpcc_variants import HpccRxRate
+from repro.core.registry import get_scheme
 from repro.fluid import FluidBatch, FluidEngine, GoodputRecorder
 from repro.fluid.adapters import int_samples
 from repro.fluid.programs import FluidBackend
@@ -61,22 +61,6 @@ ALL_SCHEMES = (
     "dcqcn", "dcqcn+win", "timely", "timely+win", "dctcp",
 )
 
-#: Max per-flow relative FCT difference with *staggered* arrivals, per
-#: scheme, on the workload below.  Staggering shortens steps at every
-#: arrival, so the reference's per-mini-step CC fires diverge from the
-#: array engine's per-RTT fires; these bounds pin that cadence effect
-#: (measured worst cases ~0.06 for HPCC, ~0.44 for the rxrate ablation
-#: whose window is hypersensitive to fire timing, ~0.02 TIMELY, ~0.11
-#: DCTCP; DCQCN's trajectory is cadence-insensitive and stays exact).
-STAGGER_TOLERANCE = {
-    "hpcc": 0.10, "hpcc-perack": 0.10, "hpcc-perrtt": 0.10,
-    "hpcc-rxrate": 0.50,
-    "dcqcn": 0.0, "dcqcn+win": 0.0,
-    "timely": 0.05, "timely+win": 0.05,
-    "dctcp": 0.15,
-}
-
-
 def _fattree_flows(n: int = 12, stagger_ns: float = 0.0) -> list[FlowSpec]:
     rng = random.Random(7)
     hosts = bench_fattree().hosts
@@ -97,7 +81,7 @@ def _run(engine_cls, cc: str, flows: list[FlowSpec], **kwargs):
 
 
 class TestBitExactEquivalence:
-    """Unshortened steps: the two engines are the same computation."""
+    """The two engines are the same computation."""
 
     @pytest.mark.parametrize("cc", ALL_SCHEMES)
     def test_fcts_bit_identical_on_simultaneous_starts(self, cc):
@@ -107,6 +91,18 @@ class TestBitExactEquivalence:
         array_fct = {r.spec.flow_id: r.finish for r in array.fct_records}
         scalar_fct = {r.spec.flow_id: r.finish for r in scalar.fct_records}
         assert array_fct == scalar_fct       # == : bit-exact, no tolerance
+
+    @pytest.mark.parametrize("cc", ALL_SCHEMES)
+    def test_fcts_bit_identical_on_staggered_starts(self, cc):
+        """Arrivals 2.5 us apart join steps at their offsets on both
+        engines, so the two stay exact."""
+        flows = _fattree_flows(stagger_ns=2_500.0)
+        array = _run(FluidEngine, cc, flows)
+        scalar = _run(ScalarFluidEngine, cc, flows)
+        array_fct = {r.spec.flow_id: r.finish for r in array.fct_records}
+        scalar_fct = {r.spec.flow_id: r.finish for r in scalar.fct_records}
+        assert array_fct == scalar_fct
+        assert array.steps == scalar.steps
 
     def test_goodput_bins_bit_identical(self):
         flows = _fattree_flows()
@@ -133,26 +129,6 @@ class TestBitExactEquivalence:
             assert max(array.queue_samples[busiest]["qlens"]) > 0.0
             declared = [["bneck", "between", *probes[busiest]]]
         assert list(array.queue_samples) == ["bneck"]
-
-
-class TestStaggeredTolerance:
-    @pytest.mark.parametrize("cc", ALL_SCHEMES)
-    def test_staggered_arrivals_within_pinned_tolerance(self, cc):
-        flows = _fattree_flows(stagger_ns=2_500.0)
-        array = _run(FluidEngine, cc, flows)
-        scalar = _run(ScalarFluidEngine, cc, flows)
-        array_fct = {r.spec.flow_id: r.finish for r in array.fct_records}
-        scalar_fct = {r.spec.flow_id: r.finish for r in scalar.fct_records}
-        assert array_fct.keys() == scalar_fct.keys()
-        tol = STAGGER_TOLERANCE[cc]
-        if tol == 0.0:
-            assert array_fct == scalar_fct
-        else:
-            worst = max(
-                abs(array_fct[fid] - scalar_fct[fid]) / scalar_fct[fid]
-                for fid in scalar_fct
-            )
-            assert worst <= tol, f"{cc}: worst rel diff {worst:.3e} > {tol}"
 
 
 class TestDynamicsEquivalence:
@@ -198,14 +174,79 @@ class TestDynamicsEquivalence:
         assert a_routes == s_routes == [2, 2]
         assert a_parked == s_parked == [2, 0]
         assert a_fct.keys() == s_fct.keys() == {1, 2, 3}
-        for fid in s_fct:
-            assert a_fct[fid] == pytest.approx(s_fct[fid], rel=1e-2)
+        assert a_fct == s_fct
 
     def test_engine_state_consistent_after_dynamics(self):
         _, _, fct = self._run_dynamics(FluidEngine, "hpcc")
         # The cut stalls the parked flows for ~1ms; the untouched flow
         # must finish well before them.
         assert fct[3] < fct[1] and fct[3] < fct[2]
+
+
+class TestInStepAdmission:
+    """A flow starting inside a step joins it at its offset: the step is
+    not cut, and the flow still runs on its own clock."""
+
+    @staticmethod
+    def _star_run(engine_cls, cc: str, extra: list[FlowSpec]):
+        engine = engine_cls(star(n_hosts=4), cc_name=cc, base_rtt=BASE_RTT)
+        engine.add_flows([FlowSpec(0, 0, 1, 2_000_000, 0.0), *extra])
+        assert engine.run(deadline=DEADLINE)
+        return engine
+
+    @pytest.mark.parametrize("engine_cls", [FluidEngine, ScalarFluidEngine])
+    @pytest.mark.parametrize("cc", ALL_SCHEMES)
+    def test_mid_step_arrival_on_an_idle_path_finishes_at_its_ideal(
+            self, engine_cls, cc):
+        """Flow 0 keeps steps running; flow 1 starts 3.7 us into one, on
+        a path nobody else uses, and finishes inside it.  Flow 2 spans
+        several steps on another idle path (rate-based schemes only:
+        HPCC's eta target slows a lone flow after its first window)."""
+        extra = [FlowSpec(1, 2, 3, 20_000, 3_700.0)]
+        if not get_scheme(cc).needs_int:
+            extra.append(FlowSpec(2, 3, 2, 300_000, 4_100.5))
+        engine = self._star_run(engine_cls, cc, extra)
+        alone = self._star_run(engine_cls, cc, [])
+        assert engine.steps == alone.steps          # no step was cut
+        records = {r.spec.flow_id: r for r in engine.fct_records}
+        for spec in extra:
+            r = records[spec.flow_id]
+            assert r.start == spec.start_time
+            assert (r.finish - r.start) / r.ideal == 1.0
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        flows=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(1, 15),
+                      st.integers(1, 300_000),
+                      st.floats(0.0, 60_000.0, allow_nan=False)),
+            min_size=1, max_size=12,
+        ),
+        cc=st.sampled_from(ALL_SCHEMES),
+    )
+    @example(flows=[(0, 1, 300_000, 0.0), (2, 15, 1, 1_234.5),
+                    (4, 1, 50_000, 8_999.0)], cc="hpcc")
+    def test_every_flow_delivers_its_bytes_no_faster_than_line_rate(
+            self, flows, cc):
+        specs = [FlowSpec(i, src, (src + hop) % 16, size, start)
+                 for i, (src, hop, size, start) in enumerate(flows)]
+        topo = fattree_k(4)
+        for engine_cls in (FluidEngine, ScalarFluidEngine):
+            engine = engine_cls(topo, cc_name=cc, goodput_bin=1_000.0)
+            engine.add_flows(specs)
+            assert engine.run(deadline=DEADLINE)
+            bins = engine.goodput_bins
+            assert len(engine.fct_records) == len(specs)
+            for r in engine.fct_records:
+                spec = r.spec
+                wire = spec.size * engine.wire_factor
+                line = topo.host_rate(spec.src)
+                assert r.start == spec.start_time
+                assert r.finish - r.start >= wire / line * (1 - 1e-12)
+                got = bins[spec.flow_id]
+                assert sum(got.values()) == pytest.approx(spec.size,
+                                                          rel=1e-9)
+                assert min(got) >= int(spec.start_time // 1_000.0)
 
 
 class TestGoodputRecorder:
@@ -742,19 +783,19 @@ def reroute_samples_run() -> FluidEngine:
     return engine
 
 
-#: Captured on the engine whose step ran over every row, a fixed
-#: eight-column hop matrix and every link (commit ca15eb1).
-GOLDEN_COMPACTION = (400, "fadda7f5faa1db79", "1537979ada9c9dcc")
-GOLDEN_RECONVERGE = (228, "88a420c481336c96", "edfe2cc56c7ae43e")
-GOLDEN_HYBRID = (154, "2c1362125f716ce8", "e2454500e72328e7")
-GOLDEN_PARKING_LOT = (92, "49dd78542b648e6f", "099c59a3c4010c2a")
-#: Captured on the engine that replayed one synthetic INT ACK per fire
-#: through ``Hpcc.on_ack`` (commit 080a027).
-GOLDEN_RXRATE_INCAST = (48, "81cd0a1ab976b3aa", "186fa9da9b9a86a8")
+#: Captured once arrivals joined a step at their offset instead of
+#: cutting it.  Every scenario's FCTs but the parking lot's (whose path
+#: delays the oracle sums left to right) then equal
+#: tests/fluid_reference.py's bit for bit.
+GOLDEN_COMPACTION = (37, "3ab0c01f90bb8016", "5e447e9f4d180575")
+GOLDEN_RECONVERGE = (41, "1d324f3ecc579b62", "774534f8f3a15fa9")
+GOLDEN_HYBRID = (83, "34af807794e2bdb1", "856b8388c13923cb")
+GOLDEN_PARKING_LOT = (75, "673657223a947694", "b7f84d233a9d35dc")
+GOLDEN_RXRATE_INCAST = (39, "54f33b97494c6ef0", "a890612023442989")
 GOLDEN_TRACED_INCAST = (
-    44, "b5e744552bd32bc8", "ff888564354b0aab", "6444b510411512e3",
+    39, "41707356b42d5bc5", "043faa954faa4e0b", "f141c97584967f4d",
 )
-GOLDEN_REROUTE_SAMPLES = (35, "e247d467a4482e2a", "a806f2246365f433")
+GOLDEN_REROUTE_SAMPLES = (33, "2fd4ab33b2d38b0a", "eebe86c0150659f3")
 
 
 class TestStepGoldens:
