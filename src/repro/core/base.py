@@ -14,7 +14,7 @@ at line rate"), which is why DCTCP's slow start is removed for fairness
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import TYPE_CHECKING
 
@@ -151,11 +151,12 @@ class CcEnv:
     base_rtt: float        # T, ns
     mtu: int               # payload bytes per packet
     header: int            # wire header bytes per data packet
+    #: Winit = B_nic x T (Section 3.2), bytes: derived once, since every
+    #: window clamp reads it.
+    bdp: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def bdp(self) -> float:
-        """Winit = B_nic x T (Section 3.2), bytes."""
-        return self.line_rate * self.base_rtt
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bdp", self.line_rate * self.base_rtt)
 
     @property
     def packet_wire_size(self) -> int:
@@ -206,9 +207,21 @@ class CcAlgorithm:
 
     # -- helpers ----------------------------------------------------------------
 
+    # Both clamps run on every ACK, so they spell out the builtins:
+    # ``min(a, b)`` is ``b if b < a else a`` and ``max(a, b)`` is
+    # ``b if b > a else a``, which keeps ties, signed zeros and NaN.
+
     def clamp_rate(self, rate: float, floor: float | None = None) -> float:
-        lo = floor if floor is not None else self.env.line_rate * 1e-4
-        return max(lo, min(self.env.line_rate, rate))
+        """``max(floor, min(line_rate, rate))``; the floor defaults to
+        1e-4 of line rate."""
+        line = self.env.line_rate
+        lo = floor if floor is not None else line * 1e-4
+        rate = rate if rate < line else line
+        return rate if rate > lo else lo
 
     def clamp_window(self, window: float) -> float:
-        return max(float(self.env.mtu), min(self.env.bdp, window))
+        """``max(float(mtu), min(bdp, window))``."""
+        bdp = self.env.bdp
+        window = window if window < bdp else bdp
+        mtu = self.env.mtu              # an int: compared exactly
+        return window if window > mtu else float(mtu)

@@ -130,7 +130,7 @@ class Hpcc(CcAlgorithm):
     def _ewma(self, u_max: float, tau: float) -> float:
         """Lines 8-10: fold one sample into the EWMA ``U``; return ``U``."""
         T = self.env.base_rtt
-        tau = min(tau, T)
+        tau = T if T < tau else tau       # min(tau, T), per ACK
         weight = tau / T
         self.u = (1.0 - weight) * self.u + weight * u_max
         return self.u

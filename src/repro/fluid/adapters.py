@@ -107,15 +107,6 @@ class RateAdapter:
         self.env = env
         self.algo = algo
         self.inner = algo.inner if isinstance(algo, WindowedCc) else algo
-        # One synthetic ACK, reused for every update: the fluid loop
-        # hands it to the algorithm synchronously and nothing retains
-        # it, so a fresh allocation per step would only feed the GC.
-        self._ack_pkt = Packet(PacketType.ACK, flow_id=0, src=0, dst=0)
-
-    def _ack(self) -> Packet:
-        ack = self._ack_pkt
-        ack.ecn = False
-        return ack
 
     def install(self, proxy: FlowProxy) -> None:
         """Line-rate start without touching the packet ``install`` hooks
@@ -143,7 +134,8 @@ class IntAdapter(RateAdapter):
         # freshly synced Wc.  That is the per-RTT ablation, not
         # Algorithm 1 (react to every ACK, sync once per RTT), so hpcc,
         # hpcc-perack and hpcc-perrtt coincide on fluid (ROADMAP item 1).
-        proxy.snd_nxt += max(1.0, sig.delivered)
+        delivered = sig.delivered
+        proxy.snd_nxt += delivered if delivered > 1.0 else 1.0  # max(1, d)
         self.algo.on_int_sample(
             proxy, proxy.snd_nxt, sig.u_sample, sig.tau, sig.now, sig.bn
         )
@@ -251,7 +243,23 @@ class CnpAdapter(RateAdapter):
             inner._on_alpha_timer()
 
 
-class RttAdapter(RateAdapter):
+class _AckAdapter(RateAdapter):
+    """An adapter that feeds its algorithm synthetic ACKs."""
+
+    def __init__(self, env: CcEnv, algo: CcAlgorithm) -> None:
+        super().__init__(env, algo)
+        # One synthetic ACK, reused for every update: the fluid loop
+        # hands it to the algorithm synchronously and nothing retains
+        # it, so a fresh allocation per step would only feed the GC.
+        self._ack_pkt = Packet(PacketType.ACK, flow_id=0, src=0, dst=0)
+
+    def _ack(self) -> Packet:
+        ack = self._ack_pkt
+        ack.ecn = False
+        return ack
+
+
+class RttAdapter(_AckAdapter):
     """TIMELY (+win): ACKs echoing the fluid path's analytic RTT."""
 
     def update(self, proxy: FlowProxy, sig: StepSignals) -> None:
@@ -260,7 +268,7 @@ class RttAdapter(RateAdapter):
         self.algo.on_ack(proxy, ack, sig.now)
 
 
-class EcnAdapter(RateAdapter):
+class EcnAdapter(_AckAdapter):
     """DCTCP: cumulative ACKs carrying the analytic marked-byte fraction."""
 
     def __init__(self, env: CcEnv, algo: CcAlgorithm) -> None:

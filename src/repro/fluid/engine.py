@@ -99,8 +99,9 @@ matrix would move the last bit of a path's queueing delay, which
 TIMELY reads as RTT.  Padding past eight columns adds exact zeros, so a
 path of at most eight hops sums the same at any width; a longer path's
 delay is summed at its own cell's width (``FluidEngine._H``), as that
-cell would alone.  Admitting a flow writes one row; no index
-structures rebuild.  INT telemetry lives on the same columns: a row's
+cell would alone.  The flows due in one step are admitted as one block
+of rows (``_append_rows``), in start order; no index structures
+rebuild.  INT telemetry lives on the same columns: a row's
 INT mask (``_intm``) marks its telemetry hops (switch egress with
 capacity > 0) on the rows of schemes that read per-hop state, and is
 all False on other rows and on padding; ``_last`` holds Algorithm 1's L
@@ -338,6 +339,7 @@ class FluidEngine:
         #: rate shares it) and the install-time ``(rate, window)`` an
         #: adapter built on it starts a flow at.
         self._envs: dict[float, CcEnv] = {}
+        self._host_rates: dict[int, float] = {}
         self._installs: dict[float, tuple[float, float | None]] = {}
         #: The INT register (``"tx"``/``"rx"``) and decision-tap key of
         #: this cell's scheme, read off its first adapter.
@@ -381,7 +383,7 @@ class FluidEngine:
         # Routing first: it rejects endpoints outside the topology with
         # an error naming the flow.  The CC adapter waits for admission.
         path = self._route(spec)
-        line_rate = self.topology.host_rate(spec.src)
+        line_rate = self._host_rate(spec.src)
         tap = self.decision_tap
         if tap is not None:
             # Same wiring as HostNic.start_flow: the per-flow trace,
@@ -392,7 +394,7 @@ class FluidEngine:
                 spec.start_time, "install", None, rate, window, rate,
                 window, {},
             )
-        bottleneck = min(line_rate, self.topology.host_rate(spec.dst))
+        bottleneck = min(line_rate, self._host_rate(spec.dst))
         flow = FluidFlow(
             spec, path, None, None, line_rate,
             ideal=spec.size * self.wire_factor / bottleneck
@@ -406,6 +408,13 @@ class FluidEngine:
     def add_flows(self, specs) -> None:
         for spec in specs:
             self.add_flow(spec)
+
+    def _host_rate(self, host: int) -> float:
+        """``topology.host_rate``, read once per host."""
+        rate = self._host_rates.get(host)
+        if rate is None:
+            rate = self._host_rates[host] = self.topology.host_rate(host)
+        return rate
 
     def _route(self, spec: FlowSpec) -> FluidPath | None:
         try:
@@ -435,27 +444,31 @@ class FluidEngine:
             state = self._installs[line_rate] = (proxy.rate, proxy.window)
         return state
 
-    def _admit(self, flow: FluidFlow, offset: float = 0.0) -> None:
-        """Give a routed flow its CC state (first time only) and a row,
-        which starts sending ``offset`` ns into the coming step."""
-        if flow.proxy is None:
-            adapter = adapter_for(
-                self.scheme, self._env(flow.line_rate), self.cc_params
-            )
-            proxy = FlowProxy()
-            adapter.install(proxy)
-            if self.decision_tap is not None:
-                adapter.algo.tap = self.decision_tap.trace(
-                    flow.spec.flow_id, self.scheme.name
+    def _admit(self, flows: list[FluidFlow],
+               offsets: list[float] | None = None) -> None:
+        """Give routed flows their CC state (first time only) and one
+        block of rows, in order; flow ``j`` starts sending
+        ``offsets[j]`` ns into the coming step (none: at its start)."""
+        for flow in flows:
+            if flow.proxy is None:
+                adapter = adapter_for(
+                    self.scheme, self._env(flow.line_rate), self.cc_params
                 )
-            if self._needs_int and self._int_register is None:
-                self._int_register = _LINK_REGISTER[adapter.algo.rate_register]
-                self._rate_key = adapter.algo.rate_key
-            flow.proxy = proxy
-            flow.adapter = adapter
-        batch = self._batch or FluidBatch([self])
-        batch._append_row(flow, self._index)
-        batch._offset[batch._n - 1] = offset
+                proxy = FlowProxy()
+                adapter.install(proxy)
+                if self.decision_tap is not None:
+                    adapter.algo.tap = self.decision_tap.trace(
+                        flow.spec.flow_id, self.scheme.name
+                    )
+                if self._needs_int and self._int_register is None:
+                    self._int_register = _LINK_REGISTER[
+                        adapter.algo.rate_register]
+                    self._rate_key = adapter.algo.rate_key
+                flow.proxy = proxy
+                flow.adapter = adapter
+        if flows:
+            batch = self._batch or FluidBatch([self])
+            batch._append_rows(flows, self._index, offsets)
 
     @property
     def footprint(self) -> int:
@@ -538,8 +551,7 @@ class FluidEngine:
     def _rebuild_rows(self) -> None:
         """Re-append the alive rows from their flow objects (after a
         capacity change: the INT rows re-filter on the new capacities)."""
-        for flow in self._take_rows():
-            self._admit(flow)
+        self._admit(self._take_rows())
 
     def reconverge(self) -> int:
         """Recompute every in-flight and pending flow's path.
@@ -578,8 +590,7 @@ class FluidEngine:
                 rerouted += 1
                 still_active.append(flow)
         self._parked = parked
-        for flow in still_active:
-            self._admit(flow)
+        self._admit(still_active)
         return rerouted
 
     # -- the step loop -----------------------------------------------------------
@@ -671,6 +682,8 @@ class FluidEngine:
         offset into it."""
         starts = self._starts
         now = self.now
+        due: list[FluidFlow] = []
+        offsets: list[float] = []
         while self._next_idx < len(starts):
             flow = starts[self._next_idx]
             start = flow.spec.start_time
@@ -683,7 +696,9 @@ class FluidEngine:
             if flow.path is None:
                 self._parked.append(flow)
             else:
-                self._admit(flow, start - now if start > now + _EPS else 0.0)
+                due.append(flow)
+                offsets.append(start - now if start > now + _EPS else 0.0)
+        self._admit(due, offsets)
 
     def _sample(self) -> None:
         """Record the sampled queues if a sample interval has elapsed."""
@@ -975,6 +990,8 @@ class FluidBatch:
         self._touched_eg_mask = np.zeros(0, dtype=bool)
         self._touched_cell = np.zeros(0, dtype=np.int64)
         self._touched_stale = True
+        #: Whether some row starts inside the coming step (``_offset``).
+        self._offsets = False
         self._sig = StepSignals(
             rtt=0.0, mark_prob=0.0, delivered=0.0, now=0.0, dt=0.0,
         )
@@ -994,42 +1011,65 @@ class FluidBatch:
             setattr(self, name, b)
         self._H = width
 
-    def _append_row(self, flow: FluidFlow, k: int) -> None:
-        """Materialize one routed flow of cell ``k`` as a row."""
+    def _append_rows(self, flows: list[FluidFlow], k: int,
+                     offsets: list[float] | None = None) -> None:
+        """Materialize routed flows of cell ``k`` as one block of rows,
+        in order; ``offsets`` (default 0.0) is each row's offset into
+        the coming step."""
         n = self._n
+        m = len(flows)
+        end = n + m
         cell = self.cells[k]
         off = cell._link_off
-        links = flow.path.links
-        width = len(links)
+        L = self._dummy
+        links = [[off + l.index for l in flow.path.links] for flow in flows]
+        width = max(map(len, links))
         rows = self._alive.shape[0]
-        if n == rows or width > self._H:
-            self._resize(2 * rows if n == rows else rows, max(width, self._H))
+        if end > rows or width > self._H:
+            grown = rows
+            while end > grown:
+                grown *= 2
+            self._resize(grown, max(width, self._H))
         if width > cell._H:
             cell._H = width
             self._widths[k] = width
             self._one_width = bool((self._widths == self._H).all())
-        self._flows.append(flow)
-        self._alive[n] = True
-        self._cell[n] = k
-        self._rate[n] = flow.proxy.rate
-        w = flow.proxy.window
-        self._window[n] = _INF if w is None else w
-        self._line[n] = flow.line_rate
-        self._remaining[n] = flow.remaining
-        self._brtt[n] = flow.path.base_rtt
-        self._T[n] = cell.base_rtt
-        self._offset[n] = 0.0
-        self._elapsed[n] = flow.elapsed
-        self._dacc[n] = flow.acc_delivered
-        self._macc[n] = flow.acc_marked
-        row = self._hopm[n]
-        row[:width] = [off + l.index for l in links]
-        row[width:] = self._dummy
-        hops = row[:width]
-        self._link_load[hops] += 1              # a path repeats no link
-        ints = self._intm[n]
-        ints[:] = False                         # a reused slot: clear it
-        self._has_last[n] = False
+        H = self._H
+        self._flows.extend(flows)
+        self._alive[n:end] = True
+        self._cell[n:end] = k
+        self._T[n:end] = cell.base_rtt
+        if offsets is not None and max(offsets) > 0.0:
+            self._offset[n:end] = offsets
+            self._offsets = True
+        else:
+            self._offset[n:end] = 0.0
+        # Each flow's own state, as scalar writes: one slice write per
+        # vector costs more than eight scalar ones up to a block of
+        # about eight rows, and most blocks are smaller.
+        rate, window, line = self._rate, self._window, self._line
+        remaining, brtt = self._remaining, self._brtt
+        elapsed, dacc, macc = self._elapsed, self._dacc, self._macc
+        for i, flow in enumerate(flows, n):
+            proxy = flow.proxy
+            rate[i] = proxy.rate
+            window[i] = _INF if proxy.window is None else proxy.window
+            line[i] = flow.line_rate
+            remaining[i] = flow.remaining
+            brtt[i] = flow.path.base_rtt
+            elapsed[i] = flow.elapsed
+            dacc[i] = flow.acc_delivered
+            macc[i] = flow.acc_marked
+        hops = np.array([row + [L] * (H - len(row)) for row in links],
+                        dtype=np.int64)
+        self._hopm[n:end] = hops
+        real = hops < L
+        real_hops = hops[real]
+        # A path repeats no link; rows of the block may share one.
+        np.add.at(self._link_load, real_hops, 1)
+        ints = self._intm[n:end]
+        ints[:] = False                         # reused slots: clear them
+        self._has_last[n:end] = False
         if cell._needs_int:
             register = cell._int_register
             self._registers.add(register)
@@ -1038,17 +1078,19 @@ class FluidBatch:
             # Telemetry links: switch egress with capacity > 0 (a cut
             # edge still on this flow's pre-reconvergence path returns
             # no ACKs from beyond the cut — no INT signal).
-            ints[:width] = self.egress[hops] & (self.capacity[hops] > 0.0)
+            ints[real] = (self.egress[real_hops]
+                          & (self.capacity[real_hops] > 0.0))
             # L carries over a row rebuild when the hop count is unchanged,
             # compared by position even over new links (Algorithm 1's
             # rule); another count gives no sample until the next fire.
-            last = flow.int_last
-            if last is not None and len(last) == ints.sum():
-                self._has_last[n] = True
-                self._last[n, ints] = last
-        self._n = n + 1
-        self._alive_n += 1
-        cell._alive_n += 1
+            for j, flow in enumerate(flows):
+                last = flow.int_last
+                if last is not None and len(last) == ints[j].sum():
+                    self._has_last[n + j] = True
+                    self._last[n + j, ints[j]] = last
+        self._n = end
+        self._alive_n += m
+        cell._alive_n += m
         self._touched_stale = True
 
     def _cell_rows(self, k: int) -> np.ndarray:
@@ -1296,9 +1338,12 @@ class FluidBatch:
         dts = self._dts
         nows = self._now
         dts[:] = 0.0
+        dt_max = 0.0
         for k in stepping:
-            dts[k] = cells[k]._dt
+            dts[k] = cell_dt = cells[k]._dt
             nows[k] = cells[k].now
+            if cell_dt > dt_max:
+                dt_max = cell_dt
         rc = self._cell[:n]
         dt = dts[rc]
         dt_t = dts[self._touched_cell]
@@ -1306,7 +1351,8 @@ class FluidBatch:
         # Each row sends for the whole step, but a row admitted inside it
         # only from its own start, ``_offset`` into the step.
         off = self._offset[:n]
-        span = dt - off
+        offsets = self._offsets
+        span = dt - off if offsets else dt
 
         # 1. requested rates (window-limited schemes pace at W/T).
         req = np.minimum(self._rate[:n], self._window[:n] / T)
@@ -1336,7 +1382,10 @@ class FluidBatch:
         flat = hopm.ravel()
         ti = self._touched_idx
         cap_t = cap[ti]
-        load = req * np.divide(span, dt, out=np.ones(n), where=off > 0.0)
+        if offsets:
+            load = req * np.divide(span, dt, out=np.ones(n), where=off > 0.0)
+        else:
+            load = req.copy()           # req x 1.0: every row's share
         # 3. cascade the throttle along each path and pin each row's
         #    achieved rate.
         sc = self._throttle(flat, load, cap_t)
@@ -1344,13 +1393,19 @@ class FluidBatch:
         # A row that finishes inside the step loads its links only while
         # it sends: re-weighted to that share, the throttle runs once
         # more (it can only loosen, so every such row still finishes).
-        t_send = np.divide(remaining, achieved, out=np.full(n, _INF),
-                           where=achieved > 0.0)
-        short = np.flatnonzero(t_send < span)
-        if short.size:
-            load[short] = req[short] * (t_send[short] / dt[short])
-            sc = self._throttle(flat, load, cap_t)
-            achieved = req * sc[:, -1]
+        # No row can finish while every alive one holds more than the
+        # largest request sends in the longest step (``achieved <= req``
+        # and ``span <= dt``); the margin covers the product's rounding.
+        rem_min = np.minimum.reduce(remaining, where=alive, initial=_INF)
+        reach = np.maximum.reduce(req, initial=0.0) * dt_max
+        if not rem_min > reach * (1.0 + 1e-12):
+            t_send = np.divide(remaining, achieved, out=np.full(n, _INF),
+                               where=achieved > 0.0)
+            short = (t_send < span).nonzero()[0]
+            if short.size:
+                load[short] = req[short] * (t_send[short] / dt[short])
+                sc = self._throttle(flat, load, cap_t)
+                achieved = req * sc[:, -1]
         w = np.empty_like(sc)
         w[:, 0] = load
         np.multiply(sc[:, :-1], load[:, None], out=w[:, 1:])
@@ -1487,10 +1542,12 @@ class FluidBatch:
         # Adapters fire once a full step has accumulated (a row admitted
         # inside the step fires at its end, with the rows it joined); the
         # epsilon absorbs float dust from summing shortened mini-steps.
-        fire = alive & (elapsed + off >= T - 1e-9)
-        off[:] = 0.0
-        if fire.any():
-            fidx = np.flatnonzero(fire)
+        fire = alive & ((elapsed + off if offsets else elapsed) >= T - 1e-9)
+        if offsets:
+            off[:] = 0.0
+            self._offsets = False
+        fidx = fire.nonzero()[0]
+        if fidx.size:
             FluidEngine._fire(
                 self, fidx, self._path_qdelay(qdiv, fidx), mark_flow, first,
                 elapsed, dacc, macc,

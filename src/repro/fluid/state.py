@@ -247,6 +247,9 @@ class FluidGraph:
         #: The rows over the alive subgraph, or ``None`` until
         #: :meth:`rows` next builds them.
         self._rows: ShortestPathRows | None = None
+        #: ``round_trip`` by its arguments: a fabric's paths share a
+        #: handful of hop shapes, so each is summed once.
+        self._round_trips: dict[tuple, float] = {}
 
     # -- dynamics ----------------------------------------------------------------
 
@@ -360,8 +363,13 @@ class FluidGraph:
         """
         nodes = self.rows().walk(flow_id, src, dst)
         links = [self.links[pair] for pair in zip(nodes, nodes[1:])]
-        hops = [(l.member.delay, l.member.rate) for l in links]
-        return FluidPath(links, round_trip(hops, mtu_wire, ack_size))
+        hops = tuple([(l.member.delay, l.member.rate) for l in links])
+        key = (hops, mtu_wire, ack_size)
+        base_rtt = self._round_trips.get(key)
+        if base_rtt is None:
+            base_rtt = self._round_trips[key] = round_trip(
+                hops, mtu_wire, ack_size)
+        return FluidPath(links, base_rtt)
 
     # -- introspection -----------------------------------------------------------
 

@@ -860,13 +860,14 @@ class TestStepInvariants:
     def watched(self, monkeypatch):
         appended = {}                   # id(flow) -> (latest append, flow)
         order = itertools.count()
-        append = FluidBatch._append_row
+        append = FluidBatch._append_rows
         compact = FluidBatch._compact
         compacted_at = []
 
-        def spy(self, flow, k):
-            appended[id(flow)] = (next(order), flow)
-            append(self, flow, k)
+        def spy(self, flows, k, offsets=None):
+            for flow in flows:
+                appended[id(flow)] = (next(order), flow)
+            append(self, flows, k, offsets)
 
         def compact_spy(self):
             compacted_at.append(self.cells[0].now)
@@ -911,7 +912,7 @@ class TestStepInvariants:
             expect &= needs_int[cells][:, None]
             assert np.array_equal(block._intm[:n][alive], expect)
 
-        monkeypatch.setattr(FluidBatch, "_append_row", spy)
+        monkeypatch.setattr(FluidBatch, "_append_rows", spy)
         monkeypatch.setattr(FluidBatch, "_compact", compact_spy)
         after_each_step(monkeypatch, check)
         return compacted_at
